@@ -34,16 +34,47 @@ DEFAULT_TERM_BUDGET = 500_000
 
 
 class Node:
-    """A formula node: "input", "const", "sum" or "product"."""
+    """A formula node: "input", "const", "sum" or "product"; immutable."""
 
     __slots__ = ("kind", "var", "value", "children", "weights")
 
     def __init__(self, kind, var=None, value=None, children=(), weights=None):
-        self.kind = kind
-        self.var = var
-        self.value = value
-        self.children = tuple(children)
-        self.weights = tuple(weights) if weights is not None else None
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "weights", tuple(weights) if weights is not None else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Node is immutable")
+
+
+def _postorder(root, children=lambda node: node.children) -> list:
+    """Every distinct object reachable from `root`, children before parents.
+
+    Objects are told apart by identity, so a shared subtree appears once.
+    The walk keeps an explicit stack, so depth is limited by memory rather
+    than by the interpreter's recursion limit.
+    """
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        item, done = stack.pop()
+        if done:
+            order.append(item)
+        elif id(item) not in seen:
+            seen.add(id(item))
+            stack.append((item, True))
+            stack.extend((c, False) for c in reversed(children(item)))
+    return order
+
+
+def _live_children(node: Node):
+    """The children that can affect the value: zero-weight edges are skipped."""
+    if node.kind == "sum":
+        return [c for w, c in zip(node.weights, node.children) if w]
+    return node.children
 
 
 def inp(var: int) -> Node:
@@ -74,56 +105,39 @@ def prod_node(children: Sequence[Node]) -> Node:
 class Formula:
     """An arithmetic formula with a fixed input arity."""
 
-    __slots__ = ("root", "arity", "_expansion")
+    __slots__ = ("root", "arity")
 
     def __init__(self, root: Node, arity: int):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.root = root
         self.arity = arity
-        self._expansion = None
 
     # -- metrics -----------------------------------------------------------
 
     def size(self) -> int:
         """Total node count, leaves included; edge weights are free."""
-        memo: dict[int, int] = {}
-
-        def walk(node: Node) -> int:
-            got = memo.get(id(node))
-            if got is None:
-                got = 1 + sum(walk(c) for c in node.children)
-                memo[id(node)] = got
-            return got
-
-        return walk(self.root)
+        sizes: dict[int, int] = {}
+        for node in _postorder(self.root):
+            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
+        return sizes[id(self.root)]
 
     def depth(self) -> int:
         """Longest root-to-leaf path counted in gate edges (a leaf has depth 0)."""
-        memo: dict[int, int] = {}
-
-        def walk(node: Node) -> int:
-            got = memo.get(id(node))
-            if got is None:
-                got = 1 + max(walk(c) for c in node.children) if node.children else 0
-                memo[id(node)] = got
-            return got
-
-        return walk(self.root)
+        depths: dict[int, int] = {}
+        for node in _postorder(self.root):
+            depths[id(node)] = 1 + max(depths[id(c)] for c in node.children) if node.children else 0
+        return depths[id(self.root)]
 
     # -- semantics -----------------------------------------------------------
 
     def eval(self, point: Sequence):
-        """Exact evaluation by a memoized tree walk."""
+        """Exact evaluation, one step per distinct node."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         point = [as_scalar(p) for p in point]
-        memo: dict[int, object] = {}
-
-        def walk(node: Node):
-            got = memo.get(id(node))
-            if got is not None:
-                return got
+        values: dict[int, object] = {}
+        for node in _postorder(self.root, _live_children):
             if node.kind == "input":
                 value = point[node.var]
             elif node.kind == "const":
@@ -132,34 +146,25 @@ class Formula:
                 value = ZERO
                 for w, c in zip(node.weights, node.children):
                     if w:
-                        value = value + w * walk(c)
+                        value = value + w * values[id(c)]
             else:
                 value = ONE
                 for c in node.children:
-                    value = value * walk(c)
-            memo[id(node)] = value
-            return value
-
-        return walk(self.root)
+                    value = value * values[id(c)]
+            values[id(node)] = value
+        return values[id(self.root)]
 
     def expand(self, budget: int | None = None) -> Poly:
         """Full symbolic expansion (the brute-force oracle).
 
-        Guarded by a term budget on every intermediate polynomial.  Results
-        are cached on the formula object; trees are immutable so the cache is
-        always valid.
+        Guarded by a term budget on every intermediate polynomial.  Nothing is
+        cached: each call expands afresh under its own budget.
         """
-        if self._expansion is not None:
-            return self._expansion
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
         zero = Poly.zero(arity)
-        memo: dict[int, Poly] = {}
-
-        def walk(node: Node) -> Poly:
-            got = memo.get(id(node))
-            if got is not None:
-                return got
+        values: dict[int, Poly] = {}
+        for node in _postorder(self.root, _live_children):
             if node.kind == "input":
                 value = Poly.variable(arity, node.var)
             elif node.kind == "const":
@@ -168,13 +173,13 @@ class Formula:
                 value = zero
                 for w, c in zip(node.weights, node.children):
                     if w:
-                        value = value + walk(c) * w
+                        value = value + values[id(c)] * w
                 if value.num_terms() > budget:
                     raise BudgetExceeded(
                         f"expansion exceeded {budget} terms at a sum gate"
                     )
             else:
-                factors = [walk(c) for c in node.children]
+                factors = [values[id(c)] for c in node.children]
                 if any(f.is_zero() for f in factors):
                     value = zero
                 else:
@@ -186,12 +191,8 @@ class Formula:
                             raise BudgetExceeded(
                                 f"expansion exceeded {budget} terms at a product gate"
                             )
-            memo[id(node)] = value
-            return value
-
-        result = walk(self.root)
-        self._expansion = result
-        return result
+            values[id(node)] = value
+        return values[id(self.root)]
 
     # -- structural passes ---------------------------------------------------
 
@@ -212,12 +213,8 @@ class Formula:
         elif arities and arities != {arity}:
             raise ArityMismatch("explicit arity disagrees with replacements")
         roots = {var: f.root for var, f in mapping.items()}
-        memo: dict[int, Node] = {}
-
-        def walk(node: Node) -> Node:
-            got = memo.get(id(node))
-            if got is not None:
-                return got
+        replaced: dict[int, Node] = {}
+        for node in _postorder(self.root):
             if node.kind == "input":
                 new = roots.get(node.var)
                 if new is None:
@@ -229,15 +226,13 @@ class Formula:
             elif node.kind in ("sum", "product"):
                 new = Node(
                     node.kind,
-                    children=[walk(c) for c in node.children],
+                    children=[replaced[id(c)] for c in node.children],
                     weights=node.weights,
                 )
             else:
                 new = node
-            memo[id(node)] = new
-            return new
-
-        return Formula(walk(self.root), arity)
+            replaced[id(node)] = new
+        return Formula(replaced[id(self.root)], arity)
 
     @staticmethod
     def combine(formulas: Sequence["Formula"], weights: Sequence) -> "Formula":
@@ -258,36 +253,54 @@ class Formula:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        def encode(node: Node) -> dict:
-            if node.kind == "input":
-                return {"kind": "input", "var": node.var}
-            if node.kind == "const":
-                return {"kind": "const", "value": scalar_to_json(node.value)}
-            out = {"kind": node.kind, "children": [encode(c) for c in node.children]}
-            if node.kind == "sum":
-                out["weights"] = [scalar_to_json(w) for w in node.weights]
-            return out
+        """The formula as nested dicts, for `json.dumps`.
 
-        return {"arity": self.arity, "root": encode(self.root)}
+        A shared subtree becomes one shared dict, so the result is as small as
+        the node graph; the JSON text still spells out the whole tree.  The
+        stdlib `json` module recurses, so text for a formula a few hundred
+        levels deep cannot be written or read back by it; the dicts
+        themselves round-trip through `from_json` at any depth.
+        """
+        encoded: dict[int, dict] = {}
+        for node in _postorder(self.root):
+            if node.kind == "input":
+                out = {"kind": "input", "var": node.var}
+            elif node.kind == "const":
+                out = {"kind": "const", "value": scalar_to_json(node.value)}
+            else:
+                out = {"kind": node.kind, "children": [encoded[id(c)] for c in node.children]}
+                if node.kind == "sum":
+                    out["weights"] = [scalar_to_json(w) for w in node.weights]
+            encoded[id(node)] = out
+        return {"arity": self.arity, "root": encoded[id(self.root)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Formula":
-        def decode(spec: dict) -> Node:
+        """Inverse of `to_json`, at any depth; a shared dict decodes to one
+        shared node.  Text parsed by the stdlib `json` module is limited to a
+        few hundred levels by its parser (see `to_json`)."""
+
+        def child_specs(spec: dict):
+            return spec["children"] if spec["kind"] in ("sum", "product") else ()
+
+        decoded: dict[int, Node] = {}
+        for spec in _postorder(obj["root"], child_specs):
             kind = spec["kind"]
             if kind == "input":
-                return inp(spec["var"])
-            if kind == "const":
-                return const(scalar_from_json(spec["value"]))
-            children = [decode(c) for c in spec["children"]]
-            if kind == "sum":
-                return sum_node(
-                    children, [scalar_from_json(w) for w in spec["weights"]]
+                node = inp(spec["var"])
+            elif kind == "const":
+                node = const(scalar_from_json(spec["value"]))
+            elif kind == "sum":
+                node = sum_node(
+                    [decoded[id(c)] for c in spec["children"]],
+                    [scalar_from_json(w) for w in spec["weights"]],
                 )
-            if kind == "product":
-                return prod_node(children)
-            raise ValueError(f"unknown node kind {kind!r}")
-
-        return cls(decode(obj["root"]), obj["arity"])
+            elif kind == "product":
+                node = prod_node([decoded[id(c)] for c in spec["children"]])
+            else:
+                raise ValueError(f"unknown node kind {kind!r}")
+            decoded[id(spec)] = node
+        return cls(decoded[id(obj["root"])], obj["arity"])
 
     def __repr__(self):
         return f"Formula(arity={self.arity}, size={self.size()}, depth={self.depth()})"

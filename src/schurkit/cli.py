@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 from .circuits import DEFAULT_TERM_BUDGET, Formula
 from .errors import BudgetExceeded, NotReducible, VerificationFailed
@@ -45,16 +44,6 @@ from .symmetric import (
     skew_schur_h,
 )
 from .transforms import det_poly, jacobi_trudi_formula, schur_to_det_reduce
-
-
-@dataclass
-class RunConfig:
-    """Reproducibility knobs shared by all subcommands."""
-
-    seed: int = 0
-    term_budget: int = DEFAULT_TERM_BUDGET
-    scalar_field: str = "rational"
-    output_path: str | None = None
 
 
 def _write_output(path: str | None, text: str):
@@ -97,7 +86,7 @@ ROUTES = {
 }
 
 
-def _cmd_schur(args, config: RunConfig) -> int:
+def _cmd_schur(args) -> int:
     lam, mu_inline = _parse_partition(args.lam)
     mu = Partition.parse(args.mu) if args.mu else mu_inline
     n = args.n
@@ -111,7 +100,7 @@ def _cmd_schur(args, config: RunConfig) -> int:
             "polynomial": result.to_text(),
         }
         _write_output(
-            config.output_path,
+            args.out,
             _dump_json(payload) if args.format == "json" else result.to_text(),
         )
         return 0
@@ -125,7 +114,7 @@ def _cmd_schur(args, config: RunConfig) -> int:
             "agree": agree,
             "routes": {name: p.to_text() for name, p in results.items()},
         }
-        _write_output(config.output_path, _dump_json(payload))
+        _write_output(args.out, _dump_json(payload))
         return 0 if agree else 1
     result = ROUTES[args.route](lam, n)
     if args.format == "json":
@@ -136,26 +125,32 @@ def _cmd_schur(args, config: RunConfig) -> int:
             "polynomial": result.to_text(),
             "terms": result.to_json()["terms"],
         }
-        _write_output(config.output_path, _dump_json(payload))
+        _write_output(args.out, _dump_json(payload))
     else:
-        _write_output(config.output_path, result.to_text())
+        _write_output(args.out, result.to_text())
     return 0
 
 
-def _cmd_reduce(args, config: RunConfig) -> int:
+def _cmd_reduce(args) -> int:
     lam, _ = _parse_partition(args.lam)
     n = args.n
     if args.formula_in:
         with open(args.formula_in) as handle:
-            f = Formula.from_json(json.load(handle))
+            try:
+                spec = json.load(handle)
+            except RecursionError:
+                raise ValueError(
+                    f"{args.formula_in}: formula nested too deeply for the JSON parser"
+                ) from None
+        f = Formula.from_json(spec)
     else:
         f = jacobi_trudi_formula(lam, n)
     output, report = schur_to_det_reduce(lam, n, f)
     ell = lam.length
-    verified = output.expand(budget=config.term_budget) == det_poly(ell)
+    verified = output.expand(budget=args.budget) == det_poly(ell)
     if not verified:
         raise VerificationFailed("output expansion does not equal the determinant")
-    _write_output(config.output_path, _dump_json(output.to_json()))
+    _write_output(args.out, _dump_json(output.to_json()))
     report_json = report.to_json()
     report_json["verified_against_determinant"] = verified
     report_json["lambda"] = str(lam)
@@ -170,18 +165,18 @@ def _cmd_reduce(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_witness(args, config: RunConfig) -> int:
+def _cmd_witness(args) -> int:
     n = args.n
     if args.family == "shifted":
         polys = [e_poly(k, n) for k in range(1, n + 1)]
-        shifts, point = shifted_witness(polys, seed=config.seed)
+        shifts, point = shifted_witness(polys, seed=args.seed)
         shifted = [q - Poly.constant(n, a) for q, a in zip(polys, shifts)]
-        if not is_independence_witness(shifted, point, seed=config.seed):
+        if not is_independence_witness(shifted, point, seed=args.seed):
             raise VerificationFailed("shifted family failed the witness check")
         payload = {
             "family": "shifted",
             "n": n,
-            "seed": config.seed,
+            "seed": args.seed,
             "point": [scalar_to_json(x) for x in point],
             "shifts": [scalar_to_json(a) for a in shifts],
             "residuals": [scalar_to_text(q.eval(point)) for q in shifted],
@@ -202,11 +197,11 @@ def _cmd_witness(args, config: RunConfig) -> int:
             "residuals": [scalar_to_text(q.eval(witness.point)) for q in witness.polys],
             "certified_rank": witness.rank,
         }
-    _write_output(config.output_path, _dump_json(payload))
+    _write_output(args.out, _dump_json(payload))
     return 0
 
 
-def _cmd_pdc(args, config: RunConfig) -> int:
+def _cmd_pdc(args) -> int:
     if args.monomial is not None:
         k = args.monomial
         source = Poly.monomial(k, (1,) * k)
@@ -226,11 +221,11 @@ def _cmd_pdc(args, config: RunConfig) -> int:
         "terms": source.num_terms(),
         "dimension": dim,
     }
-    _write_output(config.output_path, _dump_json(payload))
+    _write_output(args.out, _dump_json(payload))
     return 0
 
 
-def _cmd_convert(args, config: RunConfig) -> int:
+def _cmd_convert(args) -> int:
     if args.mode == "to-e-basis":
         if not args.input:
             raise ValueError("--to-e-basis needs --input")
@@ -254,13 +249,13 @@ def _cmd_convert(args, config: RunConfig) -> int:
             result = e_in_p_basis(k, n)
             prefix = "p"
     if args.format == "json":
-        _write_output(config.output_path, _dump_json(result.to_json()))
+        _write_output(args.out, _dump_json(result.to_json()))
     else:
-        _write_output(config.output_path, result.to_text(prefix))
+        _write_output(args.out, result.to_text(prefix))
     return 0
 
 
-def _cmd_bench(args, config: RunConfig) -> int:
+def _cmd_bench(args) -> int:
     if args.suite != "schur-routes":
         raise ValueError(f"unknown suite {args.suite!r}")
     n = args.n
@@ -275,7 +270,7 @@ def _cmd_bench(args, config: RunConfig) -> int:
             poly = fn(lam, n)
             millis = int((time.perf_counter() - start) * 1000)
             writer.writerow([str(lam), n, name, poly.num_terms(), poly.total_degree(), millis])
-    _write_output(config.output_path, buffer.getvalue())
+    _write_output(args.out, buffer.getvalue())
     return 0
 
 
@@ -349,13 +344,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        seed=getattr(args, "seed", 0),
-        term_budget=getattr(args, "budget", DEFAULT_TERM_BUDGET),
-        output_path=getattr(args, "out", None),
-    )
     try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except NotReducible as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

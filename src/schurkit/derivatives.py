@@ -118,13 +118,6 @@ def pdc_dimension(p: Poly, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> int:
     return derivative_space(p, budget=budget).dimension
 
 
-def lowest_nonzero_component(p: Poly) -> tuple[int, Poly]:
-    """The minimal degree with a non-zero homogeneous component, and that component."""
-    if p.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no non-zero component")
-    return p.lowest_component()
-
-
 @dataclass(frozen=True)
 class ProductBoundReport:
     dimension: int
@@ -156,6 +149,7 @@ def product_pdc_check(polys, point, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> 
     k = len(polys)
     if not is_independence_witness(polys, point):
         raise InvalidWitness("point is not a common zero with full Jacobian rank")
+    # the witness check compares with the symbolic rank, which may be below k
     if jacobian_at(jacobian(polys), point).rank() != k:
         raise InvalidWitness("Jacobian rank at the point is below the family size")
     product = Poly.constant(polys[0].arity, 1)

@@ -498,6 +498,38 @@ def bareiss_rank(rows: list[list]) -> int:
     return r
 
 
+def gauss_jordan(rows: list[list], ncols: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by exact elimination over a field.
+
+    Pivots are sought left to right in the first `ncols` columns (all by
+    default); a column with no pivot is skipped, so the pivot columns are the
+    leftmost linearly independent ones.  Later columns ride along, as an
+    augmented block.  Returns the reduced rows, pivot rows first and scaled
+    to a leading one, and the pivot columns.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def solve_exact(rows: list[list], rhs: list) -> list | None:
     """Solve A x = b exactly over a field.
 
@@ -505,32 +537,13 @@ def solve_exact(rows: list[list], rhs: list) -> list | None:
     one exists).  Returns the solution, or None when the system is
     inconsistent.
     """
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pivot_row is None:
-            raise SingularMatrix("columns are linearly dependent")
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    reduced, pivots = gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
     if len(pivots) < ncols:
         raise SingularMatrix("columns are linearly dependent")
-    for i in range(ncols, nrows):
-        if aug[i][ncols]:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
+    if any(row[ncols] for row in reduced[ncols:]):
+        return None
+    return [row[ncols] for row in reduced[:ncols]]
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +643,10 @@ class ScalarMatrix:
             list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)]
             for i in range(n)
         ]
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if aug[i][c]), None)
-            if pivot_row is None:
-                raise SingularMatrix("matrix is singular")
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-            inv = ONE / aug[c][c]
-            aug[c] = [v * inv for v in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-        return ScalarMatrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+        reduced, pivots = gauss_jordan(aug, n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is singular")
+        return ScalarMatrix(n, n, [v for row in reduced for v in row[n:]])
 
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):

@@ -21,6 +21,7 @@ from .errors import (
     NonUnitConstantTerm,
     NonZeroConstantTerm,
     NotDivisible,
+    ZeroPolynomial,
 )
 from .field import (
     ONE,
@@ -331,9 +332,10 @@ class Poly:
         return {d: Poly._raw(self.arity, t) for d, t in sorted(buckets.items())}
 
     def lowest_component(self) -> tuple[int, "Poly"]:
+        """The minimal degree with a non-zero homogeneous component, and that component."""
         d = self.min_degree()
         if d < 0:
-            raise ValueError("zero polynomial has no lowest component")
+            raise ZeroPolynomial("the zero polynomial has no non-zero component")
         return d, self.homogeneous_component(d)
 
     def compose(self, values: Sequence["Poly"]) -> "Poly":

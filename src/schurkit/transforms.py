@@ -39,7 +39,7 @@ from .errors import (
     ReductionMismatch,
     VerificationFailed,
 )
-from .field import ONE, Rat, ScalarMatrix, scalar_to_json
+from .field import ONE, Rat, ScalarMatrix, gauss_jordan, scalar_to_json
 from .independence import (
     h_family_witness,
     is_independence_witness,
@@ -48,7 +48,7 @@ from .independence import (
 )
 from .partitions import Partition
 from .poly import Poly
-from .symmetric import all_distinct, h_poly, jacobi_trudi_labels, schur_jt_h
+from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_labels, schur_jt_h
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
@@ -193,26 +193,8 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _independent_columns(matrix: ScalarMatrix, want: int) -> list[int]:
-    """Greedy leftmost selection of `want` linearly independent columns."""
-    selected: list[int] = []
-    for j in range(matrix.cols):
-        candidate = selected + [j]
-        sub = ScalarMatrix(
-            matrix.rows,
-            len(candidate),
-            [matrix.entry(i, c) for i in range(matrix.rows) for c in candidate],
-        )
-        if sub.rank() == len(candidate):
-            selected = candidate
-            if len(selected) == want:
-                return selected
-    raise VerificationFailed(
-        f"matrix rank below {want}; witness rank check should have caught this"
-    )
-
-
-def _recover_traced(f, inner, degree, point, verify):
+def _recover_traced(f, expanded, inner, degree, point, verify):
+    """`recover_outer_formula` with the pass trace; `expanded` is f.expand()."""
     inner = list(inner)
     k = len(inner)
     arity = f.arity
@@ -223,7 +205,6 @@ def _recover_traced(f, inner, degree, point, verify):
         raise InvalidWitness(
             "the supplied point is not a common zero with full Jacobian rank"
         )
-    expanded = f.expand()
     trace = []
 
     shifted = shift_formula(f, point)
@@ -234,7 +215,11 @@ def _recover_traced(f, inner, degree, point, verify):
     trace.append((f"extract-degree-{degree}", extracted))
 
     u = jacobian_at(jacobian(inner), point)
-    cols = _independent_columns(u, k)
+    _, cols = gauss_jordan(u.to_rows())
+    if len(cols) < k:
+        raise VerificationFailed(
+            f"Jacobian rank below {k}; witness rank check should have caught this"
+        )
     u_sub = ScalarMatrix(k, k, [u.entry(i, c) for i in range(k) for c in cols])
     v = u_sub.inverse()
     mapping = {}
@@ -280,7 +265,7 @@ def recover_outer_formula(
     inner family; a mismatch (e.g. a non-homogeneous g) raises
     ReductionMismatch.
     """
-    result, _ = _recover_traced(f, inner, degree, point, verify)
+    result, _ = _recover_traced(f, f.expand(), inner, degree, point, verify)
     return result
 
 
@@ -422,13 +407,16 @@ def schur_to_det_reduce(
         raise VerificationFailed("hypothesis holds but labels are out of range")
     if f is None:
         f = jacobi_trudi_formula(lam, n)
-    if f.expand() != schur_jt_h(lam, n):
+    expanded = f.expand()
+    if expanded != schur_jt_h(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")
 
     witness = h_family_witness(n)
     sorted_labels = sorted(flat)
     inner = tuple(h_poly(m, n) for m in sorted_labels)
-    recovered, trace = _recover_traced(f, inner, ell, witness.point, verify=True)
+    recovered, trace = _recover_traced(
+        f, expanded, inner, ell, witness.point, verify=True
+    )
 
     k = ell * ell
     position = {labels[i][j]: i * ell + j for i in range(ell) for j in range(ell)}
@@ -460,15 +448,6 @@ def schur_to_det_reduce(
 def det_poly(ell: int) -> Poly:
     """The l x l determinant on row-major variables, as a polynomial."""
     arity = ell * ell
-    out = Poly.zero(arity)
-    for sigma in itertools.permutations(range(ell)):
-        sign = 1
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        exps = [0] * arity
-        for i in range(ell):
-            exps[i * ell + sigma[i]] += 1
-        out = out + Poly.monomial(arity, exps, sign)
-    return out
+    return det_poly_matrix(
+        [[Poly.variable(arity, i * ell + j) for j in range(ell)] for i in range(ell)]
+    )

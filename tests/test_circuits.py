@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from schurkit.circuits import (
     ABP,
     Formula,
     const,
+    constant_formula,
     det_abp,
     formula_from_poly,
     inp,
@@ -17,7 +19,7 @@ from schurkit.circuits import (
     variable_formula,
 )
 from schurkit.errors import ArityMismatch, BudgetExceeded, LengthMismatch
-from schurkit.field import Rat, ZERO
+from schurkit.field import ONE, Rat, ZERO
 from schurkit.poly import Poly
 
 
@@ -77,8 +79,13 @@ class TestEvalAndExpand:
         node = sum_node([inp(0), const(1)])
         for _ in range(6):
             node = prod_node([node, node])
+        f = Formula(node, 1)
         with pytest.raises(BudgetExceeded):
-            Formula(node, 1).expand(budget=10)
+            f.expand(budget=10)
+        # an earlier unbudgeted expansion does not lift the budget
+        assert f.expand().num_terms() == 65
+        with pytest.raises(BudgetExceeded):
+            f.expand(budget=10)
 
 
 class TestMetrics:
@@ -166,6 +173,82 @@ class TestSerialization:
         f = Formula(sum_node([inp(0), const(omega(5))], [Rat(1, 2), 1]), 1)
         g = Formula.from_json(f.to_json())
         assert g.expand() == f.expand()
+
+
+class TestNodeImmutability:
+    def test_slots_cannot_be_assigned(self):
+        node = sum_node([inp(0), inp(1)])
+        for slot, value in [
+            ("kind", "product"),
+            ("var", 0),
+            ("value", ONE),
+            ("children", ()),
+            ("weights", None),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(node, slot, value)
+        assert node.kind == "sum" and len(node.children) == 2
+
+
+DEEP = 5000
+
+
+def deep_chain(kind: str) -> Formula:
+    """x0 * x1^DEEP or x0 + DEEP*x1, one gate per level."""
+    gate = prod_node if kind == "product" else sum_node
+    x1 = inp(1)
+    node = inp(0)
+    for _ in range(DEEP):
+        node = gate([node, x1])
+    return Formula(node, 2)
+
+
+def test_deep_chains_exceed_the_recursion_limit():
+    assert DEEP > sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize("kind", ["product", "sum"])
+class TestDeepFormulas:
+    """Every walker handles chains far deeper than the recursion limit."""
+
+    def test_size_and_depth(self, kind):
+        f = deep_chain(kind)
+        assert f.size() == 2 * DEEP + 1
+        assert f.depth() == DEEP
+
+    def test_eval_and_expand(self, kind):
+        f = deep_chain(kind)
+        if kind == "product":
+            assert f.eval([3, 1]) == 3
+            assert f.expand() == Poly.monomial(2, (1, DEEP))
+        else:
+            assert f.eval([3, 1]) == 3 + DEEP
+            assert f.expand() == Poly(2, {(1, 0): 1, (0, 1): DEEP})
+
+    def test_substitute(self, kind):
+        g = deep_chain(kind).substitute({1: constant_formula(2, 1)})
+        assert g.depth() == DEEP
+        expected = 1 if kind == "product" else 1 + DEEP
+        assert g.eval([1, 7]) == expected
+
+    def test_dict_round_trip(self, kind):
+        f = deep_chain(kind)
+        g = Formula.from_json(f.to_json())
+        assert (g.size(), g.depth()) == (f.size(), f.depth())
+        assert g.expand() == f.expand()
+
+
+def test_dict_round_trip_keeps_sharing():
+    node = inp(0)
+    for _ in range(12):
+        node = prod_node([node, node])
+    f = Formula(node, 1)
+    blob = f.to_json()
+    assert blob["root"]["children"][0] is blob["root"]["children"][1]
+    g = Formula.from_json(blob)
+    assert g.root.children[0] is g.root.children[1]
+    assert g.size() == f.size() == 2**13 - 1
+    assert g.expand() == Poly.monomial(1, (2**12,))
 
 
 def perm_det_poly(n):

@@ -76,6 +76,24 @@ class TestReduceCommand:
         assert code == 2
         assert "gap hypothesis" in err
 
+    def test_too_deep_formula_file_is_bad_input(self, capsys, tmp_path):
+        # 600 nested product gates: past what the stdlib JSON parser can read
+        depth = 600
+        root = (
+            '{"kind": "product", "children": [' * depth
+            + '{"kind": "input", "var": 0}'
+            + "]}" * depth
+        )
+        path = tmp_path / "deep.json"
+        path.write_text('{"arity": 5, "root": ' + root + "}")
+        code, out, err = run(
+            capsys,
+            "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
 
 class TestWitnessCommand:
     def test_elementary(self, capsys):

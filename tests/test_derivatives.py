@@ -4,14 +4,13 @@ import pytest
 
 from schurkit.derivatives import (
     derivative_space,
-    lowest_nonzero_component,
     pdc_dimension,
     product_pdc_check,
     shifted_product_pdc_check,
 )
 from schurkit.errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
 from schurkit.field import Rat, ScalarMatrix
-from schurkit.independence import roots_of_unity_witness
+from schurkit.independence import is_independence_witness, roots_of_unity_witness
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly
 
@@ -73,14 +72,14 @@ class TestDimension:
 class TestLowestComponent:
     def test_examples(self):
         x = Poly.variable(1, 0)
-        assert lowest_nonzero_component(x * x + x) == (1, x)
+        assert (x * x + x).lowest_component() == (1, x)
         hom = Poly.monomial(2, (2, 1), 3)
-        assert lowest_nonzero_component(hom) == (3, hom)
-        assert lowest_nonzero_component(Poly.constant(1, 5))[0] == 0
+        assert hom.lowest_component() == (3, hom)
+        assert Poly.constant(1, 5).lowest_component()[0] == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            lowest_nonzero_component(Poly.zero(1))
+            Poly.zero(1).lowest_component()
 
 
 class TestInvariance:
@@ -129,7 +128,7 @@ class TestInvariance:
             p = Poly(2, terms)
             if p.is_zero():
                 continue
-            _, low = lowest_nonzero_component(p)
+            _, low = p.lowest_component()
             assert pdc_dimension(p) >= pdc_dimension(low)
 
 
@@ -156,6 +155,17 @@ class TestProductChecks:
     def test_bad_point_rejected(self):
         with pytest.raises(InvalidWitness):
             product_pdc_check(variables(2), (Rat(1), Rat(0)))
+
+    def test_rank_below_family_size_rejected(self):
+        # [x, 2x] has symbolic rank 1, which its Jacobian also has at the
+        # origin, so the witness check passes; only the rank check against
+        # the family size k = 2 rejects it
+        x, _ = variables(2)
+        polys = [x, x + x]
+        origin = (Rat(0), Rat(0))
+        assert is_independence_witness(polys, origin)
+        with pytest.raises(InvalidWitness):
+            product_pdc_check(polys, origin)
 
     def test_shifted_variables(self):
         report = shifted_product_pdc_check(variables(2), seed=0)

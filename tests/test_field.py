@@ -10,6 +10,7 @@ from schurkit.field import (
     cyclotomic_from_text,
     cyclotomic_polynomial,
     embed,
+    gauss_jordan,
     omega,
     parse_rational,
     scalar_from_json,
@@ -145,6 +146,16 @@ class TestScalarMatrix:
         assert ScalarMatrix.from_rows([[1, 1], [0, 1]]).inverse() == ScalarMatrix.from_rows(
             [[1, -1], [0, 1]]
         )
+
+    def test_gauss_jordan_skips_pivotless_columns(self):
+        reduced, pivots = gauss_jordan([[1, 2, 0, 1], [2, 4, 1, 0]])
+        assert pivots == [0, 2]
+        assert reduced == [[1, 2, 0, 1], [0, 0, 1, -2]]
+
+    def test_gauss_jordan_carries_augmented_columns(self):
+        reduced, pivots = gauss_jordan([[0, 2, 1], [0, 0, 3]], ncols=2)
+        assert pivots == [1]
+        assert reduced == [[0, 1, Rat(1, 2)], [0, 0, 3]]
 
     def test_singular_inverse_raises(self):
         with pytest.raises(SingularMatrix):

@@ -5,6 +5,7 @@ import pytest
 from schurkit.circuits import (
     Formula,
     const,
+    det_abp,
     formula_from_poly,
     inp,
     prod_node,
@@ -258,3 +259,8 @@ def test_jacobi_trudi_formula_expands_to_schur():
     for parts, n in [((2, 1), 3), ((3, 2), 5)]:
         lam = Partition(parts)
         assert jacobi_trudi_formula(lam, n).expand() == schur_jt_h(lam, n)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_det_poly_matches_the_determinant_abp(ell):
+    assert det_poly(ell) == det_abp(ell).expand()
