@@ -278,32 +278,51 @@ class Formula:
     def from_json(cls, obj: dict) -> "Formula":
         """Inverse of `to_json`, at any depth; a shared dict decodes to one
         shared node.  Text parsed by the stdlib `json` module is limited to a
-        few hundred levels by its parser (see `to_json`)."""
+        few hundred levels by its parser (see `to_json`).  Raises ValueError
+        when a key is missing or has the wrong type, or an input index is
+        out of range."""
+        arity = _json_field(obj, "arity", int)
 
-        def child_specs(spec: dict):
-            return spec["children"] if spec["kind"] in ("sum", "product") else ()
+        def child_specs(spec):
+            if _json_field(spec, "kind", str) in ("sum", "product"):
+                return _json_field(spec, "children", list)
+            return ()
 
         decoded: dict[int, Node] = {}
-        for spec in _postorder(obj["root"], child_specs):
+        for spec in _postorder(_json_field(obj, "root", dict), child_specs):
             kind = spec["kind"]
             if kind == "input":
-                node = inp(spec["var"])
+                var = _json_field(spec, "var", int)
+                if not 0 <= var < arity:
+                    raise ValueError(f"formula JSON: input x{var + 1} outside arity {arity}")
+                node = inp(var)
             elif kind == "const":
-                node = const(scalar_from_json(spec["value"]))
+                node = const(scalar_from_json(spec.get("value")))
             elif kind == "sum":
                 node = sum_node(
                     [decoded[id(c)] for c in spec["children"]],
-                    [scalar_from_json(w) for w in spec["weights"]],
+                    [scalar_from_json(w) for w in _json_field(spec, "weights", list)],
                 )
             elif kind == "product":
                 node = prod_node([decoded[id(c)] for c in spec["children"]])
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
             decoded[id(spec)] = node
-        return cls(decoded[id(obj["root"])], obj["arity"])
+        return cls(decoded[id(obj["root"])], arity)
 
     def __repr__(self):
         return f"Formula(arity={self.arity}, size={self.size()}, depth={self.depth()})"
+
+
+def _json_field(spec, key: str, kind: type):
+    """spec[key], checked to be a `kind` (a bool is not an int); ValueError
+    if spec is not a JSON object or the key is missing or ill-typed."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"formula JSON: expected an object, got {type(spec).__name__}")
+    value = spec.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"formula JSON: {key!r} must be of type {kind.__name__}")
+    return value
 
 
 def constant_formula(arity: int, value) -> Formula:

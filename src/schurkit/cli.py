@@ -145,7 +145,7 @@ def _cmd_reduce(args) -> int:
         f = Formula.from_json(spec)
     else:
         f = jacobi_trudi_formula(lam, n)
-    output, report = schur_to_det_reduce(lam, n, f)
+    output, report = schur_to_det_reduce(lam, n, f, budget=args.budget)
     ell = lam.length
     verified = output.expand(budget=args.budget) == det_poly(ell)
     if not verified:

@@ -11,11 +11,19 @@ Rationals are `fractions.Fraction` values, transparently replaced by gmpy2's
 `mpq` when gmpy2 is installed (identical semantics, much faster).  Mixing the
 two domains is an error except for the one legitimate coercion: embedding a
 rational into a cyclotomic field.
+
+A cyclotomic scalar stores integer numerators over one positive common
+denominator, so its arithmetic is integer arithmetic plus one gcd per result
+rather than rational arithmetic per coefficient.  It reads rationals only
+through `numerator` and `denominator` and normalises with `math.gcd`, so it
+also runs with `mpq` as `Rat`; that combination is untested, as the test
+suite has only been run without gmpy2.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -76,41 +84,47 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple, ...]:
-    """Row j holds the coefficients of w^(deg+j) reduced modulo Phi_n."""
+def _power_reductions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row j - deg holds w^j reduced modulo Phi_n, for deg <= j < n.
+
+    Each row lists the (index, coefficient) pairs of its non-zero entries.
+    Phi_n is monic with integer coefficients, so every entry is an integer.
+    """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    cur = [-Rat(c) for c in phi[:deg]]
-    rows = [tuple(cur)]
-    for _ in range(max(0, deg - 2)):
-        top = cur[deg - 1]
-        cur = [ZERO] + cur[: deg - 1]
+    row0 = [-c for c in phi[:deg]]
+    cur = row0
+    rows = []
+    for _ in range(deg, n):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            cur = [c + top * r for c, r in zip(cur, rows[0])]
-        rows.append(tuple(cur))
+            cur = [c + top * r for c, r in zip(cur, row0)]
     return tuple(rows)
 
 
-def _reduce_coeffs(n: int, vec: list) -> list:
-    """Reduce a coefficient vector of any length modulo Phi_n.
+def _reduce_ints(n: int, deg: int, vec: list) -> list:
+    """Reduce an integer coefficient vector of any length modulo Phi_n.
 
-    Folds the top coefficient through x^deg = -(Phi_n - x^deg) repeatedly;
-    each fold strictly lowers the top degree.
+    Exponents first fold modulo n (w^n = 1), then each w^j with j >= deg is
+    replaced by its row of `_power_reductions`.
     """
-    deg = len(cyclotomic_polynomial(n)) - 1
+    if len(vec) > n:
+        folded = [0] * n
+        for j, c in enumerate(vec):
+            folded[j % n] += c
+        vec = folded
     if len(vec) <= deg:
-        return vec + [ZERO] * (deg - len(vec))
-    row0 = _power_reductions(n)[0]
-    out = list(vec)
-    for j in range(len(out) - 1, deg - 1, -1):
-        c = out[j]
+        return vec + [0] * (deg - len(vec))
+    rows = _power_reductions(n)
+    out = vec[:deg]
+    for j in range(deg, len(vec)):
+        c = vec[j]
         if c:
-            out[j] = ZERO
-            base = j - deg
-            for i in range(deg):
-                if row0[i]:
-                    out[base + i] += c * row0[i]
-    return out[:deg]
+            for i, r in rows[j - deg]:
+                out[i] += c * r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,128 +187,143 @@ def _invert_mod_phi(n: int, coeffs: Sequence) -> list:
 # cyclotomic scalars
 # ---------------------------------------------------------------------------
 
+_setattr = object.__setattr__
+
+
+def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
+    """The scalar nums/den (den > 0, nums reduced modulo Phi_n), with the
+    common factor of den and all numerators divided out: one gcd per value."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    self = object.__new__(CyclotomicScalar)
+    _setattr(self, "order", order)
+    _setattr(self, "nums", tuple(nums))
+    _setattr(self, "den", den)
+    return self
+
+
 class CyclotomicScalar:
     """An element of Q(w), with w a primitive n-th root of unity.
 
-    Stored as a coefficient vector over the power basis 1, w, ..., w^(deg-1)
-    of Q[x]/(Phi_n(x)).  Instances are immutable; all arithmetic reduces
-    modulo Phi_n.  Rational operands embed automatically; cyclotomic operands
-    of a different order raise DomainMismatch.
+    Stored over the power basis 1, w, ..., w^(deg-1) of Q[x]/(Phi_n(x)) as
+    integer numerators `nums` over one positive denominator `den`, in
+    canonical form: gcd(den, *nums) == 1, so zero is stored with den == 1.
+    A product is an integer convolution reduced modulo the monic integer
+    polynomial Phi_n, normalised by one gcd, instead of one rational product
+    (and gcd) per pair of coefficients.  `coeffs` gives the rational
+    coefficients.  Instances are immutable.  Rational operands embed
+    automatically; cyclotomic operands of a different order raise
+    DomainMismatch.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: Iterable = ()):
+    def __new__(cls, order: int, coeffs: Iterable = ()):
         vec = [c if type(c) is type(ONE) else Rat(c) for c in coeffs]
-        vec = _reduce_coeffs(order, vec)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec)) if vec else 1
+        nums = [c.numerator * (den // c.denominator) for c in vec]
+        deg = len(cyclotomic_polynomial(order)) - 1
+        return _canonical(order, _reduce_ints(order, deg, nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicScalar is immutable")
 
-    @classmethod
-    def _raw(cls, order: int, coeffs: tuple) -> "CyclotomicScalar":
-        """Internal fast path: coeffs must already be reduced Rat values."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients over the power basis."""
+        den = self.den
+        return tuple(Rat(c, den) for c in self.nums)
 
     # -- helpers ------------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """(nums, den) of a same-order scalar or an embedded rational; None
+        for any other type."""
         if isinstance(other, CyclotomicScalar):
             if other.order != self.order:
                 raise DomainMismatch(
                     f"cyclotomic orders differ: {self.order} vs {other.order}"
                 )
-            return other
+            return other.nums, other.den
         if isinstance(other, RATIONAL_TYPES):
-            return CyclotomicScalar(self.order, (other,))
+            pad = (0,) * (len(self.nums) - 1)
+            return (other.numerator, *pad), other.denominator
         return None
 
+    def _add(self, other, sign: int):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        onums, oden = o
+        den = self.den
+        if den == oden:
+            nums = [a + sign * b for a, b in zip(self.nums, onums)]
+        else:
+            nums = [a * oden + sign * b * den for a, b in zip(self.nums, onums)]
+            den *= oden
+        return _canonical(self.order, nums, den)
+
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise DomainMismatch(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Rat(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicScalar._raw(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicScalar._raw(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicScalar._raw(
-            self.order, tuple(b - a for a, b in zip(self.coeffs, o.coeffs))
-        )
+        diff = self._add(other, -1)
+        return diff if diff is NotImplemented else -diff
 
     def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            other = Rat(other)
-            if not other:
-                return CyclotomicScalar._raw(self.order, (ZERO,) * len(self.coeffs))
-            return CyclotomicScalar._raw(
-                self.order, tuple(c * other for c in self.coeffs)
-            )
         if not isinstance(other, CyclotomicScalar):
-            return NotImplemented
+            if not isinstance(other, RATIONAL_TYPES):
+                return NotImplemented
+            num = other.numerator
+            return _canonical(
+                self.order, [c * num for c in self.nums], self.den * other.denominator
+            )
         if other.order != self.order:
             raise DomainMismatch(
                 f"cyclotomic orders differ: {self.order} vs {other.order}"
             )
-        a, b = self.coeffs, other.coeffs
-        if sum(1 for c in b if c) < sum(1 for c in a if c):
-            a, b = b, a
+        a, b = self.nums, other.nums
         deg = len(a)
-        acc = [ZERO] * (2 * deg - 1)
+        acc = [0] * (2 * deg - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in enumerate(b, i):
                     if cb:
-                        acc[i + j] += ca * cb
-        if deg > 1:
-            rows = _power_reductions(self.order)
-            for j in range(2 * deg - 2, deg - 1, -1):
-                c = acc[j]
-                if c:
-                    row = rows[j - deg]
-                    for i in range(deg):
-                        if row[i]:
-                            acc[i] += c * row[i]
-        return CyclotomicScalar._raw(self.order, tuple(acc[:deg]))
+                        acc[j] += ca * cb
+        return _canonical(
+            self.order, _reduce_ints(self.order, deg, acc), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return CyclotomicScalar._raw(self.order, tuple(-c for c in self.coeffs))
+        return _canonical(self.order, [-c for c in self.nums], self.den)
 
     def __pos__(self):
         return self
 
     def inverse(self) -> "CyclotomicScalar":
-        return CyclotomicScalar(self.order, _invert_mod_phi(self.order, self.coeffs))
+        den = self.den
+        inv = _invert_mod_phi(self.order, self.nums)
+        return CyclotomicScalar(self.order, [c * den for c in inv])
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -303,18 +332,17 @@ class CyclotomicScalar:
             return self * (ONE / other)
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
-        return self * self._coerce(other).inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RATIONAL_TYPES):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CyclotomicScalar(self.order, (ONE,))
+        result = _canonical(self.order, [1] + [0] * (len(self.nums) - 1), 1)
         base = self
         e = exponent
         while e:
@@ -329,22 +357,27 @@ class CyclotomicScalar:
     def __eq__(self, other):
         if isinstance(other, CyclotomicScalar):
             if other.order == self.order:
-                return self.coeffs == other.coeffs
+                return self.den == other.den and self.nums == other.nums
             return (
                 self.is_rational()
                 and other.is_rational()
-                and self.coeffs[0] == other.coeffs[0]
+                and self.den == other.den
+                and self.nums[0] == other.nums[0]
             )
         if isinstance(other, RATIONAL_TYPES):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.is_rational()
+                and self.nums[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.rational_value())
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -359,6 +392,14 @@ def omega(n: int) -> CyclotomicScalar:
 def embed(value, order: int) -> CyclotomicScalar:
     """Embed a rational into the order-n cyclotomic field."""
     return CyclotomicScalar(order, (value,))
+
+
+def demote(x):
+    """A cyclotomic scalar with a rational value as that rational; any other
+    scalar unchanged."""
+    if isinstance(x, CyclotomicScalar) and x.is_rational():
+        return x.rational_value()
+    return x
 
 
 def is_rational_scalar(x) -> bool:
@@ -399,8 +440,7 @@ def scalar_to_text(s) -> str:
 
 
 def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
-    deg = len(cyclotomic_polynomial(order)) - 1
-    vec = [ZERO] * max(deg, 1)
+    vec: list = []
     for raw in text.replace("- ", "+ -").split("+"):
         part = raw.strip()
         if not part:
@@ -413,9 +453,8 @@ def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        tmp = [ZERO] * (exp + 1)
-        tmp[exp] = coeff
-        vec = [a + b for a, b in zip(vec, _reduce_coeffs(order, tmp))]
+        vec += [ZERO] * (exp + 1 - len(vec))
+        vec[exp] += coeff
     return CyclotomicScalar(order, vec)
 
 
@@ -431,8 +470,10 @@ def scalar_to_json(s):
 
 def scalar_from_json(obj):
     if isinstance(obj, dict):
-        return cyclotomic_from_text(obj["order"], obj["value"])
-    if isinstance(obj, (str, int)):
+        order, value = obj.get("order"), obj.get("value")
+        if type(order) is int and order >= 1 and isinstance(value, str):
+            return cyclotomic_from_text(order, value)
+    elif isinstance(obj, (str, int)) and not isinstance(obj, bool):
         return Rat(str(obj))
     raise ValueError(f"cannot parse scalar from {obj!r}")
 

@@ -22,11 +22,16 @@ from .symmetric import e_poly, h_poly, p_poly
 
 @dataclass(frozen=True)
 class CommonZeroWitness:
-    """A verified common zero at which the Jacobian attains its symbolic rank."""
+    """A verified common zero at which the Jacobian attains its symbolic rank.
+
+    `jacobian` is the Jacobian of `polys` evaluated at `point`, the matrix
+    whose rank was checked; row i belongs to polys[i].
+    """
 
     point: tuple
     polys: tuple[Poly, ...]
     rank: int
+    jacobian: ScalarMatrix
 
 
 def jacobian(polys: list[Poly] | tuple[Poly, ...]) -> list[list[Poly]]:
@@ -117,12 +122,13 @@ def _family_witness(n: int, family, name: str) -> CommonZeroWitness:
         raise VerificationFailed(
             f"{name}_{n} unexpectedly vanishes at the root-of-unity point for n={n}"
         )
-    rank = jacobian_at(jacobian(list(polys)), point).rank()
+    jac = jacobian_at(jacobian(list(polys)), point)
+    rank = jac.rank()
     if rank != n - 1:
         raise VerificationFailed(
             f"Jacobian rank {rank} != {n - 1} at the root-of-unity point for n={n}"
         )
-    return CommonZeroWitness(point=point, polys=polys, rank=rank)
+    return CommonZeroWitness(point=point, polys=polys, rank=rank, jacobian=jac)
 
 
 def roots_of_unity_witness(n: int) -> CommonZeroWitness:

@@ -39,7 +39,7 @@ from .errors import (
     ReductionMismatch,
     VerificationFailed,
 )
-from .field import ONE, Rat, ScalarMatrix, gauss_jordan, scalar_to_json
+from .field import ONE, Rat, ScalarMatrix, demote, gauss_jordan, scalar_to_json
 from .independence import (
     h_family_witness,
     is_independence_witness,
@@ -193,18 +193,29 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(f, expanded, inner, degree, point, verify):
-    """`recover_outer_formula` with the pass trace; `expanded` is f.expand()."""
+def _recover_traced(
+    f, expanded, inner, degree, point, verify, jacobian_rows=None, budget=None
+):
+    """`recover_outer_formula` with the pass trace; `expanded` is f.expand().
+
+    `jacobian_rows`, when given, are the inner family's Jacobian rows at
+    `point`, taken from a witness whose whole Jacobian there was verified to
+    have full row rank.  The witness check is then skipped: any k of those
+    rows have rank k, the maximum, which therefore equals the symbolic rank.
+    `budget` bounds the verification expansion.
+    """
     inner = list(inner)
     k = len(inner)
     arity = f.arity
     for q in inner:
         if q.arity != arity:
             raise ArityMismatch("inner polynomials disagree with formula arity")
-    if not is_independence_witness(inner, point):
-        raise InvalidWitness(
-            "the supplied point is not a common zero with full Jacobian rank"
-        )
+    if jacobian_rows is None:
+        if not is_independence_witness(inner, point):
+            raise InvalidWitness(
+                "the supplied point is not a common zero with full Jacobian rank"
+            )
+        jacobian_rows = jacobian_at(jacobian(inner), point).to_rows()
     trace = []
 
     shifted = shift_formula(f, point)
@@ -214,13 +225,12 @@ def _recover_traced(f, expanded, inner, degree, point, verify):
     extracted = homogeneous_component_formula(shifted, degree, degree_bound=bound)
     trace.append((f"extract-degree-{degree}", extracted))
 
-    u = jacobian_at(jacobian(inner), point)
-    _, cols = gauss_jordan(u.to_rows())
+    _, cols = gauss_jordan(jacobian_rows)
     if len(cols) < k:
         raise VerificationFailed(
             f"Jacobian rank below {k}; witness rank check should have caught this"
         )
-    u_sub = ScalarMatrix(k, k, [u.entry(i, c) for i in range(k) for c in cols])
+    u_sub = ScalarMatrix(k, k, [jacobian_rows[i][c] for i in range(k) for c in cols])
     v = u_sub.inverse()
     mapping = {}
     for m, c in enumerate(cols):
@@ -239,7 +249,9 @@ def _recover_traced(f, expanded, inner, degree, point, verify):
     trace.append(("substitute-inverse-linear-forms", result))
 
     if verify:
-        recovered = result.expand()
+        # the recovered coefficients are rationals stored in the witness's
+        # cyclotomic field; demoted, the composition runs over Q
+        recovered = result.expand(budget=budget).map_coefficients(demote)
         if recovered.compose(inner) != expanded:
             raise ReductionMismatch(
                 "composing the recovered polynomial with the inner family does "
@@ -386,7 +398,7 @@ def jacobi_trudi_formula(lam: Partition, n: int) -> Formula:
 
 
 def schur_to_det_reduce(
-    lam: Partition, n: int, f: Formula | None = None
+    lam: Partition, n: int, f: Formula | None = None, budget: int | None = None
 ) -> tuple[Formula, ReductionReport]:
     """Turn a formula for a qualifying s_lambda into one for the l x l determinant.
 
@@ -396,7 +408,9 @@ def schur_to_det_reduce(
     h-polynomials, which carry a root-of-unity witness.  Recovering the outer
     polynomial and relabeling its variables to the matrix layout yields the
     determinant formula.  Output variables are row-major: z_{i,j} is variable
-    (i-1)*l + (j-1).
+    (i-1)*l + (j-1).  `budget` bounds the term count of the pipeline's own
+    expansions (the input and the recovered polynomial), as in
+    `Formula.expand`.
     """
     if not reduction_hypothesis_holds(lam, n):
         raise NotReducible(f"lambda={lam} with n={n} fails the gap hypothesis")
@@ -407,15 +421,18 @@ def schur_to_det_reduce(
         raise VerificationFailed("hypothesis holds but labels are out of range")
     if f is None:
         f = jacobi_trudi_formula(lam, n)
-    expanded = f.expand()
+    expanded = f.expand(budget=budget)
     if expanded != schur_jt_h(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")
 
     witness = h_family_witness(n)
     sorted_labels = sorted(flat)
     inner = tuple(h_poly(m, n) for m in sorted_labels)
+    # h_m is row m - 1 of the witness's Jacobian
+    rows = [witness.jacobian.row(m - 1) for m in sorted_labels]
     recovered, trace = _recover_traced(
-        f, expanded, inner, ell, witness.point, verify=True
+        f, expanded, inner, ell, witness.point, verify=True,
+        jacobian_rows=rows, budget=budget,
     )
 
     k = ell * ell

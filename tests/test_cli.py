@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,38 @@ class TestReduceCommand:
         assert report["depth_increase"] == 4
         formula = json.loads(out_file.read_text())
         assert formula["arity"] == 4
+        assert sha256(out_file) == README_DIGESTS["reduce-det"]
+        assert sha256(report_file) == README_DIGESTS["reduce-report"]
+
+    def test_budget_covers_the_pipeline_expansions(self, capsys):
+        # the input formula alone expands to 101 terms
+        code, out, err = run(capsys, "reduce", "--lambda", "3,2", "--n", "5", "--budget", "100")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "100 terms" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"arity": 5}',
+            "[1]",
+            '{"arity": "5", "root": {"kind": "input", "var": 0}}',
+            '{"arity": 5, "root": {"kind": "input", "var": 5}}',
+            '{"arity": 5, "root": {"kind": "product", "children": [3]}}',
+            '{"arity": 5, "root": {"kind": "sum", "children": []}}',
+            '{"arity": 5, "root": {"kind": "const", "value": {"order": 8}}}',
+        ],
+    )
+    def test_wrong_shape_formula_file_is_bad_input(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(
+            capsys,
+            "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_hypothesis_failure_exit_code(self, capsys):
         code, _, err = run(capsys, "reduce", "--lambda", "2,2", "--n", "5")
@@ -95,7 +128,34 @@ class TestReduceCommand:
         assert err.startswith("error:") and "nested too deeply" in err
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: SHA-256 of the README commands' --out files, recorded before the scalar
+#: representation changed; the outputs must stay byte-identical
+README_DIGESTS = {
+    "reduce-det": "432ca6f014d2612f3b873dcebe509a0c3bce8641690c53944012d47f252ac600",
+    "reduce-report": "fe3914b00ab354cb31d1b617d08c6d502ba487c61c564beca05a89bb70a149b8",
+    "witness-h-6": "8b15693abb9bb66f832c8089b9e53578861333279cdb2e1ddc16126f18d026ae",
+    "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
+}
+
+
 class TestWitnessCommand:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("witness-h-6", ("--family", "h", "--n", "6")),
+            ("witness-shifted-4", ("--family", "shifted", "--n", "4", "--seed", "7")),
+        ],
+    )
+    def test_readme_outputs_are_pinned(self, capsys, tmp_path, name, argv):
+        out_file = tmp_path / "witness.json"
+        code, _, _ = run(capsys, "witness", *argv, "--out", str(out_file))
+        assert code == 0
+        assert sha256(out_file) == README_DIGESTS[name]
+
     def test_elementary(self, capsys):
         code, out, _ = run(capsys, "witness", "--family", "e", "--n", "4")
         assert code == 0

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from schurkit.field import (
     ScalarMatrix,
     cyclotomic_from_text,
     cyclotomic_polynomial,
+    demote,
     embed,
     gauss_jordan,
     omega,
@@ -112,6 +116,113 @@ class TestScalarArithmetic:
         value = Rat(q)
         assert parse_rational(scalar_to_text(value)) == value
         assert scalar_to_text(parse_rational(scalar_to_text(value))) == scalar_to_text(value)
+
+
+# reference arithmetic: Fraction vectors over the power basis, reduced by
+# long division by Phi_n; shares nothing with CyclotomicScalar but the
+# (independently tested) cyclotomic polynomial
+def ref_reduce(vec, n):
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    vec = [Fraction(c) for c in vec]
+    for top in range(len(vec) - 1, deg - 1, -1):
+        c = vec[top]
+        for i, p in enumerate(phi):
+            vec[top - deg + i] -= c * p
+    return vec[:deg] + [Fraction(0)] * (deg - len(vec))
+
+
+def ref_mul(a, b, n):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(out, n)
+
+
+def ref_pow(a, e, n):
+    out = ref_reduce([1], n)
+    for _ in range(e):
+        out = ref_mul(out, a, n)
+    return out
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert all(type(c) is int for c in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+cyclotomic_pairs = st.integers(1, 16).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.fractions(max_denominator=9, min_value=-20, max_value=20), max_size=2 * n),
+        st.lists(st.fractions(max_denominator=9, min_value=-20, max_value=20), max_size=2 * n),
+        st.integers(-3, 4),
+    )
+)
+
+
+class TestIntegerNumeratorStorage:
+    @given(cyclotomic_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_vector_reference(self, case):
+        n, u, v, e = case
+        x, y = CyclotomicScalar(n, u), CyclotomicScalar(n, v)
+        ru, rv = ref_reduce(u, n), ref_reduce(v, n)
+        assert list(x.coeffs) == ru
+        expected = [
+            (x + y, [p + q for p, q in zip(ru, rv)]),
+            (x - y, [p - q for p, q in zip(ru, rv)]),
+            (x * y, ref_mul(ru, rv, n)),
+        ]
+        if any(ru):
+            inv = x.inverse()
+            assert_canonical(inv)
+            assert ref_mul(ru, list(inv.coeffs), n) == ref_reduce([1], n)
+            base = ru if e >= 0 else list(inv.coeffs)
+            expected.append((x**e, ref_pow(base, abs(e), n)))
+        else:
+            expected.append((x ** abs(e), ref_pow(ru, abs(e), n)))
+        for got, want in expected:
+            assert_canonical(got)
+            assert list(got.coeffs) == want
+
+    @given(st.integers(1, 16), st.fractions(max_denominator=50))
+    @settings(max_examples=60, deadline=None)
+    def test_embedded_rational_hashes_and_compares_as_itself(self, n, q):
+        x = embed(q, n)
+        assert_canonical(x)
+        assert x == q and hash(x) == hash(q)
+        assert x.rational_value() == q
+
+    def test_canonical_form(self):
+        w = omega(8)
+        half = w * Rat(1, 2)
+        assert (half.nums, half.den) == ((0, 1, 0, 0), 2)
+        assert ((half + Rat(1, 2)) - half).den == 2
+        # w/2 + w/2: the common factor 2 of numerators and denominator goes
+        assert ((half + half).nums, (half + half).den) == ((0, 1, 0, 0), 1)
+        zero = half - half
+        assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+        assert CyclotomicScalar(8, [Rat(2, 6), Rat(4, 6)]).nums == (1, 2, 0, 0)
+
+    def test_demote(self):
+        q = Rat(-5, 3)
+        assert type(demote(embed(q, 8))) is Rat and demote(embed(q, 8)) == q
+        w = omega(8)
+        assert demote(w) is w
+        assert demote(q) is q
+
+    def test_coeffs_are_rationals(self):
+        x = omega(8) * Rat(3, 4) + 2
+        assert isinstance(x.coeffs, tuple)
+        assert all(type(c) is Rat for c in x.coeffs)
+        assert x.coeffs == (Rat(2), Rat(3, 4), Rat(0), Rat(0))
+        with pytest.raises(AttributeError):
+            x.nums = (1, 0, 0, 0)
 
 
 rational_matrices = st.integers(1, 3).flatmap(

@@ -109,6 +109,7 @@ class TestRootsOfUnityWitness:
         for builder in (roots_of_unity_witness, h_family_witness, p_family_witness):
             witness = builder(n)
             assert witness.rank == n - 1
+            assert witness.jacobian == jacobian_at(jacobian(witness.polys), witness.point)
             for q in witness.polys:
                 assert q.eval(witness.point) == 0
 

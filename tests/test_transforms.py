@@ -17,6 +17,7 @@ from schurkit.errors import (
     NotDivisible,
     NotReducible,
     ReductionMismatch,
+    VerificationFailed,
 )
 from schurkit.field import Rat
 from schurkit.independence import roots_of_unity_witness
@@ -24,6 +25,7 @@ from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly, generalized_vandermonde, schur_bialternant
 from schurkit.transforms import (
+    _recover_traced,
     det_poly,
     divide_formula,
     homogeneous_component_formula,
@@ -199,6 +201,22 @@ class TestRecoverOuter:
             recover_outer_formula(
                 self.compose(g), self.inner, 2, (Rat(0), Rat(0), Rat(0))
             )
+
+    def test_rank_deficient_witness_rows_rejected(self):
+        # handed Jacobian rows, the pass skips the witness check but still
+        # needs k independent rows
+        f = self.compose(Formula(prod_node([inp(0), inp(1)]), 2))
+        rows = self.witness.jacobian.to_rows()
+        with pytest.raises(VerificationFailed):
+            _recover_traced(
+                f, f.expand(), self.inner, 2, self.witness.point, verify=True,
+                jacobian_rows=[rows[0], rows[0]],
+            )
+        result, _ = _recover_traced(
+            f, f.expand(), self.inner, 2, self.witness.point, verify=True,
+            jacobian_rows=rows,
+        )
+        assert result.expand() == Poly.monomial(2, (1, 1))
 
     def test_non_homogeneous_detected(self):
         # e1 + e1*e2 is a composition with a non-homogeneous outer polynomial
