@@ -48,6 +48,9 @@ class Node:
     def __setattr__(self, name, value):
         raise AttributeError("Node is immutable")
 
+    def __reduce__(self):
+        return Node, (self.kind, self.var, self.value, self.children, self.weights)
+
 
 def _postorder(root, children=lambda node: node.children) -> list:
     """Every distinct object reachable from `root`, children before parents.

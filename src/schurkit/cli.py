@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 
-from .circuits import DEFAULT_TERM_BUDGET, Formula
+from .circuits import Formula
 from .errors import BudgetExceeded, NotReducible, VerificationFailed
 from .field import scalar_to_json, scalar_to_text
 from .independence import (
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET)
+        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("schur", help="construct a Schur polynomial by chosen routes")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
-from .field import CyclotomicScalar, ONE
+from .field import ONE
 from .independence import (
     is_independence_witness,
     jacobian,
@@ -41,8 +41,7 @@ class _Span:
             lead = max(work, key=grlex_key)
             pivot_row = self.rows.get(lead)
             if pivot_row is None:
-                inv = work[lead]
-                inv = inv.inverse() if isinstance(inv, CyclotomicScalar) else ONE / inv
+                inv = ONE / work[lead]
                 self.rows[lead] = {e: c * inv for e, c in work.items()}
                 return True
             factor = work[lead]
@@ -71,13 +70,14 @@ class DerivativeSpace:
     dimension: int
 
 
-def derivative_space(p: Poly, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> DerivativeSpace:
+def derivative_space(p: Poly, budget: int | None = None) -> DerivativeSpace:
     """Span of all partial derivatives of all orders, order zero included.
 
     Derivatives beyond the per-variable degrees vanish, so the enumeration is
     finite; it is guarded by a budget on the number of derivative
-    multi-indices.
+    multi-indices (DEFAULT_DERIVATIVE_BUDGET when None).
     """
+    budget = DEFAULT_DERIVATIVE_BUDGET if budget is None else budget
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial spans nothing")
     var_degrees = [p.degree_in(i) for i in range(p.arity)]
@@ -114,7 +114,7 @@ def derivative_space(p: Poly, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> Deriva
     return DerivativeSpace(source=p, basis=tuple(basis), dimension=span.dimension)
 
 
-def pdc_dimension(p: Poly, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> int:
+def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     return derivative_space(p, budget=budget).dimension
 
 
@@ -138,7 +138,7 @@ class ProductBoundReport:
         }
 
 
-def product_pdc_check(polys, point, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> ProductBoundReport:
+def product_pdc_check(polys, point, budget: int | None = None) -> ProductBoundReport:
     """Check dimension(prod q_i) >= 2^k at a verified common-zero witness.
 
     Also re-verifies the shift structure underlying the bound: at the witness
@@ -163,7 +163,7 @@ def product_pdc_check(polys, point, budget: int = DEFAULT_DERIVATIVE_BUDGET) -> 
 
 
 def shifted_product_pdc_check(
-    polys, seed: int = 0, budget: int = DEFAULT_DERIVATIVE_BUDGET
+    polys, seed: int = 0, budget: int | None = None
 ) -> ProductBoundReport:
     """Check dimension(prod (q_i - a_i)) >= 2^k for constructed shifts a_i.
 

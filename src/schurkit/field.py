@@ -14,10 +14,18 @@ rational into a cyclotomic field.
 
 A cyclotomic scalar stores integer numerators over one positive common
 denominator, so its arithmetic is integer arithmetic plus one gcd per result
-rather than rational arithmetic per coefficient.  It reads rationals only
-through `numerator` and `denominator` and normalises with `math.gcd`, so it
-also runs with `mpq` as `Rat`; that combination is untested, as the test
-suite has only been run without gmpy2.
+rather than rational arithmetic per coefficient.  Its inverse stays in that
+arithmetic: the conjugates sigma_k(a) (w -> w^k, 1 < k < n, gcd(k, n) = 1)
+are index permutations of the numerators, their product times a is the
+rational norm of a, so the inverse is that product divided by the norm.  It
+reads rationals only through `numerator` and `denominator` and normalises
+with `math.gcd`, so it also runs with `mpq` as `Rat`; that combination is
+untested, as the test suite has only been run without gmpy2.
+
+This module is the one place that inverts a scalar or eliminates exactly:
+callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
+determinant over any integral domain, and `gauss_jordan` the reduced
+echelon form over a field.
 """
 
 from __future__ import annotations
@@ -128,62 +136,6 @@ def _reduce_ints(n: int, deg: int, vec: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# rational univariate helpers (for inversion modulo Phi_n)
-# ---------------------------------------------------------------------------
-
-def _rp_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _rp_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = ONE / b[-1]
-    q = [ZERO] * max(0, len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] * inv_lead
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    return q, _rp_trim(a[:db])
-
-
-def _rp_sub_mul(u0: list, q: list, u1: list) -> list:
-    """u0 - q*u1 over little-endian rational polynomials."""
-    prod_len = len(q) + len(u1) - 1 if q and u1 else 0
-    prod = [ZERO] * prod_len
-    for i, qc in enumerate(q):
-        if qc:
-            for j, uc in enumerate(u1):
-                prod[i + j] += qc * uc
-    out = [ZERO] * max(len(u0), len(prod))
-    for i, c in enumerate(u0):
-        out[i] = c
-    for i, c in enumerate(prod):
-        out[i] -= c
-    return _rp_trim(out)
-
-
-def _invert_mod_phi(n: int, coeffs: Sequence) -> list:
-    """Inverse of the residue class `coeffs` in Q[x]/(Phi_n)."""
-    phi = [Rat(c) for c in cyclotomic_polynomial(n)]
-    r0, r1 = phi, _rp_trim(list(coeffs))
-    if not r1:
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    u0, u1 = [], [ONE]
-    while len(r1) > 1:
-        q, rem = _rp_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _rp_sub_mul(u0, q, u1)
-    # r1 is a non-zero constant: Phi_n is irreducible over Q
-    inv_c = ONE / r1[0]
-    return [c * inv_c for c in u1]
-
-
-# ---------------------------------------------------------------------------
 # cyclotomic scalars
 # ---------------------------------------------------------------------------
 
@@ -203,6 +155,10 @@ def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
     _setattr(self, "nums", tuple(nums))
     _setattr(self, "den", den)
     return self
+
+
+def _one(order: int, deg: int) -> "CyclotomicScalar":
+    return _canonical(order, [1] + [0] * (deg - 1), 1)
 
 
 class CyclotomicScalar:
@@ -230,6 +186,9 @@ class CyclotomicScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicScalar is immutable")
+
+    def __reduce__(self):
+        return CyclotomicScalar, (self.order, self.coeffs)
 
     @property
     def coeffs(self) -> tuple:
@@ -320,10 +279,25 @@ class CyclotomicScalar:
     def __pos__(self):
         return self
 
+    def _conjugate(self, k: int) -> "CyclotomicScalar":
+        """sigma_k(self), the image under the automorphism w -> w^k."""
+        n = self.order
+        vec = [0] * n
+        for j, c in enumerate(self.nums):
+            vec[j * k % n] += c
+        return _canonical(n, _reduce_ints(n, len(self.nums), vec), self.den)
+
     def inverse(self) -> "CyclotomicScalar":
-        den = self.den
-        inv = _invert_mod_phi(self.order, self.nums)
-        return CyclotomicScalar(self.order, [c * den for c in inv])
+        """The product of the other conjugates sigma_k(self), 1 < k < n with
+        gcd(k, n) == 1, divided by the rational norm self * that product."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        n = self.order
+        others = _one(n, len(self.nums))
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * self._conjugate(k)
+        return others * (ONE / (self * others).rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -342,7 +316,7 @@ class CyclotomicScalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _canonical(self.order, [1] + [0] * (len(self.nums) - 1), 1)
+        result = _one(self.order, len(self.nums))
         base = self
         e = exponent
         while e:
@@ -400,10 +374,6 @@ def demote(x):
     if isinstance(x, CyclotomicScalar) and x.is_rational():
         return x.rational_value()
     return x
-
-
-def is_rational_scalar(x) -> bool:
-    return isinstance(x, RATIONAL_TYPES)
 
 
 def as_scalar(x):
@@ -482,42 +452,19 @@ def scalar_from_json(obj):
 # exact elimination (generic over any ring with exact division)
 # ---------------------------------------------------------------------------
 
-def bareiss_det(rows: list[list]):
-    """Fraction-free determinant of a square list-of-lists.
+def bareiss(rows: list[list]) -> tuple:
+    """Rank and determinant by fraction-free elimination with column pivoting.
 
     Works over any integral domain whose elements support *, -, exact `/`
-    and truthiness; intermediate entries stay in the domain (Bareiss).
+    and truthiness; intermediate entries stay in the domain (Bareiss).  The
+    determinant is the last pivot, its sign flipped once per row swap, when
+    the matrix is square of full rank, and a zero of the entries' domain
+    otherwise.
     """
     m = [list(r) for r in rows]
-    n = len(m)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[0][0] * 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) / prev
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def bareiss_rank(rows: list[list]) -> int:
-    """Rank by fraction-free elimination with column pivoting."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
     prev = 1
     r = 0
     for c in range(ncols):
@@ -526,17 +473,21 @@ def bareiss_rank(rows: list[list]) -> int:
         pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         pivot = m[r][c]
+        row_r = m[r]
         for i in range(r + 1, nrows):
-            row_i, row_r = m[i], m[r]
+            row_i = m[i]
             head = row_i[c]
             for j in range(c + 1, ncols):
                 row_i[j] = (row_i[j] * pivot - head * row_r[j]) / prev
-            row_i[c] = head * 0
         prev = pivot
         r += 1
-    return r
+    if r == nrows == ncols:
+        return r, prev if sign > 0 else -prev
+    return r, m[0][0] * 0 if ncols else ZERO
 
 
 def gauss_jordan(rows: list[list], ncols: int | None = None) -> tuple[list[list], list[int]]:
@@ -627,6 +578,9 @@ class ScalarMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ScalarMatrix is immutable")
 
+    def __reduce__(self):
+        return ScalarMatrix, (self.rows, self.cols, self.entries)
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ScalarMatrix":
         nrows = len(rows)
@@ -667,14 +621,12 @@ class ScalarMatrix:
         return ScalarMatrix(self.rows, other.cols, out)
 
     def rank(self) -> int:
-        return bareiss_rank(self.to_rows())
+        return bareiss(self.to_rows())[0]
 
     def det(self):
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
-        if self.rows == 0:
-            return ONE
-        return bareiss_det(self.to_rows())
+        return bareiss(self.to_rows())[1] if self.rows else ONE
 
     def inverse(self) -> "ScalarMatrix":
         if self.rows != self.cols:

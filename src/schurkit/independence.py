@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, GridExhausted, InvalidWitness, VerificationFailed
-from .field import Rat, ScalarMatrix, bareiss_rank, omega
+from .field import Rat, ScalarMatrix, bareiss, omega
 from .poly import Poly
 from .symmetric import e_poly, h_poly, p_poly
 
@@ -82,7 +82,7 @@ def symbolic_rank(jac: list[list[Poly]], seed: int = 0, trials: int = 20) -> int
         if best == max_rank:
             break
     if k * n <= 16:
-        exact = bareiss_rank([list(row) for row in jac])
+        exact, _ = bareiss(jac)
         if exact < best:
             raise VerificationFailed(
                 "exact elimination disagrees with evaluated rank; arithmetic bug"

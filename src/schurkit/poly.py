@@ -65,6 +65,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.arity, self.terms)
+
     @classmethod
     def _raw(cls, arity: int, terms: dict) -> "Poly":
         """Internal fast path: terms must already be canonical."""
@@ -228,10 +231,7 @@ class Poly:
         other = as_scalar(other)
         if not other:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        if isinstance(other, CyclotomicScalar):
-            inv = other.inverse()
-        else:
-            inv = ONE / other
+        inv = ONE / other
         return Poly._raw(self.arity, {e: c * inv for e, c in self.terms.items()})
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
@@ -244,6 +244,7 @@ class Poly:
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         lead_e, lead_c = divisor._lead()
+        inv = ONE / lead_c
         rem = dict(self.terms)
         out: dict = {}
         while rem:
@@ -254,7 +255,7 @@ class Poly:
                 raise NotDivisible(
                     f"remainder has leading monomial {exps} not divisible by {lead_e}"
                 )
-            q = coeff / lead_c if not isinstance(lead_c, CyclotomicScalar) else coeff * lead_c.inverse()
+            q = coeff * inv
             out[diff] = q
             for de, dc in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(diff, de))
@@ -291,7 +292,7 @@ class Poly:
         """Exact evaluation; the point may mix rationals into a cyclotomic field."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
-        point = [p if isinstance(p, CyclotomicScalar) else as_scalar(p) for p in point]
+        point = [as_scalar(p) for p in point]
         powers: list[dict[int, object]] = [{0: ONE, 1: p} for p in point]
         total = ZERO
         for exps, coeff in self.terms.items():
@@ -489,6 +490,9 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.arity, self.cap, self.coeffs)
 
     @classmethod
     def constant(cls, arity: int, cap: int, value) -> "TruncatedSeries":

@@ -178,47 +178,23 @@ def schur_bialternant(lam: Partition, n: int) -> Poly:
 # determinant routes in the h and e bases
 # ---------------------------------------------------------------------------
 
-def _basis_entry(index: int, n: int, basis) -> Poly:
-    if index < 0:
-        return Poly.zero(n)
-    return basis(index, n)
+def _jacobi_trudi_det(labels: list[list[int]], n: int, basis) -> Poly:
+    """det(basis(labels[i][j], n)) in n variables; a negative label is a zero
+    entry, and each distinct label is built once."""
+    if not labels:
+        return Poly.constant(n, 1)
+    entries = {m: basis(m, n) if m >= 0 else Poly.zero(n) for m in set().union(*labels)}
+    return det_poly_matrix([[entries[m] for m in row] for row in labels])
 
 
 def schur_jt_h(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(h_{lam_i - i + j}) of size l(lam)."""
-    ell = lam.length
-    if ell == 0:
-        return Poly.constant(n, 1)
-    cache: dict[int, Poly] = {}
-
-    def h(index: int) -> Poly:
-        if index not in cache:
-            cache[index] = _basis_entry(index, n, h_poly)
-        return cache[index]
-
-    rows = [
-        [h(lam.part(i) - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)
-    ]
-    return det_poly_matrix(rows)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam), n, h_poly)
 
 
 def schur_jt_e(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(e_{lam'_i - i + j}) over the conjugate partition."""
-    conj = lam.conjugate()
-    m = conj.length
-    if m == 0:
-        return Poly.constant(n, 1)
-    cache: dict[int, Poly] = {}
-
-    def e(index: int) -> Poly:
-        if index not in cache:
-            cache[index] = _basis_entry(index, n, e_poly)
-        return cache[index]
-
-    rows = [
-        [e(conj.part(i) - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)
-    ]
-    return det_poly_matrix(rows)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam.conjugate()), n, e_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +306,7 @@ def skew_schur_h(lam: Partition, mu: Partition, n: int) -> Poly:
     """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) in n variables."""
     if not lam.contains(mu):
         raise NotContained(f"{mu} does not fit inside {lam}")
-    ell = lam.length
-    if ell == 0:
-        return Poly.constant(n, 1)
-    labels = jacobi_trudi_labels(lam, mu)
-    cache: dict[int, Poly] = {}
-
-    def h(index: int) -> Poly:
-        if index not in cache:
-            cache[index] = _basis_entry(index, n, h_poly)
-        return cache[index]
-
-    rows = [[h(labels[i][j]) for j in range(ell)] for i in range(ell)]
-    return det_poly_matrix(rows)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam, mu), n, h_poly)
 
 
 def distinct_label_family(l: int, mu1: int) -> tuple[Partition, Partition]:

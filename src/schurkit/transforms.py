@@ -193,9 +193,7 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(
-    f, expanded, inner, degree, point, verify, jacobian_rows=None, budget=None
-):
+def _recover_traced(f, expanded, inner, degree, point, jacobian_rows=None, budget=None):
     """`recover_outer_formula` with the pass trace; `expanded` is f.expand().
 
     `jacobian_rows`, when given, are the inner family's Jacobian rows at
@@ -248,22 +246,19 @@ def _recover_traced(
     result = extracted.substitute(mapping, arity=k)
     trace.append(("substitute-inverse-linear-forms", result))
 
-    if verify:
-        # the recovered coefficients are rationals stored in the witness's
-        # cyclotomic field; demoted, the composition runs over Q
-        recovered = result.expand(budget=budget).map_coefficients(demote)
-        if recovered.compose(inner) != expanded:
-            raise ReductionMismatch(
-                "composing the recovered polynomial with the inner family does "
-                "not reproduce the input; the input was not a homogeneous "
-                "composition of this family"
-            )
+    # the recovered coefficients are rationals stored in the witness's
+    # cyclotomic field; demoted, the composition runs over Q
+    recovered = result.expand(budget=budget).map_coefficients(demote)
+    if recovered.compose(inner) != expanded:
+        raise ReductionMismatch(
+            "composing the recovered polynomial with the inner family does "
+            "not reproduce the input; the input was not a homogeneous "
+            "composition of this family"
+        )
     return result, trace
 
 
-def recover_outer_formula(
-    f: Formula, inner, degree: int, point, verify: bool = True
-) -> Formula:
+def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     """Given a formula for g(q_1..q_k) with g homogeneous of the stated degree,
     build a formula for g itself.
 
@@ -273,11 +268,10 @@ def recover_outer_formula(
     the degree-d component (which equals g applied to the Jacobian's linear
     forms), and undoes those linear forms through an exact matrix inverse.
 
-    When `verify` is set, the result is expanded and re-composed with the
-    inner family; a mismatch (e.g. a non-homogeneous g) raises
-    ReductionMismatch.
+    The result is expanded and re-composed with the inner family; a mismatch
+    (e.g. a non-homogeneous g) raises ReductionMismatch.
     """
-    result, _ = _recover_traced(f, f.expand(), inner, degree, point, verify)
+    result, _ = _recover_traced(f, f.expand(), inner, degree, point)
     return result
 
 
@@ -320,7 +314,6 @@ class ReductionReport:
     output_depth: int
     witness: tuple
     passes: tuple[PassRecord, ...] = field(default_factory=tuple)
-    size_constant: int = REDUCTION_SIZE_CONSTANT
     variables: int = 0
 
     def depth_increase(self) -> int:
@@ -329,7 +322,7 @@ class ReductionReport:
     def size_bound_ok(self) -> bool:
         return (
             self.output_size
-            <= self.size_constant * self.input_size**2 * max(self.variables, 1)
+            <= REDUCTION_SIZE_CONSTANT * self.input_size**2 * max(self.variables, 1)
         )
 
     def to_json(self) -> dict:
@@ -343,7 +336,7 @@ class ReductionReport:
                 for p in self.passes
             ],
             "size_bound": {
-                "constant": self.size_constant,
+                "constant": REDUCTION_SIZE_CONSTANT,
                 "variables": self.variables,
                 "satisfied": self.size_bound_ok(),
             },
@@ -431,8 +424,7 @@ def schur_to_det_reduce(
     # h_m is row m - 1 of the witness's Jacobian
     rows = [witness.jacobian.row(m - 1) for m in sorted_labels]
     recovered, trace = _recover_traced(
-        f, expanded, inner, ell, witness.point, verify=True,
-        jacobian_rows=rows, budget=budget,
+        f, expanded, inner, ell, witness.point, jacobian_rows=rows, budget=budget
     )
 
     k = ell * ell

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import sys
 from itertools import permutations
@@ -19,8 +21,8 @@ from schurkit.circuits import (
     variable_formula,
 )
 from schurkit.errors import ArityMismatch, BudgetExceeded, LengthMismatch
-from schurkit.field import ONE, Rat, ZERO
-from schurkit.poly import Poly
+from schurkit.field import ONE, Rat, ScalarMatrix, ZERO, omega
+from schurkit.poly import Poly, TruncatedSeries
 
 
 def sum_formula(arity=2):
@@ -311,3 +313,28 @@ def test_formula_from_poly_round_trip():
     p = Poly(2, {(2, 1): Rat(3, 2), (0, 0): -2, (1, 0): 1})
     assert formula_from_poly(p).expand() == p
     assert formula_from_poly(Poly.zero(2)).expand().is_zero()
+
+
+def _shared_formula():
+    shared = sum_node([inp(0), const(omega(8))], [Rat(1, 2), ONE])
+    return Formula(prod_node([shared, shared, inp(1)]), 2)
+
+
+@pytest.mark.parametrize(
+    "value, key",
+    [
+        (omega(8), None),
+        (omega(8) * Rat(3, 4) - Rat(1, 6), None),
+        (Poly(2, {(1, 0): omega(5), (0, 2): Rat(-2, 3)}), None),
+        (ScalarMatrix.from_rows([[omega(3), 1], [Rat(1, 2), 0]]), None),
+        (TruncatedSeries(1, 2, [Poly.constant(1, 1), Poly.variable(1, 0)]), None),
+        (_shared_formula().root, lambda node: Formula(node, 2).to_json()),
+        (_shared_formula(), Formula.to_json),
+    ],
+    ids=["omega", "cyclotomic", "poly", "matrix", "series", "node", "formula"],
+)
+def test_immutable_values_copy_and_pickle(value, key):
+    key = key or (lambda v: v)
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert key(twin) == key(value)

@@ -187,6 +187,13 @@ class TestPdcCommand:
         code, _, _ = run(capsys, "pdc", "--monomial", "6", "--budget", "8")
         assert code == 4
 
+    def test_default_budget_is_the_derivative_budget(self, capsys):
+        # 2^14 multi-indices: past the 8192 default, though far below the
+        # term budget of reduce
+        code, _, err = run(capsys, "pdc", "--monomial", "14")
+        assert code == 4
+        assert "8192" in err
+
     def test_input_file(self, capsys, tmp_path):
         poly_file = tmp_path / "p.txt"
         poly_file.write_text("1*x1^2 + 1*x2")

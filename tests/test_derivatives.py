@@ -9,7 +9,7 @@ from schurkit.derivatives import (
     shifted_product_pdc_check,
 )
 from schurkit.errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
-from schurkit.field import Rat, ScalarMatrix
+from schurkit.field import Rat, ScalarMatrix, omega
 from schurkit.independence import is_independence_witness, roots_of_unity_witness
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly
@@ -37,6 +37,11 @@ class TestDimension:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             pdc_dimension(Poly.monomial(5, (1,) * 5), budget=8)
+
+    def test_cyclotomic_coefficients(self):
+        w = omega(8)
+        x1, x2 = variables(2)
+        assert pdc_dimension((x1 + x2 * w) * (x1 - x2 * w)) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_product_of_variables_is_exactly_two_to_k(self, k):

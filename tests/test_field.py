@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from schurkit.field import (
     CyclotomicScalar,
     Rat,
     ScalarMatrix,
+    bareiss,
     cyclotomic_from_text,
     cyclotomic_polynomial,
     demote,
@@ -289,3 +292,41 @@ class TestScalarMatrix:
     def test_mixed_order_matrix_rejected(self):
         with pytest.raises(DomainMismatch):
             ScalarMatrix(1, 2, [omega(3), omega(4)])
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Rat(0)
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = Rat(-1) ** inversions
+        for i in range(n):
+            term = term * rows[i][sigma[i]]
+        total = term + total
+    return total
+
+
+def random_entry(rng, order):
+    if order is None:
+        return Rat(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 3))
+    return CyclotomicScalar(order, [Rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(0, 4))])
+
+
+class TestBareiss:
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_matches_gauss_jordan_and_leibniz(self, order):
+        rng = random.Random(order or 0)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[random_entry(rng, order) for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.3 and nrows > 1:
+                # force a dependent row
+                rows[-1] = [a * 2 - b for a, b in zip(rows[0], rows[1])]
+            rank, det = bareiss(rows)
+            assert rank == len(gauss_jordan(rows)[1])
+            if nrows == ncols:
+                assert det == leibniz_det(rows)
+            else:
+                assert not det
+            if order is not None:
+                assert isinstance(det, CyclotomicScalar)

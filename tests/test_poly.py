@@ -135,6 +135,19 @@ class TestDivision:
         with pytest.raises(NotDivisible):
             (x * x + y).divide_exact(x + y)
 
+    def test_scalar_division_by_cyclotomic(self):
+        w = omega(8)
+        p = Poly(2, {(2, 0): Rat(3, 2), (1, 1): w, (0, 0): -1})
+        assert (p / w) * w == p
+        assert (p / (w + 1)) * (w + 1) == p
+
+    def test_divide_by_cyclotomic_leading_coefficient(self):
+        w = omega(8)
+        x, y = var(2, 0), var(2, 1)
+        p = x * x - y * Rat(2, 3) + w
+        r = x * (w + 2) + y * w**3 - 1
+        assert (p * r).divide_exact(r) == p
+
     @given(polys(arity=2, max_terms=3), polys(arity=2, max_terms=3))
     @settings(max_examples=50, deadline=None)
     def test_divide_product_recovers_factor(self, p, r):

@@ -209,11 +209,11 @@ class TestRecoverOuter:
         rows = self.witness.jacobian.to_rows()
         with pytest.raises(VerificationFailed):
             _recover_traced(
-                f, f.expand(), self.inner, 2, self.witness.point, verify=True,
+                f, f.expand(), self.inner, 2, self.witness.point,
                 jacobian_rows=[rows[0], rows[0]],
             )
         result, _ = _recover_traced(
-            f, f.expand(), self.inner, 2, self.witness.point, verify=True,
+            f, f.expand(), self.inner, 2, self.witness.point,
             jacobian_rows=rows,
         )
         assert result.expand() == Poly.monomial(2, (1, 1))
