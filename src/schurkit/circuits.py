@@ -25,6 +25,7 @@ from .field import (
     ONE,
     ZERO,
     as_scalar,
+    json_field,
     scalar_from_json,
     scalar_to_json,
 )
@@ -115,6 +116,18 @@ class Formula:
             raise ValueError("arity must be >= 1")
         self.root = root
         self.arity = arity
+
+    def __reduce__(self):
+        """A flat encoding, so that pickle and deepcopy do not recurse once
+        per level: the distinct nodes in post-order, each naming its
+        children by their index in that list."""
+        nodes = _postorder(self.root)
+        index = {id(node): i for i, node in enumerate(nodes)}
+        flat = [
+            (n.kind, n.var, n.value, tuple(index[id(c)] for c in n.children), n.weights)
+            for n in nodes
+        ]
+        return _formula_from_flat, (flat, self.arity)
 
     # -- metrics -----------------------------------------------------------
 
@@ -284,18 +297,18 @@ class Formula:
         few hundred levels by its parser (see `to_json`).  Raises ValueError
         when a key is missing or has the wrong type, or an input index is
         out of range."""
-        arity = _json_field(obj, "arity", int)
+        arity = json_field(obj, "arity", int, "formula JSON")
 
         def child_specs(spec):
-            if _json_field(spec, "kind", str) in ("sum", "product"):
-                return _json_field(spec, "children", list)
+            if json_field(spec, "kind", str, "formula JSON") in ("sum", "product"):
+                return json_field(spec, "children", list, "formula JSON")
             return ()
 
         decoded: dict[int, Node] = {}
-        for spec in _postorder(_json_field(obj, "root", dict), child_specs):
+        for spec in _postorder(json_field(obj, "root", dict, "formula JSON"), child_specs):
             kind = spec["kind"]
             if kind == "input":
-                var = _json_field(spec, "var", int)
+                var = json_field(spec, "var", int, "formula JSON")
                 if not 0 <= var < arity:
                     raise ValueError(f"formula JSON: input x{var + 1} outside arity {arity}")
                 node = inp(var)
@@ -304,7 +317,10 @@ class Formula:
             elif kind == "sum":
                 node = sum_node(
                     [decoded[id(c)] for c in spec["children"]],
-                    [scalar_from_json(w) for w in _json_field(spec, "weights", list)],
+                    [
+                        scalar_from_json(w)
+                        for w in json_field(spec, "weights", list, "formula JSON")
+                    ],
                 )
             elif kind == "product":
                 node = prod_node([decoded[id(c)] for c in spec["children"]])
@@ -317,15 +333,12 @@ class Formula:
         return f"Formula(arity={self.arity}, size={self.size()}, depth={self.depth()})"
 
 
-def _json_field(spec, key: str, kind: type):
-    """spec[key], checked to be a `kind` (a bool is not an int); ValueError
-    if spec is not a JSON object or the key is missing or ill-typed."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"formula JSON: expected an object, got {type(spec).__name__}")
-    value = spec.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"formula JSON: {key!r} must be of type {kind.__name__}")
-    return value
+def _formula_from_flat(flat: list, arity: int) -> Formula:
+    """Inverse of `Formula.__reduce__`; shared nodes stay shared."""
+    nodes: list[Node] = []
+    for kind, var, value, children, weights in flat:
+        nodes.append(Node(kind, var, value, [nodes[i] for i in children], weights))
+    return Formula(nodes[-1], arity)
 
 
 def constant_formula(arity: int, value) -> Formula:

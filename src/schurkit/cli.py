@@ -20,7 +20,7 @@ import tempfile
 import time
 
 from .circuits import Formula
-from .errors import BudgetExceeded, NotReducible, VerificationFailed
+from .errors import BudgetExceeded, DomainMismatch, NotReducible, VerificationFailed
 from .field import scalar_to_json, scalar_to_text
 from .independence import (
     h_family_witness,
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DomainMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -25,7 +25,11 @@ untested, as the test suite has only been run without gmpy2.
 This module is the one place that inverts a scalar or eliminates exactly:
 callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
 determinant over any integral domain, and `gauss_jordan` the reduced
-echelon form over a field.
+echelon form over a field.  It also owns the coefficient side of the `Poly`
+product kernel: `common_order` finds the one field of both operands,
+`int_numerators` writes coefficients as integer numerators over a common
+denominator, and `from_int_numerators` turns the summed numerators back into
+scalars.
 """
 
 from __future__ import annotations
@@ -384,6 +388,79 @@ def as_scalar(x):
 
 
 # ---------------------------------------------------------------------------
+# integer numerators, for the polynomial product kernel
+# ---------------------------------------------------------------------------
+
+def common_order(*groups: Iterable) -> int | None:
+    """The cyclotomic order of the scalars in `groups`, None when all are
+    rational.  Two orders raise DomainMismatch, whether they meet within one
+    group or across groups."""
+    order = None
+    for group in groups:
+        for c in group:
+            if isinstance(c, CyclotomicScalar) and c.order != order:
+                if order is not None:
+                    raise DomainMismatch(
+                        f"cyclotomic orders differ: {order} vs {c.order}"
+                    )
+                order = c.order
+    return order
+
+
+def power_bits(order: int | None) -> int:
+    """Bits of a field that holds the power of w in a product of two power-
+    basis entries (0 .. 2*deg - 2) of the order-n field; 0 over Q."""
+    if order is None:
+        return 0
+    return (2 * len(cyclotomic_polynomial(order)) - 4).bit_length()
+
+
+def int_numerators(terms: dict) -> tuple[list, int]:
+    """The scalars of {key: scalar} as (key + power of w, integer numerator)
+    pairs, one per non-zero power-basis numerator, over one positive common
+    denominator.  Keys come shifted left by `power_bits` of the scalars'
+    order, and a rational sits at power 0."""
+    dens = [
+        c.den if isinstance(c, CyclotomicScalar) else c.denominator
+        for c in terms.values()
+    ]
+    den = math.lcm(*dens)
+    out = []
+    for (k, c), d in zip(terms.items(), dens):
+        s = den // d
+        if isinstance(c, CyclotomicScalar):
+            out += [(k + j, v * s) for j, v in enumerate(c.nums) if v]
+        else:
+            out.append((k, c.numerator * s))
+    return out, den
+
+
+def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:
+    """Inverse of `int_numerators` after a product: `acc` maps
+    (key << power_bits(order)) + power of w to an integer numerator over
+    `den`.  Returns {key: scalar} without zeros, every scalar in the order-n
+    field (rational when `order` is None)."""
+    if order is None:
+        return {k: Rat(v, den) for k, v in acc.items() if v}
+    deg = len(cyclotomic_polynomial(order)) - 1
+    bits = power_bits(order)
+    mask = (1 << bits) - 1
+    vecs: dict[int, list] = {}
+    for k, v in acc.items():
+        if v:
+            vec = vecs.get(k >> bits)
+            if vec is None:
+                vec = vecs[k >> bits] = [0] * (2 * deg - 1)
+            vec[k & mask] += v
+    out = {}
+    for k, vec in vecs.items():
+        nums = _reduce_ints(order, deg, vec)
+        if any(nums):
+            out[k] = _canonical(order, nums, den)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # text and JSON forms
 # ---------------------------------------------------------------------------
 
@@ -436,6 +513,18 @@ def scalar_to_json(s):
     if isinstance(s, CyclotomicScalar):
         return {"order": s.order, "value": scalar_to_text(s)}
     return scalar_to_text(s)
+
+
+def json_field(spec, key: str, kind: type, what: str):
+    """spec[key], checked to be a `kind` (a bool is not an int); ValueError,
+    with `what` naming the document, if spec is not a JSON object or the key
+    is missing or ill-typed."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what}: expected an object, got {type(spec).__name__}")
+    value = spec.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what}: {key!r} must be of type {kind.__name__}")
+    return value
 
 
 def scalar_from_json(obj):

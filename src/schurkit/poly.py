@@ -6,6 +6,26 @@ elements from `schurkit.field`.  The canonical monomial order everywhere is
 graded lexicographic: higher total degree first, ties broken by the exponent
 tuple with x1 heaviest.
 
+Products and exact division work on packed graded keys: an exponent tuple
+becomes one int holding the total degree in the top field, then x1 .. xn,
+each field `width` bits wide, where `width` is the bit length of the largest
+total degree the operation can reach (deg a + deg b for a product, the
+dividend's degree for a division).  No field can carry, so
+key(a * b) == key(a) + key(b), and integer order is graded-lex order:
+`max` over keys finds the leading term without a key function.
+
+A product is an integer kernel.  Each operand becomes packed keys with
+integer numerators over one common denominator (`field.int_numerators`); a
+cyclotomic coefficient contributes one entry per non-zero power-basis
+numerator, with the power of w in an extra low field.  The inner loop adds
+keys and multiplies ints, and each output monomial is turned back into a
+scalar once (`field.from_int_numerators`).  Rational operands give rational
+coefficients; if either operand has a cyclotomic coefficient, every product
+coefficient lies in that one cyclotomic field, and two orders raise
+DomainMismatch.  Exact division keeps its scalar arithmetic, as the
+divisor's leading coefficient is in general no unit, but finds each leading
+term and each target monomial on packed keys.
+
 Also provides truncated univariate power series whose coefficients are
 polynomials, for the generating-function identities between the symmetric
 bases.
@@ -29,6 +49,11 @@ from .field import (
     CyclotomicScalar,
     Rat,
     as_scalar,
+    common_order,
+    from_int_numerators,
+    int_numerators,
+    json_field,
+    power_bits,
     scalar_from_json,
     scalar_to_json,
     scalar_to_text,
@@ -37,6 +62,24 @@ from .field import (
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
+
+
+def _pack(exps: Sequence[int], width: int) -> int:
+    """The packed graded key: total degree, then x1 .. xn, `width` bits each."""
+    key = sum(exps)
+    for e in exps:
+        key = key << width | e
+    return key
+
+
+def _unpack(key: int, arity: int, width: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key with `arity` variable fields."""
+    mask = (1 << width) - 1
+    exps = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        exps[i] = key & mask
+        key >>= width
+    return tuple(exps)
 
 
 class Poly:
@@ -108,7 +151,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def min_degree(self) -> int:
         return min((sum(e) for e in self.terms), default=-1)
@@ -195,20 +238,20 @@ class Poly:
         a, b = self.terms, other.terms
         if len(b) < len(a):
             a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return Poly._raw(self.arity, out)
+        order = common_order(a.values(), b.values())
+        bits = power_bits(order)
+        width = (self.total_degree() + other.total_degree()).bit_length()
+        pa, da = int_numerators({_pack(e, width) << bits: c for e, c in a.items()})
+        pb, db = int_numerators({_pack(e, width) << bits: c for e, c in b.items()})
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        arity = self.arity
+        out = from_int_numerators(acc, order, da * db)
+        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -243,33 +286,38 @@ class Poly:
         self._check_arity(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
+        arity = self.arity
         lead_e, lead_c = divisor._lead()
+        width = self.total_degree().bit_length()
+        lead_k = _pack(lead_e, width)
         inv = ONE / lead_c
-        rem = dict(self.terms)
+        rem = {_pack(e, width): c for e, c in self.terms.items()}
+        div = [(_pack(e, width), c) for e, c in divisor.terms.items()]
         out: dict = {}
         while rem:
-            exps = max(rem, key=grlex_key)
-            coeff = rem[exps]
-            diff = tuple(a - b for a, b in zip(exps, lead_e))
-            if any(d < 0 for d in diff):
+            k = max(rem)
+            coeff = rem[k]
+            exps = _unpack(k, arity, width)
+            if any(a < b for a, b in zip(exps, lead_e)):
                 raise NotDivisible(
                     f"remainder has leading monomial {exps} not divisible by {lead_e}"
                 )
+            shift = k - lead_k
             q = coeff * inv
-            out[diff] = q
-            for de, dc in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(diff, de))
-                acc = rem.get(key)
+            out[shift] = q
+            for dk, dc in div:
+                dk += shift
+                acc = rem.get(dk)
                 sub = q * dc
                 if acc is None:
-                    rem[key] = -sub
+                    rem[dk] = -sub
                 else:
                     acc = acc - sub
                     if acc:
-                        rem[key] = acc
+                        rem[dk] = acc
                     else:
-                        del rem[key]
-        return Poly._raw(self.arity, out)
+                        del rem[dk]
+        return Poly._raw(arity, {_unpack(k, arity, width): q for k, q in out.items()})
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -422,10 +470,18 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        terms = {
-            tuple(t["exps"]): scalar_from_json(t["coeff"]) for t in obj["terms"]
-        }
-        return cls(obj["arity"], terms)
+        """Inverse of `to_json`.  Raises ValueError when a key is missing or
+        ill-typed, or an exponent vector does not fit the arity."""
+        arity = json_field(obj, "arity", int, "polynomial JSON")
+        terms = {}
+        for t in json_field(obj, "terms", list, "polynomial JSON"):
+            exps = json_field(t, "exps", list, "polynomial JSON")
+            if len(exps) != arity or any(type(e) is not int for e in exps):
+                raise ValueError(
+                    f"polynomial JSON: exponent vector {exps} does not fit arity {arity}"
+                )
+            terms[tuple(exps)] = scalar_from_json(t.get("coeff"))
+        return cls(arity, terms)
 
     def __repr__(self):
         return f"Poly({self.arity}, {self.to_text()})"

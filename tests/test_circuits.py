@@ -239,6 +239,12 @@ class TestDeepFormulas:
         assert (g.size(), g.depth()) == (f.size(), f.depth())
         assert g.expand() == f.expand()
 
+    def test_pickle_and_deepcopy(self, kind):
+        f = deep_chain(kind)
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert (g.size(), g.depth()) == (f.size(), f.depth())
+            assert g.expand() == f.expand()
+
 
 def test_dict_round_trip_keeps_sharing():
     node = inp(0)

@@ -201,6 +201,41 @@ class TestPdcCommand:
         assert code == 0
         assert json.loads(out)["dimension"] >= 3
 
+    def test_mixed_cyclotomic_orders_exit_1(self, capsys, tmp_path):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(json.dumps({"arity": 2, "terms": [
+            {"exps": [2, 0], "coeff": {"order": 5, "value": "1*w"}},
+            {"exps": [1, 1], "coeff": {"order": 3, "value": "1*w"}},
+        ]}))
+        code, _, err = run(capsys, "pdc", "--input", str(poly_file))
+        assert code == 1
+        assert err.startswith("error: cyclotomic orders differ")
+
+
+#: polynomial JSON documents of the wrong shape, each a bad-input exit
+BAD_POLY_JSON = {
+    "missing-coeff": {"arity": 2, "terms": [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 1]}]},
+    "missing-arity": {"terms": [{"exps": [1, 0], "coeff": "1"}]},
+    "string-arity": {"arity": "2", "terms": []},
+    "terms-not-list": {"arity": 2, "terms": {"exps": [1, 0]}},
+    "term-not-object": {"arity": 2, "terms": [[1, 0]]},
+    "exps-not-list": {"arity": 1, "terms": [{"exps": 1, "coeff": "1"}]},
+    "short-exps": {"arity": 3, "terms": [{"exps": [1, 0], "coeff": "1"}]},
+    "float-exps": {"arity": 2, "terms": [{"exps": [1.5, 0], "coeff": "1"}]},
+    "not-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("command", [("pdc",), ("convert", "--to-e-basis")], ids=["pdc", "convert"])
+@pytest.mark.parametrize("name", sorted(BAD_POLY_JSON))
+def test_malformed_polynomial_json_exits_1(capsys, tmp_path, command, name):
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text(json.dumps(BAD_POLY_JSON[name]))
+    code, out, err = run(capsys, *command, "--input", str(poly_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConvertCommand:
     def test_e_to_h(self, capsys):

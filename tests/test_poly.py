@@ -1,14 +1,18 @@
+import random
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit.errors import (
     ArityMismatch,
+    DomainMismatch,
     NonUnitConstantTerm,
     NonZeroConstantTerm,
     NotDivisible,
 )
-from schurkit.field import Rat, omega
+from schurkit.field import CyclotomicScalar, Rat, omega
 from schurkit.poly import Poly, TruncatedSeries, poly_from_text
 
 
@@ -154,6 +158,149 @@ class TestDivision:
         if r.is_zero():
             return
         assert (p * r).divide_exact(r) == p
+
+
+def naive_product(p, q) -> dict:
+    """Schoolbook product on tuple keys with scalar arithmetic: the reference
+    for the packed-key integer kernel behind `Poly.__mul__`."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def coefficient_orders(*ps) -> set:
+    return {
+        c.order
+        for c in chain.from_iterable(p.terms.values() for p in ps)
+        if isinstance(c, CyclotomicScalar)
+    }
+
+
+def assert_kernel_product(p, q):
+    """p * q equals the reference, and its coefficient domain is Q when both
+    operands are rational, else the one cyclotomic field for every term."""
+    product = p * q
+    assert product.terms == naive_product(p, q)
+    assert all(c for c in product.terms.values())
+    orders = coefficient_orders(p, q)
+    if orders:
+        assert {type(c) for c in product.terms.values()} <= {CyclotomicScalar}
+        assert coefficient_orders(product) <= orders
+    else:
+        assert {type(c) for c in product.terms.values()} <= {type(Rat(1))}
+    return product
+
+
+def small_rationals():
+    return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def kernel_scalars(draw, order):
+    """A rational, or (for an order) a cyclotomic value or an embedded-to-be
+    rational, so one operand can mix the two."""
+    if order is None or draw(st.booleans()) and draw(st.booleans()):
+        return draw(small_rationals())
+    return CyclotomicScalar(order, draw(st.lists(small_rationals(), min_size=1, max_size=order)))
+
+
+@st.composite
+def kernel_polys(draw, arity, order, max_exp=3, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, max_exp)) for _ in range(arity))
+        terms[exps] = draw(kernel_scalars(order))
+    return Poly(arity, terms)
+
+
+def random_poly(rng, arity, degree, order, terms=6) -> Poly:
+    """Random terms of total degree <= `degree`, plus x1^degree and
+    xn^degree, whose exponents fill a packed field."""
+    def scalar():
+        if order is None or rng.random() < 0.3:
+            return Rat(rng.randint(-5, 5), rng.randint(1, 4))
+        return CyclotomicScalar(order, [Rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+
+    out = {}
+    for _ in range(terms):
+        exps = [0] * arity
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(arity)] += 1
+        out[tuple(exps)] = scalar()
+    for i in (0, arity - 1):
+        out[tuple(degree if j == i else 0 for j in range(arity))] = scalar() or 1
+    return Poly(arity, out)
+
+
+#: operand domains: rational, orders 3, 5 and 8, and rational against cyclotomic
+KERNEL_DOMAINS = [(None, None), (3, 3), (5, 5), (8, 8), (None, 5), (8, None)]
+
+
+class TestProductKernel:
+    @given(st.data(), st.integers(1, 9), st.sampled_from(KERNEL_DOMAINS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, data, arity, domains):
+        p = data.draw(kernel_polys(arity, domains[0]))
+        q = data.draw(kernel_polys(arity, domains[1]))
+        product = assert_kernel_product(p, q)
+        if q:
+            assert product.divide_exact(q) == p
+            if q.total_degree() > 0:
+                with pytest.raises(NotDivisible):
+                    (product + 1).divide_exact(q)
+
+    @pytest.mark.parametrize("da, db", [(7, 1), (15, 1), (31, 1), (16, 16)])
+    @pytest.mark.parametrize("order", [None, 5, 8])
+    def test_degrees_crossing_a_power_of_two(self, da, db, order):
+        rng = random.Random(100 * da + db)
+        for arity in (1, 2, 5, 9):
+            p = random_poly(rng, arity, da, order)
+            r = random_poly(rng, arity, db, order)
+            product = assert_kernel_product(p, r)
+            assert product.total_degree() == da + db
+            assert product.divide_exact(r) == p
+            assert product.divide_exact(p) == r
+
+    def test_cancellation(self):
+        x, y = var(2, 0), var(2, 1)
+        assert_kernel_product(x + y, x - y) == x * x - y * y
+        w = omega(3)
+        # the x*y coefficient w^2 + (1 + w) is zero in Q(w) only after reduction
+        product = assert_kernel_product(x + y, x * (1 + w) + y * w**2)
+        assert (1, 1) not in product.terms
+        w = omega(8)
+        assert (x + y * w) * (x - y * w) == x * x - y * y * w**2
+
+    @pytest.mark.parametrize("order", [None, 5, 8])
+    def test_constant_and_zero_operands(self, order):
+        c = Rat(-3, 7) if order is None else omega(order) * Rat(2, 3) + 1
+        p = random_poly(random.Random(order), 4, 3, order)
+        for a, b in [(Poly.constant(4, c), p), (p, Poly.constant(4, c)), (Poly.constant(4, c), Poly.constant(4, c))]:
+            assert_kernel_product(a, b)
+        assert (p * Poly.zero(4)).is_zero()
+        assert (Poly.zero(4) * p).is_zero()
+        assert (Poly.zero(4) * Poly.zero(4)).is_zero()
+
+    def test_rational_valued_cyclotomic_product_stays_cyclotomic(self):
+        w = omega(5)
+        product = Poly.constant(1, w) * Poly.constant(1, w**4)
+        (coeff,) = product.terms.values()
+        assert isinstance(coeff, CyclotomicScalar) and coeff.order == 5 and coeff == 1
+
+    def test_two_orders_across_operands(self):
+        with pytest.raises(DomainMismatch):
+            Poly(2, {(1, 0): omega(5)}) * Poly(2, {(0, 1): omega(8)})
+
+    @pytest.mark.parametrize("other", [Poly.variable(2, 0), Poly.constant(2, 3), Poly(2, {(0, 0): 1, (1, 1): 2, (2, 0): 1})])
+    def test_two_orders_within_one_operand(self, other):
+        mixed = Poly(2, {(1, 0): omega(5), (0, 1): omega(8)})
+        with pytest.raises(DomainMismatch):
+            mixed * other
+        with pytest.raises(DomainMismatch):
+            other * mixed
 
 
 class TestTextAndJson:
