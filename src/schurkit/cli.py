@@ -1,23 +1,21 @@
-"""Command-line surface: schur, reduce, witness, pdc, convert, bench.
+"""Command-line surface: schur, reduce, witness, pdc, convert.
 
-Outputs are deterministic for a fixed command line and seed (the bench
-timing column is the one deliberate exception), files are written
-atomically, and the exit code is 0 only when every internal verification
-passed: 1 for route disagreement or bad input, 2 when a partition fails the
-reduction hypothesis, 3 when a witness fails verification, 4 when a term
-budget is exceeded.
+Outputs are deterministic for a fixed command line and seed, files are
+written atomically, and the exit code is 0 only when every internal
+verification passed: 1 for route disagreement or bad input (a usage error
+included), 2 when a partition fails the reduction hypothesis, 3 when a
+witness fails verification, 4 when a term budget is exceeded.  Every
+subcommand takes `--out`; only `witness` takes `--seed`, and only `reduce`
+and `pdc` take `--budget`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import tempfile
-import time
 
 from .circuits import Formula
 from .errors import BudgetExceeded, DomainMismatch, NotReducible, VerificationFailed
@@ -30,7 +28,7 @@ from .independence import (
     shifted_witness,
 )
 from .derivatives import pdc_dimension
-from .partitions import Partition, partitions_up_to_weight
+from .partitions import Partition
 from .poly import Poly, poly_from_text
 from .symmetric import (
     e_in_h_basis,
@@ -68,6 +66,16 @@ def _write_output(path: str | None, text: str):
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _read_poly(path: str) -> Poly:
+    """A polynomial file, in the JSON shape of `Poly.to_json` or as text."""
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        return Poly.from_json(json.loads(text))
+    except json.JSONDecodeError:
+        return poly_from_text(text)
 
 
 def _parse_partition(text: str) -> tuple[Partition, Partition | None]:
@@ -207,12 +215,7 @@ def _cmd_pdc(args) -> int:
         source = Poly.monomial(k, (1,) * k)
         label = f"x1*...*x{k}"
     else:
-        with open(args.input) as handle:
-            text = handle.read()
-        try:
-            source = Poly.from_json(json.loads(text))
-        except json.JSONDecodeError:
-            source = poly_from_text(text)
+        source = _read_poly(args.input)
         label = args.input
     dim = pdc_dimension(source, budget=args.budget)
     payload = {
@@ -229,13 +232,7 @@ def _cmd_convert(args) -> int:
     if args.mode == "to-e-basis":
         if not args.input:
             raise ValueError("--to-e-basis needs --input")
-        with open(args.input) as handle:
-            text = handle.read()
-        try:
-            source = Poly.from_json(json.loads(text))
-        except json.JSONDecodeError:
-            source = poly_from_text(text)
-        result = express_in_e_basis(source)
+        result = express_in_e_basis(_read_poly(args.input))
         prefix = "e"
     else:
         k = args.k
@@ -255,63 +252,52 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.suite != "schur-routes":
-        raise ValueError(f"unknown suite {args.suite!r}")
-    n = args.n
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["lambda", "n", "route", "size", "depth", "millis"])
-    for lam in partitions_up_to_weight(args.max_weight):
-        if lam.length > n:
-            continue
-        for name, fn in ROUTES.items():
-            start = time.perf_counter()
-            poly = fn(lam, n)
-            millis = int((time.perf_counter() - start) * 1000)
-            writer.writerow([str(lam), n, name, poly.num_terms(), poly.total_degree(), millis])
-    _write_output(args.out, buffer.getvalue())
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1, one `error:` line), since
+    argparse's own exit code 2 means a failed reduction hypothesis here."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurkit",
         description="Exact symmetric polynomials and formula reduction passes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--out", default=None)
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        return p
 
-    p = sub.add_parser("schur", help="construct a Schur polynomial by chosen routes")
+    p = command("schur", "construct a Schur polynomial by chosen routes")
     p.add_argument("--route", choices=[*ROUTES, "all"], default="all")
     p.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "3,2,1" or skew "5,3/1"')
     p.add_argument("--mu", default=None, help="inner partition for a skew polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    common(p)
 
-    p = sub.add_parser("reduce", help="reduce a Schur formula to a determinant formula")
+    p = command("reduce", "reduce a Schur formula to a determinant formula")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula-in", default=None, help="input formula JSON (defaults to the auto-built determinant form)")
     p.add_argument("--report-out", default=None)
-    common(p)
+    p.add_argument("--budget", type=int, default=None, help="term budget of every expansion")
 
-    p = sub.add_parser("witness", help="construct and verify a common-zero witness")
+    p = command("witness", "construct and verify a common-zero witness")
     p.add_argument("--family", choices=["e", "h", "p", "shifted"], required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the shifted family")
 
-    p = sub.add_parser("pdc", help="dimension of the span of all partial derivatives")
-    p.add_argument("--monomial", type=int, default=None, help="use x1*...*xk")
-    p.add_argument("--input", default=None, help="polynomial file (JSON or text)")
-    common(p)
+    p = command("pdc", "dimension of the span of all partial derivatives")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--monomial", type=int, default=None, help="use x1*...*xk")
+    group.add_argument("--input", default=None, help="polynomial file (JSON or text)")
+    p.add_argument("--budget", type=int, default=None, help="bound on the derivative multi-indices")
 
-    p = sub.add_parser("convert", help="rewrite between symmetric bases")
+    p = command("convert", "rewrite between symmetric bases")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--e-to-h", dest="mode", action="store_const", const="e-to-h")
     group.add_argument("--e-to-p", dest="mode", action="store_const", const="e-to-p")
@@ -320,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    common(p)
-
-    p = sub.add_parser("bench", help="CSV of sizes/degrees/timings per route")
-    p.add_argument("--suite", default="schur-routes")
-    p.add_argument("--max-weight", type=int, default=6)
-    p.add_argument("--n", type=int, default=5)
-    common(p)
 
     return parser
 
@@ -337,14 +316,12 @@ _HANDLERS = {
     "witness": _cmd_witness,
     "pdc": _cmd_pdc,
     "convert": _cmd_convert,
-    "bench": _cmd_bench,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except NotReducible as exc:
         sys.stderr.write(f"error: {exc}\n")

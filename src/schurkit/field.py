@@ -24,12 +24,13 @@ untested, as the test suite has only been run without gmpy2.
 
 This module is the one place that inverts a scalar or eliminates exactly:
 callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
-determinant over any integral domain, and `gauss_jordan` the reduced
-echelon form over a field.  It also owns the coefficient side of the `Poly`
-product kernel: `common_order` finds the one field of both operands,
-`int_numerators` writes coefficients as integer numerators over a common
-denominator, and `from_int_numerators` turns the summed numerators back into
-scalars.
+determinant over any integral domain, `gauss_jordan` the reduced echelon
+form over a field, and `interpolation_weights` the Lagrange weights that
+read coefficients off a polynomial's values at 0, 1, 2, ....  It also owns
+the coefficient side of the `Poly` product kernel: `common_order` finds the
+one field of both operands, `int_numerators` writes coefficients as integer
+numerators over a common denominator, and `from_int_numerators` turns the
+summed numerators back into scalars.
 """
 
 from __future__ import annotations
@@ -505,10 +506,6 @@ def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
     return CyclotomicScalar(order, vec)
 
 
-def parse_rational(text: str):
-    return Rat(text.strip())
-
-
 def scalar_to_json(s):
     if isinstance(s, CyclotomicScalar):
         return {"order": s.order, "value": scalar_to_text(s)}
@@ -627,6 +624,36 @@ def solve_exact(rows: list[list], rhs: list) -> list | None:
     return [row[ncols] for row in reduced[:ncols]]
 
 
+def interpolation_weights(bound: int, degrees: Iterable[int]) -> list:
+    """Weights w_0..w_bound with sum_t w_t * p(t) = sum over d in `degrees`
+    of the x^d coefficient of p, for every polynomial p of degree <= bound.
+
+    w_t sums the x^d coefficients of the Lagrange basis polynomial
+    l_t(x) = prod_{s != t} (x - s) / (t - s) on the nodes 0..bound, so the
+    weights are the sum of those rows of the inverse Vandermonde matrix.
+    l_t is N(x) / (x - t) for N(x) = prod_s (x - s), one synthetic division
+    over the integers, over the denominator (-1)^(bound-t) * t! * (bound-t)!.
+    """
+    degrees = list(degrees)
+    if any(not 0 <= d <= bound for d in degrees):
+        raise ValueError(f"degrees must lie in 0..{bound}")
+    big = [1]  # coefficients of N(x), constant term first
+    for s in range(bound + 1):
+        big = [a - s * b for a, b in zip([0] + big, big + [0])]
+    weights = []
+    for t in range(bound + 1):
+        quotient = [0] * (bound + 1)
+        carry = 0
+        for i in range(bound + 1, 0, -1):
+            carry = big[i] + t * carry
+            quotient[i - 1] = carry
+        den = math.factorial(t) * math.factorial(bound - t)
+        if (bound - t) % 2:
+            den = -den
+        weights.append(Rat(sum(quotient[d] for d in degrees), den))
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # matrices over one scalar domain
 # ---------------------------------------------------------------------------
@@ -644,14 +671,7 @@ class ScalarMatrix:
         entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        order = None
-        for e in entries:
-            if isinstance(e, CyclotomicScalar):
-                if order is not None and e.order != order:
-                    raise DomainMismatch(
-                        f"matrix mixes cyclotomic orders {order} and {e.order}"
-                    )
-                order = e.order
+        order = common_order(entries)
         if order is None:
             entries = [as_scalar(e) for e in entries]
         else:

@@ -26,7 +26,7 @@ from .errors import (
     NotSymmetric,
     WeightMismatch,
 )
-from .field import ONE, Rat, ScalarMatrix, solve_exact
+from .field import ONE, Rat, interpolation_weights, solve_exact
 from .partitions import Partition, partitions_of, staircase
 from .poly import Poly
 
@@ -462,15 +462,14 @@ def express_in_e_basis(f: Poly) -> Poly:
 def elementary_symmetric_formula(k: int, n: int) -> Formula:
     """A depth-3-style formula for e_k(x_1..x_n) by interpolation.
 
-    Expands prod_i (1 + a*x_i) at n+1 distinct rational values of a and takes
-    the exact inverse-Vandermonde combination that isolates the coefficient
-    of a^k, which is e_k.
+    Expands prod_i (1 + a*x_i) at a = 0..n and weights each copy by the a^k
+    coefficient of its Lagrange basis polynomial on those nodes, which
+    isolates the coefficient of a^k, that is e_k.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     nodes = [Rat(t) for t in range(n + 1)]
-    vander = ScalarMatrix.from_rows([[a**j for j in range(n + 1)] for a in nodes])
-    weights = vander.inverse().row(k)
+    weights = interpolation_weights(n, (k,))
     children = []
     for a in nodes:
         factors = [

@@ -4,7 +4,8 @@ Every pass here takes a formula and returns a formula whose expansion is a
 specified transform of the input's expansion, so each one is directly
 checkable by the brute-force expansion oracle:
 
-* homogeneous-component extraction by interpolation over input scalings,
+* homogeneous-component extraction by Lagrange interpolation over input
+  scalings (weights from `field.interpolation_weights`),
 * shifting the inputs by a point,
 * division elimination through a truncated geometric series around a
   non-vanishing point of the divisor,
@@ -17,7 +18,6 @@ checkable by the brute-force expansion oracle:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -39,7 +39,15 @@ from .errors import (
     ReductionMismatch,
     VerificationFailed,
 )
-from .field import ONE, Rat, ScalarMatrix, demote, gauss_jordan, scalar_to_json
+from .field import (
+    ONE,
+    Rat,
+    ScalarMatrix,
+    demote,
+    gauss_jordan,
+    interpolation_weights,
+    scalar_to_json,
+)
 from .independence import (
     h_family_witness,
     is_independence_witness,
@@ -54,24 +62,16 @@ from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_label
 REDUCTION_SIZE_CONSTANT = 8
 
 
-@functools.lru_cache(maxsize=64)
-def _inverse_vandermonde(degree: int) -> ScalarMatrix:
-    """Inverse of the Vandermonde matrix on the nodes 0, 1, ..., degree."""
-    rows = [[Rat(t) ** j for j in range(degree + 1)] for t in range(degree + 1)]
-    return ScalarMatrix.from_rows(rows).inverse()
-
-
-def scale_inputs_formula(f: Formula, alpha) -> Formula:
-    """The formula x -> f(alpha * x); wraps each input leaf in a weighted sum."""
-    mapping = {
-        i: Formula(sum_node([inp(i)], [alpha]), f.arity) for i in range(f.arity)
-    }
-    return f.substitute(mapping)
-
-
-def _interpolated_combination(f: Formula, weights) -> Formula:
-    copies = [scale_inputs_formula(f, Rat(t)) for t in range(len(weights))]
-    return Formula.combine(copies, weights)
+def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
+    """sum_t w_t * f(t*x) over t = 0..bound, with the Lagrange weights that
+    keep the components of f of the given degrees."""
+    copies = [
+        f.substitute(
+            {i: Formula(sum_node([inp(i)], [Rat(t)]), f.arity) for i in range(f.arity)}
+        )
+        for t in range(bound + 1)
+    ]
+    return Formula.combine(copies, interpolation_weights(bound, degrees))
 
 
 def homogeneous_component_formula(
@@ -80,18 +80,18 @@ def homogeneous_component_formula(
     """A formula for the degree-d homogeneous component of f.
 
     Interpolation over input scalings: f(t*x) is a polynomial in t whose
-    t^d coefficient is the wanted component, so an exact inverse-Vandermonde
-    combination of the scaled copies at t = 0..D isolates it.  D defaults to
-    the formula size, which always bounds the degree; callers that know the
-    true degree should pass it for a much smaller formula.
+    t^d coefficient is the wanted component, so the scaled copies at
+    t = 0..D weighted by the t^d coefficients of the Lagrange basis on those
+    nodes isolate it.  D defaults to the formula size, which always bounds
+    the degree; callers that know the true degree should pass it for a much
+    smaller formula.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     bound = f.size() if degree_bound is None else degree_bound
     if degree > bound:
         return constant_formula(f.arity, 0)
-    weights = _inverse_vandermonde(bound).row(degree)
-    return _interpolated_combination(f, weights)
+    return _interpolated_combination(f, bound, (degree,))
 
 
 def low_degree_truncation_formula(
@@ -99,20 +99,14 @@ def low_degree_truncation_formula(
 ) -> Formula:
     """A formula for the sum of the homogeneous components of f of degree <= d.
 
-    Same interpolation as single-component extraction, with the weight rows
-    for degrees 0..d summed into one combination, so the scaled copies are
-    shared instead of being rebuilt per component.
+    Same interpolation as single-component extraction, each copy weighted by
+    the sum of its Lagrange weights for degrees 0..d, so the scaled copies
+    are shared instead of being rebuilt per component.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     bound = f.size() if degree_bound is None else degree_bound
-    inv = _inverse_vandermonde(bound)
-    top = min(degree, bound)
-    weights = [
-        sum((inv.entry(d, t) for d in range(top + 1)), Rat(0))
-        for t in range(bound + 1)
-    ]
-    return _interpolated_combination(f, weights)
+    return _interpolated_combination(f, bound, range(min(degree, bound) + 1))
 
 
 def shift_formula(f: Formula, point) -> Formula:

@@ -256,19 +256,43 @@ class TestConvertCommand:
         assert out.strip() == "1*e1^2 + -2*e2"
 
 
-class TestBenchCommand:
-    def test_csv_shape(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "schur-routes", "--max-weight", "2", "--n", "3")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "lambda,n,route,size,depth,millis"
-        # 3 partitions of weight <= 2, 4 routes each
-        assert len(lines) == 1 + 3 * 4
-
-    def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "bench", "--suite", "nope")
+class TestUsageErrors:
+    # argparse's own exit code 2 would read as a failed reduction hypothesis
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schur", "--lambda", "2", "--n", "3", "--budget", "1"),
+            ("schur", "--lambda", "2", "--n", "3", "--seed", "1"),
+            ("witness", "--family", "h", "--n", "4", "--budget", "1"),
+            ("convert", "--e-to-h", "--k", "2", "--seed", "1"),
+        ],
+    )
+    def test_unread_flag_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 1
-        assert "unknown suite" in err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unrecognized arguments" in err
+
+    def test_bare_pdc_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "pdc")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--monomial --input" in err
+
+    def test_bench_is_gone(self, capsys):
+        code, out, err = run(capsys, "bench")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "invalid choice: 'bench'" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pdc", "-h"])
+        assert exc.value.code == 0
+        assert "--monomial" in capsys.readouterr().out
 
 
 class TestDeterminism:

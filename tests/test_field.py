@@ -18,8 +18,8 @@ from schurkit.field import (
     demote,
     embed,
     gauss_jordan,
+    interpolation_weights,
     omega,
-    parse_rational,
     scalar_from_json,
     scalar_to_json,
     scalar_to_text,
@@ -117,8 +117,8 @@ class TestScalarArithmetic:
     @settings(max_examples=60, deadline=None)
     def test_rational_parse_print_parse_identity(self, q):
         value = Rat(q)
-        assert parse_rational(scalar_to_text(value)) == value
-        assert scalar_to_text(parse_rational(scalar_to_text(value))) == scalar_to_text(value)
+        assert Rat(scalar_to_text(value)) == value
+        assert scalar_to_text(Rat(scalar_to_text(value))) == scalar_to_text(value)
 
 
 # reference arithmetic: Fraction vectors over the power basis, reduced by
@@ -292,6 +292,26 @@ class TestScalarMatrix:
     def test_mixed_order_matrix_rejected(self):
         with pytest.raises(DomainMismatch):
             ScalarMatrix(1, 2, [omega(3), omega(4)])
+
+
+class TestInterpolationWeights:
+    @pytest.mark.parametrize("bound", range(13))
+    def test_rows_and_prefix_sums_of_inverse_vandermonde(self, bound):
+        # the reference: Gauss-Jordan inverse of the Vandermonde matrix on
+        # the nodes 0..bound, whose row d holds the x^d Lagrange coefficients
+        nodes = range(bound + 1)
+        inverse = ScalarMatrix.from_rows([[Rat(t) ** j for j in nodes] for t in nodes]).inverse()
+        for d in nodes:
+            assert interpolation_weights(bound, (d,)) == list(inverse.row(d))
+            prefix = [sum((inverse.entry(e, t) for e in range(d + 1)), Rat(0)) for t in nodes]
+            assert interpolation_weights(bound, range(d + 1)) == prefix
+        assert interpolation_weights(bound, ()) == [0] * (bound + 1)
+        assert all(type(w) is Rat for w in interpolation_weights(bound, nodes))
+
+    @pytest.mark.parametrize("degrees", [(4,), (-1,), (0, 5)])
+    def test_degree_outside_the_nodes_rejected(self, degrees):
+        with pytest.raises(ValueError):
+            interpolation_weights(3, degrees)
 
 
 def leibniz_det(rows):
