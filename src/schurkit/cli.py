@@ -3,10 +3,12 @@
 Outputs are deterministic for a fixed command line and seed, files are
 written atomically, and the exit code is 0 only when every internal
 verification passed: 1 for route disagreement or bad input (a usage error
-included), 2 when a partition fails the reduction hypothesis, 3 when a
-witness fails verification, 4 when a term budget is exceeded.  Every
-subcommand takes `--out`; only `witness` takes `--seed`, and only `reduce`
-and `pdc` take `--budget`.
+included, such as a flag the chosen mode does not read), 2 when a partition
+fails the reduction hypothesis, 3 when a verification fails
+(`VerificationFailed`, `InvalidWitness`, `ReductionMismatch`,
+`GridExhausted`, `NoNonvanishingPoint`, `NotDivisible`), 4 when a term
+budget is exceeded.  Every subcommand takes `--out`; only `witness` takes
+`--seed`, and only `reduce` and `pdc` take `--budget`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,17 @@ import sys
 import tempfile
 
 from .circuits import Formula
-from .errors import BudgetExceeded, DomainMismatch, NotReducible, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    DomainMismatch,
+    GridExhausted,
+    InvalidWitness,
+    NoNonvanishingPoint,
+    NotDivisible,
+    NotReducible,
+    ReductionMismatch,
+    VerificationFailed,
+)
 from .field import scalar_to_json, scalar_to_text
 from .independence import (
     h_family_witness,
@@ -99,6 +111,8 @@ def _cmd_schur(args) -> int:
     mu = Partition.parse(args.mu) if args.mu else mu_inline
     n = args.n
     if mu is not None:
+        if args.route is not None:
+            raise ValueError("--route applies to straight shapes only; a skew shape uses its h-determinant")
         result = skew_schur_h(lam, mu, n)
         payload = {
             "lambda": str(lam),
@@ -112,7 +126,10 @@ def _cmd_schur(args) -> int:
             _dump_json(payload) if args.format == "json" else result.to_text(),
         )
         return 0
-    if args.route == "all":
+    route = args.route or "all"
+    if route == "all":
+        if args.format == "text":
+            raise ValueError("--route all prints JSON only; drop --format text")
         results = {name: fn(lam, n) for name, fn in ROUTES.items()}
         reference = results["bialternant"]
         agree = all(p == reference for p in results.values())
@@ -124,12 +141,12 @@ def _cmd_schur(args) -> int:
         }
         _write_output(args.out, _dump_json(payload))
         return 0 if agree else 1
-    result = ROUTES[args.route](lam, n)
+    result = ROUTES[route](lam, n)
     if args.format == "json":
         payload = {
             "lambda": str(lam),
             "n": n,
-            "route": args.route,
+            "route": route,
             "polynomial": result.to_text(),
             "terms": result.to_json()["terms"],
         }
@@ -232,12 +249,16 @@ def _cmd_convert(args) -> int:
     if args.mode == "to-e-basis":
         if not args.input:
             raise ValueError("--to-e-basis needs --input")
+        if args.k is not None or args.n is not None:
+            raise ValueError("--k and --n apply to --e-to-h and --e-to-p only")
         result = express_in_e_basis(_read_poly(args.input))
         prefix = "e"
     else:
         k = args.k
         if k is None:
             raise ValueError("--e-to-h and --e-to-p need --k")
+        if args.input is not None:
+            raise ValueError("--input applies to --to-e-basis only")
         n = args.n if args.n is not None else k
         if args.mode == "e-to-h":
             result = e_in_h_basis(k, n)
@@ -273,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("schur", "construct a Schur polynomial by chosen routes")
-    p.add_argument("--route", choices=[*ROUTES, "all"], default="all")
+    p.add_argument("--route", choices=[*ROUTES, "all"], default=None, help="default all")
     p.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "3,2,1" or skew "5,3/1"')
     p.add_argument("--mu", default=None, help="inner partition for a skew polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=["text", "json"], default=None, help="default text (JSON for --route all)")
 
     p = command("reduce", "reduce a Schur formula to a determinant formula")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -326,7 +347,8 @@ def main(argv=None) -> int:
     except NotReducible as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except VerificationFailed as exc:
+    except (VerificationFailed, InvalidWitness, ReductionMismatch,
+            GridExhausted, NoNonvanishingPoint, NotDivisible) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except BudgetExceeded as exc:

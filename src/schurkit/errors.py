@@ -50,14 +50,6 @@ class ZeroPolynomial(ValueError):
     """The zero polynomial has no well-defined answer for this operation."""
 
 
-class NonUnitConstantTerm(ValueError):
-    """Series inversion needs a non-zero scalar constant term."""
-
-
-class NonZeroConstantTerm(ValueError):
-    """Series exponentiation needs a zero constant term."""
-
-
 class NoNonvanishingPoint(RuntimeError):
     """Grid search found no point where the divisor is non-zero.
 

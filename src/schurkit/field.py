@@ -608,22 +608,6 @@ def gauss_jordan(rows: list[list], ncols: int | None = None) -> tuple[list[list]
     return m, pivots
 
 
-def solve_exact(rows: list[list], rhs: list) -> list | None:
-    """Solve A x = b exactly over a field.
-
-    Requires the columns of A to be linearly independent (unique solution if
-    one exists).  Returns the solution, or None when the system is
-    inconsistent.
-    """
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
-    if len(pivots) < ncols:
-        raise SingularMatrix("columns are linearly dependent")
-    if any(row[ncols] for row in reduced[ncols:]):
-        return None
-    return [row[ncols] for row in reduced[:ncols]]
-
-
 def interpolation_weights(bound: int, degrees: Iterable[int]) -> list:
     """Weights w_0..w_bound with sum_t w_t * p(t) = sum over d in `degrees`
     of the x^d coefficient of p, for every polynomial p of degree <= bound.

@@ -25,24 +25,14 @@ coefficient lies in that one cyclotomic field, and two orders raise
 DomainMismatch.  Exact division keeps its scalar arithmetic, as the
 divisor's leading coefficient is in general no unit, but finds each leading
 term and each target monomial on packed keys.
-
-Also provides truncated univariate power series whose coefficients are
-polynomials, for the generating-function identities between the symmetric
-bases.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    ArityMismatch,
-    NonUnitConstantTerm,
-    NonZeroConstantTerm,
-    NotDivisible,
-    ZeroPolynomial,
-)
+from .errors import ArityMismatch, NotDivisible, ZeroPolynomial
 from .field import (
     ONE,
     ZERO,
@@ -167,9 +157,6 @@ class Poly:
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), ZERO)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.arity, ZERO)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -521,124 +508,3 @@ def poly_from_text(text: str, arity: int | None = None, var_prefix: str = "x") -
         key = tuple(exps.get(i, 0) for i in range(arity))
         terms[key] = terms.get(key, ZERO) + coeff
     return Poly(arity, terms)
-
-
-# ---------------------------------------------------------------------------
-# truncated power series over Poly coefficients
-# ---------------------------------------------------------------------------
-
-class TruncatedSeries:
-    """A power series in t, truncated above t^cap, with Poly coefficients."""
-
-    __slots__ = ("arity", "cap", "coeffs")
-
-    def __init__(self, arity: int, cap: int, coeffs: Iterable[Poly] = ()):
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        coeffs = list(coeffs)[: cap + 1]
-        for c in coeffs:
-            if c.arity != arity:
-                raise ArityMismatch("series coefficient arity mismatch")
-        coeffs += [Poly.zero(arity)] * (cap + 1 - len(coeffs))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.arity, self.cap, self.coeffs)
-
-    @classmethod
-    def constant(cls, arity: int, cap: int, value) -> "TruncatedSeries":
-        return cls(arity, cap, [Poly.constant(arity, value)])
-
-    def term(self, k: int) -> Poly:
-        return self.coeffs[k] if k <= self.cap else Poly.zero(self.arity)
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.arity != other.arity:
-            raise ArityMismatch("series arity mismatch")
-        if self.cap != other.cap:
-            raise ArityMismatch("series caps differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.arity, self.cap, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.arity, self.cap, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = [Poly.zero(self.arity) for _ in range(self.cap + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.cap:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.arity, self.cap, out)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse modulo t^(cap+1)."""
-        c0 = self.coeffs[0]
-        if c0.total_degree() != 0:
-            raise NonUnitConstantTerm(
-                "series inversion needs a non-zero scalar constant term"
-            )
-        inv0 = Poly.constant(self.arity, 1) / c0.constant_term()
-        out = [inv0]
-        for k in range(1, self.cap + 1):
-            acc = Poly.zero(self.arity)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(self.arity, self.cap, out)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, modulo t^(cap+1)."""
-        if self.coeffs[0]:
-            raise NonZeroConstantTerm("series exp needs zero constant term")
-        result = TruncatedSeries.constant(self.arity, self.cap, 1)
-        power = TruncatedSeries.constant(self.arity, self.cap, 1)
-        factorial = 1
-        for i in range(1, self.cap + 1):
-            power = power * self
-            factorial *= i
-            scaled = TruncatedSeries(
-                self.arity, self.cap, [c / factorial for c in power.coeffs]
-            )
-            result = result + scaled
-        return result
-
-    def integrate(self) -> "TruncatedSeries":
-        """Formal antiderivative with zero constant term, truncated at cap."""
-        out = [Poly.zero(self.arity)]
-        for k, c in enumerate(self.coeffs):
-            if k + 1 > self.cap:
-                break
-            out.append(c / (k + 1))
-        return TruncatedSeries(self.arity, self.cap, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.cap == other.cap
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        body = " + ".join(f"({c.to_text()})*t^{k}" for k, c in enumerate(self.coeffs) if c)
-        return f"TruncatedSeries(cap={self.cap}: {body or '0'})"

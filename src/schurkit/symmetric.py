@@ -9,9 +9,10 @@ The Schur polynomial for a partition is constructed four independent ways:
 
 Exact equality of the four expansions is the package's core sanity battery.
 Also here: skew determinants, the closed form for the scaled-staircase
-family, conversions between the e/h/p bases through truncated generating
-series, expression of any symmetric polynomial over the elementary basis,
-and an interpolation-based small formula for the elementary polynomials.
+family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
+= 1 and Newton's identities), any symmetric polynomial over the elementary
+basis by the leading-term reduction, and an interpolation-based small
+formula for the elementary polynomials.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     NotSymmetric,
     WeightMismatch,
 )
-from .field import ONE, Rat, interpolation_weights, solve_exact
-from .partitions import Partition, partitions_of, staircase
+from .field import ONE, Rat, interpolation_weights
+from .partitions import Partition, staircase
 from .poly import Poly
 
 
@@ -354,45 +355,42 @@ def scaled_staircase_schur(step: int, n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# basis conversions via truncated generating series
+# basis conversions by the classical recurrences
 # ---------------------------------------------------------------------------
+
+def _e_by_recurrence(k: int, n: int, newton: bool) -> Poly:
+    """e_k over formal variables g_1..g_k from
+    c_j * e_j = sum_{i=1..j} (-1)^(i-1) * g_i * e_(j-i), e_0 = 1,
+    with c_j = j for Newton's identities (g = p) and c_j = 1 for
+    E(t) H(-t) = 1 (g = h)."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    es = [Poly.constant(k, 1)]
+    for j in range(1, k + 1):
+        acc = Poly.zero(k)
+        for i in range(1, j + 1):
+            term = Poly.variable(k, i - 1) * es[j - i]
+            acc = acc + term if i % 2 else acc - term
+        es.append(acc / j if newton else acc)
+    return es[k]
+
 
 def e_in_h_basis(k: int, n: int) -> Poly:
     """e_k written as a polynomial in formal variables h_1..h_k.
 
-    Obtained from the inverse of the alternating h-series: the generating
-    series of the e's is the reciprocal of the h-series at -t.  Substituting
-    actual h-polynomials for the formal variables reproduces e_k exactly.
+    From E(t) H(-t) = 1: e_j = sum_{i=1..j} (-1)^(i-1) h_i e_(j-i).
+    Substituting actual h-polynomials for the formal variables reproduces
+    e_k exactly.
     """
-    from .poly import TruncatedSeries
-
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    coeffs = [Poly.constant(k, 1)]
-    for j in range(1, k + 1):
-        sign = ONE if j % 2 == 0 else -ONE
-        coeffs.append(Poly.variable(k, j - 1) * sign)
-    series = TruncatedSeries(k, k, coeffs)
-    return series.inverse().term(k)
+    return _e_by_recurrence(k, n, newton=False)
 
 
 def e_in_p_basis(k: int, n: int) -> Poly:
     """e_k written as a polynomial in formal variables p_1..p_k.
 
-    Uses the exponential of the antiderivative of the power-sum series at -t,
-    truncated at degree k.
+    From Newton's identities: j e_j = sum_{i=1..j} (-1)^(i-1) p_i e_(j-i).
     """
-    from .poly import TruncatedSeries
-
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    # coefficient of t^(m-1) is (-1)^(m-1) * p_m; integrate, then exponentiate
-    coeffs = []
-    for m in range(1, k + 1):
-        sign = ONE if (m - 1) % 2 == 0 else -ONE
-        coeffs.append(Poly.variable(k, m - 1) * sign)
-    series = TruncatedSeries(k, k, coeffs)
-    return series.integrate().exp().term(k)
+    return _e_by_recurrence(k, n, newton=True)
 
 
 def is_symmetric(p: Poly) -> bool:
@@ -415,44 +413,28 @@ def symmetrize(p: Poly) -> Poly:
 
 
 def express_in_e_basis(f: Poly) -> Poly:
-    """The unique polynomial g with g(e_1, ..., e_n) = f, for symmetric f.
+    """The unique polynomial g with g(e_1, ..., e_n) = f, for symmetric f,
+    over formal variables e_1..e_n.
 
-    Solved degree by degree by exact linear algebra against the products
-    e_kappa over partitions kappa of each degree with parts at most n, which
-    form a basis of the homogeneous symmetric polynomials of that degree.
-    The result lives over formal variables e_1..e_n.
+    The fundamental theorem's leading-term reduction: the graded-lex leading
+    term c * x^a of a symmetric f has a non-increasing, and it is also the
+    leading term of c * e_1^(a1-a2) ... e_(n-1)^(a(n-1)-an) * e_n^an.
     """
     n = f.arity
     if not is_symmetric(f):
         raise NotSymmetric("input is not invariant under variable permutations")
-    result = Poly.zero(n)
-    e_cache = {j: e_poly(j, n) for j in range(1, n + 1)}
-    for d, component in f.homogeneous_components().items():
-        if d == 0:
-            result = result + Poly.constant(n, component.constant_term())
-            continue
-        kappas = [k for k in partitions_of(d, max_part=n)]
-        basis = []
-        for kappa in kappas:
-            prod = Poly.constant(n, 1)
-            for part in kappa:
-                prod = prod * e_cache[part]
-            basis.append(prod)
-        monomials = sorted(
-            {e for b in basis for e in b.terms} | set(component.terms)
-        )
-        rows = [[b.terms.get(mono, Rat(0)) for b in basis] for mono in monomials]
-        rhs = [component.terms.get(mono, Rat(0)) for mono in monomials]
-        solution = solve_exact(rows, rhs)
-        if solution is None:
-            raise NotSymmetric("no expression over the elementary basis exists")
-        for kappa, coeff in zip(kappas, solution):
-            if coeff:
-                exps = [0] * n
-                for part in kappa:
-                    exps[part - 1] += 1
-                result = result + Poly.monomial(n, exps, coeff)
-    return result
+    es = [e_poly(j, n) for j in range(1, n + 1)]
+    terms = {}
+    while f:
+        a, c = f._lead()
+        exps = tuple(a[j] - a[j + 1] for j in range(n - 1)) + (a[-1],)
+        terms[exps] = c
+        product = Poly.constant(n, c)
+        for e, b in zip(es, exps):
+            if b:
+                product = product * e**b
+        f = f - product
+    return Poly(n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from schurkit.circuits import (
 )
 from schurkit.errors import ArityMismatch, BudgetExceeded, LengthMismatch
 from schurkit.field import ONE, Rat, ScalarMatrix, ZERO, omega
-from schurkit.poly import Poly, TruncatedSeries
+from schurkit.poly import Poly
 
 
 def sum_formula(arity=2):
@@ -333,11 +333,10 @@ def _shared_formula():
         (omega(8) * Rat(3, 4) - Rat(1, 6), None),
         (Poly(2, {(1, 0): omega(5), (0, 2): Rat(-2, 3)}), None),
         (ScalarMatrix.from_rows([[omega(3), 1], [Rat(1, 2), 0]]), None),
-        (TruncatedSeries(1, 2, [Poly.constant(1, 1), Poly.variable(1, 0)]), None),
         (_shared_formula().root, lambda node: Formula(node, 2).to_json()),
         (_shared_formula(), Formula.to_json),
     ],
-    ids=["omega", "cyclotomic", "poly", "matrix", "series", "node", "formula"],
+    ids=["omega", "cyclotomic", "poly", "matrix", "node", "formula"],
 )
 def test_immutable_values_copy_and_pickle(value, key):
     key = key or (lambda v: v)

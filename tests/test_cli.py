@@ -1,9 +1,19 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
+from schurkit import cli
 from schurkit.cli import main
+from schurkit.errors import (
+    GridExhausted,
+    InvalidWitness,
+    NoNonvanishingPoint,
+    NotDivisible,
+    ReductionMismatch,
+    VerificationFailed,
+)
 
 
 def run(capsys, *argv):
@@ -141,6 +151,65 @@ README_DIGESTS = {
     "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
 }
 
+#: SHA-256 of `convert` outputs, recorded before the basis conversions moved
+#: from truncated generating series and a linear solve to the classical
+#: recurrences; the outputs must stay byte-identical
+CONVERT_DIGESTS = {
+    "e-to-h-1-text": "4b7c29d8ae43f7c969b1e0e68bd7a7e54d90f92227b93c91d757a3556d481229",
+    "e-to-h-1-json": "24612347844d7cfea526dc32d78b3e95c5c6970026d2545e6d7feba605d81881",
+    "e-to-h-2-text": "cb78da4fe6f18b62ecd4f660502cc57a18b5e68b7279da6fa4efe2bf22e8e2c5",
+    "e-to-h-2-json": "e1dd6e37c37e15f2131527e675a4951006450f7cde8380321a72745f8226fc83",
+    "e-to-h-3-text": "759244f6f0956e5e2034d2bd581b7e75ed1239a954d750bb35389a401476ba22",
+    "e-to-h-3-json": "b7427904775ede239572dd988ce5f1f0fdbcfd3c7be81f373f385ed5f54b723c",
+    "e-to-h-4-text": "d34e0088a19e2bcf8d9860cf8ef58b33f24db829657dd714658c8d41c7aa42fc",
+    "e-to-h-4-json": "1df5431569b13b73a6a19197b6391a45d2a03fa92f4db3317bbc5212f0308b93",
+    "e-to-h-5-text": "61351b884ebc44795597ac88f70394179881ec645ec1b5aa4e179fd212e39fab",
+    "e-to-h-5-json": "d51fee192780053ed692ece9b48e2e678bd4cc6c1c15b03d3ba7bbf881c0598f",
+    "e-to-h-6-text": "16c3031db62791f4c84b5209309936bc56272abf831148f91979327d2f8662c3",
+    "e-to-h-6-json": "480504756defbf3383efa69503e1b235f021cf4ca2ef578360d64d5c9fa94545",
+    "e-to-p-1-text": "142010ec57121927d4923c3f36a4dd41fa9f6d335da837e03657b671a7f9139e",
+    "e-to-p-1-json": "24612347844d7cfea526dc32d78b3e95c5c6970026d2545e6d7feba605d81881",
+    "e-to-p-2-text": "6b8ad8bd87aeaff5e26b541299ab209b16130ce8824a053c9f2d82c1ce2c7acc",
+    "e-to-p-2-json": "78eb502bd446cd59d83fbdb06737198e7aadbb30477d94d05175414b2360860d",
+    "e-to-p-3-text": "ae1c0421d89bd7a32443cdbfffac5175f553f016afde4aad18ec9579708d0f0c",
+    "e-to-p-3-json": "9068634fd6519593b07ae988d25e2cf1fddc592b5471d39aa3e8a6a0b8c3c2a1",
+    "e-to-p-4-text": "782dbb614e756b66389860e749fb43e021a9a9e338cb53d388c3e8834526b562",
+    "e-to-p-4-json": "c7a23da54515dc3528c35fd053488ee143a1700ccbceeed17210e8bf0eee6837",
+    "e-to-p-5-text": "e919df056cdc26a149bdcf86a17bd35a977b7a9a51a1ff6ca4d8b83d05de5619",
+    "e-to-p-5-json": "0502e92c66f63336510ba12cb22a6676673c3a33acd64a2acd25d6cde3969b4a",
+    "e-to-p-6-text": "4d805ea81dcfa3481272df4557f4d0a5d97076d997f1552d8d906ac1296d016c",
+    "e-to-p-6-json": "197abdea348364e76a04221d9aed4e2a0fb94a3e6f104a122d458a219f0baf1c",
+    "to-e-basis-rational-text": "8946b1cf1a160eddf27cc6327d8c8c8bd2aea00e679aae0ef50d6fd76d014275",
+    "to-e-basis-rational-json": "958c270ac782cad9b4f1b06214655e66a7c1dd47824e4e851e7f9e6962ad8a0a",
+    "to-e-basis-cyclotomic-text": "ea6c61080a1a39ab3ef85f315a635fb0c16bb6ae24cf744d0e95870096520efb",
+    "to-e-basis-cyclotomic-json": "53313794779d8a8314670b2a7a6049f6d34285df4711bd09de226f1375d510fe",
+}
+
+
+def _monomial_symmetric(arity, parts, coeff):
+    """The JSON terms of coeff * m_parts, the sum of all distinct
+    permutations of x^parts."""
+    exps = tuple(parts) + (0,) * (arity - len(parts))
+    return [{"exps": list(e), "coeff": coeff} for e in sorted(set(itertools.permutations(exps)))]
+
+
+#: symmetric polynomials in 3 variables, one rational and one with
+#: coefficients in the order-3 cyclotomic field
+E_BASIS_INPUTS = {
+    "rational": {"arity": 3, "terms": [
+        *_monomial_symmetric(3, (2, 2), "7/3"),
+        *_monomial_symmetric(3, (3,), "2"),
+        *_monomial_symmetric(3, (2, 1), "3"),
+        *_monomial_symmetric(3, (1, 1, 1), "-1/2"),
+        *_monomial_symmetric(3, (), "5"),
+    ]},
+    "cyclotomic": {"arity": 3, "terms": [
+        *_monomial_symmetric(3, (2,), {"order": 3, "value": "1*w"}),
+        *_monomial_symmetric(3, (1, 1), {"order": 3, "value": "1 + -2*w"}),
+        *_monomial_symmetric(3, (1,), "1/3"),
+    ]},
+}
+
 
 class TestWitnessCommand:
     @pytest.mark.parametrize(
@@ -248,6 +317,28 @@ class TestConvertCommand:
         assert code == 0
         assert out.strip() == "1/2*p1^2 + -1/2*p2"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("mode", ["e-to-h", "e-to-p"])
+    def test_e_conversions_are_pinned(self, capsys, tmp_path, mode, k, fmt):
+        out_file = tmp_path / "e.out"
+        code, _, _ = run(capsys, "convert", f"--{mode}", "--k", str(k), "--format", fmt, "--out", str(out_file))
+        assert code == 0
+        assert sha256(out_file) == CONVERT_DIGESTS[f"{mode}-{k}-{fmt}"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", sorted(E_BASIS_INPUTS))
+    def test_to_e_basis_is_pinned(self, capsys, tmp_path, name, fmt):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(json.dumps(E_BASIS_INPUTS[name]))
+        out_file = tmp_path / "e.out"
+        code, _, _ = run(
+            capsys,
+            "convert", "--to-e-basis", "--input", str(poly_file), "--format", fmt, "--out", str(out_file),
+        )
+        assert code == 0
+        assert sha256(out_file) == CONVERT_DIGESTS[f"to-e-basis-{name}-{fmt}"]
+
     def test_to_e_basis(self, capsys, tmp_path):
         poly_file = tmp_path / "p.txt"
         poly_file.write_text("1*x1^2 + 1*x2^2")
@@ -274,6 +365,25 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("convert", "--e-to-h", "--k", "2", "--input", "missing.txt"), "--input"),
+            (("convert", "--to-e-basis", "--input", "p.txt", "--k", "3"), "--k"),
+            (("schur", "--lambda", "2/1", "--n", "2", "--route", "ssyt"), "--route"),
+            (("schur", "--route", "all", "--lambda", "2,1", "--n", "3", "--format", "text"), "--format"),
+        ],
+        ids=["e-to-h-input", "to-e-basis-k", "skew-route", "all-routes-text"],
+    )
+    def test_flag_the_mode_ignores_is_bad_input(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.txt").write_text("1*x1 + 1*x2")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_bare_pdc_is_bad_input(self, capsys):
         code, out, err = run(capsys, "pdc")
         assert code == 1
@@ -293,6 +403,21 @@ class TestUsageErrors:
             main(["pdc", "-h"])
         assert exc.value.code == 0
         assert "--monomial" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "error",
+    [VerificationFailed, InvalidWitness, ReductionMismatch, GridExhausted, NoNonvanishingPoint, NotDivisible],
+)
+def test_verification_failures_exit_3(capsys, monkeypatch, error):
+    def handler(args):
+        raise error("check failed")
+
+    monkeypatch.setitem(cli._HANDLERS, "pdc", handler)
+    code, out, err = run(capsys, "pdc", "--monomial", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: check failed\n"
 
 
 class TestDeterminism:

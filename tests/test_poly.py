@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from schurkit.errors import (
     ArityMismatch,
     DomainMismatch,
-    NonUnitConstantTerm,
-    NonZeroConstantTerm,
     NotDivisible,
 )
 from schurkit.field import CyclotomicScalar, Rat, omega
-from schurkit.poly import Poly, TruncatedSeries, poly_from_text
+from schurkit.poly import Poly, poly_from_text
 
 
 def var(arity, i):
@@ -316,57 +314,3 @@ class TestTextAndJson:
     @settings(max_examples=40, deadline=None)
     def test_json_round_trip(self, p):
         assert Poly.from_json(p.to_json()) == p
-
-
-class TestSeries:
-    def test_geometric(self):
-        one_minus_t = TruncatedSeries(
-            1, 3, [Poly.constant(1, 1), Poly.constant(1, -1)]
-        )
-        inv = one_minus_t.inverse()
-        assert all(inv.term(k) == Poly.constant(1, 1) for k in range(4))
-
-    def test_exp(self):
-        t = TruncatedSeries(1, 2, [Poly.zero(1), Poly.constant(1, 1)])
-        e = t.exp()
-        assert e.term(0) == Poly.constant(1, 1)
-        assert e.term(1) == Poly.constant(1, 1)
-        assert e.term(2) == Poly.constant(1, Rat(1, 2))
-
-    def test_product_truncates(self):
-        one = Poly.constant(1, 1)
-        a = TruncatedSeries(1, 2, [one, one])
-        b = TruncatedSeries(1, 2, [one, -one])
-        product = a * b
-        assert product.term(0) == one
-        assert product.term(1).is_zero()
-        assert product.term(2) == -one
-
-    def test_inverse_needs_scalar_unit(self):
-        with pytest.raises(NonUnitConstantTerm):
-            TruncatedSeries(1, 2, [Poly.variable(1, 0)]).inverse()
-        with pytest.raises(NonUnitConstantTerm):
-            TruncatedSeries(1, 2, [Poly.zero(1)]).inverse()
-
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(NonZeroConstantTerm):
-            TruncatedSeries(1, 2, [Poly.constant(1, 1)]).exp()
-
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_inverse_round_trip(self, coeffs):
-        if coeffs[0] == 0:
-            coeffs[0] = Rat(1)
-        series = TruncatedSeries(1, 3, [Poly.constant(1, c) for c in coeffs])
-        product = series * series.inverse()
-        assert product.term(0) == Poly.constant(1, 1)
-        assert all(product.term(k).is_zero() for k in range(1, 4))
-
-    def test_integrate(self):
-        one = Poly.constant(1, 1)
-        s = TruncatedSeries(1, 3, [one, one * 2, one * 3])
-        integral = s.integrate()
-        assert integral.term(0).is_zero()
-        assert integral.term(1) == one
-        assert integral.term(2) == one
-        assert integral.term(3) == one

@@ -8,7 +8,7 @@ from schurkit.errors import (
     NotSymmetric,
     WeightMismatch,
 )
-from schurkit.field import Rat
+from schurkit.field import Rat, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
@@ -193,9 +193,9 @@ class TestBasisConversions:
         assert e_in_h_basis(2, 3) == h1sq_minus_h2
         assert e_in_p_basis(2, 3) == Poly(2, {(2, 0): Rat(1, 2), (0, 1): Rat(-1, 2)})
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_substitution_reproduces_elementary(self, k):
-        n = 4
+        n = max(k, 4)
         hs = [h_poly(j, n) for j in range(1, k + 1)]
         ps = [p_poly(j, n) for j in range(1, k + 1)]
         assert e_in_h_basis(k, n).compose(hs) == e_poly(k, n)
@@ -212,18 +212,23 @@ class TestBasisConversions:
 
     def test_express_round_trip_on_symmetrized_inputs(self):
         rng = random.Random(9)
+        inputs = [
+            Poly(1, {(3,): Rat(2), (0,): Rat(-1, 2)}),
+            symmetrize(Poly(3, {(2, 1, 0): omega(3), (1, 1, 0): Rat(1, 3) - omega(3)})),
+        ]
         for _ in range(5):
             n = rng.randint(2, 3)
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 exps = tuple(rng.randint(0, 2) for _ in range(n))
                 terms[exps] = Rat(rng.randint(-3, 3))
-            f = symmetrize(Poly(n, terms))
+            inputs.append(symmetrize(Poly(n, terms)))
+        for f in inputs:
             if f.is_zero():
                 continue
             assert is_symmetric(f)
             g = express_in_e_basis(f)
-            assert g.compose([e_poly(j, n) for j in range(1, n + 1)]) == f
+            assert g.compose([e_poly(j, f.arity) for j in range(1, f.arity + 1)]) == f
 
 
 class TestElementaryFormula:
