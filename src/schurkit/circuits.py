@@ -24,6 +24,7 @@ from .errors import ArityMismatch, BudgetExceeded, LengthMismatch
 from .field import (
     ONE,
     ZERO,
+    CyclotomicScalar,
     as_scalar,
     json_field,
     scalar_from_json,
@@ -189,7 +190,12 @@ class Formula:
                 value = zero
                 for w, c in zip(node.weights, node.children):
                     if w:
-                        value = value + values[id(c)] * w
+                        child = values[id(c)]
+                        # a cyclotomic 1 still moves rational coefficients
+                        # into its field, so only the rational 1 is skipped
+                        if w != 1 or isinstance(w, CyclotomicScalar):
+                            child = child * w
+                        value = value + child
                 if value.num_terms() > budget:
                     raise BudgetExceeded(
                         f"expansion exceeded {budget} terms at a sum gate"
@@ -200,8 +206,8 @@ class Formula:
                     value = zero
                 else:
                     factors.sort(key=lambda f: f.num_terms())
-                    value = Poly.constant(arity, 1)
-                    for f in factors:
+                    value = factors[0] if factors else Poly.constant(arity, 1)
+                    for f in factors[1:]:
                         value = value * f
                         if value.num_terms() > budget:
                             raise BudgetExceeded(

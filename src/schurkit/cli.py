@@ -107,8 +107,11 @@ ROUTES = {
 
 
 def _cmd_schur(args) -> int:
-    lam, mu_inline = _parse_partition(args.lam)
-    mu = Partition.parse(args.mu) if args.mu else mu_inline
+    lam, mu = _parse_partition(args.lam)
+    if args.mu:
+        if mu is not None:
+            raise ValueError("give the inner partition inline in --lambda or with --mu, not both")
+        mu = Partition.parse(args.mu)
     n = args.n
     if mu is not None:
         if args.route is not None:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("schur", "construct a Schur polynomial by chosen routes")
     p.add_argument("--route", choices=[*ROUTES, "all"], default=None, help="default all")
     p.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "3,2,1" or skew "5,3/1"')
-    p.add_argument("--mu", default=None, help="inner partition for a skew polynomial")
+    p.add_argument("--mu", default=None, help="inner partition for a skew polynomial (not with an inline /mu)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default=None, help="default text (JSON for --route all)")
 

@@ -30,7 +30,9 @@ read coefficients off a polynomial's values at 0, 1, 2, ....  It also owns
 the coefficient side of the `Poly` product kernel: `common_order` finds the
 one field of both operands, `int_numerators` writes coefficients as integer
 numerators over a common denominator, and `from_int_numerators` turns the
-summed numerators back into scalars.
+summed numerators back into scalars.  The same numerators evaluate a
+polynomial at a point of powers of w: `root_power_sum` drops each into one
+of n buckets by its power of w modulo n and reduces the buckets once.
 """
 
 from __future__ import annotations
@@ -416,24 +418,45 @@ def power_bits(order: int | None) -> int:
     return (2 * len(cyclotomic_polynomial(order)) - 4).bit_length()
 
 
-def int_numerators(terms: dict) -> tuple[list, int]:
-    """The scalars of {key: scalar} as (key + power of w, integer numerator)
+def int_numerators(pairs: list) -> tuple[list, int]:
+    """The (key, scalar) pairs as (key + power of w, integer numerator)
     pairs, one per non-zero power-basis numerator, over one positive common
-    denominator.  Keys come shifted left by `power_bits` of the scalars'
-    order, and a rational sits at power 0."""
+    denominator.  A rational sits at power 0, so a product kernel passes its
+    keys shifted left by `power_bits` of the scalars' order."""
     dens = [
         c.den if isinstance(c, CyclotomicScalar) else c.denominator
-        for c in terms.values()
+        for _, c in pairs
     ]
     den = math.lcm(*dens)
     out = []
-    for (k, c), d in zip(terms.items(), dens):
+    for (k, c), d in zip(pairs, dens):
         s = den // d
         if isinstance(c, CyclotomicScalar):
             out += [(k + j, v * s) for j, v in enumerate(c.nums) if v]
         else:
             out.append((k, c.numerator * s))
     return out, den
+
+
+def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
+    """The sum of c * w^s over the (s, c) pairs, w a primitive order-n root
+    of unity: the value of a polynomial at a point of powers of w, where
+    term c * x^e contributes its exponent dot product s.
+
+    The numerators (`int_numerators`) fall into n buckets by their power of
+    w modulo n, so a coefficient c of the same order spreads over buckets
+    (s + j) mod n; one reduction modulo Phi_n and one gcd give the value.
+    A coefficient of another order raises DomainMismatch.
+    """
+    found = common_order(c for _, c in pairs)
+    if found not in (None, order):
+        raise DomainMismatch(f"cyclotomic orders differ: {order} vs {found}")
+    nums, den = int_numerators(pairs)
+    buckets = [0] * order
+    for s, v in nums:
+        buckets[s % order] += v
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return _canonical(order, _reduce_ints(order, deg, buckets), den)
 
 
 def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:

@@ -5,8 +5,10 @@ its Jacobian has symbolic rank k.  The transformation passes additionally
 need a *witness*: a point where every q_i vanishes while the Jacobian still
 attains its symbolic rank.  For the elementary, complete homogeneous and
 power-sum families the witness is the vector of n-th roots of unity, so the
-verification runs in an exact cyclotomic field.  Witnesses are always checked
-by explicit re-evaluation, never trusted from their construction.
+verification runs in an exact cyclotomic field, by exponent arithmetic
+(`Poly.eval_root_powers`).  Witnesses are always checked by explicit
+re-evaluation, never trusted from their construction; the h-family's
+Jacobian is also checked against its closed form.
 """
 
 from __future__ import annotations
@@ -110,19 +112,25 @@ def roots_of_unity_point(n: int) -> tuple:
 def _family_witness(n: int, family, name: str) -> CommonZeroWitness:
     if n < 2:
         raise ValueError("need n >= 2")
+    # point[i] is w^i, so every evaluation below is `Poly.eval_root_powers`
+    # at these powers of w, which gives what `Poly.eval` gives at the point
     point = roots_of_unity_point(n)
+    powers = range(n)
     polys = tuple(family(k, n) for k in range(1, n))
     for k, q in enumerate(polys, start=1):
-        if q.eval(point) != 0:
+        if q.eval_root_powers(n, powers) != 0:
             raise VerificationFailed(
                 f"{name}_{k} does not vanish at the root-of-unity point for n={n}"
             )
-    top = family(n, n).eval(point)
-    if not top:
+    if not family(n, n).eval_root_powers(n, powers):
         raise VerificationFailed(
             f"{name}_{n} unexpectedly vanishes at the root-of-unity point for n={n}"
         )
-    jac = jacobian_at(jacobian(list(polys)), point)
+    jac = ScalarMatrix(
+        n - 1,
+        n,
+        [d.eval_root_powers(n, powers) for row in jacobian(polys) for d in row],
+    )
     rank = jac.rank()
     if rank != n - 1:
         raise VerificationFailed(
@@ -143,8 +151,23 @@ def roots_of_unity_witness(n: int) -> CommonZeroWitness:
 
 
 def h_family_witness(n: int) -> CommonZeroWitness:
-    """Verified witness for h_1..h_(n-1); same point as the elementary family."""
-    return _family_witness(n, h_poly, "h")
+    """Verified witness for h_1..h_(n-1); same point as the elementary family.
+
+    The evaluated Jacobian is also checked against its closed form
+    J[m][j] = w^(j(m-1)) (rows m = 1..n-1, columns j = 0..n-1): from
+    H(t) = prod 1/(1 - x_i t), dh_m/dx_j = sum_{a=1..m} x_j^(a-1) h_(m-a),
+    and h_r vanishes at the point for 1 <= r <= n-1, leaving x_j^(m-1).
+    """
+    witness = _family_witness(n, h_poly, "h")
+    point = witness.point
+    for m in range(1, n):
+        for j in range(n):
+            if witness.jacobian.entry(m - 1, j) != point[j * (m - 1) % n]:
+                raise VerificationFailed(
+                    f"Jacobian entry ({m}, {j}) of the h-family differs from "
+                    f"w^{j * (m - 1) % n} at the root-of-unity point for n={n}"
+                )
+    return witness
 
 
 def p_family_witness(n: int) -> CommonZeroWitness:

@@ -25,11 +25,18 @@ coefficient lies in that one cyclotomic field, and two orders raise
 DomainMismatch.  Exact division keeps its scalar arithmetic, as the
 divisor's leading coefficient is in general no unit, but finds each leading
 term and each target monomial on packed keys.
+
+`eval` works at any point by scalar products and powers.  At a point of
+powers of one root of unity, (w^p_1, ..., w^p_n), `eval_root_powers` gives
+the same value by exponent arithmetic: x^e is w^(p . e mod n), so each term
+adds its numerators to one power of w (`field.root_power_sum`) and no scalar
+is multiplied.
 """
 
 from __future__ import annotations
 
 import re
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, NotDivisible, ZeroPolynomial
@@ -44,6 +51,7 @@ from .field import (
     int_numerators,
     json_field,
     power_bits,
+    root_power_sum,
     scalar_from_json,
     scalar_to_json,
     scalar_to_text,
@@ -228,8 +236,8 @@ class Poly:
         order = common_order(a.values(), b.values())
         bits = power_bits(order)
         width = (self.total_degree() + other.total_degree()).bit_length()
-        pa, da = int_numerators({_pack(e, width) << bits: c for e, c in a.items()})
-        pb, db = int_numerators({_pack(e, width) << bits: c for e, c in b.items()})
+        pa, da = int_numerators([(_pack(e, width) << bits, c) for e, c in a.items()])
+        pb, db = int_numerators([(_pack(e, width) << bits, c) for e, c in b.items()])
         acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in pa:
@@ -343,6 +351,24 @@ class Poly:
             total = total + value
         return total
 
+    def eval_root_powers(self, order: int, powers: Sequence[int]):
+        """`eval` at the point (w^powers[0], ..., w^powers[n-1]), w a
+        primitive order-n root of unity, with the same value and type: the
+        constant coefficient (ZERO for the zero polynomial) when every term
+        is constant, a CyclotomicScalar otherwise.
+
+        There x^e is w^s with s the dot product of `powers` and e, so the
+        value is one pass over the terms (`field.root_power_sum`), with no
+        scalar products or powers.
+        """
+        if len(powers) != self.arity:
+            raise ArityMismatch(f"{len(powers)} powers vs arity {self.arity}")
+        if not any(map(any, self.terms)):
+            return self.terms.get((0,) * self.arity, ZERO)
+        return root_power_sum(
+            [(sum(map(mul, powers, e)), c) for e, c in self.terms.items()], order
+        )
+
     def derivative(self, var: int) -> "Poly":
         if not 0 <= var < self.arity:
             raise IndexError(f"variable index {var} out of range for arity {self.arity}")
@@ -351,7 +377,7 @@ class Poly:
             e = exps[var]
             if e:
                 key = exps[:var] + (e - 1,) + exps[var + 1 :]
-                out[key] = coeff * e
+                out[key] = coeff * e if e > 1 else coeff
         return Poly._raw(self.arity, out)
 
     def homogeneous_component(self, degree: int) -> "Poly":

@@ -151,6 +151,33 @@ README_DIGESTS = {
     "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
 }
 
+#: SHA-256 of `witness --family F --n N --out` for F = e, h, p and
+#: N = 2..8, recorded before root-of-unity evaluation moved to exponent
+#: arithmetic; the outputs must stay byte-identical
+WITNESS_DIGESTS = {
+    "witness-e-2": "d6703951d7c165144277eaf361cd6415c7cb58e0f375730783130cf69d5889cb",
+    "witness-e-3": "f7fbc12b86b6e482fa53586710f3580a22f0488094356dd2796a166c7287c64e",
+    "witness-e-4": "4b0a013721b7bdebd4769c64d87923a06ac8806e153313fd6030f2cfa5018578",
+    "witness-e-5": "b95e963536bf57438ba29a46291ed6f94bff6b24b76ea1ac14185272289af170",
+    "witness-e-6": "9f7b7049e6e1c89db7dba46bf723700777b43ca67d1c27c4809293f85f8ce5d8",
+    "witness-e-7": "aab64d8072d059d232c75ccc168f56eeb49e1ee66e0078294dd2922d528615bf",
+    "witness-e-8": "66f5d4f21ad93900168640b34650656463068eef7bcf038b825129468f3d059d",
+    "witness-h-2": "ea1c6f70c996b8cc583497097280f82c6651ad2b95edd1a66151b52fa8e7b1b9",
+    "witness-h-3": "8bb48a9894f40ef498de90cc9408e3d90c7c2589a13c311b40504863829a0257",
+    "witness-h-4": "e4dd9c7b0d2a06a75f39b35f344f6474d3b96ec8e00671c89b3fc89ecc68f636",
+    "witness-h-5": "3530f0edca6d43a31cd02f5284506056dcbbf5fae845015ebc8e3003bd3520c1",
+    "witness-h-6": "8b15693abb9bb66f832c8089b9e53578861333279cdb2e1ddc16126f18d026ae",
+    "witness-h-7": "98d322966ee17e0db158855b996339be32ab404b7ce7bf3de5e75bf66195e7a3",
+    "witness-h-8": "207e97be0571cbf65cb144fa281ba3e211f7555b6681e4cc2df608063997a56c",
+    "witness-p-2": "e81d66aad9e6e954d186a25ecddf523ad0056c8460358158e86a82d29c574954",
+    "witness-p-3": "26e63808af07ede1c0470a56994df53a5b474236ac9aa2ca3ac9fcc67070712a",
+    "witness-p-4": "8ed4d50c88c119f2fdd4233113b74782baddc77a6c2ecfb9f7ff87fdb2525ead",
+    "witness-p-5": "3bb11b179dcd8975daee3163bfe984a8d0184d259d89b99a1e2dc7e69bace0d1",
+    "witness-p-6": "dd4c27819c8bef91467af642aa2bd8931d9f40190ce7ee9b07f1282d2a0ced29",
+    "witness-p-7": "89fa5d35a68917650fca8f48bad699f30fbd1a33be8ea9f0b61b5ed2aff3a2be",
+    "witness-p-8": "ed12d97f74000835e309be44d011784997adb0df43e2ac1ef948de9fcce2445a",
+}
+
 #: SHA-256 of `convert` outputs, recorded before the basis conversions moved
 #: from truncated generating series and a linear solve to the classical
 #: recurrences; the outputs must stay byte-identical
@@ -224,6 +251,14 @@ class TestWitnessCommand:
         code, _, _ = run(capsys, "witness", *argv, "--out", str(out_file))
         assert code == 0
         assert sha256(out_file) == README_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", WITNESS_DIGESTS)
+    def test_family_outputs_are_pinned(self, capsys, tmp_path, name):
+        _, family, n = name.split("-")
+        out_file = tmp_path / "witness.json"
+        code, _, _ = run(capsys, "witness", "--family", family, "--n", n, "--out", str(out_file))
+        assert code == 0
+        assert sha256(out_file) == WITNESS_DIGESTS[name]
 
     def test_elementary(self, capsys):
         code, out, _ = run(capsys, "witness", "--family", "e", "--n", "4")
@@ -372,8 +407,9 @@ class TestUsageErrors:
             (("convert", "--to-e-basis", "--input", "p.txt", "--k", "3"), "--k"),
             (("schur", "--lambda", "2/1", "--n", "2", "--route", "ssyt"), "--route"),
             (("schur", "--route", "all", "--lambda", "2,1", "--n", "3", "--format", "text"), "--format"),
+            (("schur", "--lambda", "2/1", "--mu", "2", "--n", "2"), "--mu"),
         ],
-        ids=["e-to-h-input", "to-e-basis-k", "skew-route", "all-routes-text"],
+        ids=["e-to-h-input", "to-e-basis-k", "skew-route", "all-routes-text", "inline-and-mu"],
     )
     def test_flag_the_mode_ignores_is_bad_input(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

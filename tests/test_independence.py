@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from schurkit.errors import InvalidWitness
-from schurkit.field import Rat, bareiss, scalar_to_text
+from schurkit import independence
+from schurkit.errors import InvalidWitness, VerificationFailed
+from schurkit.field import Rat, ScalarMatrix, bareiss, scalar_to_text
 from schurkit.independence import (
     h_family_witness,
     is_independence_witness,
@@ -112,6 +114,19 @@ class TestRootsOfUnityWitness:
             assert witness.jacobian == jacobian_at(jacobian(witness.polys), witness.point)
             for q in witness.polys:
                 assert q.eval(witness.point) == 0
+
+    def test_h_jacobian_off_its_closed_form_fails(self, monkeypatch):
+        build = independence._family_witness
+
+        def off_by_one_entry(n, family, name):
+            witness = build(n, family, name)
+            rows = witness.jacobian.to_rows()
+            rows[1][2] = rows[1][2] + 1
+            return dataclasses.replace(witness, jacobian=ScalarMatrix.from_rows(rows))
+
+        monkeypatch.setattr(independence, "_family_witness", off_by_one_entry)
+        with pytest.raises(VerificationFailed, match=r"entry \(2, 2\)"):
+            h_family_witness(4)
 
     def test_n2_point_is_plus_minus_one(self):
         witness = roots_of_unity_witness(2)

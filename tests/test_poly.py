@@ -2,7 +2,7 @@ import random
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurkit.errors import (
@@ -77,6 +77,61 @@ class TestEval:
     def test_wrong_point_length(self):
         with pytest.raises(ArityMismatch):
             var(2, 0).eval([1])
+
+
+def root_scalars(order):
+    """Rationals with mixed denominators, or values of the order-n field."""
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    cyclotomic = st.lists(rational, min_size=1, max_size=order).map(
+        lambda coeffs: CyclotomicScalar(order, coeffs)
+    )
+    return st.one_of(rational, cyclotomic)
+
+
+@st.composite
+def root_power_polys(draw, arity, order):
+    shape = draw(st.sampled_from(["zero", "constant", "general"]))
+    if shape == "zero":
+        return Poly.zero(arity)
+    if shape == "constant":
+        return Poly.constant(arity, draw(root_scalars(order)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+        terms[exps] = draw(root_scalars(order))
+    return Poly(arity, terms)
+
+
+class TestEvalRootPowers:
+    @given(st.data(), st.integers(1, 16), st.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eval(self, data, order, arity):
+        p = data.draw(root_power_polys(arity, order))
+        powers = data.draw(
+            st.lists(st.integers(0, 2 * order), min_size=arity, max_size=arity)
+        )
+        w = omega(order)
+        expected = p.eval([w**s for s in powers])
+        got = p.eval_root_powers(order, powers)
+        assert type(got) is type(expected)
+        assert got == expected
+        if isinstance(got, CyclotomicScalar):
+            assert (got.order, got.nums, got.den) == (order, expected.nums, expected.den)
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 9))
+    @settings(max_examples=50, deadline=None)
+    def test_other_order_coefficient(self, order, other, arity):
+        assume(order != other)
+        x1 = (1,) + (0,) * (arity - 1)
+        p = Poly(arity, {x1: CyclotomicScalar(other, (1, 2)), (0,) * arity: Rat(1, 2)})
+        with pytest.raises(DomainMismatch):
+            p.eval([omega(order)] * arity)
+        with pytest.raises(DomainMismatch):
+            p.eval_root_powers(order, [1] * arity)
+
+    def test_wrong_number_of_powers(self):
+        with pytest.raises(ArityMismatch):
+            var(2, 0).eval_root_powers(3, [1])
 
 
 class TestCalculus:
