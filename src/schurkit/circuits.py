@@ -51,7 +51,24 @@ class Node:
         raise AttributeError("Node is immutable")
 
     def __reduce__(self):
-        return Node, (self.kind, self.var, self.value, self.children, self.weights)
+        """A flat encoding, so that pickle and deepcopy do not recurse once
+        per level: the distinct nodes in post-order, each naming its
+        children by their index in that list."""
+        nodes = _postorder(self)
+        index = {id(node): i for i, node in enumerate(nodes)}
+        flat = [
+            (n.kind, n.var, n.value, tuple(index[id(c)] for c in n.children), n.weights)
+            for n in nodes
+        ]
+        return _node_from_flat, (flat,)
+
+
+def _node_from_flat(flat: list) -> Node:
+    """Inverse of `Node.__reduce__`; shared nodes stay shared."""
+    nodes: list[Node] = []
+    for kind, var, value, children, weights in flat:
+        nodes.append(Node(kind, var, value, [nodes[i] for i in children], weights))
+    return nodes[-1]
 
 
 def _postorder(root, children=lambda node: node.children) -> list:
@@ -119,16 +136,7 @@ class Formula:
         self.arity = arity
 
     def __reduce__(self):
-        """A flat encoding, so that pickle and deepcopy do not recurse once
-        per level: the distinct nodes in post-order, each naming its
-        children by their index in that list."""
-        nodes = _postorder(self.root)
-        index = {id(node): i for i, node in enumerate(nodes)}
-        flat = [
-            (n.kind, n.var, n.value, tuple(index[id(c)] for c in n.children), n.weights)
-            for n in nodes
-        ]
-        return _formula_from_flat, (flat, self.arity)
+        return Formula, (self.root, self.arity)
 
     # -- metrics -----------------------------------------------------------
 
@@ -145,6 +153,21 @@ class Formula:
         for node in _postorder(self.root):
             depths[id(node)] = 1 + max(depths[id(c)] for c in node.children) if node.children else 0
         return depths[id(self.root)]
+
+    def degree(self) -> int:
+        """An upper bound on the total degree, read off the structure: an
+        input counts 1 and a constant 0, a sum gate takes the max over its
+        live children and a product gate the sum over its children."""
+        degrees: dict[int, int] = {}
+        for node in _postorder(self.root, _live_children):
+            below = [degrees[id(c)] for c in _live_children(node)]
+            if node.kind == "input":
+                degrees[id(node)] = 1
+            elif node.kind == "sum":
+                degrees[id(node)] = max(below, default=0)
+            else:  # a product, or a constant with no children
+                degrees[id(node)] = sum(below)
+        return degrees[id(self.root)]
 
     # -- semantics -----------------------------------------------------------
 
@@ -337,14 +360,6 @@ class Formula:
 
     def __repr__(self):
         return f"Formula(arity={self.arity}, size={self.size()}, depth={self.depth()})"
-
-
-def _formula_from_flat(flat: list, arity: int) -> Formula:
-    """Inverse of `Formula.__reduce__`; shared nodes stay shared."""
-    nodes: list[Node] = []
-    for kind, var, value, children, weights in flat:
-        nodes.append(Node(kind, var, value, [nodes[i] for i in children], weights))
-    return Formula(nodes[-1], arity)
 
 
 def constant_formula(arity: int, value) -> Formula:

@@ -222,7 +222,8 @@ def _cmd_witness(args) -> int:
             "n": n,
             "cyclotomic_order": n,
             "point": [scalar_to_json(x) for x in witness.point],
-            "residuals": [scalar_to_text(q.eval(witness.point)) for q in witness.polys],
+            # point[i] is w^i, so these are the values q.eval(point) gives
+            "residuals": [scalar_to_text(q.eval_root_powers(n, range(n))) for q in witness.polys],
             "certified_rank": witness.rank,
         }
     _write_output(args.out, _dump_json(payload))
@@ -252,8 +253,8 @@ def _cmd_convert(args) -> int:
     if args.mode == "to-e-basis":
         if not args.input:
             raise ValueError("--to-e-basis needs --input")
-        if args.k is not None or args.n is not None:
-            raise ValueError("--k and --n apply to --e-to-h and --e-to-p only")
+        if args.k is not None:
+            raise ValueError("--k applies to --e-to-h and --e-to-p only")
         result = express_in_e_basis(_read_poly(args.input))
         prefix = "e"
     else:
@@ -262,12 +263,12 @@ def _cmd_convert(args) -> int:
             raise ValueError("--e-to-h and --e-to-p need --k")
         if args.input is not None:
             raise ValueError("--input applies to --to-e-basis only")
-        n = args.n if args.n is not None else k
+        # e_k over h_1..h_k or p_1..p_k does not depend on the variable count
         if args.mode == "e-to-h":
-            result = e_in_h_basis(k, n)
+            result = e_in_h_basis(k, k)
             prefix = "h"
         else:
-            result = e_in_p_basis(k, n)
+            result = e_in_p_basis(k, k)
             prefix = "p"
     if args.format == "json":
         _write_output(args.out, _dump_json(result.to_json()))
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--e-to-p", dest="mode", action="store_const", const="e-to-p")
     group.add_argument("--to-e-basis", dest="mode", action="store_const", const="to-e-basis")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 

@@ -15,14 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
+from .errors import BudgetExceeded, ZeroPolynomial
 from .field import ONE
-from .independence import (
-    is_independence_witness,
-    jacobian,
-    jacobian_at,
-    shifted_witness,
-)
+from .independence import shifted_witness, witness_jacobian
 from .poly import Poly, grlex_key
 
 DEFAULT_DERIVATIVE_BUDGET = 8192
@@ -143,15 +138,11 @@ def product_pdc_check(polys, point, budget: int | None = None) -> ProductBoundRe
 
     Also re-verifies the shift structure underlying the bound: at the witness
     every factor has a zero constant term and the degree-one components (the
-    Jacobian rows there) are linearly independent.
+    Jacobian rows there) are linearly independent (`witness_jacobian`).
     """
     polys = list(polys)
     k = len(polys)
-    if not is_independence_witness(polys, point):
-        raise InvalidWitness("point is not a common zero with full Jacobian rank")
-    # the witness check compares with the symbolic rank, which may be below k
-    if jacobian_at(jacobian(polys), point).rank() != k:
-        raise InvalidWitness("Jacobian rank at the point is below the family size")
+    witness_jacobian(polys, point)
     product = Poly.constant(polys[0].arity, 1)
     for q in polys:
         product = product * q

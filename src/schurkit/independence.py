@@ -103,6 +103,18 @@ def is_independence_witness(polys, point, seed: int = 0) -> bool:
     return jacobian_at(jac, point).rank() == symbolic_rank(jac, seed=seed)
 
 
+def witness_jacobian(polys, point) -> ScalarMatrix:
+    """The Jacobian of `polys` at `point`; raises InvalidWitness unless every
+    poly vanishes there and that Jacobian has full row rank len(polys)."""
+    polys = list(polys)
+    if any(q.eval(point) != 0 for q in polys):
+        raise InvalidWitness("the point is not a common zero of the family")
+    jac = jacobian_at(jacobian(polys), point)
+    if jac.rank() != len(polys):
+        raise InvalidWitness("Jacobian rank at the point is below the family size")
+    return jac
+
+
 def roots_of_unity_point(n: int) -> tuple:
     """(1, w, w^2, ..., w^(n-1)) with w a primitive n-th root of unity."""
     w = omega(n)

@@ -4,8 +4,8 @@ Every pass here takes a formula and returns a formula whose expansion is a
 specified transform of the input's expansion, so each one is directly
 checkable by the brute-force expansion oracle:
 
-* homogeneous-component extraction by Lagrange interpolation over input
-  scalings (weights from `field.interpolation_weights`),
+* homogeneous-component extraction by Lagrange interpolation over the input
+  scalings t = 0..f.degree() (weights from `field.interpolation_weights`),
 * shifting the inputs by a point,
 * division elimination through a truncated geometric series around a
   non-vanishing point of the divisor,
@@ -33,7 +33,6 @@ from .circuits import (
 )
 from .errors import (
     ArityMismatch,
-    InvalidWitness,
     NoNonvanishingPoint,
     NotReducible,
     ReductionMismatch,
@@ -48,12 +47,7 @@ from .field import (
     interpolation_weights,
     scalar_to_json,
 )
-from .independence import (
-    h_family_witness,
-    is_independence_witness,
-    jacobian,
-    jacobian_at,
-)
+from .independence import h_family_witness, witness_jacobian
 from .partitions import Partition
 from .poly import Poly
 from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_labels, schur_jt_h
@@ -74,38 +68,33 @@ def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
     return Formula.combine(copies, interpolation_weights(bound, degrees))
 
 
-def homogeneous_component_formula(
-    f: Formula, degree: int, degree_bound: int | None = None
-) -> Formula:
+def homogeneous_component_formula(f: Formula, degree: int) -> Formula:
     """A formula for the degree-d homogeneous component of f.
 
     Interpolation over input scalings: f(t*x) is a polynomial in t whose
     t^d coefficient is the wanted component, so the scaled copies at
     t = 0..D weighted by the t^d coefficients of the Lagrange basis on those
-    nodes isolate it.  D defaults to the formula size, which always bounds
-    the degree; callers that know the true degree should pass it for a much
-    smaller formula.
+    nodes isolate it.  D is `f.degree()`, the degree bound read off the
+    structure; a component above it is zero.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    bound = f.size() if degree_bound is None else degree_bound
+    bound = f.degree()
     if degree > bound:
         return constant_formula(f.arity, 0)
     return _interpolated_combination(f, bound, (degree,))
 
 
-def low_degree_truncation_formula(
-    f: Formula, degree: int, degree_bound: int | None = None
-) -> Formula:
+def low_degree_truncation_formula(f: Formula, degree: int) -> Formula:
     """A formula for the sum of the homogeneous components of f of degree <= d.
 
-    Same interpolation as single-component extraction, each copy weighted by
-    the sum of its Lagrange weights for degrees 0..d, so the scaled copies
-    are shared instead of being rebuilt per component.
+    Same interpolation as single-component extraction, on t = 0..f.degree(),
+    each copy weighted by the sum of its Lagrange weights for degrees 0..d,
+    so the scaled copies are shared instead of being rebuilt per component.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    bound = f.size() if degree_bound is None else degree_bound
+    bound = f.degree()
     return _interpolated_combination(f, bound, range(min(degree, bound) + 1))
 
 
@@ -176,10 +165,7 @@ def divide_formula(
     candidate = Formula(
         prod_node([p1.root, sum_node(geom_children), const(ONE / r0)]), arity
     )
-    cand_degree = p_poly.total_degree() + degree_bound * max(r_poly.total_degree(), 0)
-    truncated = low_degree_truncation_formula(
-        candidate, degree_bound, degree_bound=cand_degree
-    )
+    truncated = low_degree_truncation_formula(candidate, degree_bound)
     return shift_formula(truncated, tuple(-x for x in a))
 
 
@@ -187,14 +173,12 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(f, expanded, inner, degree, point, jacobian_rows=None, budget=None):
+def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=None):
     """`recover_outer_formula` with the pass trace; `expanded` is f.expand().
 
-    `jacobian_rows`, when given, are the inner family's Jacobian rows at
-    `point`, taken from a witness whose whole Jacobian there was verified to
-    have full row rank.  The witness check is then skipped: any k of those
-    rows have rank k, the maximum, which therefore equals the symbolic rank.
-    `budget` bounds the verification expansion.
+    `jacobian_rows` are the inner family's Jacobian rows at `point`, a
+    common zero of the family (see `independence.witness_jacobian`); they
+    must have rank k.  `budget` bounds the verification expansion.
     """
     inner = list(inner)
     k = len(inner)
@@ -202,19 +186,12 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows=None, budge
     for q in inner:
         if q.arity != arity:
             raise ArityMismatch("inner polynomials disagree with formula arity")
-    if jacobian_rows is None:
-        if not is_independence_witness(inner, point):
-            raise InvalidWitness(
-                "the supplied point is not a common zero with full Jacobian rank"
-            )
-        jacobian_rows = jacobian_at(jacobian(inner), point).to_rows()
     trace = []
 
     shifted = shift_formula(f, point)
     trace.append(("shift-to-witness", shifted))
 
-    bound = max(expanded.total_degree(), degree, 0)
-    extracted = homogeneous_component_formula(shifted, degree, degree_bound=bound)
+    extracted = homogeneous_component_formula(shifted, degree)
     trace.append((f"extract-degree-{degree}", extracted))
 
     _, cols = gauss_jordan(jacobian_rows)
@@ -263,9 +240,12 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     forms), and undoes those linear forms through an exact matrix inverse.
 
     The result is expanded and re-composed with the inner family; a mismatch
-    (e.g. a non-homogeneous g) raises ReductionMismatch.
+    (e.g. a non-homogeneous g) raises ReductionMismatch; a point that is not
+    a common zero with Jacobian rank k raises InvalidWitness.
     """
-    result, _ = _recover_traced(f, f.expand(), inner, degree, point)
+    inner = list(inner)
+    rows = witness_jacobian(inner, point).to_rows()
+    result, _ = _recover_traced(f, f.expand(), inner, degree, point, rows)
     return result
 
 

@@ -76,6 +76,19 @@ class TestEvalAndExpand:
             f = random_formula(rng, arity=2)
             assert f.expand().total_degree() <= f.size()
 
+    def test_structural_degree_bounds_expansion(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            f = random_formula(rng, arity=3)
+            assert f.degree() >= f.expand().total_degree()
+
+    def test_structural_degree_skips_zero_weight_edges(self):
+        square = prod_node([inp(0), inp(0)])
+        f = Formula(sum_node([inp(1), square], [1, 0]), 2)
+        assert f.degree() == 1
+        assert Formula(sum_node([square], [0]), 2).degree() == 0
+        assert Formula(prod_node([square, const(3), inp(1)]), 2).degree() == 3
+
     def test_budget_guard(self):
         # (x+1)^(2^6) by repeated squaring has 65 distinct terms
         node = sum_node([inp(0), const(1)])
@@ -217,6 +230,7 @@ class TestDeepFormulas:
         f = deep_chain(kind)
         assert f.size() == 2 * DEEP + 1
         assert f.depth() == DEEP
+        assert f.degree() == (DEEP + 1 if kind == "product" else 1)
 
     def test_eval_and_expand(self, kind):
         f = deep_chain(kind)
@@ -242,6 +256,11 @@ class TestDeepFormulas:
     def test_pickle_and_deepcopy(self, kind):
         f = deep_chain(kind)
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert (g.size(), g.depth()) == (f.size(), f.depth())
+            assert g.expand() == f.expand()
+        # a bare node, outside any Formula, copies just as flat
+        for root in (pickle.loads(pickle.dumps(f.root)), copy.deepcopy(f.root)):
+            g = Formula(root, f.arity)
             assert (g.size(), g.depth()) == (f.size(), f.depth())
             assert g.expand() == f.expand()
 

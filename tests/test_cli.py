@@ -391,6 +391,7 @@ class TestUsageErrors:
             ("schur", "--lambda", "2", "--n", "3", "--seed", "1"),
             ("witness", "--family", "h", "--n", "4", "--budget", "1"),
             ("convert", "--e-to-h", "--k", "2", "--seed", "1"),
+            ("convert", "--e-to-h", "--k", "2", "--n", "9"),
         ],
     )
     def test_unread_flag_is_bad_input(self, capsys, argv):

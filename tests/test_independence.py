@@ -16,6 +16,7 @@ from schurkit.independence import (
     roots_of_unity_witness,
     shifted_witness,
     symbolic_rank,
+    witness_jacobian,
 )
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly, h_poly, p_poly
@@ -172,6 +173,22 @@ class TestWitnessCheck:
         for size in range(1, n):
             for subset in itertools.combinations(family, size):
                 assert is_independence_witness(list(subset), point)
+
+
+class TestWitnessJacobian:
+    def test_returns_the_evaluated_jacobian(self):
+        point = roots_of_unity_witness(4).point
+        polys = [h_poly(k, 4) for k in (1, 3)]
+        assert witness_jacobian(polys, point) == jacobian_at(jacobian(polys), point)
+
+    def test_off_the_zero_set_rejected(self):
+        with pytest.raises(InvalidWitness):
+            witness_jacobian([e_poly(1, 2)], [Rat(1), Rat(0)])
+
+    def test_dependent_pair_rejected(self):
+        x = Poly.variable(2, 0)
+        with pytest.raises(InvalidWitness):
+            witness_jacobian([x, x * 2], [Rat(0), Rat(0)])
 
 
 class TestJacobianMinorIdentity:

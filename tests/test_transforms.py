@@ -78,11 +78,15 @@ class TestHomogeneousExtraction:
                     assert component.is_zero()
             assert total == expansion
 
-    def test_caller_degree_bound(self):
+    def test_copies_stop_at_structural_degree(self):
+        # (1 + x)(1 + y) has structural degree 2: three scaled copies,
+        # t = 0..2, not one per node of the formula
         f = one_plus_x_product()
-        g = homogeneous_component_formula(f, 1, degree_bound=2)
+        assert f.degree() == 2
+        g = homogeneous_component_formula(f, 1)
         assert g.expand() == Poly(2, {(1, 0): 1, (0, 1): 1})
-        assert g.size() < homogeneous_component_formula(f, 1).size()
+        assert len(g.root.children) == 3
+        assert g.size() == 3 * (f.size() + 2) + 1
 
 
 class TestShift:
@@ -201,10 +205,14 @@ class TestRecoverOuter:
             recover_outer_formula(
                 self.compose(g), self.inner, 2, (Rat(0), Rat(0), Rat(0))
             )
+        # a dependent family has no witness anywhere
+        e1 = self.inner[0]
+        with pytest.raises(InvalidWitness):
+            recover_outer_formula(formula_from_poly(e1 * e1), [e1, e1], 2, self.witness.point)
 
     def test_rank_deficient_witness_rows_rejected(self):
-        # handed Jacobian rows, the pass skips the witness check but still
-        # needs k independent rows
+        # the pass takes the witness rows as given but still needs k
+        # independent ones
         f = self.compose(Formula(prod_node([inp(0), inp(1)]), 2))
         rows = self.witness.jacobian.to_rows()
         with pytest.raises(VerificationFailed):
@@ -277,6 +285,15 @@ def test_jacobi_trudi_formula_expands_to_schur():
     for parts, n in [((2, 1), 3), ((3, 2), 5)]:
         lam = Partition(parts)
         assert jacobi_trudi_formula(lam, n).expand() == schur_jt_h(lam, n)
+
+
+@pytest.mark.parametrize(
+    "parts, n", [((3, 2), 5), ((4, 2), 6), ((6, 3), 8), ((7, 5, 3), 10)]
+)
+def test_jacobi_trudi_structural_degree_is_the_weight(parts, n):
+    # the extraction bound of the reduction is read off this structure
+    lam = Partition(parts)
+    assert jacobi_trudi_formula(lam, n).degree() == lam.weight
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
