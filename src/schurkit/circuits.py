@@ -8,7 +8,11 @@ i.e. treat the structure as a tree.
 
 Full symbolic expansion to a `Poly` is the brute-force oracle that every
 transformation pass in this package is checked against, so it is guarded by a
-term budget rather than being clever.
+term budget that counts monomials.  It runs in the packed integer form of
+the `Poly` product kernel: each leaf is encoded once, every product gate
+calls the kernel that `Poly.__mul__` calls (`poly.packed_product`, with the
+power-of-w fold `field.fold_powers`), sum gates add integer numerators, and
+only the root is decoded into a `Poly`.
 
 An ABP is a layered graph with one source and one sink whose edges carry
 affine labels; it computes the sum over source-to-sink paths of the product
@@ -17,6 +21,7 @@ of the labels.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Mapping, Sequence
 
@@ -26,11 +31,15 @@ from .field import (
     ZERO,
     CyclotomicScalar,
     as_scalar,
+    common_order,
+    from_int_numerators,
+    int_numerators,
     json_field,
+    power_bits,
     scalar_from_json,
     scalar_to_json,
 )
-from .poly import Poly
+from .poly import Poly, _pack, _unpack, packed_product
 
 DEFAULT_TERM_BUDGET = 500_000
 
@@ -90,6 +99,17 @@ def _postorder(root, children=lambda node: node.children) -> list:
             stack.append((item, True))
             stack.extend((c, False) for c in reversed(children(item)))
     return order
+
+
+def _content_free(acc: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators over `den` with the gcd of `den` and all of them
+    divided out; zero is stored over 1."""
+    if den != 1:
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            acc = {k: v // g for k, v in acc.items()}
+            den //= g
+    return acc, den
 
 
 def _live_children(node: Node):
@@ -197,47 +217,99 @@ class Formula:
     def expand(self, budget: int | None = None) -> Poly:
         """Full symbolic expansion (the brute-force oracle).
 
-        Guarded by a term budget on every intermediate polynomial.  Nothing is
-        cached: each call expands afresh under its own budget.
+        Guarded by a term budget: the value of every sum gate and every
+        partial product of a product gate may have at most `budget`
+        monomials.  Nothing is cached: each call expands afresh under its
+        own budget.
+
+        The coefficient domain is fixed by the live scalars, the constants
+        and non-zero edge weights reachable from the root through non-zero
+        edges.  With no live cyclotomic scalar every coefficient is a `Rat`;
+        otherwise every coefficient is a `CyclotomicScalar` of that one
+        order, as in `Poly.__mul__`, and two live orders raise
+        DomainMismatch.
+
+        One key width, from `degree()`, serves every node: no live node's
+        degree exceeds the root's bound.  A node's value is a dict from
+        packed key plus power of w to an integer numerator, over one
+        denominator.  A product gate runs `packed_product`; a sum gate adds
+        the weight-scaled numerators of all its children over the lcm of
+        their denominators.  Each gate's value has its zeros dropped and
+        one gcd divided out; only the root is decoded into scalars.
         """
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
-        zero = Poly.zero(arity)
-        values: dict[int, Poly] = {}
-        for node in _postorder(self.root, _live_children):
+        width = max(1, self.degree()).bit_length()
+        nodes = _postorder(self.root, _live_children)
+        order = common_order(
+            [n.value for n in nodes if n.kind == "const"],
+            [w for n in nodes if n.kind == "sum" for w in n.weights if w],
+        )
+        bits = power_bits(order)
+
+        def monomials(d: dict) -> int:
+            return len({k >> bits for k in d}) if bits else len(d)
+
+        def over_budget(d: dict) -> bool:
+            # entries bound monomials from above, so most gates skip the count
+            return len(d) > budget and monomials(d) > budget
+
+        values: dict[int, tuple[dict, int]] = {}
+        for node in nodes:
             if node.kind == "input":
-                value = Poly.variable(arity, node.var)
+                unit = [0] * arity
+                unit[node.var] = 1
+                value = {_pack(unit, width) << bits: 1}, 1
             elif node.kind == "const":
-                value = Poly.constant(arity, node.value)
+                nums, den = int_numerators([(0, node.value)])
+                value = {k: v for k, v in nums if v}, den
             elif node.kind == "sum":
-                value = zero
+                parts = []  # (numerators, integer factor, denominator)
                 for w, c in zip(node.weights, node.children):
                     if w:
-                        child = values[id(c)]
-                        # a cyclotomic 1 still moves rational coefficients
-                        # into its field, so only the rational 1 is skipped
-                        if w != 1 or isinstance(w, CyclotomicScalar):
-                            child = child * w
-                        value = value + child
-                if value.num_terms() > budget:
+                        child, den = values[id(c)]
+                        if isinstance(w, CyclotomicScalar):
+                            nums, wden = int_numerators([(0, w)])
+                            child = packed_product(child.items(), nums, order)
+                            parts.append((child, 1, den * wden))
+                        else:
+                            parts.append((child, w.numerator, den * w.denominator))
+                den = math.lcm(*(d for _, _, d in parts))
+                acc: dict[int, int] = {}
+                get = acc.get
+                for child, a, d in parts:
+                    m = a * (den // d)
+                    for k, v in child.items():
+                        acc[k] = get(k, 0) + v * m
+                value = _content_free({k: v for k, v in acc.items() if v}, den)
+                if over_budget(value[0]):
                     raise BudgetExceeded(
                         f"expansion exceeded {budget} terms at a sum gate"
                     )
             else:
                 factors = [values[id(c)] for c in node.children]
-                if any(f.is_zero() for f in factors):
-                    value = zero
+                if not factors:
+                    value = {0: 1}, 1
+                elif not all(d for d, _ in factors):
+                    value = {}, 1
                 else:
-                    factors.sort(key=lambda f: f.num_terms())
-                    value = factors[0] if factors else Poly.constant(arity, 1)
-                    for f in factors[1:]:
-                        value = value * f
-                        if value.num_terms() > budget:
+                    # smallest first; with two factors the order changes
+                    # no intermediate, so the count is skipped
+                    if len(factors) > 2:
+                        factors.sort(key=lambda f: monomials(f[0]))
+                    acc, den = factors[0]
+                    for d, fden in factors[1:]:
+                        acc = packed_product(acc.items(), d.items(), order)
+                        den *= fden
+                        if over_budget(acc):
                             raise BudgetExceeded(
                                 f"expansion exceeded {budget} terms at a product gate"
                             )
+                    value = _content_free(acc, den)
             values[id(node)] = value
-        return values[id(self.root)]
+        acc, den = values[id(self.root)]
+        out = from_int_numerators(acc, order, den)
+        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
 
     # -- structural passes ---------------------------------------------------
 

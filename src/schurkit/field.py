@@ -27,10 +27,13 @@ callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
 determinant over any integral domain, `gauss_jordan` the reduced echelon
 form over a field, and `interpolation_weights` the Lagrange weights that
 read coefficients off a polynomial's values at 0, 1, 2, ....  It also owns
-the coefficient side of the `Poly` product kernel: `common_order` finds the
-one field of both operands, `int_numerators` writes coefficients as integer
-numerators over a common denominator, and `from_int_numerators` turns the
-summed numerators back into scalars.  The same numerators evaluate a
+the coefficient side of the `Poly` product kernel (`poly.packed_product`,
+called by `Poly.__mul__` and by `Formula.expand`): `common_order` finds the
+one field of the operands, `int_numerators` writes coefficients as integer
+numerators over a common denominator, `fold_powers` reduces the powers of w
+a product leaves (modulo n, then modulo Phi_n) so that the result can be
+multiplied again, and `from_int_numerators` turns numerators back into
+scalars.  The same numerators evaluate a
 polynomial at a point of powers of w: `root_power_sum` drops each into one
 of n buckets by its power of w modulo n and reduces the buckets once.
 """
@@ -459,29 +462,66 @@ def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
     return _canonical(order, _reduce_ints(order, deg, buckets), den)
 
 
-def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:
-    """Inverse of `int_numerators` after a product: `acc` maps
-    (key << power_bits(order)) + power of w to an integer numerator over
-    `den`.  Returns {key: scalar} without zeros, every scalar in the order-n
-    field (rational when `order` is None)."""
+@functools.lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple:
+    """For each power p = 0 .. 2*deg - 2 of w, the (index, coefficient)
+    pairs of w^p in the power basis: p first folds modulo n (w^n = 1), and a
+    folded power j >= deg is replaced by its row of `_power_reductions`."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    rows = _power_reductions(n)
+    out = []
+    for p in range(2 * deg - 1):
+        j = p % n
+        out.append(((j, 1),) if j < deg else rows[j - deg])
+    return tuple(out)
+
+
+def fold_powers(acc: dict, order: int | None) -> dict:
+    """The packed product numerators `acc` in canonical form: zeros dropped
+    and, in the order-n field, every power of w in the low `power_bits`
+    field brought below deg by `_fold_rows`.
+
+    `acc` maps (key << power_bits(order)) + power of w, the power at most
+    2*deg - 2 as in the product of two folded operands, to an integer
+    numerator.  A key of the result is zero-free and its powers are a
+    power-basis index, so a monomial is zero exactly when it has no key.
+    """
     if order is None:
-        return {k: Rat(v, den) for k, v in acc.items() if v}
+        return {k: v for k, v in acc.items() if v}
+    deg = len(cyclotomic_polynomial(order)) - 1
+    mask = (1 << power_bits(order)) - 1
+    rows = _fold_rows(order)
+    out: dict[int, int] = {}
+    get = out.get
+    for k, v in acc.items():
+        if v:
+            p = k & mask
+            if p < deg:
+                out[k] = get(k, 0) + v
+            else:
+                k -= p
+                for i, r in rows[p]:
+                    out[k + i] = get(k + i, 0) + v * r
+    return {k: v for k, v in out.items() if v}
+
+
+def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:
+    """Inverse of `int_numerators` on numerators in the form `fold_powers`
+    gives: `acc` maps (key << power_bits(order)) + power of w to a non-zero
+    integer numerator over `den`.  Returns {key: scalar}, every scalar in
+    the order-n field (rational when `order` is None)."""
+    if order is None:
+        return {k: Rat(v, den) for k, v in acc.items()}
     deg = len(cyclotomic_polynomial(order)) - 1
     bits = power_bits(order)
     mask = (1 << bits) - 1
     vecs: dict[int, list] = {}
     for k, v in acc.items():
-        if v:
-            vec = vecs.get(k >> bits)
-            if vec is None:
-                vec = vecs[k >> bits] = [0] * (2 * deg - 1)
-            vec[k & mask] += v
-    out = {}
-    for k, vec in vecs.items():
-        nums = _reduce_ints(order, deg, vec)
-        if any(nums):
-            out[k] = _canonical(order, nums, den)
-    return out
+        vec = vecs.get(k >> bits)
+        if vec is None:
+            vec = vecs[k >> bits] = [0] * deg
+        vec[k & mask] = v
+    return {k: _canonical(order, vec, den) for k, vec in vecs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,22 @@ dividend's degree for a division).  No field can carry, so
 key(a * b) == key(a) + key(b), and integer order is graded-lex order:
 `max` over keys finds the leading term without a key function.
 
-A product is an integer kernel.  Each operand becomes packed keys with
+A product is an integer kernel, `packed_product`, with two callers:
+`Poly.__mul__` and `Formula.expand`.  An operand is packed keys with
 integer numerators over one common denominator (`field.int_numerators`); a
 cyclotomic coefficient contributes one entry per non-zero power-basis
 numerator, with the power of w in an extra low field.  The inner loop adds
-keys and multiplies ints, and each output monomial is turned back into a
-scalar once (`field.from_int_numerators`).  Rational operands give rational
-coefficients; if either operand has a cyclotomic coefficient, every product
-coefficient lies in that one cyclotomic field, and two orders raise
-DomainMismatch.  Exact division keeps its scalar arithmetic, as the
-divisor's leading coefficient is in general no unit, but finds each leading
-term and each target monomial on packed keys.
+keys and multiplies ints, and `field.fold_powers` brings every power of w
+back into the power basis, so a result can be the next product's operand.
+`Poly.__mul__` encodes its two operands and decodes the result
+(`field.from_int_numerators`); `Formula.expand` encodes each leaf once and
+decodes only the root.  Rational operands give rational coefficients; if
+either operand has a cyclotomic coefficient, every product coefficient lies
+in that one cyclotomic field, and two orders raise DomainMismatch.
+
+Exact division keeps its scalar arithmetic, as the divisor's leading
+coefficient is in general no unit, but finds each leading term and each
+target monomial on packed keys.
 
 `eval` works at any point by scalar products and powers.  At a point of
 powers of one root of unity, (w^p_1, ..., w^p_n), `eval_root_powers` gives
@@ -47,6 +52,7 @@ from .field import (
     Rat,
     as_scalar,
     common_order,
+    fold_powers,
     from_int_numerators,
     int_numerators,
     json_field,
@@ -78,6 +84,27 @@ def _unpack(key: int, arity: int, width: int) -> tuple[int, ...]:
         exps[i] = key & mask
         key >>= width
     return tuple(exps)
+
+
+def packed_product(pa, pb, order: int | None) -> dict:
+    """The product kernel: the product of two packed operands, in the
+    canonical form of `field.fold_powers`.
+
+    An operand is a sized iterable of pairs: (key << power_bits(order)) +
+    power of w, and an integer numerator.  Keys add and numerators
+    multiply, so the result is over the product of the operands'
+    denominators.  Every power of w in an operand must be below the field's
+    degree, and the two total degrees together must fit the key width.
+    """
+    if len(pb) < len(pa):
+        pa, pb = pb, pa
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return fold_powers(acc, order)
 
 
 class Poly:
@@ -231,21 +258,13 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly.zero(self.arity)
         a, b = self.terms, other.terms
-        if len(b) < len(a):
-            a, b = b, a
         order = common_order(a.values(), b.values())
         bits = power_bits(order)
         width = (self.total_degree() + other.total_degree()).bit_length()
         pa, da = int_numerators([(_pack(e, width) << bits, c) for e, c in a.items()])
         pb, db = int_numerators([(_pack(e, width) << bits, c) for e, c in b.items()])
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+        out = from_int_numerators(packed_product(pa, pb, order), order, da * db)
         arity = self.arity
-        out = from_int_numerators(acc, order, da * db)
         return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
 
     __rmul__ = __mul__

@@ -176,6 +176,11 @@ def divide_formula(
 def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=None):
     """`recover_outer_formula` with the pass trace; `expanded` is f.expand().
 
+    The degree extraction interpolates over t = 0..expanded.total_degree():
+    shifting keeps the total degree, so that bound holds for the shifted
+    formula, and a cancelling pair of high-degree terms, which inflates
+    `f.degree()`, does not inflate it.
+
     `jacobian_rows` are the inner family's Jacobian rows at `point`, a
     common zero of the family (see `independence.witness_jacobian`); they
     must have rank k.  `budget` bounds the verification expansion.
@@ -191,7 +196,11 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=Non
     shifted = shift_formula(f, point)
     trace.append(("shift-to-witness", shifted))
 
-    extracted = homogeneous_component_formula(shifted, degree)
+    bound = expanded.total_degree()
+    if degree > bound:
+        extracted = constant_formula(arity, 0)
+    else:
+        extracted = _interpolated_combination(shifted, bound, (degree,))
     trace.append((f"extract-degree-{degree}", extracted))
 
     _, cols = gauss_jordan(jacobian_rows)

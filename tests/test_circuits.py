@@ -10,6 +10,8 @@ import pytest
 from schurkit.circuits import (
     ABP,
     Formula,
+    _live_children,
+    _postorder,
     const,
     constant_formula,
     det_abp,
@@ -20,9 +22,90 @@ from schurkit.circuits import (
     sum_node,
     variable_formula,
 )
-from schurkit.errors import ArityMismatch, BudgetExceeded, LengthMismatch
-from schurkit.field import ONE, Rat, ScalarMatrix, ZERO, omega
+from schurkit.errors import ArityMismatch, BudgetExceeded, DomainMismatch, LengthMismatch
+from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, ZERO, omega
 from schurkit.poly import Poly
+
+
+def naive_expand(f: Formula) -> Poly:
+    """Gate-by-gate `Poly` arithmetic: the reference for the packed integer
+    expansion behind `Formula.expand`.  Its coefficients may mix `Rat` and
+    `CyclotomicScalar` values."""
+    arity = f.arity
+    zero = Poly.zero(arity)
+    values: dict[int, Poly] = {}
+    for node in _postorder(f.root, _live_children):
+        if node.kind == "input":
+            value = Poly.variable(arity, node.var)
+        elif node.kind == "const":
+            value = Poly.constant(arity, node.value)
+        elif node.kind == "sum":
+            value = zero
+            for w, c in zip(node.weights, node.children):
+                if w:
+                    value = value + values[id(c)] * w
+        else:
+            value = Poly.constant(arity, 1)
+            for c in node.children:
+                value = value * values[id(c)]
+        values[id(node)] = value
+    return values[id(f.root)]
+
+
+def live_orders(f: Formula) -> set:
+    """The orders of the cyclotomic constants and non-zero weights that a
+    walk from the root along non-zero edges reaches."""
+    orders = set()
+    stack = [f.root]
+    while stack:
+        node = stack.pop()
+        scalars = [node.value] if node.kind == "const" else [w for w in node.weights or () if w]
+        orders |= {c.order for c in scalars if isinstance(c, CyclotomicScalar)}
+        stack.extend(_live_children(node))
+    return orders
+
+
+def assert_expands_as_reference(f: Formula) -> Poly:
+    """f.expand() equals the reference, hashes alike, and has one domain:
+    all `Rat` with no live cyclotomic scalar, else all `CyclotomicScalar`
+    of the one live order."""
+    got, expected = f.expand(), naive_expand(f)
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert all(got.terms.values())
+    orders = live_orders(f)
+    types = {type(c) for c in got.terms.values()}
+    if orders:
+        assert types <= {CyclotomicScalar}
+        assert {c.order for c in got.terms.values()} <= orders
+    else:
+        assert types <= {type(ONE)}
+    return got
+
+
+def random_scalar(rng: random.Random, order):
+    """A small rational or, for an order, a cyclotomic value; zero at times."""
+    if order is None or rng.random() < 0.4:
+        return Rat(rng.randint(-3, 3), rng.randint(1, 3))
+    nums = [Rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, order))]
+    return CyclotomicScalar(order, nums)
+
+
+def random_weighted_formula(rng: random.Random, arity: int, order, max_depth: int = 3) -> Formula:
+    """Random sums and products with constants and weights from
+    `random_scalar` (some edges of weight zero) over `arity` inputs."""
+
+    def build(depth: int):
+        if depth <= 0 or rng.random() < 0.25:
+            if rng.random() < 0.2:
+                return const(random_scalar(rng, order))
+            return inp(rng.randrange(arity))
+        children = [build(depth - 1) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            return prod_node(children)
+        return sum_node(children, [random_scalar(rng, order) for _ in children])
+
+    return Formula(build(max_depth), arity)
 
 
 def sum_formula(arity=2):
@@ -101,6 +184,87 @@ class TestEvalAndExpand:
         assert f.expand().num_terms() == 65
         with pytest.raises(BudgetExceeded):
             f.expand(budget=10)
+
+
+class TestPackedExpansion:
+    """`Formula.expand` against the gate-by-gate reference `naive_expand`."""
+
+    @pytest.mark.parametrize("order", [None, 3, 5, 8, 12])
+    def test_random_formulas(self, order):
+        rng = random.Random(order or 1)
+        for _ in range(25):
+            assert_expands_as_reference(random_weighted_formula(rng, 3, order))
+
+    @pytest.mark.parametrize("order", [None, 3, 5, 8, 12])
+    def test_cancellation_to_zero(self, order):
+        rng = random.Random(100 + (order or 1))
+        for _ in range(10):
+            g = random_weighted_formula(rng, 2, order)
+            c = random_scalar(rng, order) or ONE
+            f = Formula(sum_node([g.root, g.root], [c, -c]), 2)
+            assert assert_expands_as_reference(f).is_zero()
+
+    @pytest.mark.parametrize("order", [None, 5, 8])
+    def test_product_with_a_zero_factor(self, order):
+        rng = random.Random(200 + (order or 1))
+        x = inp(0)
+        vanishing = sum_node([x, x], [ONE, -ONE])
+        for zero in (const(0), vanishing, sum_node([x], [0])):
+            g = random_weighted_formula(rng, 2, order)
+            f = Formula(prod_node([g.root, zero, inp(1)]), 2)
+            assert assert_expands_as_reference(f).is_zero()
+
+    def test_zero_weight_edges_are_skipped(self):
+        w = omega(5)
+        square = prod_node([inp(0), inp(0)])
+        f = Formula(sum_node([inp(1), square, const(w)], [w, 0, CyclotomicScalar(5, [])]), 2)
+        assert assert_expands_as_reference(f) == Poly(2, {(0, 1): w})
+
+    def test_order_five_folds_powers_modulo_five(self):
+        # w^2 * w^3 = w^5 = 1 needs the fold modulo n before Phi_5's rows
+        w = omega(5)
+        f = Formula(prod_node([sum_node([inp(0)], [w**3]), sum_node([inp(0)], [w**2 + w**3])]), 1)
+        assert assert_expands_as_reference(f) == Poly(1, {(2,): 1 + w})
+
+
+class TestCoefficientDomain:
+    def test_rational_formula_has_rational_coefficients(self):
+        f = Formula(sum_node([prod_node([inp(0), inp(1)]), const(3)], [Rat(1, 2), ONE]), 2)
+        assert {type(c) for c in f.expand().terms.values()} == {type(ONE)}
+
+    def test_one_live_order_lifts_every_coefficient(self):
+        # the reference keeps x2 rational; the expansion stores it in Q(w)
+        w = omega(8)
+        f = Formula(sum_node([inp(0), inp(1)], [w, ONE]), 2)
+        got, mixed = f.expand(), naive_expand(f)
+        assert {type(c) for c in mixed.terms.values()} == {CyclotomicScalar, type(ONE)}
+        assert {type(c) for c in got.terms.values()} == {CyclotomicScalar}
+        assert got == mixed and hash(got) == hash(mixed)
+        assert got.terms[(0, 1)] == 1 and got.terms[(0, 1)].order == 8
+
+    def test_two_live_orders_raise(self):
+        # the two orders never meet in one coefficient, yet both are live
+        f = Formula(sum_node([inp(0), inp(1)], [omega(5), omega(8)]), 2)
+        with pytest.raises(DomainMismatch):
+            f.expand()
+
+    def test_a_dead_order_is_ignored(self):
+        f = Formula(sum_node([inp(0), const(omega(5))], [omega(8), 0]), 2)
+        assert f.expand() == Poly(2, {(1, 0): omega(8)})
+
+
+def test_budget_counts_monomials():
+    # (x + w y)(x + w^3 y)(x + (1 + w) y) over Q(w), w of order 8: the largest
+    # intermediate is the product itself, with P = 4 monomials, and its
+    # coefficients have more power-basis entries than that
+    w = omega(8)
+    forms = [sum_node([inp(0), inp(1)], [ONE, c]) for c in (w, w**3, 1 + w)]
+    f = Formula(prod_node(forms), 2)
+    product = f.expand(budget=4)
+    assert product.num_terms() == 4
+    assert sum(sum(map(bool, c.nums)) for c in product.terms.values()) > 4
+    with pytest.raises(BudgetExceeded):
+        f.expand(budget=3)
 
 
 class TestMetrics:

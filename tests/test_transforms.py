@@ -299,3 +299,19 @@ def test_jacobi_trudi_structural_degree_is_the_weight(parts, n):
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_det_poly_matches_the_determinant_abp(ell):
     assert det_poly(ell) == det_abp(ell).expand()
+
+
+def test_extraction_bound_comes_from_the_expansion():
+    # +x1^10 - x1^10 under a root sum lifts the structural degree to 10,
+    # but the input still expands to s_(3,2), of degree 5: the extraction
+    # interpolates over t = 0..5, 6 scaled copies instead of 11
+    lam = Partition((3, 2))
+    power = prod_node([inp(0)] * 10)
+    padded = Formula(
+        sum_node([jacobi_trudi_formula(lam, 5).root, power, power], [1, 1, -1]), 5
+    )
+    assert padded.degree() == 10
+    out, report = schur_to_det_reduce(lam, 5, padded)
+    assert out.expand() == det_poly(2)
+    assert report.depth_increase() == 4
+    assert report.output_size == 11317
