@@ -370,13 +370,15 @@ class Formula:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The formula as nested dicts, for `json.dumps`.
+        """The formula as nested dicts, for a JSON writer.
 
         A shared subtree becomes one shared dict, so the result is as small as
         the node graph; the JSON text still spells out the whole tree.  The
-        stdlib `json` module recurses, so text for a formula a few hundred
-        levels deep cannot be written or read back by it; the dicts
-        themselves round-trip through `from_json` at any depth.
+        CLI's writer does not recurse and renders each shared dict once, so
+        it writes the text at any depth.  Only the stdlib parser limits
+        depth: it cannot read back text a few hundred levels deep, and the
+        CLI reports such a file as bad input.  The dicts themselves
+        round-trip through `from_json` at any depth.
         """
         encoded: dict[int, dict] = {}
         for node in _postorder(self.root):

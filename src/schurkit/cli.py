@@ -3,12 +3,18 @@
 Outputs are deterministic for a fixed command line and seed, files are
 written atomically, and the exit code is 0 only when every internal
 verification passed: 1 for route disagreement or bad input (a usage error
-included, such as a flag the chosen mode does not read), 2 when a partition
-fails the reduction hypothesis, 3 when a verification fails
-(`VerificationFailed`, `InvalidWitness`, `ReductionMismatch`,
-`GridExhausted`, `NoNonvanishingPoint`, `NotDivisible`), 4 when a term
-budget is exceeded.  Every subcommand takes `--out`; only `witness` takes
-`--seed`, and only `reduce` and `pdc` take `--budget`.
+included, such as a flag the chosen mode does not read, a negative
+`--budget`, a number too large for the interpreter's index type, or an input
+file nested too deeply for the stdlib JSON parser), 2 when a partition fails
+the reduction hypothesis, 3 when a verification fails (`VerificationFailed`,
+`InvalidWitness`, `ReductionMismatch`, `GridExhausted`,
+`NoNonvanishingPoint`, `NotDivisible`), 4 when a term budget is exceeded.
+Every subcommand takes `--out`; only `witness` takes `--seed`, and only
+`reduce` and `pdc` take `--budget`.
+
+Every JSON output is the text of `json.dumps(obj, indent=2, sort_keys=True)`
+plus a newline, streamed by `_json_pieces`: it does not recurse, and it
+renders each shared container of the payload once, not once per occurrence.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
+from typing import Iterable, Iterator
 
-from .circuits import Formula
+from .circuits import Formula, _postorder
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -56,19 +64,19 @@ from .symmetric import (
 from .transforms import det_poly, jacobi_trudi_formula, schur_to_det_reduce
 
 
-def _write_output(path: str | None, text: str):
+def _write_output(path: str | None, pieces: Iterable[str]):
+    """Write the concatenated `pieces` and a newline to stdout or atomically
+    to the file `path`."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-schurkit-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.writelines(pieces)
+            handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,18 +84,123 @@ def _write_output(path: str | None, text: str):
         raise
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_children(value) -> list:
+    """The containers directly inside a JSON container."""
+    items = value.values() if isinstance(value, dict) else value
+    return [v for v in items if isinstance(v, _CONTAINERS)]
+
+
+def _json_key(key) -> str:
+    """A dict key as `json.dumps` writes it: a str, int, float, bool or None
+    key becomes a JSON string."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _json_pieces(obj) -> Iterator[str]:
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, in pieces.
+
+    A JSON string holds no raw newline, so a container's text at nesting
+    level L is its level-0 text with each "\n" followed by 2L more spaces.
+    Containers (dicts, lists and tuples) are told apart by identity.  One
+    that occurs once in the tree, as the root and its unshared descendants
+    do, is walked and yielded piece by piece.  Every other one is rendered
+    once at level 0, children before parents, and each occurrence
+    re-indents that text with one `str.replace`; the text is dropped once
+    its last parent has used it.  So a formula that is small as a graph but
+    large as a tree costs a few passes over its text, not one per level of
+    sharing.  Nothing recurses, so depth is limited only by memory.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        yield json.dumps(obj)
+        return
+    order = _postorder(obj, _json_children)
+    uses = Counter(id(c) for node in order for c in _json_children(node))
+    if uses[id(obj)]:
+        raise ValueError("Circular reference detected")
+    walked = {id(obj)}
+    for node in reversed(order):
+        if id(node) in walked:
+            walked.update(id(c) for c in _json_children(node) if uses[id(c)] == 1)
+    texts: dict[int, str] = {}
+
+    def rendered(value, indent: str) -> str:
+        """A scalar, or the text of a rendered container at `indent` (a
+        newline and the spaces of its level)."""
+        if not isinstance(value, _CONTAINERS):
+            return json.dumps(value)
+        key = id(value)
+        if key not in texts:
+            raise ValueError("Circular reference detected")
+        text = texts[key]
+        uses[key] -= 1
+        if not uses[key]:
+            del texts[key]
+        return text.replace("\n", indent)
+
+    def container(node, indent: str):
+        """The pieces of `node` at `indent`; a walked child is yielded as
+        (child, its indent) for the caller to descend into."""
+        opening, closing = "{}" if isinstance(node, dict) else "[]"
+        if not node:
+            yield opening + closing
+            return
+        if isinstance(node, dict):
+            entries = [(_json_key(k) + ": ", v) for k, v in sorted(node.items())]
+        else:
+            entries = [("", v) for v in node]
+        inner = indent + "  "
+        separator = opening + inner
+        for prefix, value in entries:
+            yield separator + prefix
+            if isinstance(value, _CONTAINERS) and id(value) in walked:
+                yield value, inner
+            else:
+                yield rendered(value, inner)
+            separator = "," + inner
+        yield indent + closing
+
+    def walk(top) -> Iterator[str]:
+        stack = [container(top, "\n")]
+        while stack:
+            for piece in stack[-1]:
+                if isinstance(piece, str):
+                    yield piece
+                else:
+                    stack.append(container(*piece))
+                    break
+            else:
+                stack.pop()
+
+    for node in order:
+        if id(node) not in walked:
+            texts[id(node)] = "".join(walk(node))
+    yield from walk(obj)
+
+
+def _load_json(path: str):
+    """The JSON document in the file `path`.  Raises ValueError, not
+    RecursionError, when it is nested too deeply for the stdlib parser."""
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply for the JSON parser") from None
 
 
 def _read_poly(path: str) -> Poly:
     """A polynomial file, in the JSON shape of `Poly.to_json` or as text."""
-    with open(path) as handle:
-        text = handle.read()
     try:
-        return Poly.from_json(json.loads(text))
-    except json.JSONDecodeError:
-        return poly_from_text(text)
+        return Poly.from_json(_load_json(path))
+    except json.JSONDecodeError as exc:
+        return poly_from_text(exc.doc)
 
 
 def _parse_partition(text: str) -> tuple[Partition, Partition | None]:
@@ -126,7 +239,7 @@ def _cmd_schur(args) -> int:
         }
         _write_output(
             args.out,
-            _dump_json(payload) if args.format == "json" else result.to_text(),
+            _json_pieces(payload) if args.format == "json" else [result.to_text()],
         )
         return 0
     route = args.route or "all"
@@ -142,7 +255,7 @@ def _cmd_schur(args) -> int:
             "agree": agree,
             "routes": {name: p.to_text() for name, p in results.items()},
         }
-        _write_output(args.out, _dump_json(payload))
+        _write_output(args.out, _json_pieces(payload))
         return 0 if agree else 1
     result = ROUTES[route](lam, n)
     if args.format == "json":
@@ -153,9 +266,9 @@ def _cmd_schur(args) -> int:
             "polynomial": result.to_text(),
             "terms": result.to_json()["terms"],
         }
-        _write_output(args.out, _dump_json(payload))
+        _write_output(args.out, _json_pieces(payload))
     else:
-        _write_output(args.out, result.to_text())
+        _write_output(args.out, [result.to_text()])
     return 0
 
 
@@ -163,14 +276,7 @@ def _cmd_reduce(args) -> int:
     lam, _ = _parse_partition(args.lam)
     n = args.n
     if args.formula_in:
-        with open(args.formula_in) as handle:
-            try:
-                spec = json.load(handle)
-            except RecursionError:
-                raise ValueError(
-                    f"{args.formula_in}: formula nested too deeply for the JSON parser"
-                ) from None
-        f = Formula.from_json(spec)
+        f = Formula.from_json(_load_json(args.formula_in))
     else:
         f = jacobi_trudi_formula(lam, n)
     output, report = schur_to_det_reduce(lam, n, f, budget=args.budget)
@@ -178,13 +284,13 @@ def _cmd_reduce(args) -> int:
     verified = output.expand(budget=args.budget) == det_poly(ell)
     if not verified:
         raise VerificationFailed("output expansion does not equal the determinant")
-    _write_output(args.out, _dump_json(output.to_json()))
+    _write_output(args.out, _json_pieces(output.to_json()))
     report_json = report.to_json()
     report_json["verified_against_determinant"] = verified
     report_json["lambda"] = str(lam)
     report_json["n"] = n
     if args.report_out:
-        _write_output(args.report_out, _dump_json(report_json))
+        _write_output(args.report_out, _json_pieces(report_json))
     else:
         sys.stderr.write(
             f"reduced s_{lam} (n={n}) to det_{ell}: size {report.input_size} -> "
@@ -226,7 +332,7 @@ def _cmd_witness(args) -> int:
             "residuals": [scalar_to_text(q.eval_root_powers(n, range(n))) for q in witness.polys],
             "certified_rank": witness.rank,
         }
-    _write_output(args.out, _dump_json(payload))
+    _write_output(args.out, _json_pieces(payload))
     return 0
 
 
@@ -245,7 +351,7 @@ def _cmd_pdc(args) -> int:
         "terms": source.num_terms(),
         "dimension": dim,
     }
-    _write_output(args.out, _dump_json(payload))
+    _write_output(args.out, _json_pieces(payload))
     return 0
 
 
@@ -271,9 +377,9 @@ def _cmd_convert(args) -> int:
             result = e_in_p_basis(k, k)
             prefix = "p"
     if args.format == "json":
-        _write_output(args.out, _dump_json(result.to_json()))
+        _write_output(args.out, _json_pieces(result.to_json()))
     else:
-        _write_output(args.out, result.to_text(prefix))
+        _write_output(args.out, [result.to_text(prefix)])
     return 0
 
 
@@ -283,6 +389,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+
+def _budget(text: str) -> int:
+    """A --budget value: an int, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula-in", default=None, help="input formula JSON (defaults to the auto-built determinant form)")
     p.add_argument("--report-out", default=None)
-    p.add_argument("--budget", type=int, default=None, help="term budget of every expansion")
+    p.add_argument("--budget", type=_budget, default=None, help="term budget of every expansion")
 
     p = command("witness", "construct and verify a common-zero witness")
     p.add_argument("--family", choices=["e", "h", "p", "shifted"], required=True)
@@ -320,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--monomial", type=int, default=None, help="use x1*...*xk")
     group.add_argument("--input", default=None, help="polynomial file (JSON or text)")
-    p.add_argument("--budget", type=int, default=None, help="bound on the derivative multi-indices")
+    p.add_argument("--budget", type=_budget, default=None, help="bound on the derivative multi-indices")
 
     p = command("convert", "rewrite between symmetric bases")
     group = p.add_mutually_exclusive_group(required=True)
@@ -357,7 +474,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except (ValueError, OSError, DomainMismatch) as exc:
+    except (ValueError, OverflowError, OSError, DomainMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

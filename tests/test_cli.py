@@ -1,10 +1,15 @@
 import hashlib
 import itertools
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schurkit import cli
+from schurkit.circuits import Formula, inp, prod_node
 from schurkit.cli import main
 from schurkit.errors import (
     GridExhausted,
@@ -84,6 +89,18 @@ class TestReduceCommand:
         assert sha256(out_file) == README_DIGESTS["reduce-det"]
         assert sha256(report_file) == README_DIGESTS["reduce-report"]
 
+    def test_larger_instance_is_pinned(self, capsys, tmp_path):
+        out_file = tmp_path / "det.json"
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "reduce", "--lambda", "4,2", "--n", "6",
+            "--out", str(out_file), "--report-out", str(report_file),
+        )
+        assert code == 0
+        assert sha256(out_file) == README_DIGESTS["reduce-det-4,2/6"]
+        assert sha256(report_file) == README_DIGESTS["reduce-report-4,2/6"]
+
     def test_budget_covers_the_pipeline_expansions(self, capsys):
         # the input formula alone expands to 101 terms
         code, out, err = run(capsys, "reduce", "--lambda", "3,2", "--n", "5", "--budget", "100")
@@ -143,10 +160,14 @@ def sha256(path) -> str:
 
 
 #: SHA-256 of the README commands' --out files, recorded before the scalar
-#: representation changed; the outputs must stay byte-identical
+#: representation changed, and of the (4,2)/6 reduction, recorded before the
+#: JSON writer stopped calling `json.dumps` on the whole payload; the outputs
+#: must stay byte-identical
 README_DIGESTS = {
     "reduce-det": "432ca6f014d2612f3b873dcebe509a0c3bce8641690c53944012d47f252ac600",
     "reduce-report": "fe3914b00ab354cb31d1b617d08c6d502ba487c61c564beca05a89bb70a149b8",
+    "reduce-det-4,2/6": "bc9837bf0dafbfa56fa51d221323a6f5da1e89f816136f143df1a3b1b5b053bd",
+    "reduce-report-4,2/6": "abcc932d77ec2e87a8de93f2ceebf90f159adfc3d1485c3d210ed9e6ec095e97",
     "witness-h-6": "8b15693abb9bb66f832c8089b9e53578861333279cdb2e1ddc16126f18d026ae",
     "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
 }
@@ -341,6 +362,17 @@ def test_malformed_polynomial_json_exits_1(capsys, tmp_path, command, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [("pdc",), ("convert", "--to-e-basis")], ids=["pdc", "convert"])
+def test_too_deep_polynomial_json_is_bad_input(capsys, tmp_path, command):
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *command, "--input", str(poly_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 class TestConvertCommand:
     def test_e_to_h(self, capsys):
         code, out, _ = run(capsys, "convert", "--e-to-h", "--k", "2")
@@ -421,6 +453,51 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reduce", "--lambda", "3,2", "--n", "5", "--budget", "-1"),
+            ("pdc", "--monomial", "3", "--budget", "-5"),
+        ],
+        ids=["reduce", "pdc"],
+    )
+    def test_negative_budget_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--budget" in err and "negative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reduce", "--lambda", "3,2", "--n", "5", "--budget", "0"),
+            ("pdc", "--monomial", "3", "--budget", "0"),
+        ],
+        ids=["reduce", "pdc"],
+    )
+    def test_zero_budget_is_exceeded(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and " 0 " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schur", "--lambda", "99999999999999999999", "--n", "1", "--route", "jt-h"),
+            ("witness", "--family", "e", "--n", "99999999999999999999"),
+            ("pdc", "--monomial", "99999999999999999999"),
+            ("convert", "--e-to-h", "--k", "99999999999999999999"),
+        ],
+        ids=["schur", "witness", "pdc", "convert"],
+    )
+    def test_number_too_large_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bare_pdc_is_bad_input(self, capsys):
         code, out, err = run(capsys, "pdc")
         assert code == 1
@@ -474,3 +551,103 @@ class TestDeterminism:
         assert main([*argv, "--out", str(first)]) == 0
         assert main([*argv, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def written(obj) -> str:
+    return "".join(cli._json_pieces(obj))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@st.composite
+def shared_json(draw):
+    """Nested dicts, lists and tuples in which a container may occur at
+    several depths and several times in one list."""
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        values = st.one_of(JSON_SCALARS, st.sampled_from(pool)) if pool else JSON_SCALARS
+        items = draw(st.lists(values, max_size=4))
+        kind = draw(st.sampled_from(["dict", "list", "tuple"]))
+        if kind == "dict":
+            keys = draw(st.lists(st.text(), min_size=len(items), max_size=len(items), unique=True))
+            pool.append(dict(zip(keys, items)))
+        else:
+            pool.append(items if kind == "list" else tuple(items))
+    return draw(st.sampled_from(pool))
+
+
+class TestJsonWriter:
+    """`cli._json_pieces` writes the text of `json.dumps(obj, indent=2,
+    sort_keys=True)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_json())
+    @example({})
+    @example([[], {}, ()])
+    @example({"b\"\n\u00e9": ['q"uo\nte', "\u2603", 1.5, -0.0, math.inf, None, True, False, 10**30]})
+    def test_matches_json_dumps(self, obj):
+        assert written(obj) == dumps(obj)
+
+    def test_shared_containers(self):
+        leaf = {"kind": "input", "var": 1}
+        mid = [leaf, leaf, {"x": leaf}]
+        obj = {"a": mid, "b": [mid, [[mid]]], "c": leaf}
+        assert written(obj) == dumps(obj)
+
+    @pytest.mark.parametrize("obj", ["s\n", 7, 2.5, None, False])
+    def test_scalar_root(self, obj):
+        assert written(obj) == dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{2: "b", 10: [1], -1: {}}, {1.5: 0, 0.25: 1}, {True: 1, False: 2}, {None: [None]}],
+    )
+    def test_non_string_keys(self, obj):
+        assert written(obj) == dumps(obj)
+
+    def test_unsupported_values_raise_as_json_does(self):
+        for obj in ({"k": {1, 2}}, {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                dumps(obj)
+            with pytest.raises(TypeError):
+                written(obj)
+
+    def test_cycles_raise_as_json_does(self):
+        loop = []
+        loop.append(loop)
+        inner = [1]
+        outer = {"k": [inner]}
+        inner.append(outer["k"])
+        for obj in (loop, outer):
+            with pytest.raises(ValueError, match="Circular reference"):
+                dumps(obj)
+            with pytest.raises(ValueError, match="Circular reference"):
+                written(obj)
+
+    def test_product_chain_deeper_than_the_recursion_limit(self):
+        # 1,500 product gates nest 3,002 JSON containers; the input x1 is one
+        # dict shared at every level
+        x1 = inp(1)
+        node = inp(0)
+        for _ in range(1500):
+            node = prod_node([node, x1])
+        obj = Formula(node, 2).to_json()
+        assert sys.getrecursionlimit() < 3000
+        text = written(obj)
+        assert text.count("[") == 1500
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert json.loads(text) == obj
+        finally:
+            sys.setrecursionlimit(limit)
+        # the text of the 60-gate chain inside it is exactly what json.dumps writes
+        inner = obj["root"]
+        for _ in range(1500 - 60):
+            inner = inner["children"][0]
+        assert written(inner) == dumps(inner)
