@@ -20,7 +20,6 @@ from .symmetric import (
     express_in_e_basis,
     generalized_vandermonde,
     h_poly,
-    kostka,
     p_poly,
     scaled_staircase_schur,
     schur_bialternant,
@@ -81,7 +80,6 @@ __all__ = [
     "is_independence_witness",
     "jacobian",
     "jacobi_trudi_formula",
-    "kostka",
     "omega",
     "p_family_witness",
     "p_poly",

@@ -29,8 +29,8 @@ class _Span:
     def __init__(self):
         self.rows: dict[tuple, dict] = {}
 
-    def add(self, p: Poly) -> bool:
-        """Reduce p against the span; add and report True if independent."""
+    def add(self, p: Poly):
+        """Reduce p against the span, and add what is left if non-zero."""
         work = dict(p.terms)
         while work:
             lead = max(work, key=grlex_key)
@@ -38,7 +38,7 @@ class _Span:
             if pivot_row is None:
                 inv = ONE / work[lead]
                 self.rows[lead] = {e: c * inv for e, c in work.items()}
-                return True
+                return
             factor = work[lead]
             for e, c in pivot_row.items():
                 acc = work.get(e)
@@ -51,22 +51,11 @@ class _Span:
                         work[e] = acc
                     else:
                         del work[e]
-        return False
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
 
-@dataclass(frozen=True)
-class DerivativeSpace:
-    source: Poly
-    basis: tuple[Poly, ...]
-    dimension: int
-
-
-def derivative_space(p: Poly, budget: int | None = None) -> DerivativeSpace:
-    """Span of all partial derivatives of all orders, order zero included.
+def pdc_dimension(p: Poly, budget: int | None = None) -> int:
+    """Dimension of the span of all partial derivatives of all orders, order
+    zero included.
 
     Derivatives beyond the per-variable degrees vanish, so the enumeration is
     finite; it is guarded by a budget on the number of derivative
@@ -84,10 +73,8 @@ def derivative_space(p: Poly, budget: int | None = None) -> DerivativeSpace:
                 f"would enumerate more than {budget} derivative multi-indices"
             )
     span = _Span()
-    basis = []
+    span.add(p)
     frontier = {(0,) * p.arity: p}
-    if span.add(p):
-        basis.append(p)
     seen = set(frontier)
     while frontier:
         next_frontier: dict[tuple, Poly] = {}
@@ -103,14 +90,9 @@ def derivative_space(p: Poly, budget: int | None = None) -> DerivativeSpace:
                 if dq.is_zero():
                     continue
                 next_frontier[key] = dq
-                if span.add(dq):
-                    basis.append(dq)
+                span.add(dq)
         frontier = next_frontier
-    return DerivativeSpace(source=p, basis=tuple(basis), dimension=span.dimension)
-
-
-def pdc_dimension(p: Poly, budget: int | None = None) -> int:
-    return derivative_space(p, budget=budget).dimension
+    return len(span.rows)
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,6 @@ class NotContained(ValueError):
     """A skew shape requires the inner partition to fit inside the outer one."""
 
 
-class WeightMismatch(ValueError):
-    """Partition weight and content weight disagree."""
-
-
 class ZeroPolynomial(ValueError):
     """The zero polynomial has no well-defined answer for this operation."""
 

@@ -34,8 +34,11 @@ numerators over a common denominator, `fold_powers` reduces the powers of w
 a product leaves (modulo n, then modulo Phi_n) so that the result can be
 multiplied again, and `from_int_numerators` turns numerators back into
 scalars.  The same numerators evaluate a
-polynomial at a point of powers of w: `root_power_sum` drops each into one
-of n buckets by its power of w modulo n and reduces the buckets once.
+polynomial at a point of powers of w: `root_exponents` recognises such a
+point, coordinate by coordinate, in a cached table of w^0 .. w^(n-1), and
+`root_power_sum` drops each numerator into one of n buckets by its power of
+w modulo n and reduces the buckets once.  `Poly.eval` takes that route by
+itself whenever its point qualifies.
 """
 
 from __future__ import annotations
@@ -460,6 +463,33 @@ def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
         buckets[s % order] += v
     deg = len(cyclotomic_polynomial(order)) - 1
     return _canonical(order, _reduce_ints(order, deg, buckets), den)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_power_table(n: int) -> dict:
+    """The power-basis numerators of w^p, mapped to p, for p = 0 .. n-1."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return {tuple(_reduce_ints(n, deg, [0] * p + [1])): p for p in range(n)}
+
+
+def root_exponents(point: Sequence) -> tuple[int, list[int]] | None:
+    """(n, [p_1, ..., p_k]) when the non-empty `point` is
+    (w^p_1, ..., w^p_k), w = omega(n) and 0 <= p_i < n; None for any other
+    point.  Each coordinate is looked up by its numerators, over
+    denominator 1, in a cached table of w^0 .. w^(n-1)."""
+    if not isinstance(point[0], CyclotomicScalar):
+        return None
+    order = point[0].order
+    table = _root_power_table(order)
+    powers = []
+    for x in point:
+        if not (isinstance(x, CyclotomicScalar) and x.order == order and x.den == 1):
+            return None
+        p = table.get(x.nums)
+        if p is None:
+            return None
+        powers.append(p)
+    return order, powers
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,10 +5,13 @@ its Jacobian has symbolic rank k.  The transformation passes additionally
 need a *witness*: a point where every q_i vanishes while the Jacobian still
 attains its symbolic rank.  For the elementary, complete homogeneous and
 power-sum families the witness is the vector of n-th roots of unity, so the
-verification runs in an exact cyclotomic field, by exponent arithmetic
-(`Poly.eval_root_powers`).  Witnesses are always checked by explicit
-re-evaluation, never trusted from their construction; the h-family's
-Jacobian is also checked against its closed form.
+verification runs in an exact cyclotomic field (`Poly.eval` works there by
+exponent arithmetic).  Witnesses are always checked by explicit
+re-evaluation, never trusted from their construction, and every witness
+check is `witness_jacobian`: each member vanishes and the Jacobian at the
+point has full row rank.  The root-of-unity families also check that their
+n-th member does not vanish there, and the h-family's Jacobian is checked
+against its closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from .errors import ArityMismatch, GridExhausted, InvalidWitness, VerificationFa
 from .field import Rat, ScalarMatrix, bareiss, omega
 from .poly import Poly
 from .symmetric import e_poly, h_poly, p_poly
+
+#: seeded grid points at which `symbolic_rank` evaluates the Jacobian
+RANK_TRIALS = 20
+#: seeded grid points `shifted_witness` tries before it gives up
+WITNESS_ATTEMPTS = 128
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ def _minor_degree_bound(jac: list[list[Poly]]) -> int:
     return max(total, 1)
 
 
-def symbolic_rank(jac: list[list[Poly]], seed: int = 0, trials: int = 20) -> int:
+def symbolic_rank(jac: list[list[Poly]], seed: int = 0) -> int:
     """Rank of the Jacobian over the rational function field.
 
     Evaluates at seeded random grid points (the grid is large enough that by
@@ -78,7 +86,7 @@ def symbolic_rank(jac: list[list[Poly]], seed: int = 0, trials: int = 20) -> int
     bound = 2 * _minor_degree_bound(jac)
     rng = random.Random(seed)
     best = 0
-    for _ in range(trials):
+    for _ in range(RANK_TRIALS):
         point = [Rat(rng.randint(0, bound)) for _ in range(n)]
         best = max(best, jacobian_at(jac, point).rank())
         if best == max_rank:
@@ -107,8 +115,11 @@ def witness_jacobian(polys, point) -> ScalarMatrix:
     """The Jacobian of `polys` at `point`; raises InvalidWitness unless every
     poly vanishes there and that Jacobian has full row rank len(polys)."""
     polys = list(polys)
-    if any(q.eval(point) != 0 for q in polys):
-        raise InvalidWitness("the point is not a common zero of the family")
+    for i, q in enumerate(polys, start=1):
+        if q.eval(point) != 0:
+            raise InvalidWitness(
+                f"the point is not a common zero of the family: member {i} does not vanish"
+            )
     jac = jacobian_at(jacobian(polys), point)
     if jac.rank() != len(polys):
         raise InvalidWitness("Jacobian rank at the point is below the family size")
@@ -122,33 +133,18 @@ def roots_of_unity_point(n: int) -> tuple:
 
 
 def _family_witness(n: int, family, name: str) -> CommonZeroWitness:
+    """The root-of-unity witness of family(1, n) .. family(n-1, n), checked
+    by `witness_jacobian`; family(n, n) must not vanish at the point."""
     if n < 2:
         raise ValueError("need n >= 2")
-    # point[i] is w^i, so every evaluation below is `Poly.eval_root_powers`
-    # at these powers of w, which gives what `Poly.eval` gives at the point
     point = roots_of_unity_point(n)
-    powers = range(n)
     polys = tuple(family(k, n) for k in range(1, n))
-    for k, q in enumerate(polys, start=1):
-        if q.eval_root_powers(n, powers) != 0:
-            raise VerificationFailed(
-                f"{name}_{k} does not vanish at the root-of-unity point for n={n}"
-            )
-    if not family(n, n).eval_root_powers(n, powers):
+    jac = witness_jacobian(polys, point)
+    if not family(n, n).eval(point):
         raise VerificationFailed(
             f"{name}_{n} unexpectedly vanishes at the root-of-unity point for n={n}"
         )
-    jac = ScalarMatrix(
-        n - 1,
-        n,
-        [d.eval_root_powers(n, powers) for row in jacobian(polys) for d in row],
-    )
-    rank = jac.rank()
-    if rank != n - 1:
-        raise VerificationFailed(
-            f"Jacobian rank {rank} != {n - 1} at the root-of-unity point for n={n}"
-        )
-    return CommonZeroWitness(point=point, polys=polys, rank=rank, jacobian=jac)
+    return CommonZeroWitness(point=point, polys=polys, rank=n - 1, jacobian=jac)
 
 
 def roots_of_unity_witness(n: int) -> CommonZeroWitness:
@@ -187,7 +183,7 @@ def p_family_witness(n: int) -> CommonZeroWitness:
     return _family_witness(n, p_poly, "p")
 
 
-def shifted_witness(polys, seed: int = 0, attempts: int = 128):
+def shifted_witness(polys, seed: int = 0):
     """Shifts a_i and a point c making {q_i - a_i} vanish at c with full rank.
 
     Samples c from a grid larger than the degree of the Jacobian determinant
@@ -204,9 +200,9 @@ def shifted_witness(polys, seed: int = 0, attempts: int = 128):
     bound = 2 * _minor_degree_bound(jac)
     rng = random.Random(seed)
     n = polys[0].arity
-    for _ in range(attempts):
+    for _ in range(WITNESS_ATTEMPTS):
         c = tuple(Rat(rng.randint(0, bound)) for _ in range(n))
         if jacobian_at(jac, c).rank() == k:
             shifts = tuple(q.eval(c) for q in polys)
             return shifts, c
-    raise GridExhausted(f"no non-singular point found in {attempts} samples")
+    raise GridExhausted(f"no non-singular point found in {WITNESS_ATTEMPTS} samples")

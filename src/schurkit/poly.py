@@ -31,11 +31,12 @@ Exact division keeps its scalar arithmetic, as the divisor's leading
 coefficient is in general no unit, but finds each leading term and each
 target monomial on packed keys.
 
-`eval` works at any point by scalar products and powers.  At a point of
-powers of one root of unity, (w^p_1, ..., w^p_n), `eval_root_powers` gives
-the same value by exponent arithmetic: x^e is w^(p . e mod n), so each term
-adds its numerators to one power of w (`field.root_power_sum`) and no scalar
-is multiplied.
+`eval` is the one evaluation entry point.  At a point of powers of one
+root of unity, (w^p_1, ..., w^p_n), which `field.root_exponents` recognises,
+it works by exponent arithmetic: x^e is w^(p . e mod n), so each term adds
+its numerators to one power of w (`field.root_power_sum`) and no scalar is
+multiplied.  At any other point it takes scalar products and powers.  Both
+routes give the same value and type.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import re
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .errors import ArityMismatch, NotDivisible, ZeroPolynomial
+from .errors import ArityMismatch, NotDivisible
 from .field import (
     ONE,
     ZERO,
@@ -57,6 +58,7 @@ from .field import (
     int_numerators,
     json_field,
     power_bits,
+    root_exponents,
     root_power_sum,
     scalar_from_json,
     scalar_to_json,
@@ -178,9 +180,6 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.terms), default=-1)
 
-    def min_degree(self) -> int:
-        return min((sum(e) for e in self.terms), default=-1)
-
     def degree_in(self, var: int) -> int:
         if not 0 <= var < self.arity:
             raise IndexError(f"variable index {var} out of range")
@@ -189,9 +188,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), ZERO)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -351,10 +347,22 @@ class Poly:
     # -- calculus and structure ------------------------------------------------
 
     def eval(self, point: Sequence):
-        """Exact evaluation; the point may mix rationals into a cyclotomic field."""
+        """Exact evaluation; the point may mix rationals into a cyclotomic field.
+
+        At a point (w^p_1, ..., w^p_n) of powers of one root of unity, x^e is
+        w^s with s the dot product of p and e, so the value is one pass over
+        the terms (`field.root_power_sum`).  A constant polynomial always
+        takes the generic route, so its value keeps its coefficient's type.
+        """
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         point = [as_scalar(p) for p in point]
+        roots = root_exponents(point)
+        if roots is not None and any(map(any, self.terms)):
+            order, exponents = roots
+            return root_power_sum(
+                [(sum(map(mul, exponents, e)), c) for e, c in self.terms.items()], order
+            )
         powers: list[dict[int, object]] = [{0: ONE, 1: p} for p in point]
         total = ZERO
         for exps, coeff in self.terms.items():
@@ -370,24 +378,6 @@ class Poly:
             total = total + value
         return total
 
-    def eval_root_powers(self, order: int, powers: Sequence[int]):
-        """`eval` at the point (w^powers[0], ..., w^powers[n-1]), w a
-        primitive order-n root of unity, with the same value and type: the
-        constant coefficient (ZERO for the zero polynomial) when every term
-        is constant, a CyclotomicScalar otherwise.
-
-        There x^e is w^s with s the dot product of `powers` and e, so the
-        value is one pass over the terms (`field.root_power_sum`), with no
-        scalar products or powers.
-        """
-        if len(powers) != self.arity:
-            raise ArityMismatch(f"{len(powers)} powers vs arity {self.arity}")
-        if not any(map(any, self.terms)):
-            return self.terms.get((0,) * self.arity, ZERO)
-        return root_power_sum(
-            [(sum(map(mul, powers, e)), c) for e, c in self.terms.items()], order
-        )
-
     def derivative(self, var: int) -> "Poly":
         if not 0 <= var < self.arity:
             raise IndexError(f"variable index {var} out of range for arity {self.arity}")
@@ -398,26 +388,6 @@ class Poly:
                 key = exps[:var] + (e - 1,) + exps[var + 1 :]
                 out[key] = coeff * e if e > 1 else coeff
         return Poly._raw(self.arity, out)
-
-    def homogeneous_component(self, degree: int) -> "Poly":
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return Poly._raw(
-            self.arity, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
-
-    def homogeneous_components(self) -> dict[int, "Poly"]:
-        buckets: dict[int, dict] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
-        return {d: Poly._raw(self.arity, t) for d, t in sorted(buckets.items())}
-
-    def lowest_component(self) -> tuple[int, "Poly"]:
-        """The minimal degree with a non-zero homogeneous component, and that component."""
-        d = self.min_degree()
-        if d < 0:
-            raise ZeroPolynomial("the zero polynomial has no non-zero component")
-        return d, self.homogeneous_component(d)
 
     def compose(self, values: Sequence["Poly"]) -> "Poly":
         """Substitute values[i] for variable i; all values share one arity."""
@@ -525,7 +495,7 @@ _TERM_RE = re.compile(
 _VAR_RE = re.compile(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?")
 
 
-def poly_from_text(text: str, arity: int | None = None, var_prefix: str = "x") -> Poly:
+def poly_from_text(text: str, arity: int | None = None) -> Poly:
     """Parse the canonical text form (sum of coeff*x1^e1*... terms)."""
     text = text.strip()
     raw_terms = []
@@ -540,8 +510,8 @@ def poly_from_text(text: str, arity: int | None = None, var_prefix: str = "x") -
         coeff = Rat(m.group("coeff")) if m.group("coeff") else ONE
         exps: dict[int, int] = {}
         for name, idx, e in _VAR_RE.findall(m.group("vars") or ""):
-            if name != var_prefix:
-                raise ValueError(f"unexpected variable {name!r} (expected {var_prefix!r})")
+            if name != "x":
+                raise ValueError(f"unexpected variable {name!r} (expected 'x')")
             i = int(idx)
             max_var = max(max_var, i)
             exps[i - 1] = exps.get(i - 1, 0) + (int(e) if e else 1)

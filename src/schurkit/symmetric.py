@@ -21,12 +21,7 @@ import itertools
 from typing import Sequence
 
 from .circuits import Formula, const, inp, prod_node, sum_node
-from .errors import (
-    LengthMismatch,
-    NotContained,
-    NotSymmetric,
-    WeightMismatch,
-)
+from .errors import LengthMismatch, NotContained, NotSymmetric
 from .field import ONE, Rat, interpolation_weights
 from .partitions import Partition, staircase
 from .poly import Poly
@@ -149,15 +144,6 @@ def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
     return det_poly_matrix(rows)
 
 
-def vandermonde_difference_product(n: int) -> Poly:
-    """prod over i < j of (x_i - x_j); equals the staircase determinant."""
-    out = Poly.constant(n, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (Poly.variable(n, i) - Poly.variable(n, j))
-    return out
-
-
 def schur_bialternant(lam: Partition, n: int) -> Poly:
     """Schur polynomial as the exact ratio of alternants.
 
@@ -242,46 +228,6 @@ def schur_ssyt(lam: Partition, n: int) -> Poly:
     for content in _iter_ssyt_contents(lam.parts, n):
         counts[content] = counts.get(content, 0) + 1
     return Poly(n, {exps: Rat(c) for exps, c in counts.items()})
-
-
-def kostka(lam: Partition, content: Sequence[int]) -> int:
-    """Number of column-strict fillings of shape lam with the given content."""
-    content = tuple(content)
-    if any(c < 0 for c in content):
-        raise ValueError("content entries must be non-negative")
-    if sum(content) != lam.weight:
-        raise WeightMismatch(
-            f"content weight {sum(content)} != partition weight {lam.weight}"
-        )
-    if lam.length == 0:
-        return 1
-    m = len(content)
-    if lam.length > m:
-        return 0
-    remaining = list(content)
-    cells = [(r, c) for r, row_len in enumerate(lam.parts) for c in range(row_len)]
-    grid = [[0] * row_len for row_len in lam.parts]
-    total = len(cells)
-
-    def fill(pos: int) -> int:
-        if pos == total:
-            return 1
-        r, c = cells[pos]
-        low = grid[r][c - 1] if c > 0 else 1
-        if r > 0:
-            low = max(low, grid[r - 1][c] + 1)
-        found = 0
-        for v in range(low, m + 1):
-            if remaining[v - 1] == 0:
-                continue
-            grid[r][c] = v
-            remaining[v - 1] -= 1
-            found += fill(pos + 1)
-            remaining[v - 1] += 1
-        grid[r][c] = 0
-        return found
-
-    return fill(0)
 
 
 # ---------------------------------------------------------------------------

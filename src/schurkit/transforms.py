@@ -54,6 +54,8 @@ from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_label
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
+#: seeded grid points `_nonvanishing_point` tries before it gives up
+NONVANISHING_ATTEMPTS = 128
 
 
 def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
@@ -111,7 +113,7 @@ def shift_formula(f: Formula, point) -> Formula:
     return f.substitute(mapping)
 
 
-def _nonvanishing_point(r: Formula, seed: int, attempts: int = 128) -> tuple:
+def _nonvanishing_point(r: Formula, seed: int) -> tuple:
     """A grid point where the formula evaluates to something non-zero.
 
     Samples the grid {0, ..., 2*size}^arity in a seeded pseudorandom order;
@@ -120,12 +122,12 @@ def _nonvanishing_point(r: Formula, seed: int, attempts: int = 128) -> tuple:
     """
     bound = 2 * r.size()
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(NONVANISHING_ATTEMPTS):
         point = tuple(Rat(rng.randint(0, bound)) for _ in range(r.arity))
         if r.eval(point):
             return point
     raise NoNonvanishingPoint(
-        f"divisor vanished on {attempts} grid samples; check the degree setup"
+        f"divisor vanished on {NONVANISHING_ATTEMPTS} grid samples; check the degree setup"
     )
 
 
@@ -333,29 +335,25 @@ def jacobi_trudi_formula(lam: Partition, n: int) -> Formula:
     h_m(x_i..x_n) = x_i * h_{m-1}(x_i..x_n) + h_m(x_{i+1}..x_n), with
     recurring subtrees physically shared.  The object still denotes the
     unfolded tree (size and depth count occurrences); sharing only keeps
-    construction and expansion at desk scale.
+    construction and expansion at desk scale.  The states h_m(x_i..x_n)
+    form a table over (i, m), filled from the last variable up, so nothing
+    recurses.
     """
     ell = lam.length
     if ell == 0:
         return constant_formula(n, 1)
     labels = jacobi_trudi_labels(lam)
-    leaf = [inp(i) for i in range(n)]
+    top = max(map(max, labels))
     one = const(1)
-    states: dict[tuple[int, int], object] = {}
-
-    def h_state(i: int, m: int):
-        node = states.get((i, m))
-        if node is None:
-            if m == 0:
-                node = one
-            elif i == n - 1:
-                node = prod_node([leaf[i]] * m) if m > 1 else leaf[i]
-            else:
-                node = sum_node(
-                    [prod_node([leaf[i], h_state(i, m - 1)]), h_state(i + 1, m)]
-                )
-            states[(i, m)] = node
-        return node
+    last = inp(n - 1)
+    # states[m] is h_m(x_i..x_n), for i from n - 1 down to 0
+    states = [one, last] + [prod_node([last] * m) for m in range(2, top + 1)]
+    for i in range(n - 2, -1, -1):
+        x = inp(i)
+        row = [one]
+        for m in range(1, top + 1):
+            row.append(sum_node([prod_node([x, row[m - 1]]), states[m]]))
+        states = row
 
     children = []
     weights = []
@@ -368,7 +366,7 @@ def jacobi_trudi_formula(lam: Partition, n: int) -> Formula:
             for j in range(i + 1, ell):
                 if sigma[i] > sigma[j]:
                     sign = -sign
-        children.append(prod_node([h_state(0, m) for m in idx]))
+        children.append(prod_node([states[m] for m in idx]))
         weights.append(Rat(sign))
     return Formula(sum_node(children, weights), n)
 

@@ -136,6 +136,14 @@ class TestReduceCommand:
         assert code == 2
         assert "gap hypothesis" in err
 
+    def test_hypothesis_is_checked_before_the_formula_is_built(self, capsys):
+        # the last part 1 is below l = 2: the hypothesis fails before the input
+        # formula, about 2000 h-states per variable, is built
+        code, out, err = run(capsys, "reduce", "--lambda", "2000,1", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_too_deep_formula_file_is_bad_input(self, capsys, tmp_path):
         # 600 nested product gates: past what the stdlib JSON parser can read
         depth = 600

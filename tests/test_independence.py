@@ -129,6 +129,14 @@ class TestRootsOfUnityWitness:
         with pytest.raises(VerificationFailed, match=r"entry \(2, 2\)"):
             h_family_witness(4)
 
+    def test_member_off_the_point_fails(self):
+        def family(k, n):
+            # e_1 + 1 is 1 at the roots of unity
+            return e_poly(k, n) + 1 if k == 1 else e_poly(k, n)
+
+        with pytest.raises(InvalidWitness, match="member 1 does not vanish"):
+            independence._family_witness(4, family, "q")
+
     def test_n2_point_is_plus_minus_one(self):
         witness = roots_of_unity_witness(2)
         assert [scalar_to_text(x) for x in witness.point] == ["1", "-1"]

@@ -10,7 +10,7 @@ from schurkit.errors import (
     DomainMismatch,
     NotDivisible,
 )
-from schurkit.field import CyclotomicScalar, Rat, omega
+from schurkit.field import CyclotomicScalar, Rat, omega, root_exponents
 from schurkit.poly import Poly, poly_from_text
 
 
@@ -102,7 +102,30 @@ def root_power_polys(draw, arity, order):
     return Poly(arity, terms)
 
 
+def naive_eval(p, point):
+    """The generic scalar loop: each term's coefficient times its powers,
+    one scalar product per unit of exponent."""
+    total = Rat(0)
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                value = value * x
+        total = total + value
+    return total
+
+
+def assert_same_value(got, expected):
+    assert type(got) is type(expected)
+    assert got == expected
+    if isinstance(got, CyclotomicScalar):
+        assert (got.order, got.nums, got.den) == (expected.order, expected.nums, expected.den)
+
+
 class TestEvalRootPowers:
+    """`Poly.eval` at points of powers of one root of unity, where it works
+    by exponent arithmetic, against the generic scalar loop."""
+
     @given(st.data(), st.integers(1, 16), st.integers(1, 9))
     @settings(max_examples=200, deadline=None)
     def test_matches_eval(self, data, order, arity):
@@ -111,12 +134,37 @@ class TestEvalRootPowers:
             st.lists(st.integers(0, 2 * order), min_size=arity, max_size=arity)
         )
         w = omega(order)
-        expected = p.eval([w**s for s in powers])
-        got = p.eval_root_powers(order, powers)
-        assert type(got) is type(expected)
-        assert got == expected
-        if isinstance(got, CyclotomicScalar):
-            assert (got.order, got.nums, got.den) == (order, expected.nums, expected.den)
+        point = [w**s for s in powers]
+        assert root_exponents(point) == (order, [s % order for s in powers])
+        assert_same_value(p.eval(point), naive_eval(p, point))
+
+    @given(st.data(), st.integers(2, 12), st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_other_points_take_the_generic_route(self, data, order, arity):
+        """One coordinate is not a power of the others' root: a rational, w + 1,
+        a root of another order, or a power of w over 2."""
+        p = data.draw(root_power_polys(arity, order))
+        w = omega(order)
+        exponents = data.draw(
+            st.lists(st.integers(0, order - 1), min_size=arity, max_size=arity)
+        )
+        point = [w**s for s in exponents]
+        i = data.draw(st.integers(0, arity - 1))
+        other = data.draw(st.sampled_from(["rational", "w+1", "order", "den"]))
+        point[i] = {
+            "rational": Rat(1),
+            "w+1": w + 1,
+            "order": omega(order + 1),
+            "den": point[i] / 2,
+        }[other]
+        assert root_exponents(point) is None
+        try:
+            expected = naive_eval(p, point)
+        except DomainMismatch:
+            with pytest.raises(DomainMismatch):
+                p.eval(point)
+        else:
+            assert_same_value(p.eval(point), expected)
 
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 9))
     @settings(max_examples=50, deadline=None)
@@ -126,12 +174,10 @@ class TestEvalRootPowers:
         p = Poly(arity, {x1: CyclotomicScalar(other, (1, 2)), (0,) * arity: Rat(1, 2)})
         with pytest.raises(DomainMismatch):
             p.eval([omega(order)] * arity)
-        with pytest.raises(DomainMismatch):
-            p.eval_root_powers(order, [1] * arity)
 
     def test_wrong_number_of_powers(self):
         with pytest.raises(ArityMismatch):
-            var(2, 0).eval_root_powers(3, [1])
+            var(2, 0).eval([omega(3)])
 
 
 class TestCalculus:
@@ -145,26 +191,10 @@ class TestCalculus:
         with pytest.raises(IndexError):
             var(2, 0).derivative(2)
 
-    def test_homogeneous_component_examples(self):
-        x, y = var(2, 0), var(2, 1)
-        p = x * x + x * y + x
-        assert p.homogeneous_component(2) == x * x + x * y
-        assert (x * x + x).homogeneous_component(0).is_zero()
-        assert Poly.constant(2, 5).homogeneous_component(0) == Poly.constant(2, 5)
-
-    @given(polys())
-    @settings(max_examples=50, deadline=None)
-    def test_components_sum_to_polynomial(self, p):
-        total = Poly.zero(p.arity)
-        for component in p.homogeneous_components().values():
-            assert component.is_homogeneous()
-            total = total + component
-        assert total == p
-
     @given(polys(arity=3, max_exp=2, max_terms=3), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_euler_identity_on_homogeneous(self, p, d):
-        h = p.homogeneous_component(d)
+        h = Poly(3, {e: c for e, c in p.terms.items() if sum(e) == d})
         weighted = Poly.zero(3)
         for j in range(3):
             weighted = weighted + Poly.variable(3, j) * h.derivative(j)

@@ -1,8 +1,11 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -21,3 +24,25 @@ def test_reduction_demo_default_instances(capsys, monkeypatch):
     assert len(headers) == len(demo.SMALL) == 2
     assert all("expansion verified: True" in line for line in headers)
     assert out.count("(depth increase 4)") == 2
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    # the traced benchmark run wraps package functions by name and raises if
+    # one is missing; a fresh interpreter, as its import replaces the package
+    code = (
+        "from run import import_schurkit\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install(import_schurkit())\n"
+        "tracer.uninstall()\n"
+    )
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

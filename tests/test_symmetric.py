@@ -1,13 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from schurkit.errors import (
-    LengthMismatch,
-    NotContained,
-    NotSymmetric,
-    WeightMismatch,
-)
+from schurkit.errors import LengthMismatch, NotContained, NotSymmetric
 from schurkit.field import Rat, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
@@ -23,7 +19,6 @@ from schurkit.symmetric import (
     h_poly,
     is_symmetric,
     jacobi_trudi_labels,
-    kostka,
     p_poly,
     scaled_staircase_partition,
     scaled_staircase_schur,
@@ -33,10 +28,45 @@ from schurkit.symmetric import (
     schur_ssyt,
     skew_schur_h,
     symmetrize,
-    vandermonde_difference_product,
 )
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
+
+
+def difference_product(n):
+    """prod over i < j of (x_i - x_j)."""
+    out = Poly.constant(n, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = out * (Poly.variable(n, i) - Poly.variable(n, j))
+    return out
+
+
+def kostka(lam, content):
+    """Oracle: the column-strict fillings of shape lam with the given content
+    (of weight |lam|), counted by a search that spends the content."""
+    remaining = list(content)
+    cells = [(r, c) for r, row_len in enumerate(lam.parts) for c in range(row_len)]
+    grid = [[0] * row_len for row_len in lam.parts]
+
+    def fill(pos):
+        if pos == len(cells):
+            return 1
+        r, c = cells[pos]
+        low = grid[r][c - 1] if c > 0 else 1
+        if r > 0:
+            low = max(low, grid[r - 1][c] + 1)
+        found = 0
+        for v in range(low, len(remaining) + 1):
+            if remaining[v - 1]:
+                grid[r][c] = v
+                remaining[v - 1] -= 1
+                found += fill(pos + 1)
+                remaining[v - 1] += 1
+        grid[r][c] = 0
+        return found
+
+    return fill(0)
 
 
 class TestClassicalBases:
@@ -65,7 +95,7 @@ class TestGeneralizedVandermonde:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_staircase_equals_difference_product(self, n):
-        assert generalized_vandermonde(staircase(n), n) == vandermonde_difference_product(n)
+        assert generalized_vandermonde(staircase(n), n) == difference_product(n)
 
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
@@ -122,20 +152,24 @@ class TestSchurRoutes:
 
 
 class TestKostka:
+    """Kostka counts are the coefficients of the ssyt route."""
+
     def test_examples(self):
-        assert kostka(Partition((1, 1)), (1, 1)) == 1
-        assert kostka(Partition((2, 1)), (1, 1, 1)) == 2
-        assert kostka(Partition((2,)), (2,)) == 1
+        assert schur_ssyt(Partition((1, 1)), 2).terms[(1, 1)] == 1
+        assert schur_ssyt(Partition((2, 1)), 3).terms[(1, 1, 1)] == 2
+        assert schur_ssyt(Partition((2,)), 1).terms[(2,)] == 1
 
     def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
-            kostka(Partition((2, 1)), (1, 1))
+        # a content whose weight is not |lam| counts no filling
+        assert (1, 1) not in schur_ssyt(Partition((2, 1)), 2).terms
 
     def test_matches_schur_coefficients(self):
-        lam = Partition((2, 1))
-        s = schur_ssyt(lam, 3)
-        for exps, coeff in s.terms.items():
-            assert coeff == kostka(lam, exps)
+        for parts in [(2, 1), (3, 1), (2, 2, 1)]:
+            lam = Partition(parts)
+            s = schur_ssyt(lam, 3)
+            for exps in itertools.product(range(lam.weight + 1), repeat=3):
+                if sum(exps) == lam.weight:
+                    assert s.terms.get(exps, 0) == kostka(lam, exps)
 
 
 class TestSkew:

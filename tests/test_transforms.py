@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -294,6 +296,17 @@ def test_jacobi_trudi_structural_degree_is_the_weight(parts, n):
     # the extraction bound of the reduction is read off this structure
     lam = Partition(parts)
     assert jacobi_trudi_formula(lam, n).degree() == lam.weight
+
+
+def test_jacobi_trudi_formula_does_not_recurse():
+    # a recursion over the h-states would need about lambda_1 = 150 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        f = jacobi_trudi_formula(Partition((150, 2)), 152)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert f.degree() == 152
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
