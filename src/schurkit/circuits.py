@@ -10,9 +10,10 @@ Full symbolic expansion to a `Poly` is the brute-force oracle that every
 transformation pass in this package is checked against, so it is guarded by a
 term budget that counts monomials.  It runs in the packed integer form of
 the `Poly` product kernel: each leaf is encoded once, every product gate
-calls the kernel that `Poly.__mul__` calls (`poly.packed_product`, with the
-power-of-w fold `field.fold_powers`), sum gates add integer numerators, and
-only the root is decoded into a `Poly`.
+calls the kernel that `Poly.__mul__` calls (`poly.packed_product`, which
+multiplies cyclotomic coefficients as whole ints at w = 2^S and reduces
+each result monomial once modulo Phi_n(2^S)), sum gates add integer
+numerators, and only the root is decoded into a `Poly`.
 
 An ABP is a layered graph with one source and one sink whose edges carry
 affine labels; it computes the sum over source-to-sink paths of the product
@@ -119,6 +120,21 @@ def _live_children(node: Node):
     return node.children
 
 
+def _degree_bound(nodes: list) -> int:
+    """`Formula.degree` of the root of `nodes`, the live post-order
+    `_postorder(root, _live_children)`, whose last node is the root."""
+    degrees: dict[int, int] = {}
+    for node in nodes:
+        below = [degrees[id(c)] for c in _live_children(node)]
+        if node.kind == "input":
+            degrees[id(node)] = 1
+        elif node.kind == "sum":
+            degrees[id(node)] = max(below, default=0)
+        else:  # a product, or a constant with no children
+            degrees[id(node)] = sum(below)
+    return degrees[id(nodes[-1])]
+
+
 def inp(var: int) -> Node:
     return Node("input", var=var)
 
@@ -178,16 +194,7 @@ class Formula:
         """An upper bound on the total degree, read off the structure: an
         input counts 1 and a constant 0, a sum gate takes the max over its
         live children and a product gate the sum over its children."""
-        degrees: dict[int, int] = {}
-        for node in _postorder(self.root, _live_children):
-            below = [degrees[id(c)] for c in _live_children(node)]
-            if node.kind == "input":
-                degrees[id(node)] = 1
-            elif node.kind == "sum":
-                degrees[id(node)] = max(below, default=0)
-            else:  # a product, or a constant with no children
-                degrees[id(node)] = sum(below)
-        return degrees[id(self.root)]
+        return _degree_bound(_postorder(self.root, _live_children))
 
     # -- semantics -----------------------------------------------------------
 
@@ -229,18 +236,22 @@ class Formula:
         order, as in `Poly.__mul__`, and two live orders raise
         DomainMismatch.
 
-        One key width, from `degree()`, serves every node: no live node's
-        degree exceeds the root's bound.  A node's value is a dict from
-        packed key plus power of w to an integer numerator, over one
-        denominator.  A product gate runs `packed_product`; a sum gate adds
-        the weight-scaled numerators of all its children over the lcm of
-        their denominators.  Each gate's value has its zeros dropped and
-        one gcd divided out; only the root is decoded into scalars.
+        The DAG is walked once: the live node list gives both the degree
+        bound of `degree()`, whose bit length is the one key width for every
+        node (no live node's degree exceeds the root's bound), and the order
+        of evaluation.  A node's value is a dict from packed key plus power
+        of w to an integer numerator, over one denominator.  A product gate
+        runs `packed_product`, which multiplies each cyclotomic coefficient
+        as one int at w = 2^S and reduces each result monomial once modulo
+        Phi_n(2^S); a sum gate adds the weight-scaled numerators of all its
+        children over the lcm of their denominators.  Each gate's value has
+        its zeros dropped and one gcd divided out; only the root is decoded
+        into scalars.
         """
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
-        width = max(1, self.degree()).bit_length()
         nodes = _postorder(self.root, _live_children)
+        width = max(1, _degree_bound(nodes)).bit_length()
         order = common_order(
             [n.value for n in nodes if n.kind == "const"],
             [w for n in nodes if n.kind == "sum" for w in n.weights if w],

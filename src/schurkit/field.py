@@ -30,15 +30,16 @@ read coefficients off a polynomial's values at 0, 1, 2, ....  It also owns
 the coefficient side of the `Poly` product kernel (`poly.packed_product`,
 called by `Poly.__mul__` and by `Formula.expand`): `common_order` finds the
 one field of the operands, `int_numerators` writes coefficients as integer
-numerators over a common denominator, `fold_powers` reduces the powers of w
-a product leaves (modulo n, then modulo Phi_n) so that the result can be
-multiplied again, and `from_int_numerators` turns numerators back into
-scalars.  The same numerators evaluate a
-polynomial at a point of powers of w: `root_exponents` recognises such a
-point, coordinate by coordinate, in a cached table of w^0 .. w^(n-1), and
-`root_power_sum` drops each numerator into one of n buckets by its power of
-w modulo n and reduces the buckets once.  `Poly.eval` takes that route by
-itself whenever its point qualifies.
+numerators over a common denominator, and `from_int_numerators` turns
+numerators back into scalars.  The kernel packs each cyclotomic
+coefficient's numerators into one int at w = 2^S and reduces each product
+once modulo Phi_n(2^S); `fold_constants` gives the per-field constants its
+slot width S depends on.  The same numerators evaluate a polynomial at a
+point of powers of w: `root_exponents` recognises such a point, coordinate
+by coordinate, in a cached table of w^0 .. w^(n-1), and `root_power_sum`
+drops each numerator into one of n buckets by its power of w modulo n and
+reduces the buckets once.  `Poly.eval` takes that route by itself whenever
+its point qualifies.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ def _reduce_ints(n: int, deg: int, vec: list) -> list:
 # cyclotomic scalars
 # ---------------------------------------------------------------------------
 
-_setattr = object.__setattr__
-
-
 def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
     """The scalar nums/den (den > 0, nums reduced modulo Phi_n), with the
     common factor of den and all numerators divided out: one gcd per value."""
@@ -163,10 +161,10 @@ def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
-    self = object.__new__(CyclotomicScalar)
-    _setattr(self, "order", order)
-    _setattr(self, "nums", tuple(nums))
-    _setattr(self, "den", den)
+    self = _new_scalar(CyclotomicScalar)
+    _set_order(self, order)
+    _set_nums(self, tuple(nums))
+    _set_den(self, den)
     return self
 
 
@@ -371,6 +369,13 @@ class CyclotomicScalar:
         return f"CyclotomicScalar({self.order}, {scalar_to_text(self)!r})"
 
 
+# the slot setters, which skip the immutability guard of __setattr__
+_new_scalar = object.__new__
+_set_order = CyclotomicScalar.order.__set__
+_set_nums = CyclotomicScalar.nums.__set__
+_set_den = CyclotomicScalar.den.__set__
+
+
 def omega(n: int) -> CyclotomicScalar:
     """A primitive n-th root of unity (the residue class of x mod Phi_n)."""
     return CyclotomicScalar(n, (0, 1))
@@ -435,12 +440,16 @@ def int_numerators(pairs: list) -> tuple[list, int]:
     ]
     den = math.lcm(*dens)
     out = []
+    append = out.append
     for (k, c), d in zip(pairs, dens):
         s = den // d
         if isinstance(c, CyclotomicScalar):
-            out += [(k + j, v * s) for j, v in enumerate(c.nums) if v]
+            for v in c.nums:
+                if v:
+                    append((k, v * s))
+                k += 1
         else:
-            out.append((k, c.numerator * s))
+            append((k, c.numerator * s))
     return out, den
 
 
@@ -493,57 +502,31 @@ def root_exponents(point: Sequence) -> tuple[int, list[int]] | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _fold_rows(n: int) -> tuple:
-    """For each power p = 0 .. 2*deg - 2 of w, the (index, coefficient)
-    pairs of w^p in the power basis: p first folds modulo n (w^n = 1), and a
-    folded power j >= deg is replaced by its row of `_power_reductions`."""
+def fold_constants(n: int) -> tuple[int, int, int]:
+    """(deg, power_bits(n), R) for the order-n field, deg = deg Phi_n: R is
+    the largest |coefficient| of w^p in the power basis over the powers
+    p = 0 .. 2*deg - 2 that a product of two power-basis entries reaches.
+    p first folds modulo n (w^n = 1), and a folded power j >= deg takes its
+    row of `_power_reductions`; a power below deg has coefficient 1."""
     deg = len(cyclotomic_polynomial(n)) - 1
     rows = _power_reductions(n)
-    out = []
-    for p in range(2 * deg - 1):
+    reach = 1
+    for p in range(deg, 2 * deg - 1):
         j = p % n
-        out.append(((j, 1),) if j < deg else rows[j - deg])
-    return tuple(out)
-
-
-def fold_powers(acc: dict, order: int | None) -> dict:
-    """The packed product numerators `acc` in canonical form: zeros dropped
-    and, in the order-n field, every power of w in the low `power_bits`
-    field brought below deg by `_fold_rows`.
-
-    `acc` maps (key << power_bits(order)) + power of w, the power at most
-    2*deg - 2 as in the product of two folded operands, to an integer
-    numerator.  A key of the result is zero-free and its powers are a
-    power-basis index, so a monomial is zero exactly when it has no key.
-    """
-    if order is None:
-        return {k: v for k, v in acc.items() if v}
-    deg = len(cyclotomic_polynomial(order)) - 1
-    mask = (1 << power_bits(order)) - 1
-    rows = _fold_rows(order)
-    out: dict[int, int] = {}
-    get = out.get
-    for k, v in acc.items():
-        if v:
-            p = k & mask
-            if p < deg:
-                out[k] = get(k, 0) + v
-            else:
-                k -= p
-                for i, r in rows[p]:
-                    out[k + i] = get(k + i, 0) + v * r
-    return {k: v for k, v in out.items() if v}
+        if j >= deg:
+            reach = max(reach, *(abs(c) for _, c in rows[j - deg]))
+    return deg, power_bits(n), reach
 
 
 def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:
-    """Inverse of `int_numerators` on numerators in the form `fold_powers`
-    gives: `acc` maps (key << power_bits(order)) + power of w to a non-zero
-    integer numerator over `den`.  Returns {key: scalar}, every scalar in
-    the order-n field (rational when `order` is None)."""
+    """Inverse of `int_numerators` on numerators in the form
+    `poly.packed_product` gives: `acc` maps (key << power_bits(order)) +
+    power of w to a non-zero integer numerator over `den`.  Returns
+    {key: scalar}, every scalar in the order-n field (rational when `order`
+    is None)."""
     if order is None:
         return {k: Rat(v, den) for k, v in acc.items()}
-    deg = len(cyclotomic_polynomial(order)) - 1
-    bits = power_bits(order)
+    deg, bits, _ = fold_constants(order)
     mask = (1 << bits) - 1
     vecs: dict[int, list] = {}
     for k, v in acc.items():

@@ -18,9 +18,14 @@ A product is an integer kernel, `packed_product`, with two callers:
 `Poly.__mul__` and `Formula.expand`.  An operand is packed keys with
 integer numerators over one common denominator (`field.int_numerators`); a
 cyclotomic coefficient contributes one entry per non-zero power-basis
-numerator, with the power of w in an extra low field.  The inner loop adds
-keys and multiplies ints, and `field.fold_powers` brings every power of w
-back into the power basis, so a result can be the next product's operand.
+numerator, with the power of w in an extra low field.  Over Q the inner
+loop adds keys and multiplies ints.  In the order-n field the kernel first
+packs each monomial's numerators into one int, the power basis evaluated
+at w = 2^S for a slot width S taken from the operands (Kronecker
+substitution), so the inner loop runs once per pair of monomials, not per
+pair of power-basis entries.  Each result monomial is then reduced once
+modulo Phi_n(2^S) and split into its base-2^S digits, the power-basis
+numerators, so a result can be the next product's operand.
 `Poly.__mul__` encodes its two operands and decodes the result
 (`field.from_int_numerators`); `Formula.expand` encodes each leaf once and
 decodes only the root.  Rational operands give rational coefficients; if
@@ -41,8 +46,9 @@ routes give the same value and type.
 
 from __future__ import annotations
 
+import functools
 import re
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, NotDivisible
@@ -53,7 +59,8 @@ from .field import (
     Rat,
     as_scalar,
     common_order,
-    fold_powers,
+    cyclotomic_polynomial,
+    fold_constants,
     from_int_numerators,
     int_numerators,
     json_field,
@@ -68,6 +75,9 @@ from .field import (
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
+
+
+_second = itemgetter(1)
 
 
 def _pack(exps: Sequence[int], width: int) -> int:
@@ -89,24 +99,113 @@ def _unpack(key: int, arity: int, width: int) -> tuple[int, ...]:
 
 
 def packed_product(pa, pb, order: int | None) -> dict:
-    """The product kernel: the product of two packed operands, in the
-    canonical form of `field.fold_powers`.
+    """The product kernel: the product of two packed operands, canonical
+    (no zero numerator; every power of w a power-basis index, below deg).
 
-    An operand is a sized iterable of pairs: (key << power_bits(order)) +
-    power of w, and an integer numerator.  Keys add and numerators
+    An operand is a sized collection of pairs, read more than once (a list
+    or a dict view): (key << power_bits(order)) + power of w, and an
+    integer numerator.  Keys add and numerators
     multiply, so the result is over the product of the operands'
     denominators.  Every power of w in an operand must be below the field's
     degree, and the two total degrees together must fit the key width.
+
+    Over Q the loop runs on the entries.  In the order-n field every
+    monomial's numerators c_p become one integer, sum c_p * 2^(S*p): the
+    power basis evaluated at w = 2^S (Kronecker substitution).  The loop
+    then runs on monomials, and each result monomial is reduced once,
+    x = (x + H) % M - H with M = Phi_n(2^S) and H = M >> 1, and split into
+    balanced base-2^S digits, the folded numerators r_0 .. r_(deg-1); the
+    bias of `_fold_plan` turns that split into deg shifts and masks.
+
+    This is exact.  w -> 2^S is a ring map Z[w] -> Z, and Phi_n is monic,
+    so a monomial's unreduced product c(w) = q(w) Phi_n(w) + r(w) with
+    integer q and r, and its packed value is congruent to r(2^S) modulo M.
+    Let A and B be the operands' largest |numerator|, L the smaller
+    operand's entry count, which bounds its monomial count, and R as in
+    `field.fold_constants`.  At most L monomial pairs meet on one result
+    monomial, each adds at most deg products to a coefficient of c(w), and
+    r_i sums the 2*deg - 1 coefficients, each times a fold entry of size at
+    most R.  So |r_i| <= A*B*L*deg*(2*deg - 1)*R < 2^S / 4 for S =
+    `slot_bits`, and |r(2^S)| < 2^(S*deg) / 4.  That S also gives
+    2^S >= 2 * sum |phi_i| over the lower coefficients of Phi_n (each
+    |phi_i| <= R, and there is one when deg = 1), so M >= 2^(S*deg) / 2
+    and H >= 2^(S*deg) / 4.  The remainder therefore is r(2^S) itself, and
+    its balanced digits, each below 2^(S-1) in size, are the r_i.
     """
-    if len(pb) < len(pa):
-        pa, pb = pb, pa
-    acc: dict[int, int] = {}
+    if order is None:
+        if len(pb) < len(pa):
+            pa, pb = pb, pa
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        return {k: v for k, v in acc.items() if v}
+    if not pa or not pb:
+        return {}
+    deg, bits, reach = fold_constants(order)
+    slot = slot_bits(pa, pb, deg, reach)
+    mask = (1 << bits) - 1
+    # key with power 0 -> sum of c_p * 2^(S*p); one loop per operand, not a
+    # helper, as a call per operand shows on the many one-term products
+    ia: dict[int, int] = {}
+    get = ia.get
+    for k, v in pa:
+        p = k & mask
+        ia[k - p] = get(k - p, 0) + (v << slot * p)
+    ib: dict[int, int] = {}
+    get = ib.get
+    for k, v in pb:
+        p = k & mask
+        ib[k - p] = get(k - p, 0) + (v << slot * p)
+    if len(ib) < len(ia):
+        ia, ib = ib, ia
+    acc = {}
     get = acc.get
-    for ka, ca in pa:
-        for kb, cb in pb:
+    pairs = ib.items()
+    for ka, ca in ia.items():
+        for kb, cb in pairs:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
-    return fold_powers(acc, order)
+    modulus, half, offset, digits, digit_mask, digit_half = _fold_plan(order, slot)
+    out = {}
+    for k, x in acc.items():
+        x = (x + half) % modulus + offset
+        for i, shift in digits:
+            r = (x >> shift & digit_mask) - digit_half
+            if r:
+                out[k + i] = r
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _fold_plan(order: int, slot: int) -> tuple:
+    """The constants of `packed_product`'s fold at w = 2^slot: M =
+    Phi_n(2^slot), H = M >> 1, bias - H, (i, slot * i) for each power-basis
+    index i, the digit mask and 2^(slot-1).  bias adds 2^(slot-1) to every
+    base-2^slot digit, so that balanced digits read as plain bit fields."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    modulus = sum(c << slot * i for i, c in enumerate(phi))
+    digit_half = 1 << slot - 1
+    bias = sum(digit_half << slot * i for i in range(deg))
+    half = modulus >> 1
+    digits = tuple((i, slot * i) for i in range(deg))
+    return modulus, half, bias - half, digits, (1 << slot) - 1, digit_half
+
+
+def slot_bits(pa, pb, deg: int, reach: int) -> int:
+    """The slot width S at which `packed_product` packs the operands `pa`
+    and `pb` of a product in a field of degree `deg`, with R = `reach` from
+    `field.fold_constants`:
+    S = bitlen(A) + bitlen(B) + bitlen(L * deg * (2*deg - 1) * R) + 2,
+    A and B the non-empty operands' largest |numerator| and L the smaller
+    operand's entry count."""
+    top = max(map(abs, map(_second, pa))).bit_length()
+    top += max(map(abs, map(_second, pb))).bit_length()
+    headroom = min(len(pa), len(pb)) * deg * (2 * deg - 1) * reach
+    return top + headroom.bit_length() + 2
 
 
 class Poly:

@@ -27,10 +27,21 @@ from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, ZERO, omega
 from schurkit.poly import Poly
 
 
+def schoolbook_product(p: Poly, q: Poly) -> Poly:
+    """p * q by scalar products on exponent tuples, apart from the packed
+    kernel that `Poly.__mul__` and `Formula.expand` share."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return Poly(p.arity, out)
+
+
 def naive_expand(f: Formula) -> Poly:
-    """Gate-by-gate `Poly` arithmetic: the reference for the packed integer
-    expansion behind `Formula.expand`.  Its coefficients may mix `Rat` and
-    `CyclotomicScalar` values."""
+    """Gate-by-gate `Poly` arithmetic with `schoolbook_product`: the
+    reference for the packed integer expansion behind `Formula.expand`.
+    Its coefficients may mix `Rat` and `CyclotomicScalar` values."""
     arity = f.arity
     zero = Poly.zero(arity)
     values: dict[int, Poly] = {}
@@ -47,7 +58,7 @@ def naive_expand(f: Formula) -> Poly:
         else:
             value = Poly.constant(arity, 1)
             for c in node.children:
-                value = value * values[id(c)]
+                value = schoolbook_product(value, values[id(c)])
         values[id(node)] = value
     return values[id(f.root)]
 
@@ -189,7 +200,7 @@ class TestEvalAndExpand:
 class TestPackedExpansion:
     """`Formula.expand` against the gate-by-gate reference `naive_expand`."""
 
-    @pytest.mark.parametrize("order", [None, 3, 5, 8, 12])
+    @pytest.mark.parametrize("order", [None, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
     def test_random_formulas(self, order):
         rng = random.Random(order or 1)
         for _ in range(25):
@@ -219,6 +230,50 @@ class TestPackedExpansion:
         square = prod_node([inp(0), inp(0)])
         f = Formula(sum_node([inp(1), square, const(w)], [w, 0, CyclotomicScalar(5, [])]), 2)
         assert assert_expands_as_reference(f) == Poly(2, {(0, 1): w})
+
+    @pytest.mark.parametrize("order", [None, 1, 2, 4, 7, 9, 12, 15])
+    def test_coefficients_near_2_200(self, order):
+        rng = random.Random(300 + (order or 0))
+
+        def huge():
+            def rat():
+                return Rat(rng.choice((-1, 1)) * (2**200 + rng.randrange(2**64)), 2**199 + rng.randrange(3))
+            return rat() if order is None else CyclotomicScalar(order, [rat() for _ in range(order)])
+
+        for _ in range(3):
+            forms = [sum_node([inp(i % 3), inp((i + 1) % 3), const(huge())], [huge(), huge(), 1]) for i in range(4)]
+            f = Formula(sum_node([prod_node(forms[:3]), prod_node(forms[1:])], [huge(), huge()]), 3)
+            assert_expands_as_reference(f)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 7, 9, 12, 15])
+    def test_dense_factors_collide_on_few_keys(self, order):
+        # factors with every monomial of degree 9 in x, y: up to 10 monomial
+        # pairs meet on one key of a product; with one coefficient of equal
+        # large numerators throughout, their products add up without
+        # cancelling
+        rng = random.Random(400 + order)
+        aligned = CyclotomicScalar(order, [2**60 - 1] * order)
+        for scalar in (lambda: random_scalar(rng, order) or ONE, lambda: aligned):
+            factors = [
+                formula_from_poly(Poly(2, {(i, 9 - i): scalar() for i in range(10)})).root
+                for _ in range(3)
+            ]
+            assert_expands_as_reference(Formula(prod_node(factors), 2))
+
+    def test_one_walk_of_the_dag(self, monkeypatch):
+        from schurkit import circuits
+
+        walks = []
+
+        def counting(*args):
+            walks.append(args)
+            return _postorder(*args)
+
+        monkeypatch.setattr(circuits, "_postorder", counting)
+        x = inp(0)
+        shared = sum_node([x, const(omega(8))])
+        Formula(prod_node([shared, shared, inp(1)]), 2).expand()
+        assert len(walks) == 1
 
     def test_order_five_folds_powers_modulo_five(self):
         # w^2 * w^3 = w^5 = 1 needs the fold modulo n before Phi_5's rows

@@ -10,8 +10,15 @@ from schurkit.errors import (
     DomainMismatch,
     NotDivisible,
 )
-from schurkit.field import CyclotomicScalar, Rat, omega, root_exponents
-from schurkit.poly import Poly, poly_from_text
+from schurkit.field import (
+    CyclotomicScalar,
+    Rat,
+    fold_constants,
+    int_numerators,
+    omega,
+    root_exponents,
+)
+from schurkit.poly import Poly, poly_from_text, slot_bits
 
 
 def var(arity, i):
@@ -384,6 +391,96 @@ class TestProductKernel:
             mixed * other
         with pytest.raises(DomainMismatch):
             other * mixed
+
+
+#: orders whose fields the slot bound must cover: degree 1 (1, 2), fold
+#: rows of one entry (4), of several entries (7, 9, 12, 15), and R = 2 (105)
+SLOT_ORDERS = [1, 2, 4, 7, 9, 12, 15]
+
+
+def huge_scalar(rng, order):
+    """A rational or cyclotomic value with numerators and denominators
+    around 2^200, of either sign; few distinct denominators, so that the
+    scalar reference stays quick."""
+    def rat():
+        return Rat(rng.choice((-1, 1)) * (2**200 + rng.randrange(2**64)), 2**199 + rng.randrange(3))
+
+    if order is None:
+        return rat()
+    deg = fold_constants(order)[0]
+    return CyclotomicScalar(order, [rat() for _ in range(deg)])
+
+
+def dense_poly(rng, arity, degree, scalar) -> Poly:
+    """Every monomial of total degree `degree`: the products of two such
+    operands meet on few keys, up to min(monomial counts) pairs on one."""
+    exps = [()]
+    for _ in range(arity):
+        exps = [e + (k,) for e in exps for k in range(degree + 1)]
+    return Poly(arity, {e: scalar(rng) for e in exps if sum(e) == degree})
+
+
+def kernel_numerators(p: Poly) -> list:
+    """The numerator entries `Poly.__mul__` hands the kernel for p (the
+    keys do not enter the slot width)."""
+    return int_numerators([(0, c) for c in p.terms.values()])[0]
+
+
+def max_numerator(p: Poly) -> int:
+    return max(abs(v) for c in p.terms.values() for v in c.nums)
+
+
+class TestSlotBound:
+    """The packed cyclotomic product against `naive_product` where the slot
+    width is tight: more field degrees, huge numerators, dense collisions."""
+
+    @pytest.mark.parametrize("order", SLOT_ORDERS + [105])
+    def test_random_products(self, order):
+        rng = random.Random(order)
+        for arity, da, db in [(1, 3, 4), (2, 2, 2), (3, 1, 3)]:
+            p = random_poly(rng, arity, da, order, terms=3 if order == 105 else 6)
+            r = random_poly(rng, arity, db, order, terms=3 if order == 105 else 6)
+            assert assert_kernel_product(p, r).divide_exact(r) == p
+
+    @pytest.mark.parametrize("order", [None] + SLOT_ORDERS)
+    def test_numerators_near_2_200(self, order):
+        rng = random.Random(200 + (order or 0))
+        for arity in (1, 3):
+            p = dense_poly(rng, arity, 2, lambda g: huge_scalar(g, order))
+            r = random_poly(rng, arity, 2, order)
+            r += Poly(arity, {(1,) * arity: huge_scalar(rng, order)})
+            assert_kernel_product(p, r)
+            assert_kernel_product(p, p)
+
+    @pytest.mark.parametrize("order", SLOT_ORDERS)
+    def test_dense_operands_collide_on_few_keys(self, order):
+        rng = random.Random(300 + order)
+        scalar = lambda g: CyclotomicScalar(order, [g.randint(-9, 9) for _ in range(order)])
+        for arity, degree in [(2, 12), (3, 5)]:
+            p = dense_poly(rng, arity, degree, scalar)
+            r = dense_poly(rng, arity, degree + 1, scalar)
+            assert_kernel_product(p, r)
+            assert_kernel_product(r, r)
+
+    @pytest.mark.parametrize("order", SLOT_ORDERS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digits_at_their_bound(self, order, sign):
+        """Every numerator of one operand is A = 2^100 - 1, every one of the
+        other is B = +-(2^90 - 1), and L = 7 monomial pairs meet on the
+        middle key.  Every folded numerator stays
+        below 2^S / 4, the bound the kernel's uniqueness argument rests on;
+        in degree 1 the middle one is L*A*B, the bound itself, so it also
+        exceeds 2^S / 8 and a slot one bit narrower breaks the invariant."""
+        deg, _, reach = fold_constants(order)
+        a, b, pairs = 2**100 - 1, 2**90 - 1, 7
+        p = Poly(1, {(i,): CyclotomicScalar(order, [a] * deg) for i in range(pairs)})
+        r = Poly(1, {(i,): CyclotomicScalar(order, [sign * b] * deg) for i in range(pairs)})
+        product = assert_kernel_product(p, r)
+        slot = slot_bits(kernel_numerators(p), kernel_numerators(r), deg, reach)
+        assert max_numerator(product) < 2**slot // 4
+        if deg == 1:
+            assert max_numerator(product) == pairs * a * b
+            assert max_numerator(product) > 2**slot // 8
 
 
 class TestTextAndJson:
