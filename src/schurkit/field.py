@@ -14,7 +14,11 @@ rational into a cyclotomic field.
 
 A cyclotomic scalar stores integer numerators over one positive common
 denominator, so its arithmetic is integer arithmetic plus one gcd per result
-rather than rational arithmetic per coefficient.  Its inverse stays in that
+rather than rational arithmetic per coefficient.  Every reduction modulo
+Phi_n, of a product, a conjugate or a sum of powers of w, folds exponents
+modulo n (w^n = 1) and then takes the remainder of one long division by
+Phi_n (`_divmod_monic`), the routine that also builds Phi_n by dividing
+x^n - 1 by the lower cyclotomic factors.  A scalar's inverse stays in that
 arithmetic: the conjugates sigma_k(a) (w -> w^k, 1 < k < n, gcd(k, n) = 1)
 are index permutations of the numerators, their product times a is the
 rational norm of a, so the inverse is that product divided by the norm.  It
@@ -68,22 +72,20 @@ ONE = Rat(1)
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _divexact_int(num: list[int], den: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials (little-endian), monic divisor."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd]
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of integer polynomials (little-endian) by the
+    monic `den`, by long division; the remainder has len(den) - 1 entries."""
+    deg = len(den) - 1
+    rem = list(num)
+    quot = [0] * max(len(rem) - deg, 0)
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = rem[k]
         if c:
-            q, r = divmod(c, lead)
-            assert r == 0, "division of cyclotomic factors must be exact"
-            out[k] = q
-            for i, d in enumerate(den):
-                num[k + i] -= q * d
-    assert not any(num), "division of cyclotomic factors must be exact"
-    return out
+            quot[k - deg] = c
+            for i, d in enumerate(den, k - deg):
+                if d:
+                    rem[i] -= c * d
+    return quot, rem[:deg] + [0] * (deg - len(rem))
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,52 +103,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[0], poly[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _divexact_int(poly, cyclotomic_polynomial(d))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            assert not any(rem), "division of cyclotomic factors must be exact"
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row j - deg holds w^j reduced modulo Phi_n, for deg <= j < n.
-
-    Each row lists the (index, coefficient) pairs of its non-zero entries.
-    Phi_n is monic with integer coefficients, so every entry is an integer.
-    """
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    row0 = [-c for c in phi[:deg]]
-    cur = row0
-    rows = []
-    for _ in range(deg, n):
-        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c + top * r for c, r in zip(cur, row0)]
-    return tuple(rows)
-
-
-def _reduce_ints(n: int, deg: int, vec: list) -> list:
-    """Reduce an integer coefficient vector of any length modulo Phi_n.
-
-    Exponents first fold modulo n (w^n = 1), then each w^j with j >= deg is
-    replaced by its row of `_power_reductions`.
-    """
+def _reduce_ints(n: int, vec: list) -> list:
+    """Reduce an integer coefficient vector of any length modulo Phi_n:
+    exponents first fold modulo n (w^n = 1), then the remainder of one long
+    division by Phi_n gives the deg power-basis numerators."""
     if len(vec) > n:
         folded = [0] * n
         for j, c in enumerate(vec):
             folded[j % n] += c
         vec = folded
-    if len(vec) <= deg:
-        return vec + [0] * (deg - len(vec))
-    rows = _power_reductions(n)
-    out = vec[:deg]
-    for j in range(deg, len(vec)):
-        c = vec[j]
-        if c:
-            for i, r in rows[j - deg]:
-                out[i] += c * r
-    return out
+    return _divmod_monic(vec, cyclotomic_polynomial(n))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +150,11 @@ class CyclotomicScalar:
     integer numerators `nums` over one positive denominator `den`, in
     canonical form: gcd(den, *nums) == 1, so zero is stored with den == 1.
     A product is an integer convolution reduced modulo the monic integer
-    polynomial Phi_n, normalised by one gcd, instead of one rational product
-    (and gcd) per pair of coefficients.  `coeffs` gives the rational
-    coefficients.  Instances are immutable.  Rational operands embed
-    automatically; cyclotomic operands of a different order raise
-    DomainMismatch.
+    polynomial Phi_n by one long division (`_reduce_ints`) and normalised
+    by one gcd, instead of one rational product (and gcd) per pair of
+    coefficients.  `coeffs` gives the rational coefficients.  Instances are
+    immutable.  Rational operands embed automatically; cyclotomic operands
+    of a different order raise DomainMismatch.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -192,8 +163,7 @@ class CyclotomicScalar:
         vec = [c if type(c) is type(ONE) else Rat(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec)) if vec else 1
         nums = [c.numerator * (den // c.denominator) for c in vec]
-        deg = len(cyclotomic_polynomial(order)) - 1
-        return _canonical(order, _reduce_ints(order, deg, nums), den)
+        return _canonical(order, _reduce_ints(order, nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicScalar is immutable")
@@ -279,7 +249,7 @@ class CyclotomicScalar:
                     if cb:
                         acc[j] += ca * cb
         return _canonical(
-            self.order, _reduce_ints(self.order, deg, acc), self.den * other.den
+            self.order, _reduce_ints(self.order, acc), self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -296,7 +266,7 @@ class CyclotomicScalar:
         vec = [0] * n
         for j, c in enumerate(self.nums):
             vec[j * k % n] += c
-        return _canonical(n, _reduce_ints(n, len(self.nums), vec), self.den)
+        return _canonical(n, _reduce_ints(n, vec), self.den)
 
     def inverse(self) -> "CyclotomicScalar":
         """The product of the other conjugates sigma_k(self), 1 < k < n with
@@ -422,18 +392,19 @@ def common_order(*groups: Iterable) -> int | None:
 
 
 def power_bits(order: int | None) -> int:
-    """Bits of a field that holds the power of w in a product of two power-
-    basis entries (0 .. 2*deg - 2) of the order-n field; 0 over Q."""
+    """Bits of the low key field that holds a power-basis index of the
+    order-n field (0 .. deg - 1); 0 over Q."""
     if order is None:
         return 0
-    return (2 * len(cyclotomic_polynomial(order)) - 4).bit_length()
+    return (len(cyclotomic_polynomial(order)) - 2).bit_length()
 
 
 def int_numerators(pairs: list) -> tuple[list, int]:
     """The (key, scalar) pairs as (key + power of w, integer numerator)
     pairs, one per non-zero power-basis numerator, over one positive common
-    denominator.  A rational sits at power 0, so a product kernel passes its
-    keys shifted left by `power_bits` of the scalars' order."""
+    denominator.  A power is a power-basis index, below deg, and a rational
+    sits at power 0, so a product kernel passes its keys shifted left by
+    `power_bits` of the scalars' order."""
     dens = [
         c.den if isinstance(c, CyclotomicScalar) else c.denominator
         for _, c in pairs
@@ -470,15 +441,13 @@ def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
     buckets = [0] * order
     for s, v in nums:
         buckets[s % order] += v
-    deg = len(cyclotomic_polynomial(order)) - 1
-    return _canonical(order, _reduce_ints(order, deg, buckets), den)
+    return _canonical(order, _reduce_ints(order, buckets), den)
 
 
 @functools.lru_cache(maxsize=None)
 def _root_power_table(n: int) -> dict:
     """The power-basis numerators of w^p, mapped to p, for p = 0 .. n-1."""
-    deg = len(cyclotomic_polynomial(n)) - 1
-    return {tuple(_reduce_ints(n, deg, [0] * p + [1])): p for p in range(n)}
+    return {tuple(_reduce_ints(n, [0] * p + [1])): p for p in range(n)}
 
 
 def root_exponents(point: Sequence) -> tuple[int, list[int]] | None:
@@ -504,17 +473,13 @@ def root_exponents(point: Sequence) -> tuple[int, list[int]] | None:
 @functools.lru_cache(maxsize=None)
 def fold_constants(n: int) -> tuple[int, int, int]:
     """(deg, power_bits(n), R) for the order-n field, deg = deg Phi_n: R is
-    the largest |coefficient| of w^p in the power basis over the powers
-    p = 0 .. 2*deg - 2 that a product of two power-basis entries reaches.
-    p first folds modulo n (w^n = 1), and a folded power j >= deg takes its
-    row of `_power_reductions`; a power below deg has coefficient 1."""
+    the largest |coefficient| of w^p reduced modulo Phi_n (`_reduce_ints`)
+    over the powers p = 0 .. 2*deg - 2 that the unreduced product of two
+    power-basis vectors reaches."""
     deg = len(cyclotomic_polynomial(n)) - 1
-    rows = _power_reductions(n)
-    reach = 1
-    for p in range(deg, 2 * deg - 1):
-        j = p % n
-        if j >= deg:
-            reach = max(reach, *(abs(c) for _, c in rows[j - deg]))
+    reach = max(
+        abs(c) for p in range(2 * deg - 1) for c in _reduce_ints(n, [0] * p + [1])
+    )
     return deg, power_bits(n), reach
 
 
@@ -750,17 +715,6 @@ class ScalarMatrix:
     def __reduce__(self):
         return ScalarMatrix, (self.rows, self.cols, self.entries)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ScalarMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = [e for row in rows for e in row]
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "ScalarMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -769,25 +723,6 @@ class ScalarMatrix:
 
     def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def mul(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return ScalarMatrix(self.rows, other.cols, out)
 
     def rank(self) -> int:
         return bareiss(self.to_rows())[0]

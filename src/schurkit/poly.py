@@ -18,12 +18,13 @@ A product is an integer kernel, `packed_product`, with two callers:
 `Poly.__mul__` and `Formula.expand`.  An operand is packed keys with
 integer numerators over one common denominator (`field.int_numerators`); a
 cyclotomic coefficient contributes one entry per non-zero power-basis
-numerator, with the power of w in an extra low field.  Over Q the inner
-loop adds keys and multiplies ints.  In the order-n field the kernel first
-packs each monomial's numerators into one int, the power basis evaluated
-at w = 2^S for a slot width S taken from the operands (Kronecker
-substitution), so the inner loop runs once per pair of monomials, not per
-pair of power-basis entries.  Each result monomial is then reduced once
+numerator, with its power-basis index (below deg Phi_n) in an extra low
+field, `field.power_bits` wide.  Over Q the inner loop adds keys and
+multiplies ints.  In the order-n field the kernel first packs each
+monomial's numerators into one int, the power basis evaluated at w = 2^S
+for a slot width S taken from the operands (Kronecker substitution), so
+the inner loop runs once per pair of monomials, not per pair of
+power-basis entries.  Each result monomial is then reduced once
 modulo Phi_n(2^S) and split into its base-2^S digits, the power-basis
 numerators, so a result can be the next product's operand.
 `Poly.__mul__` encodes its two operands and decodes the result
@@ -301,41 +302,31 @@ class Poly:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + other when sign is 1, self - other when it is -1."""
         if not isinstance(other, Poly):
-            return self + Poly.constant(self.arity, other)
+            other = Poly.constant(self.arity, other)
         self._check_arity(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
             if acc is None:
-                out[exps] = coeff
+                out[exps] = coeff if sign > 0 else -coeff
             else:
-                acc = acc + coeff
+                acc = acc + coeff if sign > 0 else acc - coeff
                 if acc:
                     out[exps] = acc
                 else:
                     del out[exps]
         return Poly._raw(self.arity, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return self - Poly.constant(self.arity, other)
-        self._check_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = -coeff
-            else:
-                acc = acc - coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return Poly._raw(self.arity, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return Poly.constant(self.arity, other) - self

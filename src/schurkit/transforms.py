@@ -50,7 +50,7 @@ from .field import (
 from .independence import h_family_witness, witness_jacobian
 from .partitions import Partition
 from .poly import Poly
-from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_labels, schur_jt_h
+from .symmetric import all_distinct, det_poly_matrix, jacobi_trudi_labels, schur_jt_h
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
@@ -401,8 +401,8 @@ def schur_to_det_reduce(
 
     witness = h_family_witness(n)
     sorted_labels = sorted(flat)
-    inner = tuple(h_poly(m, n) for m in sorted_labels)
-    # h_m is row m - 1 of the witness's Jacobian
+    # h_m is the witness's polynomial m - 1 and row m - 1 of its Jacobian
+    inner = tuple(witness.polys[m - 1] for m in sorted_labels)
     rows = [witness.jacobian.row(m - 1) for m in sorted_labels]
     recovered, trace = _recover_traced(
         f, expanded, inner, ell, witness.point, jacobian_rows=rows, budget=budget

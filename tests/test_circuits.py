@@ -570,7 +570,7 @@ def _shared_formula():
         (omega(8), None),
         (omega(8) * Rat(3, 4) - Rat(1, 6), None),
         (Poly(2, {(1, 0): omega(5), (0, 2): Rat(-2, 3)}), None),
-        (ScalarMatrix.from_rows([[omega(3), 1], [Rat(1, 2), 0]]), None),
+        (ScalarMatrix(2, 2, [omega(3), 1, Rat(1, 2), 0]), None),
         (_shared_formula().root, lambda node: Formula(node, 2).to_json()),
         (_shared_formula(), Formula.to_json),
     ],

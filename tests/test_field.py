@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import field
 from schurkit.errors import DomainMismatch, NotSquare, SingularMatrix
 from schurkit.field import (
     CyclotomicScalar,
@@ -17,6 +18,7 @@ from schurkit.field import (
     cyclotomic_polynomial,
     demote,
     embed,
+    fold_constants,
     gauss_jordan,
     interpolation_weights,
     omega,
@@ -121,18 +123,18 @@ class TestScalarArithmetic:
         assert scalar_to_text(Rat(scalar_to_text(value))) == scalar_to_text(value)
 
 
-# reference arithmetic: Fraction vectors over the power basis, reduced by
-# long division by Phi_n; shares nothing with CyclotomicScalar but the
-# (independently tested) cyclotomic polynomial
+# reference arithmetic: Fraction (or int) vectors over the power basis,
+# reduced by long division by Phi_n; shares nothing with CyclotomicScalar but
+# the (independently tested) cyclotomic polynomial
 def ref_reduce(vec, n):
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    vec = [Fraction(c) for c in vec]
+    vec = list(vec)
     for top in range(len(vec) - 1, deg - 1, -1):
         c = vec[top]
         for i, p in enumerate(phi):
             vec[top - deg + i] -= c * p
-    return vec[:deg] + [Fraction(0)] * (deg - len(vec))
+    return vec[:deg] + [0] * (deg - len(vec))
 
 
 def ref_mul(a, b, n):
@@ -166,6 +168,48 @@ cyclotomic_pairs = st.integers(1, 16).flatmap(
         st.integers(-3, 4),
     )
 )
+
+
+class TestReductionModuloPhi:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_integer_vectors_of_every_length(self, n):
+        # below deg, between deg and n, above n, and the zero vector
+        rng = random.Random(n)
+        for length in range(3 * n + 1):
+            vec = [rng.randint(-9, 9) for _ in range(length)]
+            assert CyclotomicScalar(n, vec).nums == tuple(ref_reduce(vec, n))
+        zero = [0] * (3 * n)
+        assert CyclotomicScalar(n, zero).nums == tuple(ref_reduce(zero, n))
+
+    def test_long_vectors_fold_modulo_n_before_the_division(self, monkeypatch):
+        # w^n = 1, so the long division by Phi_n never sees more than n
+        # coefficients: its cost does not grow with the vector's length
+        orders = (1, 2, 7, 8, 12, 15)
+        for n in orders:
+            cyclotomic_polynomial(n)
+        lengths = []
+        divide = field._divmod_monic
+
+        def recorded(num, den):
+            lengths.append((len(num), len(den) - 1))
+            return divide(num, den)
+
+        monkeypatch.setattr(field, "_divmod_monic", recorded)
+        for n in orders:
+            lengths.clear()
+            vec = list(range(1, 5 * n + 2))
+            assert CyclotomicScalar(n, vec).nums == tuple(ref_reduce(vec, n))
+            assert lengths == [(n, len(cyclotomic_polynomial(n)) - 1)]
+
+    def test_fold_constants(self):
+        for n in range(1, 201):
+            deg = len(cyclotomic_polynomial(n)) - 1
+            # w^0 .. w^(2*deg - 2), each one reference step from the last
+            power, reach = ref_reduce([1], n), 1
+            for _ in range(2 * deg - 2):
+                power = ref_reduce([0] + power, n)
+                reach = max(reach, *(abs(c) for c in power))
+            assert fold_constants(n)[::2] == (deg, reach)
 
 
 class TestIntegerNumeratorStorage:
@@ -237,27 +281,44 @@ rational_matrices = st.integers(1, 3).flatmap(
 )
 
 
+def matrix(rows):
+    """The ScalarMatrix with these rows."""
+    return ScalarMatrix(len(rows), len(rows[0]), [e for row in rows for e in row])
+
+
+def identity(n):
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a, b):
+    """The product of two ScalarMatrix values, entry by entry."""
+    cols = list(zip(*b.to_rows()))
+    return matrix(
+        [[sum((x * y for x, y in zip(row, col)), Rat(0)) for col in cols] for row in a.to_rows()]
+    )
+
+
 class TestScalarMatrix:
     def test_det_examples(self):
-        assert ScalarMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
-        assert ScalarMatrix.identity(4).det() == 1
-        assert ScalarMatrix.from_rows([[1, 1], [1, 1]]).det() == 0
+        assert matrix([[1, 2], [3, 4]]).det() == -2
+        assert identity(4).det() == 1
+        assert matrix([[1, 1], [1, 1]]).det() == 0
 
     def test_det_requires_square(self):
         with pytest.raises(NotSquare):
             ScalarMatrix(2, 3, [1] * 6).det()
 
     def test_rank_examples(self):
-        assert ScalarMatrix.identity(3).rank() == 3
+        assert identity(3).rank() == 3
         assert ScalarMatrix(2, 4, [0] * 8).rank() == 0
-        assert ScalarMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
+        assert matrix([[1, 2], [2, 4]]).rank() == 1
 
     def test_inverse_examples(self):
-        assert ScalarMatrix.identity(3).inverse() == ScalarMatrix.identity(3)
-        assert ScalarMatrix.from_rows([[2, 0], [0, 4]]).inverse() == ScalarMatrix.from_rows(
+        assert identity(3).inverse() == identity(3)
+        assert matrix([[2, 0], [0, 4]]).inverse() == matrix(
             [[Rat(1, 2), 0], [0, Rat(1, 4)]]
         )
-        assert ScalarMatrix.from_rows([[1, 1], [0, 1]]).inverse() == ScalarMatrix.from_rows(
+        assert matrix([[1, 1], [0, 1]]).inverse() == matrix(
             [[1, -1], [0, 1]]
         )
 
@@ -273,21 +334,21 @@ class TestScalarMatrix:
 
     def test_singular_inverse_raises(self):
         with pytest.raises(SingularMatrix):
-            ScalarMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+            matrix([[1, 1], [1, 1]]).inverse()
 
     @given(rational_matrices)
     @settings(max_examples=60, deadline=None)
     def test_rank_transpose_and_inverse_round_trip(self, rows):
-        m = ScalarMatrix.from_rows(rows)
-        assert m.rank() == m.transpose().rank()
+        m = matrix(rows)
+        assert m.rank() == matrix(list(zip(*rows))).rank()
         if m.det():
             n = m.rows
-            assert m.mul(m.inverse()) == ScalarMatrix.identity(n)
+            assert matmul(m, m.inverse()) == identity(n)
 
     def test_cyclotomic_matrix_inverse(self):
         w = omega(5)
-        m = ScalarMatrix.from_rows([[w, 1], [Rat(1, 3), w**3]])
-        assert m.mul(m.inverse()) == ScalarMatrix.identity(2)
+        m = matrix([[w, 1], [Rat(1, 3), w**3]])
+        assert matmul(m, m.inverse()) == identity(2)
 
     def test_mixed_order_matrix_rejected(self):
         with pytest.raises(DomainMismatch):
@@ -300,7 +361,7 @@ class TestInterpolationWeights:
         # the reference: Gauss-Jordan inverse of the Vandermonde matrix on
         # the nodes 0..bound, whose row d holds the x^d Lagrange coefficients
         nodes = range(bound + 1)
-        inverse = ScalarMatrix.from_rows([[Rat(t) ** j for j in nodes] for t in nodes]).inverse()
+        inverse = matrix([[Rat(t) ** j for j in nodes] for t in nodes]).inverse()
         for d in nodes:
             assert interpolation_weights(bound, (d,)) == list(inverse.row(d))
             prefix = [sum((inverse.entry(e, t) for e in range(d + 1)), Rat(0)) for t in nodes]

@@ -123,7 +123,9 @@ class TestRootsOfUnityWitness:
             witness = build(n, family, name)
             rows = witness.jacobian.to_rows()
             rows[1][2] = rows[1][2] + 1
-            return dataclasses.replace(witness, jacobian=ScalarMatrix.from_rows(rows))
+            entries = [e for row in rows for e in row]
+            jac = ScalarMatrix(len(rows), len(rows[0]), entries)
+            return dataclasses.replace(witness, jacobian=jac)
 
         monkeypatch.setattr(independence, "_family_witness", off_by_one_entry)
         with pytest.raises(VerificationFailed, match=r"entry \(2, 2\)"):
