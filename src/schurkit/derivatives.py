@@ -4,6 +4,23 @@ The dimension counts the order-zero derivative (the polynomial itself): the
 product of k distinct variables must come out at exactly 2^k, one derivative
 per variable subset, and that count needs the full monomial and the constant.
 
+The span is found by fraction-free elimination over the integers, on the
+packed entries of the product kernel (`poly.packed_product`): a row maps
+(packed graded key << power_bits) + power of w to an integer numerator, the
+polynomial's common denominator dropped, since scaling a row does not change
+a rank.  A derivative is taken on those entries directly: the variable's
+unit and the total-degree unit come off the key and the exponent multiplies
+the numerator.  The echelon form maps each pivot's leading key to its row
+divided by its content (the gcd of its entries), so no rational is ever
+formed and the entries stay short.
+
+Over Q(w), w a primitive n-th root of unity, the same integer routine runs
+on more rows.  Q(w) is a Q-space of dimension deg = deg Phi_n, and the
+Q(w)-span of the derivatives q, seen as a Q-space, is spanned by the rows
+w^i * q for i < deg: its Q-dimension, the rank of those rows, is deg times
+its Q(w)-dimension.  So the dimension over Q(w) is that rank divided by
+deg, and a rank that deg does not divide is an error.
+
 The product checks certify the 2^k lower bound for products of algebraically
 independent families: at a common-zero witness every factor shifts to a
 polynomial with zero constant term whose degree-one parts are linearly
@@ -13,44 +30,48 @@ product of independent linear forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ZeroPolynomial
-from .field import ONE
+from .field import common_order, fold_constants, int_numerators, power_bits
 from .independence import shifted_witness, witness_jacobian
-from .poly import Poly, grlex_key
+from .poly import Poly, _pack, packed_product
 
 DEFAULT_DERIVATIVE_BUDGET = 8192
 
 
-class _Span:
-    """Incremental row space over the scalar field, rows keyed by monomial."""
-
-    def __init__(self):
-        self.rows: dict[tuple, dict] = {}
-
-    def add(self, p: Poly):
-        """Reduce p against the span, and add what is left if non-zero."""
-        work = dict(p.terms)
-        while work:
-            lead = max(work, key=grlex_key)
-            pivot_row = self.rows.get(lead)
-            if pivot_row is None:
-                inv = ONE / work[lead]
-                self.rows[lead] = {e: c * inv for e, c in work.items()}
-                return
-            factor = work[lead]
-            for e, c in pivot_row.items():
-                acc = work.get(e)
-                sub = factor * c
-                if acc is None:
-                    work[e] = -sub
-                else:
-                    acc = acc - sub
-                    if acc:
-                        work[e] = acc
-                    else:
-                        del work[e]
+def _add_row(pivots: dict, work: dict) -> dict | None:
+    """Reduce the integer row `work` against the echelon form `pivots`,
+    {lead key: content-free row}, and add what is left, if non-zero, divided
+    by its content; returns that new pivot row, or None when `work` reduced
+    to zero.  Each step clears the lead of `work` by
+    work = a * work - b * pivot, a / b the pivot's lead over work's lead in
+    lowest terms with a > 0, so every entry stays an integer and a = 1
+    needs no scaling.  `work` is updated in place, so it must be the
+    caller's own fresh row."""
+    while work:
+        lead = max(work)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = math.gcd(*work.values())
+            row = {k: v // g for k, v in work.items()} if g > 1 else work
+            pivots[lead] = row
+            return row
+        a, b = pivot[lead], work[lead]
+        g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+        a //= g
+        b //= g
+        if a != 1:
+            work = {k: a * v for k, v in work.items()}
+        get = work.get
+        for k, v in pivot.items():
+            x = get(k, 0) - b * v
+            if x:
+                work[k] = x
+            else:
+                del work[k]
+    return None
 
 
 def pdc_dimension(p: Poly, budget: int | None = None) -> int:
@@ -60,11 +81,21 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     Derivatives beyond the per-variable degrees vanish, so the enumeration is
     finite; it is guarded by a budget on the number of derivative
     multi-indices (DEFAULT_DERIVATIVE_BUDGET when None).
+
+    Each derivative q, as packed integer entries, is reduced into one
+    integer echelon form (`_add_row`); over Q the dimension is its rank.
+    Over Q(w) the rows are w^i * q for i < deg, with one saving that keeps
+    the rank: after each derivative the rows span a Q(w)-space.  So a q
+    that reduces to zero has every w^i * q in the span and adds no row,
+    and a q that leaves a remainder r adds r and w^i * r for 0 < i < deg,
+    the same span as the w^i * q (r - q lies in it), each one a new pivot,
+    and each shorter to reduce than w^i * q.
     """
     budget = DEFAULT_DERIVATIVE_BUDGET if budget is None else budget
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial spans nothing")
-    var_degrees = [p.degree_in(i) for i in range(p.arity)]
+    arity = p.arity
+    var_degrees = [p.degree_in(i) for i in range(arity)]
     count = 1
     for d in var_degrees:
         count *= d + 1
@@ -72,27 +103,43 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
             raise BudgetExceeded(
                 f"would enumerate more than {budget} derivative multi-indices"
             )
-    span = _Span()
-    span.add(p)
-    frontier = {(0,) * p.arity: p}
+    order = common_order(p.terms.values())
+    bits = power_bits(order)
+    deg = 1 if order is None else fold_constants(order)[0]
+    width = p.total_degree().bit_length()
+    mask = (1 << width) - 1
+    total_unit = 1 << bits + width * arity
+    shifts = [bits + width * (arity - 1 - i) for i in range(arity)]
+    entries, _ = int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+    pivots: dict[int, dict] = {}
+    frontier = {(0,) * arity: entries}
     seen = set(frontier)
     while frontier:
-        next_frontier: dict[tuple, Poly] = {}
-        for order, q in frontier.items():
-            for i in range(p.arity):
-                if order[i] + 1 > var_degrees[i]:
+        next_frontier: dict[tuple, list] = {}
+        for multi, q in frontier.items():
+            row = _add_row(pivots, dict(q))
+            if row is not None:
+                for i in range(1, deg):
+                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+            for i, shift in enumerate(shifts):
+                if multi[i] + 1 > var_degrees[i]:
                     continue
-                key = order[:i] + (order[i] + 1,) + order[i + 1 :]
+                key = multi[:i] + (multi[i] + 1,) + multi[i + 1 :]
                 if key in seen:
                     continue
                 seen.add(key)
-                dq = q.derivative(i)
-                if dq.is_zero():
-                    continue
-                next_frontier[key] = dq
-                span.add(dq)
+                step = (1 << shift) + total_unit
+                dq = []
+                for k, v in q:
+                    e = k >> shift & mask
+                    if e:
+                        dq.append((k - step, v * e))
+                if dq:
+                    next_frontier[key] = dq
         frontier = next_frontier
-    return len(span.rows)
+    rank = len(pivots)
+    assert rank % deg == 0, "a Q(w)-span has a Q-dimension divisible by deg"
+    return rank // deg
 
 
 @dataclass(frozen=True)

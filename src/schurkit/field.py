@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,20 +73,33 @@ ONE = Rat(1)
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
-    """Quotient and remainder of integer polynomials (little-endian) by the
-    monic `den`, by long division; the remainder has len(den) - 1 entries."""
+@functools.lru_cache(maxsize=None)
+def _division_steps(den: tuple) -> tuple:
+    """The non-zero lower coefficients of the monic `den` (little-endian),
+    as (deg - i, den[i]) pairs: what one step of a long division by `den`
+    subtracts, at those distances below the top entry."""
     deg = len(den) - 1
-    rem = list(num)
-    quot = [0] * max(len(rem) - deg, 0)
-    for k in range(len(rem) - 1, deg - 1, -1):
-        c = rem[k]
+    return tuple((deg - i, d) for i, d in enumerate(den[:deg]) if d)
+
+
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> list:
+    """Long division of an integer polynomial (little-endian) by the monic
+    `den`, of degree deg.  Returns one list of max(len(num), deg) entries:
+    the remainder in the first deg, the quotient in the rest.  A step reads
+    the top entry c as the quotient digit, leaves it there, and subtracts c
+    times the lower coefficients of `den`, only the non-zero ones
+    (`_division_steps`)."""
+    deg = len(den) - 1
+    steps = _division_steps(tuple(den))
+    work = list(num)
+    if len(work) < deg:
+        work += [0] * (deg - len(work))
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
         if c:
-            quot[k - deg] = c
-            for i, d in enumerate(den, k - deg):
-                if d:
-                    rem[i] -= c * d
-    return quot, rem[:deg] + [0] * (deg - len(rem))
+            for offset, d in steps:
+                work[k - offset] -= c * d
+    return work
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,8 +117,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[0], poly[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
-            assert not any(rem), "division of cyclotomic factors must be exact"
+            deg = len(cyclotomic_polynomial(d)) - 1
+            work = _divmod_monic(poly, cyclotomic_polynomial(d))
+            assert not any(work[:deg]), "division of cyclotomic factors must be exact"
+            poly = work[deg:]
     return tuple(poly)
 
 
@@ -117,7 +133,8 @@ def _reduce_ints(n: int, vec: list) -> list:
         for j, c in enumerate(vec):
             folded[j % n] += c
         vec = folded
-    return _divmod_monic(vec, cyclotomic_polynomial(n))[1]
+    phi = cyclotomic_polynomial(n)
+    return _divmod_monic(vec, phi)[: len(phi) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +600,16 @@ def bareiss(rows: list[list]) -> tuple:
     """Rank and determinant by fraction-free elimination with column pivoting.
 
     Works over any integral domain whose elements support *, -, exact `/`
-    and truthiness; intermediate entries stay in the domain (Bareiss).  The
-    determinant is the last pivot, its sign flipped once per row swap, when
-    the matrix is square of full rank, and a zero of the entries' domain
-    otherwise.
+    and truthiness; intermediate entries stay in the domain (Bareiss).  Rows
+    of Python ints divide with `//`, which is exact there.  The determinant
+    is the last pivot, its sign flipped once per row swap, when the matrix
+    is square of full rank, and a zero of the entries' domain otherwise.
     """
     m = [list(r) for r in rows]
+    if all(type(v) is int for r in m for v in r):
+        divide = operator.floordiv
+    else:
+        divide = operator.truediv
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     sign = 1
@@ -609,7 +630,7 @@ def bareiss(rows: list[list]) -> tuple:
             row_i = m[i]
             head = row_i[c]
             for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - head * row_r[j]) / prev
+                row_i[j] = divide(row_i[j] * pivot - head * row_r[j], prev)
         prev = pivot
         r += 1
     if r == nrows == ncols:
@@ -725,7 +746,17 @@ class ScalarMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def rank(self) -> int:
-        return bareiss(self.to_rows())[0]
+        """Rank by `bareiss`.  A rational matrix is ranked over the
+        integers: each row is multiplied by the lcm of its denominators,
+        which keeps the rank, so no rational is formed."""
+        rows = self.to_rows()
+        if self.order is not None:
+            return bareiss(rows)[0]
+        int_rows = []
+        for row in rows:
+            den = math.lcm(*(int(v.denominator) for v in row))
+            int_rows.append([int(v.numerator) * (den // int(v.denominator)) for v in row])
+        return bareiss(int_rows)[0]
 
     def det(self):
         if self.rows != self.cols:

@@ -41,13 +41,18 @@ target monomial on packed keys.
 root of unity, (w^p_1, ..., w^p_n), which `field.root_exponents` recognises,
 it works by exponent arithmetic: x^e is w^(p . e mod n), so each term adds
 its numerators to one power of w (`field.root_power_sum`) and no scalar is
-multiplied.  At any other point it takes scalar products and powers.  Both
-routes give the same value and type.
+multiplied.  A polynomial with rational coefficients at a rational point
+is evaluated in integer arithmetic: the point over one common denominator
+D, the coefficients as integer numerators over theirs, each term lifted by
+a power of D to the total degree, and one rational formed at the end, so
+no partial product is normalised by a gcd.  Any other point takes scalar
+products and powers.  All routes give the same value and type.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
@@ -443,6 +448,7 @@ class Poly:
         w^s with s the dot product of p and e, so the value is one pass over
         the terms (`field.root_power_sum`).  A constant polynomial always
         takes the generic route, so its value keeps its coefficient's type.
+        Rational coefficients at a rational point take `_eval_rational`.
         """
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
@@ -453,6 +459,12 @@ class Poly:
             return root_power_sum(
                 [(sum(map(mul, exponents, e)), c) for e, c in self.terms.items()], order
             )
+        if (
+            any(map(any, self.terms))
+            and not any(isinstance(p, CyclotomicScalar) for p in point)
+            and common_order(self.terms.values()) is None
+        ):
+            return self._eval_rational(point)
         powers: list[dict[int, object]] = [{0: ONE, 1: p} for p in point]
         total = ZERO
         for exps, coeff in self.terms.items():
@@ -467,6 +479,33 @@ class Poly:
                     value = value * p
             total = total + value
         return total
+
+    def _eval_rational(self, point: list):
+        """The value at a rational point of a polynomial with rational
+        coefficients, in integer arithmetic.  With x_i = a_i / D over the
+        point's common denominator D, coefficients N_e / den over theirs and
+        top the total degree, the value is
+        sum(N_e * a^e * D^(top - |e|)) / (den * D^top)."""
+        scale = math.lcm(*(p.denominator for p in point))
+        nums = [p.numerator * (scale // p.denominator) for p in point]
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        lifts = [scale**d for d in range(top + 1)] if scale != 1 else None
+        powers: list[dict[int, int]] = [{1: a} for a in nums]
+        total = 0
+        for exps, c in self.terms.items():
+            value = c.numerator if den == 1 else c.numerator * (den // c.denominator)
+            for i, e in enumerate(exps):
+                if e:
+                    cache = powers[i]
+                    p = cache.get(e)
+                    if p is None:
+                        p = cache[e] = nums[i] ** e
+                    value *= p
+            if lifts:
+                value *= lifts[top - sum(exps)]
+            total += value
+        return Rat(total, den * lifts[top] if lifts else den)
 
     def derivative(self, var: int) -> "Poly":
         if not 0 <= var < self.arity:

@@ -242,6 +242,31 @@ CONVERT_DIGESTS = {
 }
 
 
+#: SHA-256 of `pdc --out` for --monomial 1..5 and for the two --input
+#: files of `TestPdcCommand` (given by relative path, which the output
+#: echoes), recorded before the span moved from rational to integer
+#: elimination; the outputs must stay byte-identical
+PDC_DIGESTS = {
+    "monomial-1": "6ad6ad2c847531062374e8ae34dccaa9d3073bb39097d2ee71682745bc3a55c5",
+    "monomial-2": "bde6c10032cec46a968f6de47d4a5158b758e3262916be39fe820cc0fabb115c",
+    "monomial-3": "537af198a405465d56f1a275a052bc91f2e28dafc1b92f562a30337b73e0ce5e",
+    "monomial-4": "22c0378a8bc3bb0d4ff3a80a0ab28298e17636cbf8ab36903543dca9d7e36d9d",
+    "monomial-5": "f140e8bbc62e40ffc37b34bb05c68a0776a6de7ae0e06f4d23451cb3e3e16815",
+    "p.txt": "74226eda347c86f85ce0b96b3d05d629693d38d40521a3fe459700ed442210b0",
+    "p8.json": "f5f65b07dfb209ff35f696ac2cc446929ceda2a97787592e7f50d5b1a3cd0b9f",
+}
+
+#: the --input files of `TestPdcCommand`: x1^2 + x2, and x1^2*x2 + w*x2^3
+#: with w a primitive 8th root of unity
+PDC_INPUTS = {
+    "p.txt": "1*x1^2 + 1*x2",
+    "p8.json": json.dumps({"arity": 2, "terms": [
+        {"exps": [2, 1], "coeff": "1"},
+        {"exps": [0, 3], "coeff": {"order": 8, "value": "1*w"}},
+    ]}),
+}
+
+
 def _monomial_symmetric(arity, parts, coeff):
     """The JSON terms of coeff * m_parts, the sum of all distinct
     permutations of x^parts."""
@@ -329,10 +354,31 @@ class TestPdcCommand:
 
     def test_input_file(self, capsys, tmp_path):
         poly_file = tmp_path / "p.txt"
-        poly_file.write_text("1*x1^2 + 1*x2")
+        poly_file.write_text(PDC_INPUTS["p.txt"])
         code, out, _ = run(capsys, "pdc", "--input", str(poly_file))
         assert code == 0
-        assert json.loads(out)["dimension"] >= 3
+        assert json.loads(out)["dimension"] == 3
+
+    def test_order_8_input_file(self, capsys, tmp_path):
+        # the span of x1^2*x2 + w*x2^3 over Q(w): the polynomial, x1*x2,
+        # x1^2 + 3w*x2^2, x1, x2 and 1
+        poly_file = tmp_path / "p8.json"
+        poly_file.write_text(PDC_INPUTS["p8.json"])
+        code, out, _ = run(capsys, "pdc", "--input", str(poly_file))
+        assert code == 0
+        assert json.loads(out)["dimension"] == 6
+
+    @pytest.mark.parametrize("name", PDC_DIGESTS)
+    def test_outputs_are_pinned(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        if name.startswith("monomial-"):
+            source = ("--monomial", name.split("-")[1])
+        else:
+            (tmp_path / name).write_text(PDC_INPUTS[name])
+            source = ("--input", name)
+        code, _, _ = run(capsys, "pdc", *source, "--out", "pdc.json")
+        assert code == 0
+        assert sha256(tmp_path / "pdc.json") == PDC_DIGESTS[name]
 
     def test_mixed_cyclotomic_orders_exit_1(self, capsys, tmp_path):
         poly_file = tmp_path / "p.json"

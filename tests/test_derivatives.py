@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit.derivatives import (
     pdc_dimension,
@@ -8,14 +11,91 @@ from schurkit.derivatives import (
     shifted_product_pdc_check,
 )
 from schurkit.errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
-from schurkit.field import Rat, ScalarMatrix, omega
-from schurkit.independence import is_independence_witness, roots_of_unity_witness
-from schurkit.poly import Poly
+from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, omega
+from schurkit.independence import (
+    is_independence_witness,
+    roots_of_unity_point,
+    roots_of_unity_witness,
+)
+from schurkit.poly import Poly, grlex_key
 from schurkit.symmetric import e_poly
 
 
 def variables(arity):
     return [Poly.variable(arity, i) for i in range(arity)]
+
+
+def naive_pdc_dimension(p: Poly) -> int:
+    """Every derivative multi-index up to the per-variable degrees, each
+    derivative by repeated `Poly.derivative`, reduced by scalar Gaussian
+    elimination over the coefficient field, rows keyed by monomial: the
+    reference for the integer elimination behind `pdc_dimension`."""
+    rows: dict[tuple, dict] = {}
+
+    def add(q: Poly):
+        work = dict(q.terms)
+        while work:
+            lead = max(work, key=grlex_key)
+            pivot_row = rows.get(lead)
+            if pivot_row is None:
+                inv = ONE / work[lead]
+                rows[lead] = {e: c * inv for e, c in work.items()}
+                return
+            factor = work[lead]
+            for e, c in pivot_row.items():
+                acc = work.get(e, 0) - factor * c
+                if acc:
+                    work[e] = acc
+                else:
+                    work.pop(e, None)
+
+    ranges = [range(p.degree_in(i) + 1) for i in range(p.arity)]
+    for multi in itertools.product(*ranges):
+        q = p
+        for i, m in enumerate(multi):
+            for _ in range(m):
+                q = q.derivative(i)
+        add(q)
+    return len(rows)
+
+
+def rationals(max_den=6):
+    """Non-zero, so every drawn term stays."""
+    return st.builds(Rat, st.integers(-5, 5).filter(bool), st.integers(1, max_den))
+
+
+@st.composite
+def rational_polys(draw):
+    """Arity 1-4, exponents up to 3, coefficients with denominators; the
+    total degrees differ from term to term."""
+    arity = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    terms = draw(st.dictionaries(exps, rationals(), min_size=1, max_size=6))
+    return Poly(arity, terms)
+
+
+@st.composite
+def cyclotomic_polys(draw):
+    """Orders 3, 4, 5, 8 and 12: a rational polynomial composed with
+    linear forms over Q(w), which gives Q(w)-linear relations among the
+    derivatives that are no Q-linear relations, plus a few further terms."""
+    order = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    arity = draw(st.integers(1, 3))
+    w = omega(order)
+
+    def scalar():
+        coeffs = draw(st.lists(rationals(3), min_size=1, max_size=4))
+        return sum((c * w**i for i, c in enumerate(coeffs)), CyclotomicScalar(order, ()))
+
+    exps = st.tuples(*[st.integers(0, 2)] * arity)
+    base = Poly(arity, draw(st.dictionaries(exps, rationals(), min_size=1, max_size=4)))
+    forms = [
+        sum((Poly.variable(arity, j) * scalar() for j in range(arity)), Poly.zero(arity))
+        for _ in range(arity)
+    ]
+    extra = draw(st.sets(exps, max_size=2))
+    p = base.compose(forms) + Poly(arity, {e: scalar() for e in extra})
+    return p if p else Poly.constant(arity, w)
 
 
 class TestDimension:
@@ -42,6 +122,14 @@ class TestDimension:
         x1, x2 = variables(2)
         assert pdc_dimension((x1 + x2 * w) * (x1 - x2 * w)) == 4
 
+    @pytest.mark.parametrize("order", [3, 8, 12])
+    def test_square_of_a_cyclotomic_linear_form(self, order):
+        # the first partials are proportional over Q(w), not over Q: the
+        # span is {l^2, l, 1}
+        w = omega(order)
+        x1, x2 = variables(2)
+        assert pdc_dimension((x1 + x2 * w) ** 2) == 3
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_product_of_variables_is_exactly_two_to_k(self, k):
         assert pdc_dimension(Poly.monomial(k, (1,) * k)) == 2**k
@@ -65,6 +153,18 @@ class TestDimension:
             )
             product = product * form
         assert pdc_dimension(product) == 2**k
+
+
+class TestAgainstReference:
+    @given(rational_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_rational(self, p):
+        assert pdc_dimension(p) == naive_pdc_dimension(p)
+
+    @given(cyclotomic_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_cyclotomic(self, p):
+        assert pdc_dimension(p) == naive_pdc_dimension(p)
 
 
 class TestInvariance:
@@ -136,6 +236,14 @@ class TestProductChecks:
         q = Poly(1, {(2,): 1, (0,): -1})  # x^2 - 1, zero at 1 with slope 2
         report = product_pdc_check([q], (Rat(1),))
         assert report.dimension >= 2
+        assert report.passed
+
+    @pytest.mark.parametrize("k, dimension", [(2, 8), (3, 47), (4, 367)])
+    def test_elementary_family_at_roots_of_unity(self, k, dimension):
+        polys = [e_poly(j, k + 1) for j in range(1, k + 1)]
+        report = product_pdc_check(polys, roots_of_unity_point(k + 1))
+        assert report.dimension == dimension
+        assert report.bound == 2**k
         assert report.passed
 
     def test_bad_point_rejected(self):

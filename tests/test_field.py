@@ -345,6 +345,12 @@ class TestScalarMatrix:
             n = m.rows
             assert matmul(m, m.inverse()) == identity(n)
 
+    @given(rational_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_rank_matches_gauss_jordan(self, rows):
+        # rank() clears denominators row by row and eliminates over the ints
+        assert matrix(rows).rank() == len(gauss_jordan(rows)[1])
+
     def test_cyclotomic_matrix_inverse(self):
         w = omega(5)
         m = matrix([[w, 1], [Rat(1, 3), w**3]])
@@ -405,6 +411,16 @@ class TestBareiss:
                 rows[-1] = [a * 2 - b for a, b in zip(rows[0], rows[1])]
             rank, det = bareiss(rows)
             assert rank == len(gauss_jordan(rows)[1])
+            if order is None:
+                # integer rows divide with //: same rank, det scaled by the row factors
+                dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+                ints = [[int(v * d) for v in row] for row, d in zip(rows, dens)]
+                int_rank, int_det = bareiss(ints)
+                assert int_rank == rank and type(int_det) is int
+                if nrows == ncols:
+                    assert int_det == det * math.prod(dens)
+                else:
+                    assert int_det == 0
             if nrows == ncols:
                 assert det == leibniz_det(rows)
             else:

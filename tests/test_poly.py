@@ -85,6 +85,21 @@ class TestEval:
         with pytest.raises(ArityMismatch):
             var(2, 0).eval([1])
 
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_point_matches_scalar_loop(self, data, arity):
+        # the integer route: point and coefficients over common denominators
+        p = data.draw(polys(arity=arity, max_exp=4, max_terms=6))
+        point = data.draw(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                min_size=arity,
+                max_size=arity,
+            )
+        )
+        assert_same_value(p.eval(point), naive_eval(p, point))
+        assert_same_value(p.eval([int(x) for x in point]), naive_eval(p, [int(x) for x in point]))
+
 
 def root_scalars(order):
     """Rationals with mixed denominators, or values of the order-n field."""
