@@ -3,12 +3,13 @@
 Outputs are deterministic for a fixed command line and seed, files are
 written atomically, and the exit code is 0 only when every internal
 verification passed: 1 for route disagreement or bad input (a usage error
-included, such as a flag the chosen mode does not read, a negative
-`--budget`, a number too large for the interpreter's index type, or an input
-file nested too deeply for the stdlib JSON parser), 2 when a partition fails
-the reduction hypothesis, 3 when a verification fails (`VerificationFailed`,
-`InvalidWitness`, `ReductionMismatch`, `GridExhausted`,
-`NoNonvanishingPoint`, `NotDivisible`), 4 when a term budget is exceeded.
+included, such as a flag the chosen mode does not read, a skew shape given
+to `reduce`, a negative `--budget`, a number too large for the interpreter's
+index type, or an input file nested too deeply for the stdlib JSON parser),
+2 when a partition fails the reduction hypothesis, 3 when a verification
+fails (`VerificationFailed`, `InvalidWitness`, `ReductionMismatch`,
+`GridExhausted`, `NoNonvanishingPoint`, `NotDivisible`), 4 when a term
+budget is exceeded.
 Every subcommand takes `--out`; only `witness` takes `--seed`, and only
 `reduce` and `pdc` take `--budget`.
 
@@ -273,7 +274,9 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    lam, _ = _parse_partition(args.lam)
+    lam, mu = _parse_partition(args.lam)
+    if mu is not None:
+        raise ValueError(f"reduce takes a straight shape; {args.lam} is skew")
     n = args.n
     # with no input file the pipeline builds its own, after the hypothesis check
     f = Formula.from_json(_load_json(args.formula_in)) if args.formula_in else None

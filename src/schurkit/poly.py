@@ -33,9 +33,12 @@ decodes only the root.  Rational operands give rational coefficients; if
 either operand has a cyclotomic coefficient, every product coefficient lies
 in that one cyclotomic field, and two orders raise DomainMismatch.
 
-Exact division keeps its scalar arithmetic, as the divisor's leading
-coefficient is in general no unit, but finds each leading term and each
-target monomial on packed keys.
+Exact division packs its operands the same way and runs one fraction-free
+loop over integer numerators for both domains: the divisor's leading
+coefficient, made rational first, is in general no unit, so each step
+multiplies the remainder by just the factor its leading term needs, and
+subtracts that term times the divisor with `packed_product`.  The quotient
+is decoded once, at the end.
 
 `eval` is the one evaluation entry point.  At a point of powers of one
 root of unity, (w^p_1, ..., w^p_n), which `field.root_exponents` recognises,
@@ -387,42 +390,77 @@ class Poly:
 
         Raises NotDivisible as soon as a leading term fails to divide, which
         for a single divisor happens exactly when the division is not exact.
+
+        The loop is fraction-free (Bareiss 1968) and serves both domains.
+        Both operands are packed once, as in `__mul__`: the remainder maps
+        packed key + power of w to an integer numerator over da * `scale`,
+        da the dividend's common denominator, and the divisor is integer
+        numerators over db.  A leading coefficient c that is not rational
+        is made 1 first: the loop divides by divisor * c^-1, and the
+        quotient is multiplied by c^-1 at the end.  So the divisor's leading
+        coefficient is one integer numerator d, and every gcd is over Z.
+
+        Each step takes the leading monomial's numerators v and
+        g = gcd(d, v) with the sign of d.  If a = d / g is not 1, the
+        remainder, the quotient so far and `scale` are multiplied by a.  The
+        quotient term is then the integer vector v / g, and its product with
+        the divisor (`packed_product`) is subtracted.  As each step scales
+        by only the factor its own term needs, `scale` is the least s that
+        makes every quotient coefficient so far, times s * da / db, an
+        integer vector: it is bounded by the quotient's own denominators,
+        not by the number of steps.  The quotient is decoded once, over
+        da * scale / db (`field.from_int_numerators`): rational when both
+        operands are, else every coefficient in their one cyclotomic field.
         """
         self._check_arity(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         arity = self.arity
         lead_e, lead_c = divisor._lead()
+        inv = None
+        if isinstance(lead_c, CyclotomicScalar) and not lead_c.is_rational():
+            inv = lead_c.inverse()
+            divisor = divisor * inv
+        order = common_order(self.terms.values(), divisor.terms.values())
+        bits = power_bits(order)
+        powers = range(fold_constants(order)[0] if order else 1)
         width = self.total_degree().bit_length()
-        lead_k = _pack(lead_e, width)
-        inv = ONE / lead_c
-        rem = {_pack(e, width): c for e, c in self.terms.items()}
-        div = [(_pack(e, width), c) for e, c in divisor.terms.items()]
-        out: dict = {}
+        pa, da = int_numerators([(_pack(e, width) << bits, c) for e, c in self.terms.items()])
+        pb, db = int_numerators([(_pack(e, width) << bits, c) for e, c in divisor.terms.items()])
+        lead_k = _pack(lead_e, width) << bits
+        d = dict(pb)[lead_k]
+        rem = dict(pa)
+        out: dict[int, int] = {}
+        scale = 1
         while rem:
-            k = max(rem)
-            coeff = rem[k]
-            exps = _unpack(k, arity, width)
-            if any(a < b for a, b in zip(exps, lead_e)):
+            k = max(rem) >> bits << bits
+            exps = _unpack(k >> bits, arity, width)
+            if any(x < y for x, y in zip(exps, lead_e)):
                 raise NotDivisible(
                     f"remainder has leading monomial {exps} not divisible by {lead_e}"
                 )
             shift = k - lead_k
-            q = coeff * inv
-            out[shift] = q
-            for dk, dc in div:
-                dk += shift
-                acc = rem.get(dk)
-                sub = q * dc
-                if acc is None:
-                    rem[dk] = -sub
+            lead = [(shift + p, rem[k + p]) for p in powers if k + p in rem]
+            g = math.gcd(d, *map(_second, lead))
+            if d < 0:
+                g = -g
+            a = d // g
+            if a != 1:
+                rem = {key: v * a for key, v in rem.items()}
+                out = {key: v * a for key, v in out.items()}
+                scale *= a
+            term = [(key, v // g) for key, v in lead]
+            out.update(term)
+            for key, v in packed_product(term, pb, order).items():
+                v = rem.get(key, 0) - v
+                if v:
+                    rem[key] = v
                 else:
-                    acc = acc - sub
-                    if acc:
-                        rem[dk] = acc
-                    else:
-                        del rem[dk]
-        return Poly._raw(arity, {_unpack(k, arity, width): q for k, q in out.items()})
+                    del rem[key]
+        out = from_int_numerators({k: v * db for k, v in out.items()}, order, da * scale)
+        if inv is not None:
+            out = {k: c * inv for k, c in out.items()}
+        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -557,16 +595,6 @@ class Poly:
 
     def map_coefficients(self, fn: Callable) -> "Poly":
         return Poly(self.arity, {e: fn(c) for e, c in self.terms.items()})
-
-    def shift(self, point: Sequence) -> "Poly":
-        """The polynomial x -> self(point + x)."""
-        if len(point) != self.arity:
-            raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
-        values = []
-        for i, a in enumerate(point):
-            v = Poly.variable(self.arity, i)
-            values.append(v + Poly.constant(self.arity, a) if as_scalar(a) else v)
-        return self.compose(values)
 
     # -- text and JSON forms -----------------------------------------------------
 

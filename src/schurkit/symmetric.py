@@ -130,18 +130,21 @@ def _check_exponent_vector(exps: Sequence[int], n: int):
 
 
 def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
-    """det(x_i^{mu_j}) for a strictly decreasing exponent vector mu."""
+    """det(x_i^{mu_j}) for a strictly decreasing exponent vector mu, by
+    Leibniz: one signed monomial per permutation, x_i^{mu_sigma(i)}.  The
+    exponents are distinct, so no two of the n! monomials coincide.  Row i
+    takes the j-th of the columns that rows 0..i-1 left, which flips the
+    sign when j is odd (Laplace expansion along the minor's first row)."""
     exps = tuple(exps)
     _check_exponent_vector(exps, n)
-    rows = []
-    for i in range(n):
-        row = []
-        for mu in exps:
-            e = [0] * n
-            e[i] = mu
-            row.append(Poly.monomial(n, e))
-        rows.append(row)
-    return det_poly_matrix(rows)
+    layer = [((), ONE, exps)]
+    for _ in range(n):
+        layer = [
+            (head + (rest[j],), -sign if j & 1 else sign, rest[:j] + rest[j + 1 :])
+            for head, sign, rest in layer
+            for j in range(len(rest))
+        ]
+    return Poly._raw(n, {head: sign for head, sign, _ in layer})
 
 
 def schur_bialternant(lam: Partition, n: int) -> Poly:

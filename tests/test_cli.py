@@ -65,6 +65,17 @@ class TestSchurCommand:
         assert payload["polynomial"] == "1*x1^2 + 1*x1*x2 + 1*x2^2"
         assert payload["terms"][0] == {"exps": [2, 0], "coeff": "1"}
 
+    @pytest.mark.parametrize("lam, n", [("4,2,1", 5), ("5,3,1", 6), ("7", 3)])
+    def test_bialternant_json_is_pinned(self, capsys, tmp_path, lam, n):
+        out_file = tmp_path / "s.json"
+        code, _, _ = run(
+            capsys,
+            "schur", "--route", "bialternant", "--format", "json",
+            "--lambda", lam, "--n", str(n), "--out", str(out_file),
+        )
+        assert code == 0
+        assert sha256(out_file) == BIALTERNANT_DIGESTS[f"{lam}/{n}"]
+
     def test_non_monotone_partition_rejected(self, capsys):
         code, _, err = run(capsys, "schur", "--route", "ssyt", "--lambda", "1,2", "--n", "3")
         assert code == 1
@@ -100,6 +111,16 @@ class TestReduceCommand:
         assert code == 0
         assert sha256(out_file) == README_DIGESTS["reduce-det-4,2/6"]
         assert sha256(report_file) == README_DIGESTS["reduce-report-4,2/6"]
+
+    def test_skew_shape_is_bad_input(self, capsys, tmp_path):
+        # the inner partition was once dropped, writing the s_(5,3) reduction
+        out_file = tmp_path / "det.json"
+        code, out, err = run(capsys, "reduce", "--lambda", "5,3/1", "--n", "7", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "5,3/1" in err and "skew" in err
+        assert not out_file.exists()
 
     def test_budget_covers_the_pipeline_expansions(self, capsys):
         # the input formula alone expands to 101 terms
@@ -239,6 +260,17 @@ CONVERT_DIGESTS = {
     "to-e-basis-rational-json": "958c270ac782cad9b4f1b06214655e66a7c1dd47824e4e851e7f9e6962ad8a0a",
     "to-e-basis-cyclotomic-text": "ea6c61080a1a39ab3ef85f315a635fb0c16bb6ae24cf744d0e95870096520efb",
     "to-e-basis-cyclotomic-json": "53313794779d8a8314670b2a7a6049f6d34285df4711bd09de226f1375d510fe",
+}
+
+
+#: SHA-256 of `schur --route bialternant --format json --out`, recorded
+#: before exact division moved from scalar to fraction-free integer
+#: arithmetic and the alternants to a Leibniz expansion; the outputs must
+#: stay byte-identical
+BIALTERNANT_DIGESTS = {
+    "4,2,1/5": "1fc861a44712527c21c7cdcb1be4911d69c3800927cd40563971ca2ebdb9d873",
+    "5,3,1/6": "676d69ef13e56b063208bacf562ca8c240f0e441a66ee05f7d38c5708772a583",
+    "7/3": "6594a89be83e9e1d00f7552fee59429b0e1d15c368b16d15b9736ee2f992c835",
 }
 
 

@@ -2,7 +2,7 @@ import random
 from itertools import chain
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schurkit.errors import (
@@ -11,14 +11,18 @@ from schurkit.errors import (
     NotDivisible,
 )
 from schurkit.field import (
+    ONE,
+    ZERO,
     CyclotomicScalar,
     Rat,
+    common_order,
+    embed,
     fold_constants,
     int_numerators,
     omega,
     root_exponents,
 )
-from schurkit.poly import Poly, poly_from_text, slot_bits
+from schurkit.poly import Poly, grlex_key, poly_from_text, slot_bits
 
 
 def var(arity, i):
@@ -496,6 +500,130 @@ class TestSlotBound:
         if deg == 1:
             assert max_numerator(product) == pairs * a * b
             assert max_numerator(product) > 2**slot // 8
+
+
+def naive_divide(p, q) -> dict:
+    """Leading-term division on tuple keys with scalar arithmetic: the
+    reference for the fraction-free kernel behind `Poly.divide_exact`.  The
+    coefficients are first embedded in the operands' cyclotomic field, if
+    they have one, so that every quotient coefficient lies in it, as every
+    product coefficient does."""
+    order = common_order(p.terms.values(), q.terms.values())
+
+    def lift(c):
+        return c if order is None or isinstance(c, CyclotomicScalar) else embed(c, order)
+
+    rem = {e: lift(c) for e, c in p.terms.items()}
+    div = {e: lift(c) for e, c in q.terms.items()}
+    lead_e = max(div, key=grlex_key)
+    inv = ONE / div[lead_e]
+    out = {}
+    while rem:
+        exps = max(rem, key=grlex_key)
+        if any(a < b for a, b in zip(exps, lead_e)):
+            raise NotDivisible(f"{exps} is not divisible by {lead_e}")
+        shift = tuple(a - b for a, b in zip(exps, lead_e))
+        c = rem[exps] * inv
+        out[shift] = c
+        for e, dc in div.items():
+            key = tuple(a + b for a, b in zip(shift, e))
+            v = rem.get(key, ZERO) - c * dc
+            if v:
+                rem[key] = v
+            else:
+                del rem[key]
+    return out
+
+
+#: the domains of the division reference test: Q and orders 3, 5, 8, 12
+DIVISION_ORDERS = [None, 3, 5, 8, 12]
+
+
+@st.composite
+def division_scalars(draw, order):
+    """Mostly a kernel scalar; sometimes one with numerators near 2^200."""
+    if draw(st.integers(0, 4)):
+        return draw(kernel_scalars(order))
+
+    def huge():
+        sign = draw(st.sampled_from((-1, 1)))
+        return Rat(sign * (2**200 + draw(st.integers(0, 2**64))), draw(st.integers(1, 5)))
+
+    if order is None:
+        return huge()
+    return CyclotomicScalar(order, [huge() for _ in range(draw(st.integers(1, 4)))])
+
+
+@st.composite
+def division_cases(draw):
+    """(dividend, divisor) in one domain.  The divisor's leading coefficient
+    is drawn or is a non-unit: 3, 7/3 or (over Q(w)) w + 2.  The dividend is
+    a multiple of the divisor, a multiple plus a drawn polynomial, zero, or
+    (against a constant divisor, or one of higher degree) a drawn one."""
+    order = draw(st.sampled_from(DIVISION_ORDERS))
+    arity = draw(st.integers(1, 3))
+
+    def poly(min_terms=0):
+        terms = {}
+        for _ in range(draw(st.integers(min_terms, 4))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in range(arity))
+            terms[exps] = draw(division_scalars(order))
+        return Poly(arity, terms)
+
+    q = poly(min_terms=1)
+    assume(q)
+    leads = [None, Rat(3), Rat(7, 3)] + ([omega(order) + 2] if order else [])
+    lead = draw(st.sampled_from(leads))
+    if lead is not None:
+        q = Poly(arity, {**q.terms, max(q.terms, key=grlex_key): lead})
+    r = poly()
+    kind = draw(st.sampled_from(["exact", "inexact", "zero", "constant", "higher"]))
+    if kind == "exact":
+        return q * r, q
+    if kind == "inexact":
+        return q * r + poly(), q
+    if kind == "zero":
+        return Poly.zero(arity), q
+    if kind == "constant":
+        return r, Poly.constant(arity, lead or draw(division_scalars(order)) or 1)
+    higher = Poly.monomial(arity, (r.total_degree() + 1,) + (0,) * (arity - 1))
+    return r, q * higher
+
+
+def coefficient_kinds(terms: dict) -> dict:
+    return {e: (type(c), getattr(c, "order", None)) for e, c in terms.items()}
+
+
+def content_six_case(lead, inexact=False):
+    """A divisor with leading coefficient `lead` and content 6, so that the
+    quotient's denominators outgrow the dividend's, and a multiple of it
+    (plus y when `inexact`)."""
+    x, y = var(2, 0), var(2, 1)
+    q = (x * lead + y - 1) * 6
+    p = (x + y * Rat(5, 2) - Rat(2, 3)) ** 3 * (x * lead - y * 4) * q
+    return (p + y if inexact else p), q
+
+
+class TestDivisionKernel:
+    @given(division_cases())
+    @example(content_six_case(Rat(3)))
+    @example(content_six_case(Rat(3), inexact=True))
+    @example(content_six_case(Rat(7, 3)))
+    @example(content_six_case(omega(8) + 2))
+    @example(content_six_case(omega(8) + 2, inexact=True))
+    @example(content_six_case(omega(12) + 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        p, q = case
+        try:
+            expected = naive_divide(p, q)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                p.divide_exact(q)
+            return
+        got = p.divide_exact(q).terms
+        assert got == expected
+        assert coefficient_kinds(got) == coefficient_kinds(expected)
 
 
 class TestTextAndJson:
