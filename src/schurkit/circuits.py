@@ -23,7 +23,6 @@ of the labels.
 from __future__ import annotations
 
 import math
-import random
 from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, LengthMismatch
@@ -475,23 +474,6 @@ def formula_from_poly(p: Poly) -> Formula:
     if len(children) == 1 and weights[0] == ONE:
         return Formula(children[0], p.arity)
     return Formula(sum_node(children, weights), p.arity)
-
-
-def random_formula(rng: random.Random, arity: int, max_depth: int = 4) -> Formula:
-    """A small random formula; coefficients are small rationals."""
-
-    def build(depth: int) -> Node:
-        if depth <= 0 or rng.random() < 0.3:
-            if rng.random() < 0.25:
-                return const(rng.randint(-3, 3))
-            return inp(rng.randrange(arity))
-        fan = rng.randint(2, 3)
-        children = [build(depth - 1) for _ in range(fan)]
-        if rng.random() < 0.5:
-            return sum_node(children, [rng.randint(-2, 2) or 1 for _ in children])
-        return prod_node(children)
-
-    return Formula(build(max_depth), arity)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ point of powers of w: `root_exponents` recognises such a point, coordinate
 by coordinate, in a cached table of w^0 .. w^(n-1), and `root_power_sum`
 drops each numerator into one of n buckets by its power of w modulo n and
 reduces the buckets once.  `Poly.eval` takes that route by itself whenever
-its point qualifies.
+its point qualifies.  `grid_points` is the one seeded grid sampler.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -67,6 +68,9 @@ RATIONAL_TYPES = (int, Fraction, Rat)
 
 ZERO = Rat(0)
 ONE = Rat(1)
+
+#: seeded grid points a search for a non-singular or non-vanishing point tries
+GRID_ATTEMPTS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +702,15 @@ def interpolation_weights(bound: int, degrees: Iterable[int]) -> list:
             den = -den
         weights.append(Rat(sum(quotient[d] for d in degrees), den))
     return weights
+
+
+def grid_points(arity: int, bound: int, seed: int, count: int = GRID_ATTEMPTS):
+    """`count` seeded pseudorandom points of the grid {0, ..., bound}^arity;
+    a non-zero polynomial of degree d vanishes on at most d / (bound + 1) of
+    it (Schwartz-Zippel)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(Rat(rng.randint(0, bound)) for _ in range(arity))
 
 
 # ---------------------------------------------------------------------------

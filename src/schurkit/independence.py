@@ -1,33 +1,33 @@
 """Jacobians, algebraic-independence testing, and common-zero witnesses.
 
-A family q_1..q_k is algebraically independent over characteristic zero iff
-its Jacobian has symbolic rank k.  The transformation passes additionally
-need a *witness*: a point where every q_i vanishes while the Jacobian still
-attains its symbolic rank.  For the elementary, complete homogeneous and
-power-sum families the witness is the vector of n-th roots of unity, so the
-verification runs in an exact cyclotomic field (`Poly.eval` works there by
-exponent arithmetic).  Witnesses are always checked by explicit
-re-evaluation, never trusted from their construction, and every witness
-check is `witness_jacobian`: each member vanishes and the Jacobian at the
-point has full row rank.  The root-of-unity families also check that their
-n-th member does not vanish there, and the h-family's Jacobian is checked
-against its closed form.
+A family q_1..q_k in n variables is algebraically independent over
+characteristic zero iff its Jacobian has symbolic rank k.  The rank at a
+point never exceeds the symbolic rank, itself at most min(k, n), so one point
+of rank min(k, n) settles it exactly: the seeded searches stop at the first
+such point and run `symbolic_rank` only when they find none.  The
+transformation passes additionally need a *witness*: a point where every q_i
+vanishes while the Jacobian still attains its symbolic rank.  For the
+elementary, complete homogeneous and power-sum families the witness is the
+vector of n-th roots of unity, so the verification runs in an exact
+cyclotomic field (`Poly.eval` works there by exponent arithmetic).
+Witnesses are always checked by explicit re-evaluation, never trusted from
+their construction, and every witness check is `witness_jacobian`: each
+member vanishes and the Jacobian at the point has full row rank.  The
+root-of-unity families also check that their n-th member does not vanish
+there, and the h-family's Jacobian is checked against its closed form.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, GridExhausted, InvalidWitness, VerificationFailed
-from .field import Rat, ScalarMatrix, bareiss, omega
+from .field import GRID_ATTEMPTS, ScalarMatrix, bareiss, grid_points, omega
 from .poly import Poly
 from .symmetric import e_poly, h_poly, p_poly
 
 #: seeded grid points at which `symbolic_rank` evaluates the Jacobian
 RANK_TRIALS = 20
-#: seeded grid points `shifted_witness` tries before it gives up
-WITNESS_ATTEMPTS = 128
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,8 @@ def symbolic_rank(jac: list[list[Poly]], seed: int = 0) -> int:
     k = len(jac)
     n = len(jac[0])
     max_rank = min(k, n)
-    bound = 2 * _minor_degree_bound(jac)
-    rng = random.Random(seed)
     best = 0
-    for _ in range(RANK_TRIALS):
-        point = [Rat(rng.randint(0, bound)) for _ in range(n)]
+    for point in grid_points(n, 2 * _minor_degree_bound(jac), seed, RANK_TRIALS):
         best = max(best, jacobian_at(jac, point).rank())
         if best == max_rank:
             break
@@ -103,12 +100,17 @@ def symbolic_rank(jac: list[list[Poly]], seed: int = 0) -> int:
 
 def is_independence_witness(polys, point, seed: int = 0) -> bool:
     """True iff every poly vanishes at the point and the Jacobian rank there
-    equals its symbolic rank."""
+    equals its symbolic rank.
+
+    A rank of min(k, n) at the point is the symbolic rank, with no search;
+    only a rank-deficient point is compared with `symbolic_rank(jac, seed)`.
+    """
     polys = list(polys)
     if any(q.eval(point) != 0 for q in polys):
         return False
     jac = jacobian(polys)
-    return jacobian_at(jac, point).rank() == symbolic_rank(jac, seed=seed)
+    rank = jacobian_at(jac, point).rank()
+    return rank == min(len(jac), len(jac[0])) or rank == symbolic_rank(jac, seed=seed)
 
 
 def witness_jacobian(polys, point) -> ScalarMatrix:
@@ -186,23 +188,23 @@ def p_family_witness(n: int) -> CommonZeroWitness:
 def shifted_witness(polys, seed: int = 0):
     """Shifts a_i and a point c making {q_i - a_i} vanish at c with full rank.
 
-    Samples c from a grid larger than the degree of the Jacobian determinant
-    (Schwartz-Zippel), keeps the first point where the Jacobian is
-    non-singular, and sets a_i = q_i(c).  Raises GridExhausted if the seeded
-    sampling budget runs out, which for an algebraically independent family
-    is overwhelmingly unlikely.
+    Walks `grid_points` over a grid larger than the degree of any maximal
+    Jacobian minor (Schwartz-Zippel) to the first c where the Jacobian has
+    rank k = len(polys), which certifies independence, and sets a_i = q_i(c).
+    Raises InvalidWitness for k > n (before sampling) or a dependent family,
+    GridExhausted if an independent one finds no such c in GRID_ATTEMPTS
+    draws (overwhelmingly unlikely); only an exhausted walk runs
+    `symbolic_rank`, to tell the two apart.
     """
     polys = list(polys)
     jac = jacobian(polys)
     k = len(polys)
+    n = polys[0].arity
+    if k > n:
+        raise InvalidWitness("more polynomials than variables are never independent")
+    for c in grid_points(n, 2 * _minor_degree_bound(jac), seed):
+        if jacobian_at(jac, c).rank() == k:
+            return tuple(q.eval(c) for q in polys), c
     if symbolic_rank(jac, seed=seed) != k:
         raise InvalidWitness("polynomials are not algebraically independent")
-    bound = 2 * _minor_degree_bound(jac)
-    rng = random.Random(seed)
-    n = polys[0].arity
-    for _ in range(WITNESS_ATTEMPTS):
-        c = tuple(Rat(rng.randint(0, bound)) for _ in range(n))
-        if jacobian_at(jac, c).rank() == k:
-            shifts = tuple(q.eval(c) for q in polys)
-            return shifts, c
-    raise GridExhausted(f"no non-singular point found in {WITNESS_ATTEMPTS} samples")
+    raise GridExhausted(f"no non-singular point found in {GRID_ATTEMPTS} samples")

@@ -353,14 +353,6 @@ def is_symmetric(p: Poly) -> bool:
     return True
 
 
-def symmetrize(p: Poly) -> Poly:
-    """Sum of p over all variable permutations."""
-    out = Poly.zero(p.arity)
-    for perm in itertools.permutations(range(p.arity)):
-        out = out + p.permute_vars(perm)
-    return out
-
-
 def express_in_e_basis(f: Poly) -> Poly:
     """The unique polynomial g with g(e_1, ..., e_n) = f, for symmetric f,
     over formal variables e_1..e_n.

@@ -19,7 +19,6 @@ checkable by the brute-force expansion oracle:
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .circuits import (
@@ -39,11 +38,13 @@ from .errors import (
     VerificationFailed,
 )
 from .field import (
+    GRID_ATTEMPTS,
     ONE,
     Rat,
     ScalarMatrix,
     demote,
     gauss_jordan,
+    grid_points,
     interpolation_weights,
     scalar_to_json,
 )
@@ -54,8 +55,6 @@ from .symmetric import all_distinct, det_poly_matrix, jacobi_trudi_labels, schur
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
-#: seeded grid points `_nonvanishing_point` tries before it gives up
-NONVANISHING_ATTEMPTS = 128
 
 
 def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
@@ -116,18 +115,14 @@ def shift_formula(f: Formula, point) -> Formula:
 def _nonvanishing_point(r: Formula, seed: int) -> tuple:
     """A grid point where the formula evaluates to something non-zero.
 
-    Samples the grid {0, ..., 2*size}^arity in a seeded pseudorandom order;
-    by Schwartz-Zippel a non-zero polynomial of degree <= size vanishes on
-    only a tiny fraction of it.
+    Walks `grid_points` over {0, ..., 2*size}^arity; a non-zero polynomial
+    of degree <= size vanishes on under half of that grid.
     """
-    bound = 2 * r.size()
-    rng = random.Random(seed)
-    for _ in range(NONVANISHING_ATTEMPTS):
-        point = tuple(Rat(rng.randint(0, bound)) for _ in range(r.arity))
+    for point in grid_points(r.arity, 2 * r.size(), seed):
         if r.eval(point):
             return point
     raise NoNonvanishingPoint(
-        f"divisor vanished on {NONVANISHING_ATTEMPTS} grid samples; check the degree setup"
+        f"divisor vanished on {GRID_ATTEMPTS} grid samples; check the degree setup"
     )
 
 

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import permutations
 
-from schurkit.circuits import Formula, det_abp, formula_from_poly, prod_node, random_formula
+from schurkit.circuits import Formula, det_abp, formula_from_poly, prod_node
 from schurkit.derivatives import (
     pdc_dimension,
     product_pdc_check,
@@ -46,7 +46,6 @@ from schurkit.symmetric import (
     schur_jt_h,
     schur_ssyt,
     skew_schur_h,
-    symmetrize,
 )
 from schurkit.transforms import (
     REDUCTION_SIZE_CONSTANT,
@@ -56,6 +55,8 @@ from schurkit.transforms import (
     recover_outer_formula,
     schur_to_det_reduce,
 )
+
+from helpers import random_formula, symmetrize
 
 SIZE_GROWTH_CONSTANT = 8  # fixed once for the whole corpus
 

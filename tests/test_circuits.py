@@ -18,13 +18,14 @@ from schurkit.circuits import (
     formula_from_poly,
     inp,
     prod_node,
-    random_formula,
     sum_node,
     variable_formula,
 )
 from schurkit.errors import ArityMismatch, BudgetExceeded, DomainMismatch, LengthMismatch
 from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, ZERO, omega
 from schurkit.poly import Poly
+
+from helpers import random_formula
 
 
 def schoolbook_product(p: Poly, q: Poly) -> Poly:

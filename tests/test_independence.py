@@ -5,7 +5,7 @@ import random
 import pytest
 
 from schurkit import independence
-from schurkit.errors import InvalidWitness, VerificationFailed
+from schurkit.errors import GridExhausted, InvalidWitness, VerificationFailed
 from schurkit.field import Rat, ScalarMatrix, bareiss, scalar_to_text
 from schurkit.independence import (
     h_family_witness,
@@ -42,6 +42,32 @@ def annihilator_exists(polys, max_degree):
     monomials = sorted({m for col in columns for m in col.terms})
     rows = [[col.terms.get(m, Rat(0)) for col in columns] for m in monomials]
     return bareiss(rows)[0] < len(columns)
+
+
+def naive_shifted_witness(polys, seed=0):
+    """Reference: the two-walk search, a full `symbolic_rank` first and then
+    its own seeded walk over the same grid for a non-singular point."""
+    polys = list(polys)
+    jac = jacobian(polys)
+    k = len(polys)
+    if symbolic_rank(jac, seed=seed) != k:
+        raise InvalidWitness("polynomials are not algebraically independent")
+    bound = 2 * independence._minor_degree_bound(jac)
+    rng = random.Random(seed)
+    n = polys[0].arity
+    for _ in range(128):
+        c = tuple(Rat(rng.randint(0, bound)) for _ in range(n))
+        if jacobian_at(jac, c).rank() == k:
+            return tuple(q.eval(c) for q in polys), c
+    raise GridExhausted("no non-singular point found in 128 samples")
+
+
+def outcome(search, polys, seed):
+    """(shifts, point) from the search, or the type of what it raised."""
+    try:
+        return search(polys, seed=seed)
+    except (InvalidWitness, GridExhausted) as exc:
+        return type(exc)
 
 
 class TestJacobian:
@@ -238,6 +264,79 @@ class TestShiftedWitness:
         q = Poly.variable(2, 0)
         with pytest.raises(InvalidWitness):
             shifted_witness([q, q], seed=0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("family", [e_poly, h_poly, p_poly])
+    def test_matches_two_walk_reference(self, family, n):
+        polys = [family(k, n) for k in range(1, n + 1)]
+        for seed in range(21):
+            got = outcome(shifted_witness, polys, seed)
+            assert got == outcome(naive_shifted_witness, polys, seed), seed
+            assert isinstance(got, tuple), seed
+
+    @pytest.mark.parametrize(
+        "polys",
+        [
+            [Poly.variable(2, 0), Poly.variable(2, 0)],
+            [Poly.variable(2, 0), Poly.variable(2, 1), Poly.variable(2, 0) * Poly.variable(2, 1)],
+        ],
+        ids=["x1-twice", "three-in-two-variables"],
+    )
+    def test_dependent_families_raise_invalid_witness(self, polys):
+        for seed in range(3):
+            assert outcome(shifted_witness, polys, seed) is InvalidWitness
+            assert outcome(naive_shifted_witness, polys, seed) is InvalidWitness
+
+
+class TestOneGridWalk:
+    @staticmethod
+    def count_jacobian_points(monkeypatch):
+        points = []
+        evaluate = independence.jacobian_at
+
+        def counting(jac, point):
+            points.append(tuple(point))
+            return evaluate(jac, point)
+
+        monkeypatch.setattr(independence, "jacobian_at", counting)
+        return points
+
+    def test_shifted_item_evaluates_draws_plus_one_points(self, monkeypatch):
+        # the two-walk search and its check evaluate 10 points here
+        points = self.count_jacobian_points(monkeypatch)
+        polys = [e_poly(k, 6) for k in range(1, 7)]
+        shifts, c = shifted_witness(polys, seed=11)
+        draws = len(points)
+        assert points[-1] == c
+        shifted = [q - Poly.constant(6, a) for q, a in zip(polys, shifts)]
+        assert is_independence_witness(shifted, c, seed=11)
+        assert len(points) == draws + 1 == 4
+
+    def test_full_rank_point_needs_no_symbolic_rank(self, monkeypatch):
+        def unreachable(jac, seed=0):
+            raise AssertionError("symbolic_rank called")
+
+        monkeypatch.setattr(independence, "symbolic_rank", unreachable)
+        polys = [e_poly(k, 4) for k in range(1, 5)]
+        shifts, c = shifted_witness(polys, seed=2)
+        shifted = [q - Poly.constant(4, a) for q, a in zip(polys, shifts)]
+        assert is_independence_witness(shifted, c, seed=2)
+        point = roots_of_unity_witness(4).point
+        assert is_independence_witness([e_poly(1, 4), e_poly(2, 4)], point)
+
+    def test_rank_deficient_point_consults_symbolic_rank(self, monkeypatch):
+        calls = []
+        rank = independence.symbolic_rank
+
+        def counting(jac, seed=0):
+            calls.append(seed)
+            return rank(jac, seed=seed)
+
+        monkeypatch.setattr(independence, "symbolic_rank", counting)
+        x = Poly.variable(2, 0)
+        # rank 1 at the point, below min(k, n) = 2 but equal to the symbolic rank
+        assert is_independence_witness([x, x], [Rat(0), Rat(5)], seed=4)
+        assert calls == [4]
 
 
 def test_jacobian_at_evaluates_entrywise():

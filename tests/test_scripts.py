@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +47,27 @@ def test_traced_benchmark_finds_every_name_it_wraps():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_independence_benchmark_runs_correct():
+    # one traced second of the independence workload, whose gate re-checks
+    # every shifted witness and root-of-unity witness the package returns
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "run.py"),
+            "--workload", "independence",
+            "--seed", "1",
+            "--seconds", "1",
+            "--trace", "1",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert last["correct"] is True, result.stdout
+    assert last["failed"] == 0
+    assert last["attempted"] > 0

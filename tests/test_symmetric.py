@@ -27,8 +27,9 @@ from schurkit.symmetric import (
     schur_jt_h,
     schur_ssyt,
     skew_schur_h,
-    symmetrize,
 )
+
+from helpers import symmetrize
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
 

@@ -11,7 +11,6 @@ from schurkit.circuits import (
     formula_from_poly,
     inp,
     prod_node,
-    random_formula,
     sum_node,
 )
 from schurkit.errors import (
@@ -37,6 +36,8 @@ from schurkit.transforms import (
     schur_to_det_reduce,
     shift_formula,
 )
+
+from helpers import random_formula
 
 
 def one_plus_x_product():
