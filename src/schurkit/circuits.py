@@ -17,7 +17,8 @@ numerators, and only the root is decoded into a `Poly`.
 
 An ABP is a layered graph with one source and one sink whose edges carry
 affine labels; it computes the sum over source-to-sink paths of the product
-of the labels.
+of the labels.  It is expanded by the formula oracle, on the formula DAG
+with a sum gate per node and a product gate per edge.
 """
 
 from __future__ import annotations
@@ -516,39 +517,29 @@ class ABP:
     def num_nodes(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def _label_poly(self, c, coeffs) -> Poly:
-        terms = {}
-        if c:
-            terms[(0,) * self.arity] = c
-        for i, w in enumerate(coeffs):
-            if w:
-                exps = tuple(1 if j == i else 0 for j in range(self.arity))
-                terms[exps] = w
-        return Poly(self.arity, terms)
-
     def expand(self, budget: int | None = None) -> Poly:
-        """Sum over source-to-sink paths of the product of edge labels."""
-        budget = DEFAULT_TERM_BUDGET if budget is None else budget
-        outgoing: dict[object, list] = {}
+        """Sum over source-to-sink paths of the product of edge labels.
+
+        The program is expanded by `Formula.expand` on the same DAG: the
+        source is the constant 1, every other node a sum gate over its
+        incoming edges, and each edge a product gate of its affine label (a
+        sum gate over const(1) and the inputs, weighted by the edge's
+        constant and coefficients) and the gate of its tail.  So `budget`
+        means what it means for formulas: it bounds the monomials of every
+        sum gate and every partial product.
+        """
+        incoming: dict[object, list] = {}
         for u, v, c, coeffs in self.edges:
-            outgoing.setdefault(u, []).append((v, self._label_poly(c, coeffs)))
-        source = self.layers[0][0]
-        sink = self.layers[-1][0]
-        values: dict[object, Poly] = {source: Poly.constant(self.arity, 1)}
-        for layer in self.layers[:-1]:
-            next_values: dict[object, Poly] = {}
-            for u in layer:
-                value = values.get(u)
-                if value is None or value.is_zero():
-                    continue
-                for v, label in outgoing.get(u, ()):
-                    contribution = value * label
-                    acc = next_values.get(v)
-                    next_values[v] = contribution if acc is None else acc + contribution
-                    if next_values[v].num_terms() > budget:
-                        raise BudgetExceeded(f"ABP expansion exceeded {budget} terms")
-            values = next_values
-        return values.get(sink, Poly.zero(self.arity))
+            incoming.setdefault(v, []).append((u, c, coeffs))
+        leaves = [const(1)] + [inp(i) for i in range(self.arity)]
+        gates = {self.layers[0][0]: const(1)}
+        for layer in self.layers[1:]:
+            for v in layer:
+                gates[v] = sum_node(
+                    prod_node([sum_node(leaves, (c, *coeffs)), gates[u]])
+                    for u, c, coeffs in incoming.get(v, ())
+                )
+        return Formula(gates[self.layers[-1][0]], self.arity).expand(budget)
 
     def to_json(self) -> dict:
         return {

@@ -31,7 +31,7 @@ product of independent linear forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BudgetExceeded, ZeroPolynomial
 from .field import common_order, fold_constants, int_numerators, power_bits
@@ -189,18 +189,11 @@ def shifted_product_pdc_check(
 
     The shifts come from `shifted_witness`: a_i = q_i(c) for a point c where
     the Jacobian is non-singular, which places a common zero of the shifted
-    family at c and reduces to the unshifted product bound.
+    family at c.  The report is `product_pdc_check` of the shifted family at
+    c, which re-checks that witness, with the shifts attached.
     """
     polys = list(polys)
-    k = len(polys)
     shifts, c = shifted_witness(polys, seed=seed)
     arity = polys[0].arity
     shifted = [q - Poly.constant(arity, a) for q, a in zip(polys, shifts)]
-    product = Poly.constant(arity, 1)
-    for q in shifted:
-        product = product * q
-    dim = pdc_dimension(product, budget=budget)
-    bound = 2**k
-    return ProductBoundReport(
-        dimension=dim, bound=bound, passed=dim >= bound, point=c, shifts=shifts
-    )
+    return replace(product_pdc_check(shifted, c, budget=budget), shifts=shifts)

@@ -4,7 +4,7 @@ A family q_1..q_k in n variables is algebraically independent over
 characteristic zero iff its Jacobian has symbolic rank k.  The rank at a
 point never exceeds the symbolic rank, itself at most min(k, n), so one point
 of rank min(k, n) settles it exactly: the seeded searches stop at the first
-such point and run `symbolic_rank` only when they find none.  The
+such point and run `symbolic_rank` only after a miss.  The
 transformation passes additionally need a *witness*: a point where every q_i
 vanishes while the Jacobian still attains its symbolic rank.  For the
 elementary, complete homogeneous and power-sum families the witness is the
@@ -193,8 +193,9 @@ def shifted_witness(polys, seed: int = 0):
     rank k = len(polys), which certifies independence, and sets a_i = q_i(c).
     Raises InvalidWitness for k > n (before sampling) or a dependent family,
     GridExhausted if an independent one finds no such c in GRID_ATTEMPTS
-    draws (overwhelmingly unlikely); only an exhausted walk runs
-    `symbolic_rank`, to tell the two apart.
+    draws (overwhelmingly unlikely).  A walk with no such c in its first
+    RANK_TRIALS draws runs `symbolic_rank` once, there: a rank below k
+    raises InvalidWitness at once, and rank k lets the walk go on.
     """
     polys = list(polys)
     jac = jacobian(polys)
@@ -202,9 +203,9 @@ def shifted_witness(polys, seed: int = 0):
     n = polys[0].arity
     if k > n:
         raise InvalidWitness("more polynomials than variables are never independent")
-    for c in grid_points(n, 2 * _minor_degree_bound(jac), seed):
+    for draw, c in enumerate(grid_points(n, 2 * _minor_degree_bound(jac), seed)):
+        if draw == RANK_TRIALS and symbolic_rank(jac, seed=seed) != k:
+            raise InvalidWitness("polynomials are not algebraically independent")
         if jacobian_at(jac, c).rank() == k:
             return tuple(q.eval(c) for q in polys), c
-    if symbolic_rank(jac, seed=seed) != k:
-        raise InvalidWitness("polynomials are not algebraically independent")
     raise GridExhausted(f"no non-singular point found in {GRID_ATTEMPTS} samples")

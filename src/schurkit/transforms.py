@@ -11,9 +11,12 @@ checkable by the brute-force expansion oracle:
   non-vanishing point of the divisor,
 * recovery of the outer polynomial from a formula computing a composition
   g(q_1, ..., q_k) with g homogeneous and the q_i an algebraically
-  independent family with a verified common-zero witness,
-* the end-to-end pipeline taking a formula for a suitable Schur polynomial
-  to a formula for the l x l determinant.
+  independent family with a verified common-zero witness; the linear forms
+  are undone by one Gauss-Jordan elimination of the Jacobian augmented
+  with the identity,
+* the end-to-end pipeline taking a formula for s_lambda to a formula for
+  the l x l determinant, under one hypothesis: the l^2 Jacobi-Trudi labels
+  are distinct members of h_1..h_(n-1) (`reduction_hypothesis_holds`).
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .errors import (
 from .field import (
     GRID_ATTEMPTS,
     ONE,
+    ZERO,
     Rat,
-    ScalarMatrix,
     demote,
     gauss_jordan,
     grid_points,
@@ -84,19 +87,6 @@ def homogeneous_component_formula(f: Formula, degree: int) -> Formula:
     if degree > bound:
         return constant_formula(f.arity, 0)
     return _interpolated_combination(f, bound, (degree,))
-
-
-def low_degree_truncation_formula(f: Formula, degree: int) -> Formula:
-    """A formula for the sum of the homogeneous components of f of degree <= d.
-
-    Same interpolation as single-component extraction, on t = 0..f.degree(),
-    each copy weighted by the sum of its Lagrange weights for degrees 0..d,
-    so the scaled copies are shared instead of being rebuilt per component.
-    """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    bound = f.degree()
-    return _interpolated_combination(f, bound, range(min(degree, bound) + 1))
 
 
 def shift_formula(f: Formula, point) -> Formula:
@@ -162,7 +152,10 @@ def divide_formula(
     candidate = Formula(
         prod_node([p1.root, sum_node(geom_children), const(ONE / r0)]), arity
     )
-    truncated = low_degree_truncation_formula(candidate, degree_bound)
+    bound = candidate.degree()
+    truncated = _interpolated_combination(
+        candidate, bound, range(min(degree_bound, bound) + 1)
+    )
     return shift_formula(truncated, tuple(-x for x in a))
 
 
@@ -200,16 +193,22 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=Non
         extracted = _interpolated_combination(shifted, bound, (degree,))
     trace.append((f"extract-degree-{degree}", extracted))
 
-    _, cols = gauss_jordan(jacobian_rows)
+    # one elimination of [J | I_k] gives [R | E] with E*J = R and
+    # R[:, cols] = I, so row m of E is row m of the inverse of J[:, cols]
+    reduced, cols = gauss_jordan(
+        [
+            list(row) + [ONE if i == j else ZERO for j in range(k)]
+            for i, row in enumerate(jacobian_rows)
+        ],
+        arity,
+    )
     if len(cols) < k:
         raise VerificationFailed(
             f"Jacobian rank below {k}; witness rank check should have caught this"
         )
-    u_sub = ScalarMatrix(k, k, [jacobian_rows[i][c] for i in range(k) for c in cols])
-    v = u_sub.inverse()
     mapping = {}
     for m, c in enumerate(cols):
-        row = v.row(m)
+        row = reduced[m][arity:]
         children = [inp(i) for i in range(k) if row[i]]
         weights = [w for w in row if w]
         mapping[c] = Formula(sum_node(children, weights), k)
@@ -260,21 +259,23 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
 # ---------------------------------------------------------------------------
 
 def reduction_hypothesis_holds(lam: Partition, n: int) -> bool:
-    """Gap condition making every h-determinant entry distinct and in range.
+    """Whether the l^2 Jacobi-Trudi labels lam_i - i + j are distinct and
+    lie in [1, n-1], so that s_lambda is det_l composed with distinct
+    members of h_1..h_(n-1) (l = l(lam) >= 1).
 
-    Requires consecutive parts to differ by at least l(lam) - 1, the last
-    part to be at least l(lam), and n >= lam_1 + l(lam); then the entry
-    indices all lie in [1, n-1] and are pairwise distinct.
+    This is the gap condition on the parts.  Row i of the labels is the
+    interval of the l consecutive integers from lam_i - i, and these starts
+    fall strictly from row to row, so the rows are disjoint iff adjacent
+    ones are, that is iff lam_i >= lam_(i+1) + l - 1.  The least label is
+    lam_l - l + 1 and the greatest lam_1 + l - 1, so the range bounds read
+    lam_l >= l and n >= lam_1 + l.  l^2 distinct labels in [1, n-1] need
+    l^2 <= n - 1, tested first so that a long lambda builds no labels.
     """
     ell = lam.length
-    if ell == 0:
+    if not 1 <= ell * ell <= n - 1:
         return False
-    for i in range(ell - 1):
-        if lam.part(i) < lam.part(i + 1) + (ell - 1):
-            return False
-    if lam.part(ell - 1) < ell:
-        return False
-    return n >= lam.part(0) + ell
+    labels = jacobi_trudi_labels(lam)
+    return all_distinct(labels) and all(1 <= m <= n - 1 for row in labels for m in row)
 
 
 @dataclass(frozen=True)
@@ -385,9 +386,6 @@ def schur_to_det_reduce(
         raise NotReducible(f"lambda={lam} with n={n} fails the gap hypothesis")
     ell = lam.length
     labels = jacobi_trudi_labels(lam)
-    flat = [m for row in labels for m in row]
-    if not all_distinct(labels) or min(flat) < 1 or max(flat) > n - 1:
-        raise VerificationFailed("hypothesis holds but labels are out of range")
     if f is None:
         f = jacobi_trudi_formula(lam, n)
     expanded = f.expand(budget=budget)
@@ -395,7 +393,7 @@ def schur_to_det_reduce(
         raise ValueError("input formula does not compute the Schur polynomial")
 
     witness = h_family_witness(n)
-    sorted_labels = sorted(flat)
+    sorted_labels = sorted(m for row in labels for m in row)
     # h_m is the witness's polynomial m - 1 and row m - 1 of its Jacobian
     inner = tuple(witness.polys[m - 1] for m in sorted_labels)
     rows = [witness.jacobian.row(m - 1) for m in sorted_labels]

@@ -514,6 +514,97 @@ def perm_det_poly(n):
     return out
 
 
+def naive_abp_expand(abp):
+    """Reference: the layer-by-layer `Poly` evaluator, which pushes each
+    node's value along its outgoing edges, times the edge's label."""
+    def label(c, coeffs):
+        terms = {(0,) * abp.arity: c} if c else {}
+        for i, w in enumerate(coeffs):
+            if w:
+                terms[tuple(int(j == i) for j in range(abp.arity))] = w
+        return Poly(abp.arity, terms)
+
+    outgoing = {}
+    for u, v, c, coeffs in abp.edges:
+        outgoing.setdefault(u, []).append((v, label(c, coeffs)))
+    values = {abp.layers[0][0]: Poly.constant(abp.arity, 1)}
+    for layer in abp.layers[:-1]:
+        next_values = {}
+        for u in layer:
+            value = values.get(u)
+            if value is None or value.is_zero():
+                continue
+            for v, lab in outgoing.get(u, ()):
+                contribution = value * lab
+                acc = next_values.get(v)
+                next_values[v] = contribution if acc is None else acc + contribution
+        values = next_values
+    return values.get(abp.layers[-1][0], Poly.zero(abp.arity))
+
+
+def cyclotomic_abp(seed):
+    """A seeded layered program on 3 inputs with order-8 and rational labels,
+    zero constants and zero coefficients among them."""
+    rng = random.Random(seed)
+    w = omega(8)
+
+    def scalar():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ZERO
+        if kind == 1:
+            return Rat(rng.randint(-3, 3), rng.randint(1, 2))
+        return w ** rng.randint(0, 7) * rng.choice([-2, -1, 1, 2])
+
+    layers = [["s"], ["a", "b", "c"], ["d", "e"], ["t"]]
+    edges = [
+        (u, v, scalar(), [scalar() for _ in range(3)])
+        for before, after in zip(layers, layers[1:])
+        for u in before
+        for v in after
+        if rng.random() < 0.8
+    ]
+    return ABP(3, layers, edges)
+
+
+class TestABPExpandsThroughTheFormulaOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_abp(self, n):
+        abp = det_abp(n)
+        assert abp.expand() == naive_abp_expand(abp)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_order_8_labels(self, seed):
+        abp = cyclotomic_abp(seed)
+        assert abp.expand() == naive_abp_expand(abp)
+
+    def test_node_with_no_incoming_edge(self):
+        # b has no incoming edge, so every path through it contributes zero
+        edges = [("s", "a", 1, [1, 0]), ("a", "t", 0, [0, 1]), ("b", "t", 7, [1, 1])]
+        abp = ABP(2, [["s"], ["a", "b"], ["t"]], edges)
+        assert abp.expand() == naive_abp_expand(abp) == Poly(2, {(0, 1): 1, (1, 1): 1})
+
+    def test_all_zero_label(self):
+        edges = [
+            ("s", "a", 0, [0, 0]),
+            ("s", "b", 2, [0, 0]),
+            ("a", "t", 1, [1, 0]),
+            ("b", "t", 0, [0, 3]),
+        ]
+        abp = ABP(2, [["s"], ["a", "b"], ["t"]], edges)
+        assert abp.expand() == naive_abp_expand(abp) == Poly(2, {(0, 1): 6})
+        dead = ABP(2, [["s"], ["t"]], [("s", "t", 0, [0, 0])])
+        assert dead.expand() == naive_abp_expand(dead) == Poly.zero(2)
+
+    def test_budget_bounds_every_gate(self):
+        # det_3 has 6 monomials, so its sink gate is over a budget of 5
+        assert det_abp(3).expand(budget=6) == perm_det_poly(3)
+        with pytest.raises(BudgetExceeded):
+            det_abp(3).expand(budget=5)
+        with pytest.raises(BudgetExceeded):
+            det_abp(4).expand(budget=2)
+
+
 class TestABP:
     def test_single_edge_variable(self):
         abp = ABP(1, [["s"], ["t"]], [("s", "t", 0, [1])])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurkit import field
@@ -350,6 +350,29 @@ class TestScalarMatrix:
     def test_rational_rank_matches_gauss_jordan(self, rows):
         # rank() clears denominators row by row and eliminates over the ints
         assert matrix(rows).rank() == len(gauss_jordan(rows)[1])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_elimination_gives_pivots_and_inverse_rows(self, data):
+        # reducing [J | I_k] once finds the pivot columns cols of J and, in
+        # the identity block, the rows of the inverse of J[:, cols]
+        order = data.draw(st.sampled_from([None, 8]), label="order")
+        n = data.draw(st.integers(1, 4), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        entry = rational if order is None else st.lists(rational, max_size=4).map(
+            lambda coeffs: CyclotomicScalar(order, coeffs)
+        )
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)
+        )
+        _, cols = gauss_jordan(rows)
+        assume(len(cols) == k)
+        augmented = [list(row) + [Rat(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
+        reduced, pivots = gauss_jordan(augmented, n)
+        assert pivots == cols
+        inverse = ScalarMatrix(k, k, [rows[i][c] for i in range(k) for c in cols]).inverse()
+        assert [tuple(row[n:]) for row in reduced] == [inverse.row(m) for m in range(k)]
 
     def test_cyclotomic_matrix_inverse(self):
         w = omega(5)

@@ -312,6 +312,15 @@ class TestOneGridWalk:
         assert is_independence_witness(shifted, c, seed=11)
         assert len(points) == draws + 1 == 4
 
+    def test_dependent_family_stops_after_rank_trials(self, monkeypatch):
+        # decided at draw RANK_TRIALS: that many failed draws, then
+        # symbolic_rank's own RANK_TRIALS points, not GRID_ATTEMPTS draws
+        points = self.count_jacobian_points(monkeypatch)
+        polys = [e_poly(k, 6) for k in range(1, 6)] + [e_poly(1, 6) ** 2]
+        with pytest.raises(InvalidWitness):
+            shifted_witness(polys, seed=11)
+        assert len(points) <= 2 * independence.RANK_TRIALS == 40
+
     def test_full_rank_point_needs_no_symbolic_rank(self, monkeypatch):
         def unreachable(jac, seed=0):
             raise AssertionError("symbolic_rank called")

@@ -49,14 +49,13 @@ def test_traced_benchmark_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
-def test_independence_benchmark_runs_correct():
-    # one traced second of the independence workload, whose gate re-checks
-    # every shifted witness and root-of-unity witness the package returns
+def run_benchmark_second(workload):
+    """The last JSON line of one traced second of a benchmark workload."""
     result = subprocess.run(
         [
             sys.executable,
             str(ROOT / "perfbench" / "run.py"),
-            "--workload", "independence",
+            "--workload", workload,
             "--seed", "1",
             "--seconds", "1",
             "--trace", "1",
@@ -71,3 +70,16 @@ def test_independence_benchmark_runs_correct():
     assert last["correct"] is True, result.stdout
     assert last["failed"] == 0
     assert last["attempted"] > 0
+    return last
+
+
+def test_independence_benchmark_runs_correct():
+    # the independence gate re-checks every shifted witness and root-of-unity
+    # witness the package returns
+    run_benchmark_second("independence")
+
+
+def test_reduce_cli_benchmark_runs_correct():
+    # the reduce gate checks each reduction's depth increase (+4), its size
+    # bound and the round trip of its --out file
+    run_benchmark_second("reduce-cli")

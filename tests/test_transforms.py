@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from schurkit import transforms
 from schurkit.circuits import (
     Formula,
     const,
@@ -22,7 +23,7 @@ from schurkit.errors import (
 )
 from schurkit.field import Rat
 from schurkit.independence import roots_of_unity_witness
-from schurkit.partitions import Partition, staircase
+from schurkit.partitions import Partition, partitions_of, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly, generalized_vandermonde, schur_bialternant
 from schurkit.transforms import (
@@ -239,7 +240,41 @@ class TestRecoverOuter:
             recover_outer_formula(self.compose(g), self.inner, 2, self.witness.point)
 
 
+def naive_reduction_hypothesis(lam, n):
+    """Reference: the gap condition on the parts, consecutive parts at least
+    l - 1 apart, the last part at least l, and n >= lam_1 + l."""
+    ell = lam.length
+    if ell == 0:
+        return False
+    for i in range(ell - 1):
+        if lam.part(i) < lam.part(i + 1) + (ell - 1):
+            return False
+    if lam.part(ell - 1) < ell:
+        return False
+    return n >= lam.part(0) + ell
+
+
 class TestHypothesis:
+    def test_label_condition_is_the_gap_condition(self):
+        cases = holds = 0
+        for weight in range(21):
+            for parts in partitions_of(weight):
+                lam = Partition(parts)
+                for n in range(1, 25):
+                    expected = naive_reduction_hypothesis(lam, n)
+                    assert reduction_hypothesis_holds(lam, n) == expected, (parts, n)
+                    cases += 1
+                    holds += expected
+        assert (cases, holds) == (65_136, 1_372)
+
+    def test_long_partition_builds_no_labels(self, monkeypatch):
+        # l^2 distinct labels in [1, n-1] need l^2 <= n - 1
+        def unreachable(lam, mu=None):
+            raise AssertionError("labels built")
+
+        monkeypatch.setattr(transforms, "jacobi_trudi_labels", unreachable)
+        assert not reduction_hypothesis_holds(Partition((1,) * 1000), 10**5)
+
     def test_examples(self):
         assert reduction_hypothesis_holds(Partition((3, 2)), 5)
         assert not reduction_hypothesis_holds(Partition((2, 2)), 5)
