@@ -507,6 +507,9 @@ class ABP:
             coeffs = tuple(as_scalar(x) for x in coeffs)
             if len(coeffs) != arity:
                 raise ArityMismatch(f"edge {u}->{v} has {len(coeffs)} coefficients")
+            for end in (u, v):
+                if end not in position:
+                    raise ValueError(f"edge {u}->{v} names node {end!r}, which is in no layer")
             if position[v] != position[u] + 1:
                 raise ValueError(f"edge {u}->{v} does not join consecutive layers")
             clean.append((u, v, as_scalar(c), coeffs))
@@ -541,34 +544,6 @@ class ABP:
                 )
         return Formula(gates[self.layers[-1][0]], self.arity).expand(budget)
 
-    def to_json(self) -> dict:
-        return {
-            "arity": self.arity,
-            "layers": [list(layer) for layer in self.layers],
-            "edges": [
-                {
-                    "from": u,
-                    "to": v,
-                    "const": scalar_to_json(c),
-                    "coeffs": [scalar_to_json(w) for w in coeffs],
-                }
-                for u, v, c, coeffs in self.edges
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ABP":
-        edges = [
-            (
-                e["from"],
-                e["to"],
-                scalar_from_json(e["const"]),
-                [scalar_from_json(w) for w in e["coeffs"]],
-            )
-            for e in obj["edges"]
-        ]
-        return cls(obj["arity"], obj["layers"], edges)
-
     def __repr__(self):
         return f"ABP(arity={self.arity}, layers={len(self.layers)}, nodes={self.num_nodes()})"
 
@@ -582,80 +557,40 @@ def det_abp(n: int) -> ABP:
 
     State (l, c, h) means: l edge labels consumed so far, the currently open
     walk has minimal vertex c and sits at vertex h (h == c right after the
-    walk opens).  Closing a walk contributes a factor -A[h][c]; the final
-    closing edge also carries the global (-1)^n sign.
+    walk opens).  The source is the layer-0 state (0, c, c) for every head c,
+    so one edge rule builds every layer.  Closing a walk contributes a factor
+    -A[h][c]; the final closing edge also carries the global (-1)^n sign.
+
+    Only live states are built: a walk may reopen at head n-1 only when the
+    next layer is the last one.  A walk opened at head n-1 has no vertex above
+    its head to move to, so it can only close, and it can close only on the
+    last layer.  So every node but the sink has an outgoing edge.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     arity = n * n
-
-    def _state_name(l: int, c: int, h: int) -> str:
-        return f"w{l}:{c},{h}"
 
     def label(i: int, j: int, negate: bool) -> list:
         coeffs = [ZERO] * arity
         coeffs[i * n + j] = -ONE if negate else ONE
         return coeffs
 
-    source, sink = "s", "t"
-    # the final closing edge carries (-1)^(n+1): negated exactly when n is even
-    final_negate = n % 2 == 0
-    if n == 1:
-        return ABP(
-            arity, [(source,), (sink,)], [(source, sink, ZERO, label(0, 0, final_negate))]
-        )
-
-    states: dict[int, set[tuple[int, int]]] = {l: set() for l in range(1, n)}
+    tails = [("s", c, c) for c in range(n)]
+    layers: list[tuple] = [("s",)]
     edges: list[tuple] = []
-
-    # out of the source: open the first walk at head c, consume one label
-    for c in range(n):
-        for v in range(c + 1, n):
-            edges.append((source, _state_name(1, c, v), ZERO, label(c, v, False)))
-            states[1].add((c, v))
-        for c2 in range(c + 1, n):
-            # length-1 walk at c (self loop), then reopen at head c2
-            edges.append((source, _state_name(1, c2, c2), ZERO, label(c, c, True)))
-            states[1].add((c2, c2))
-
     for l in range(1, n):
-        for (c, h) in sorted(states[l]):
-            name = _state_name(l, c, h)
-            if l + 1 < n:
-                for v in range(c + 1, n):
-                    edges.append((name, _state_name(l + 1, c, v), ZERO, label(h, v, False)))
-                    states[l + 1].add((c, v))
-                for c2 in range(c + 1, n):
-                    edges.append(
-                        (name, _state_name(l + 1, c2, c2), ZERO, label(h, c, True))
-                    )
-                    states[l + 1].add((c2, c2))
-            else:
-                edges.append((name, sink, ZERO, label(h, c, final_negate)))
-
-    # prune states that cannot reach the sink (e.g. a freshly opened walk at
-    # the largest head with no room left to close)
-    incoming: dict[object, list[object]] = {}
-    for u, v, _, _ in edges:
-        incoming.setdefault(v, []).append(u)
-    alive = {sink}
-    frontier = [sink]
-    while frontier:
-        node = frontier.pop()
-        for u in incoming.get(node, ()):
-            if u not in alive:
-                alive.add(u)
-                frontier.append(u)
-
-    layers: list[tuple] = [(source,)]
-    for l in range(1, n):
-        layers.append(
-            tuple(
-                _state_name(l, c, h)
-                for (c, h) in sorted(states[l])
-                if _state_name(l, c, h) in alive
-            )
-        )
-    layers.append((sink,))
-    edges = [e for e in edges if e[0] in alive and e[1] in alive]
+        top_head = n if l == n - 1 else n - 1
+        states: set[tuple[int, int]] = set()
+        for tail, c, h in tails:
+            for v in range(c + 1, n):
+                edges.append((tail, f"w{l}:{c},{v}", ZERO, label(h, v, False)))
+                states.add((c, v))
+            for c2 in range(c + 1, top_head):
+                edges.append((tail, f"w{l}:{c2},{c2}", ZERO, label(h, c, True)))
+                states.add((c2, c2))
+        tails = [(f"w{l}:{c},{h}", c, h) for c, h in sorted(states)]
+        layers.append(tuple(name for name, _, _ in tails))
+    # the final closing edge carries (-1)^(n+1): negated exactly when n is even
+    edges += [(tail, "t", ZERO, label(h, c, n % 2 == 0)) for tail, c, h in tails]
+    layers.append(("t",))
     return ABP(arity, layers, edges)

@@ -4,7 +4,7 @@ A family q_1..q_k in n variables is algebraically independent over
 characteristic zero iff its Jacobian has symbolic rank k.  The rank at a
 point never exceeds the symbolic rank, itself at most min(k, n), so one point
 of rank min(k, n) settles it exactly: the seeded searches stop at the first
-such point and run `symbolic_rank` only after a miss.  The
+such point and settle the symbolic rank only after a miss.  The
 transformation passes additionally need a *witness*: a point where every q_i
 vanishes while the Jacobian still attains its symbolic rank.  For the
 elementary, complete homogeneous and power-sum families the witness is the
@@ -88,14 +88,22 @@ def symbolic_rank(jac: list[list[Poly]], seed: int = 0) -> int:
         best = max(best, jacobian_at(jac, point).rank())
         if best == max_rank:
             break
-    if k * n <= 16:
-        exact, _ = bareiss(jac)
-        if exact < best:
-            raise VerificationFailed(
-                "exact elimination disagrees with evaluated rank; arithmetic bug"
-            )
-        return exact
-    return best
+    return _confirmed_rank(jac, best)
+
+
+def _confirmed_rank(jac: list[list[Poly]], best: int) -> int:
+    """The symbolic rank, given `best`, the largest rank of the Jacobian at
+    the first RANK_TRIALS seeded grid points (or at the first point of rank
+    min(k, n)); a k x n Jacobian with k * n <= 16 is confirmed by exact
+    fraction-free elimination over its polynomial entries."""
+    if len(jac) * len(jac[0]) > 16:
+        return best
+    exact, _ = bareiss(jac)
+    if exact < best:
+        raise VerificationFailed(
+            "exact elimination disagrees with evaluated rank; arithmetic bug"
+        )
+    return exact
 
 
 def is_independence_witness(polys, point, seed: int = 0) -> bool:
@@ -194,8 +202,10 @@ def shifted_witness(polys, seed: int = 0):
     Raises InvalidWitness for k > n (before sampling) or a dependent family,
     GridExhausted if an independent one finds no such c in GRID_ATTEMPTS
     draws (overwhelmingly unlikely).  A walk with no such c in its first
-    RANK_TRIALS draws runs `symbolic_rank` once, there: a rank below k
-    raises InvalidWitness at once, and rank k lets the walk go on.
+    RANK_TRIALS draws has met the points `symbolic_rank` would evaluate, so
+    it decides there from its own best rank (confirmed exactly for small
+    Jacobians, as `symbolic_rank` does): a rank below k raises
+    InvalidWitness at once, and rank k lets the walk go on.
     """
     polys = list(polys)
     jac = jacobian(polys)
@@ -203,9 +213,12 @@ def shifted_witness(polys, seed: int = 0):
     n = polys[0].arity
     if k > n:
         raise InvalidWitness("more polynomials than variables are never independent")
+    best = 0
     for draw, c in enumerate(grid_points(n, 2 * _minor_degree_bound(jac), seed)):
-        if draw == RANK_TRIALS and symbolic_rank(jac, seed=seed) != k:
+        if draw == RANK_TRIALS and _confirmed_rank(jac, best) != k:
             raise InvalidWitness("polynomials are not algebraically independent")
-        if jacobian_at(jac, c).rank() == k:
+        rank = jacobian_at(jac, c).rank()
+        if rank == k:
             return tuple(q.eval(c) for q in polys), c
+        best = max(best, rank)
     raise GridExhausted(f"no non-singular point found in {GRID_ATTEMPTS} samples")

@@ -605,6 +605,60 @@ class TestABPExpandsThroughTheFormulaOracle:
             det_abp(4).expand(budget=2)
 
 
+def pruned_det_abp(n: int) -> ABP:
+    """Reference for `det_abp`: the source edges by their own rule, a special
+    case for n = 1, every reopened walk kept, and the states that cannot
+    reach the sink removed afterwards by a backward pass from the sink."""
+    arity = n * n
+
+    def name(l, c, h):
+        return f"w{l}:{c},{h}"
+
+    def label(i, j, negate):
+        coeffs = [ZERO] * arity
+        coeffs[i * n + j] = -ONE if negate else ONE
+        return coeffs
+
+    source, sink = "s", "t"
+    final_negate = n % 2 == 0
+    if n == 1:
+        return ABP(arity, [(source,), (sink,)], [(source, sink, ZERO, label(0, 0, final_negate))])
+    states = {l: set() for l in range(1, n)}
+    edges = []
+    for c in range(n):
+        for v in range(c + 1, n):
+            edges.append((source, name(1, c, v), ZERO, label(c, v, False)))
+            states[1].add((c, v))
+        for c2 in range(c + 1, n):
+            edges.append((source, name(1, c2, c2), ZERO, label(c, c, True)))
+            states[1].add((c2, c2))
+    for l in range(1, n):
+        for c, h in sorted(states[l]):
+            if l + 1 < n:
+                for v in range(c + 1, n):
+                    edges.append((name(l, c, h), name(l + 1, c, v), ZERO, label(h, v, False)))
+                    states[l + 1].add((c, v))
+                for c2 in range(c + 1, n):
+                    edges.append((name(l, c, h), name(l + 1, c2, c2), ZERO, label(h, c, True)))
+                    states[l + 1].add((c2, c2))
+            else:
+                edges.append((name(l, c, h), sink, ZERO, label(h, c, final_negate)))
+    incoming = {}
+    for u, v, _, _ in edges:
+        incoming.setdefault(v, []).append(u)
+    alive, frontier = {sink}, [sink]
+    while frontier:
+        for u in incoming.get(frontier.pop(), ()):
+            if u not in alive:
+                alive.add(u)
+                frontier.append(u)
+    layers = [(source,)]
+    for l in range(1, n):
+        layers.append(tuple(name(l, c, h) for c, h in sorted(states[l]) if name(l, c, h) in alive))
+    layers.append((sink,))
+    return ABP(arity, layers, [e for e in edges if e[0] in alive and e[1] in alive])
+
+
 class TestABP:
     def test_single_edge_variable(self):
         abp = ABP(1, [["s"], ["t"]], [("s", "t", 0, [1])])
@@ -637,12 +691,23 @@ class TestABP:
         for n in range(1, 7):
             assert det_abp(n).num_nodes() <= n**3 + 2
 
-    def test_json_round_trip(self):
-        abp = det_abp(3)
-        blob = json.dumps(abp.to_json(), sort_keys=True)
-        back = ABP.from_json(json.loads(blob))
-        assert json.dumps(back.to_json(), sort_keys=True) == blob
-        assert back.expand() == abp.expand()
+    def test_edge_to_a_node_in_no_layer(self):
+        with pytest.raises(ValueError, match="'x'"):
+            ABP(1, [["s"], ["t"]], [("s", "x", 0, [1])])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_det_abp_matches_pruned_reference(self, n):
+        abp, reference = det_abp(n), pruned_det_abp(n)
+        assert abp.layers == reference.layers
+        assert abp.edges == reference.edges
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_det_abp_has_only_live_nodes(self, n):
+        abp = det_abp(n)
+        (source,), (sink,) = abp.layers[0], abp.layers[-1]
+        nodes = {name for layer in abp.layers for name in layer}
+        assert {u for u, _, _, _ in abp.edges} == nodes - {sink}
+        assert {v for _, v, _, _ in abp.edges} == nodes - {source}
 
 
 def test_formula_from_poly_round_trip():
