@@ -26,7 +26,8 @@ from .field import GRID_ATTEMPTS, ScalarMatrix, bareiss, grid_points, omega
 from .poly import Poly
 from .symmetric import e_poly, h_poly, p_poly
 
-#: seeded grid points at which `symbolic_rank` evaluates the Jacobian
+#: seeded grid points at which `symbolic_rank` evaluates the Jacobian, and
+#: the draws after which `shifted_witness` decides from its own best rank
 RANK_TRIALS = 20
 
 

@@ -5,9 +5,12 @@ The Schur polynomial for a partition is constructed four independent ways:
 * bialternant: the ratio of two generalized Vandermonde determinants,
 * a determinant in the complete homogeneous basis (h),
 * a determinant in the elementary basis (e) over the conjugate partition,
-* the tableau generating function (column-strict fillings / Kostka counts).
+* the tableau generating function (column-strict fillings / Kostka counts),
+  counted shape by shape by the branching rule.
 
 Exact equality of the four expansions is the package's core sanity battery.
+No route recurses: the determinants run one loop per row over bit masks of
+free columns, and the tableau route one loop per entry over shapes.
 Also here: skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
@@ -31,36 +34,30 @@ from .poly import Poly
 # the three classical bases
 # ---------------------------------------------------------------------------
 
+def _monomial_sum(n: int, combos) -> Poly:
+    """The sum of the monomials x_i1 * ... * x_ik, one per index tuple in
+    `combos` (the tuples name distinct monomials)."""
+    terms = {}
+    for combo in combos:
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        terms[tuple(exps)] = ONE
+    return Poly._raw(n, terms)
+
+
 def e_poly(k: int, n: int) -> Poly:
     """Elementary symmetric polynomial: sum of all squarefree degree-k monomials."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
-    if k == 0:
-        return Poly.constant(n, 1)
-    if k > n:
-        return Poly.zero(n)
-    terms = {}
-    for subset in itertools.combinations(range(n), k):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = ONE
-    return Poly._raw(n, terms)
+    return _monomial_sum(n, itertools.combinations(range(n), k))
 
 
 def h_poly(k: int, n: int) -> Poly:
     """Complete homogeneous symmetric polynomial: all degree-k monomials."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
-    if k == 0:
-        return Poly.constant(n, 1)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        terms[tuple(exps)] = ONE
-    return Poly._raw(n, terms)
+    return _monomial_sum(n, itertools.combinations_with_replacement(range(n), k))
 
 
 def p_poly(k: int, n: int) -> Poly:
@@ -69,12 +66,7 @@ def p_poly(k: int, n: int) -> Poly:
         raise ValueError("need k >= 0 and n >= 1")
     if k == 0:
         return Poly.constant(n, n)
-    terms = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = k
-        terms[tuple(exps)] = ONE
-    return Poly._raw(n, terms)
+    return _monomial_sum(n, ((i,) * k for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,37 +74,40 @@ def p_poly(k: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials by cofactor recursion.
+    """Determinant of a matrix of polynomials by cofactor expansion, each
+    row along the columns the rows above it leave free.
 
-    Memoizes minors on column subsets, so the work is O(2^m) polynomial
-    multiplications instead of m!.  Rows must be non-empty.
+    A set of free columns is a bit mask.  The minor of rows r..m-1 on mask
+    M is the signed sum, over the j in M where row r is non-zero, of
+    row[r][j] times the minor of rows r+1..m-1 on M minus j.  So the only
+    masks ever needed are those reached from all columns by deleting, row
+    by row, a column where the row is non-zero: a forward pass collects
+    them, and a backward pass builds each one's minor from the next row's.
+    That is O(2^m) polynomial multiplications instead of m!.  Rows must be
+    non-empty.
     """
     m = len(rows)
     if m == 0:
         raise ValueError("empty matrix needs an explicit arity; handle at call site")
-    arity = rows[0][0].arity
-    zero = Poly.zero(arity)
-    memo: dict[tuple[int, ...], Poly] = {(): Poly.constant(arity, 1)}
-
-    def minor(cols: tuple[int, ...]) -> Poly:
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = rows[m - len(cols)]
-        acc = zero
-        for pos, j in enumerate(cols):
-            entry = row[j]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            if sub.is_zero():
-                continue
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(m)))
+    zero = Poly.zero(rows[0][0].arity)
+    levels = [{(1 << m) - 1}]
+    for row in rows[:-1]:
+        levels.append(
+            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j]}
+        )
+    minors = {0: Poly.constant(zero.arity, 1)}
+    for row, level in zip(reversed(rows), reversed(levels)):
+        above = {}
+        for mask in level:
+            acc = zero
+            for pos, j in enumerate(j for j in range(m) if mask >> j & 1):
+                sub = minors[mask ^ 1 << j] if row[j] else zero
+                if sub:
+                    term = row[j] * sub
+                    acc = acc + term if pos % 2 == 0 else acc - term
+            above[mask] = acc
+        minors = above
+    return minors[(1 << m) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +124,29 @@ def _check_exponent_vector(exps: Sequence[int], n: int):
         raise ValueError("exponents must be non-negative")
 
 
-def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
-    """det(x_i^{mu_j}) for a strictly decreasing exponent vector mu, by
-    Leibniz: one signed monomial per permutation, x_i^{mu_sigma(i)}.  The
-    exponents are distinct, so no two of the n! monomials coincide.  Row i
-    takes the j-th of the columns that rows 0..i-1 left, which flips the
-    sign when j is odd (Laplace expansion along the minor's first row)."""
-    exps = tuple(exps)
-    _check_exponent_vector(exps, n)
-    layer = [((), ONE, exps)]
-    for _ in range(n):
+def signed_permutations(items: Sequence) -> list[tuple[tuple, Rat]]:
+    """Every arrangement of `items` with the sign of its permutation, in
+    lexicographic order of positions.  Layer i takes the j-th of the items
+    that layers 0..i-1 left, which puts it before the j of them that came
+    first (j inversions), so the sign flips when j is odd."""
+    items = tuple(items)
+    layer = [((), ONE, items)]
+    for _ in items:
         layer = [
             (head + (rest[j],), -sign if j & 1 else sign, rest[:j] + rest[j + 1 :])
             for head, sign, rest in layer
             for j in range(len(rest))
         ]
-    return Poly._raw(n, {head: sign for head, sign, _ in layer})
+    return [(head, sign) for head, sign, _ in layer]
+
+
+def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
+    """det(x_i^{mu_j}) for a strictly decreasing exponent vector mu, by
+    Leibniz: one signed monomial per permutation, x_i^{mu_sigma(i)}.  The
+    exponents are distinct, so no two of the n! monomials coincide."""
+    exps = tuple(exps)
+    _check_exponent_vector(exps, n)
+    return Poly._raw(n, dict(signed_permutations(exps)))
 
 
 def schur_bialternant(lam: Partition, n: int) -> Poly:
@@ -191,46 +193,38 @@ def schur_jt_e(lam: Partition, n: int) -> Poly:
 # tableau route
 # ---------------------------------------------------------------------------
 
-def _iter_ssyt_contents(parts: tuple[int, ...], n: int):
-    """Yield the content vector of every column-strict filling with entries <= n.
-
-    Rows weakly increase left to right, columns strictly increase top to
-    bottom.  Cells are filled row-major; the constraint set is local, so a
-    simple DFS suffices at desk scale.
-    """
-    cells = [(r, c) for r, row_len in enumerate(parts) for c in range(row_len)]
-    total = len(cells)
-    grid = [[0] * row_len for row_len in parts]
-    content = [0] * n
-
-    def fill(pos: int):
-        if pos == total:
-            yield tuple(content)
-            return
-        r, c = cells[pos]
-        low = grid[r][c - 1] if c > 0 else 1
-        if r > 0:
-            low = max(low, grid[r - 1][c] + 1)
-        for v in range(low, n + 1):
-            grid[r][c] = v
-            content[v - 1] += 1
-            yield from fill(pos + 1)
-            content[v - 1] -= 1
-        grid[r][c] = 0
-
-    yield from fill(0)
-
-
 def schur_ssyt(lam: Partition, n: int) -> Poly:
-    """Schur polynomial as the generating function of column-strict tableaux."""
+    """Schur polynomial as the generating function of column-strict tableaux
+    (rows weakly increase, columns strictly increase, entries 1..n), counted
+    by the branching rule rather than enumerated.
+
+    The cells of a tableau holding its largest entry k form a horizontal
+    strip at the foot of their columns (column strictness), and removing
+    them leaves a tableau with entries below k of a shape mu, at most k - 1
+    rows long, with shape_(i+1) <= mu_i <= shape_i; every such mu and
+    tableau of shape mu extends back.  So one loop over k = n .. 1 keeps,
+    for each shape still to fill, the exponents of x_k..x_n that its
+    fillings by k..n spent and how many fillings spent them, and moves each
+    shape to every such mu with |shape| - |mu| on x_k.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if lam.length > n:
         return Poly.zero(n)
-    counts: dict[tuple[int, ...], int] = {}
-    for content in _iter_ssyt_contents(lam.parts, n):
-        counts[content] = counts.get(content, 0) + 1
-    return Poly(n, {exps: Rat(c) for exps, c in counts.items()})
+    # each shape is padded to k parts, the rows that entries 1..k may fill
+    layer = {lam.parts + (0,) * (n - lam.length): {(): 1}}
+    for k in range(n, 0, -1):
+        inner = {}
+        for shape, counts in layer.items():
+            size = sum(shape)
+            for mu in itertools.product(*(range(shape[i + 1], shape[i] + 1) for i in range(k - 1))):
+                strip = size - sum(mu)
+                into = inner.setdefault(mu, {})
+                for exps, count in counts.items():
+                    key = (strip,) + exps
+                    into[key] = into.get(key, 0) + count
+        layer = inner
+    return Poly._raw(n, {exps: Rat(count) for exps, count in layer[()].items()})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ checkable by the brute-force expansion oracle:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .circuits import (
@@ -54,7 +53,7 @@ from .field import (
 from .independence import h_family_witness, witness_jacobian
 from .partitions import Partition
 from .poly import Poly
-from .symmetric import all_distinct, det_poly_matrix, jacobi_trudi_labels, schur_jt_h
+from .symmetric import all_distinct, det_poly_matrix, jacobi_trudi_labels, schur_jt_h, signed_permutations
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
@@ -353,17 +352,12 @@ def jacobi_trudi_formula(lam: Partition, n: int) -> Formula:
 
     children = []
     weights = []
-    for sigma in itertools.permutations(range(ell)):
+    for sigma, sign in signed_permutations(range(ell)):
         idx = [labels[i][sigma[i]] for i in range(ell)]
         if any(m < 0 for m in idx):
             continue
-        sign = 1
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
         children.append(prod_node([states[m] for m in idx]))
-        weights.append(Rat(sign))
+        weights.append(sign)
     return Formula(sum_node(children, weights), n)
 
 

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,9 @@ from schurkit.errors import (
     ReductionMismatch,
     VerificationFailed,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -75,6 +81,34 @@ class TestSchurCommand:
         )
         assert code == 0
         assert sha256(out_file) == BIALTERNANT_DIGESTS[f"{lam}/{n}"]
+
+    def test_thousand_rows_of_jt_e_do_not_recurse(self, capsys):
+        # jt-e takes the 1000 x 1000 determinant over the conjugate (1^1000)
+        code, out, err = run(capsys, "schur", "--route", "all", "--lambda", "1000", "--n", "1")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["agree"] is True
+        assert payload["routes"]["ssyt"] == "1*x1^1000"
+
+    def test_tableau_route_on_long_rows(self, capsys):
+        code, out, _ = run(capsys, "schur", "--route", "ssyt", "--lambda", "500,500", "--n", "2")
+        assert code == 0
+        assert out.strip() == "1*x1^500*x2^500"
+
+    def test_tableau_route_on_a_huge_part_answers_at_once(self):
+        # a subprocess, so that a route that enumerates cells fails by timeout
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "schurkit",
+                "schur", "--route", "ssyt", "--lambda", "99999999999999999999", "--n", "1",
+            ],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1*x1^99999999999999999999"
 
     def test_non_monotone_partition_rejected(self, capsys):
         code, _, err = run(capsys, "schur", "--route", "ssyt", "--lambda", "1,2", "--n", "3")

@@ -6,7 +6,7 @@ import pytest
 
 from schurkit import independence
 from schurkit.errors import GridExhausted, InvalidWitness, VerificationFailed
-from schurkit.field import Rat, ScalarMatrix, bareiss, scalar_to_text
+from schurkit.field import GRID_ATTEMPTS, Rat, ScalarMatrix, bareiss, scalar_to_text
 from schurkit.independence import (
     h_family_witness,
     is_independence_witness,
@@ -346,6 +346,19 @@ class TestOneGridWalk:
         # rank 1 at the point, below min(k, n) = 2 but equal to the symbolic rank
         assert is_independence_witness([x, x], [Rat(0), Rat(5)], seed=4)
         assert calls == [4]
+
+    def test_exact_elimination_decides_a_small_rank(self, monkeypatch):
+        # every seeded point is the origin, where the Jacobian of x1^2, x2^2
+        # vanishes; k * n = 4, so bareiss over the entries gives the rank 2
+        def origin_only(arity, bound, seed, count=GRID_ATTEMPTS):
+            for _ in range(count):
+                yield (Rat(0),) * arity
+
+        monkeypatch.setattr(independence, "grid_points", origin_only)
+        polys = [Poly.variable(2, 0) ** 2, Poly.variable(2, 1) ** 2]
+        assert symbolic_rank(jacobian(polys)) == 2
+        with pytest.raises(GridExhausted):
+            shifted_witness(polys)
 
 
 def test_jacobian_at_evaluates_entrywise():

@@ -83,3 +83,9 @@ def test_reduce_cli_benchmark_runs_correct():
     # the reduce gate checks each reduction's depth increase (+4), its size
     # bound and the round trip of its --out file
     run_benchmark_second("reduce-cli")
+
+
+def test_routes_benchmark_runs_correct():
+    # the routes gate checks all four routes, schur_ssyt and det_poly_matrix
+    # among them, against the digests recorded in perfbench/references.json
+    run_benchmark_second("routes")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit.errors import LengthMismatch, NotContained, NotSymmetric
 from schurkit.field import Rat, omega
@@ -9,6 +11,7 @@ from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
     all_distinct,
+    det_poly_matrix,
     distinct_label_family,
     e_in_h_basis,
     e_in_p_basis,
@@ -26,6 +29,7 @@ from schurkit.symmetric import (
     schur_jt_e,
     schur_jt_h,
     schur_ssyt,
+    signed_permutations,
     skew_schur_h,
 )
 
@@ -68,6 +72,81 @@ def kostka(lam, content):
         return found
 
     return fill(0)
+
+
+def naive_ssyt(lam, n):
+    """Reference: the tableau route by enumeration, a depth-first fill of
+    the cells row by row that counts the content of every tableau."""
+    if lam.length > n:
+        return Poly.zero(n)
+    cells = [(r, c) for r, row_len in enumerate(lam.parts) for c in range(row_len)]
+    grid = [[0] * row_len for row_len in lam.parts]
+    content = [0] * n
+    counts = {}
+
+    def fill(pos):
+        if pos == len(cells):
+            counts[tuple(content)] = counts.get(tuple(content), 0) + 1
+            return
+        r, c = cells[pos]
+        low = grid[r][c - 1] if c > 0 else 1
+        if r > 0:
+            low = max(low, grid[r - 1][c] + 1)
+        for v in range(low, n + 1):
+            grid[r][c] = v
+            content[v - 1] += 1
+            fill(pos + 1)
+            content[v - 1] -= 1
+        grid[r][c] = 0
+
+    fill(0)
+    return Poly(n, counts)
+
+
+def memo_det_poly_matrix(rows):
+    """Reference: cofactor recursion along the first free row, each minor
+    memoized on its tuple of free columns."""
+    m = len(rows)
+    zero = Poly.zero(rows[0][0].arity)
+    memo = {(): Poly.constant(zero.arity, 1)}
+
+    def minor(cols):
+        if cols in memo:
+            return memo[cols]
+        row = rows[m - len(cols)]
+        acc = zero
+        for pos, j in enumerate(cols):
+            if row[j].is_zero():
+                continue
+            sub = minor(cols[:pos] + cols[pos + 1 :])
+            if sub.is_zero():
+                continue
+            term = row[j] * sub
+            acc = acc + term if pos % 2 == 0 else acc - term
+        memo[cols] = acc
+        return acc
+
+    return minor(tuple(range(m)))
+
+
+SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=3
+).map(lambda terms: Poly(2, terms))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of up to 5 rows over 2 variables; about one entry in
+    three is zero, and half of them have a row that is a multiple of
+    another, so every minor holding both rows cancels to zero."""
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Poly.zero(2)), SMALL_POLYS)
+    rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(m)))[:2]
+        factor = draw(SMALL_POLYS)
+        rows[b] = [factor * e for e in rows[a]]
+    return rows
 
 
 class TestClassicalBases:
@@ -171,6 +250,34 @@ class TestKostka:
             for exps in itertools.product(range(lam.weight + 1), repeat=3):
                 if sum(exps) == lam.weight:
                     assert s.terms.get(exps, 0) == kostka(lam, exps)
+
+
+class TestTableauRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(partitions_up_to_weight(8))), st.integers(1, 5))
+    def test_branching_rule_matches_enumeration(self, lam, n):
+        assert schur_ssyt(lam, n) == naive_ssyt(lam, n)
+
+
+class TestDetPolyMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_matrices())
+    def test_matches_memoized_recursion(self, rows):
+        # the same products, summed in the same order
+        got = det_poly_matrix(rows)
+        want = memo_det_poly_matrix(rows)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("ell", range(6))
+def test_signed_permutations_are_lexicographic_with_inversion_signs(ell):
+    want = []
+    for sigma in itertools.permutations(range(ell)):
+        inversions = sum(
+            sigma[i] > sigma[j] for i in range(ell) for j in range(i + 1, ell)
+        )
+        want.append((sigma, Rat((-1) ** inversions)))
+    assert signed_permutations(range(ell)) == want
 
 
 class TestSkew:
