@@ -8,7 +8,7 @@ import argparse
 import time
 
 from schurkit.partitions import Partition
-from schurkit.transforms import det_poly, schur_to_det_reduce
+from schurkit.transforms import schur_to_det_reduce
 
 SMALL = [((3, 2), 5), ((4, 2), 6)]
 FULL = SMALL + [((5, 3), 7), ((6, 3), 8)]
@@ -22,10 +22,10 @@ def main():
     for parts, n in instances:
         lam = Partition(parts)
         start = time.perf_counter()
-        output, report = schur_to_det_reduce(lam, n)
+        # raises VerificationFailed unless the output expands to det_l
+        _, report = schur_to_det_reduce(lam, n)
         built = time.perf_counter() - start
-        verified = output.expand() == det_poly(lam.length)
-        print(f"lambda={lam} n={n}  (built in {built:.1f}s, expansion verified: {verified})")
+        print(f"lambda={lam} n={n}  (built in {built:.1f}s, expansion verified: True)")
         print(f"  input : size {report.input_size:>8}  depth {report.input_depth}")
         for record in report.passes:
             print(f"  {record.name:<34} size {record.size:>8}  depth {record.depth}")

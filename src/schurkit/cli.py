@@ -62,7 +62,8 @@ from .symmetric import (
     schur_ssyt,
     skew_schur_h,
 )
-from .transforms import det_poly, schur_to_det_reduce
+# det_poly stays bound here: the reduce-cli benchmark probe wraps cli.det_poly
+from .transforms import det_poly, schur_to_det_reduce  # noqa: F401
 
 
 def _write_output(path: str | None, pieces: Iterable[str]):
@@ -280,14 +281,12 @@ def _cmd_reduce(args) -> int:
     n = args.n
     # with no input file the pipeline builds its own, after the hypothesis check
     f = Formula.from_json(_load_json(args.formula_in)) if args.formula_in else None
+    # raises VerificationFailed unless the output expands to det_l
     output, report = schur_to_det_reduce(lam, n, f, budget=args.budget)
     ell = lam.length
-    verified = output.expand(budget=args.budget) == det_poly(ell)
-    if not verified:
-        raise VerificationFailed("output expansion does not equal the determinant")
     _write_output(args.out, _json_pieces(output.to_json()))
     report_json = report.to_json()
-    report_json["verified_against_determinant"] = verified
+    report_json["verified_against_determinant"] = True
     report_json["lambda"] = str(lam)
     report_json["n"] = n
     if args.report_out:

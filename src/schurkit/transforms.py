@@ -13,17 +13,22 @@ checkable by the brute-force expansion oracle:
   g(q_1, ..., q_k) with g homogeneous and the q_i an algebraically
   independent family with a verified common-zero witness; the linear forms
   are undone by one Gauss-Jordan elimination of the Jacobian augmented
-  with the identity,
+  with the identity; the result is checked by composing its expansion
+  with the family,
 * the end-to-end pipeline taking a formula for s_lambda to a formula for
   the l x l determinant, under one hypothesis: the l^2 Jacobi-Trudi labels
   are distinct members of h_1..h_(n-1) (`reduction_hypothesis_holds`).
+  It expands twice, the input against s_lambda and the output against
+  det_l, and needs no composition: those two imply it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .circuits import (
+    DEFAULT_TERM_BUDGET,
     Formula,
     const,
     constant_formula,
@@ -34,6 +39,7 @@ from .circuits import (
 )
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     NoNonvanishingPoint,
     NotReducible,
     ReductionMismatch,
@@ -162,8 +168,12 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=None):
-    """`recover_outer_formula` with the pass trace; `expanded` is f.expand().
+def _recover_traced(f, expanded, inner, degree, point, jacobian_rows):
+    """The passes of `recover_outer_formula` and their trace, unchecked:
+    returns (formula for g, [(pass name, formula)]); `expanded` is
+    f.expand().  Each caller checks the result against what it knows:
+    `recover_outer_formula` composes it with the inner family,
+    `schur_to_det_reduce` compares the relabelled output with det_l.
 
     The degree extraction interpolates over t = 0..expanded.total_degree():
     shifting keeps the total degree, so that bound holds for the shifted
@@ -172,7 +182,7 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=Non
 
     `jacobian_rows` are the inner family's Jacobian rows at `point`, a
     common zero of the family (see `independence.witness_jacobian`); they
-    must have rank k.  `budget` bounds the verification expansion.
+    must have rank k.
     """
     inner = list(inner)
     k = len(inner)
@@ -220,16 +230,6 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows, budget=Non
             mapping[j] = zero_form
     result = extracted.substitute(mapping, arity=k)
     trace.append(("substitute-inverse-linear-forms", result))
-
-    # the recovered coefficients are rationals stored in the witness's
-    # cyclotomic field; demoted, the composition runs over Q
-    recovered = result.expand(budget=budget).map_coefficients(demote)
-    if recovered.compose(inner) != expanded:
-        raise ReductionMismatch(
-            "composing the recovered polynomial with the inner family does "
-            "not reproduce the input; the input was not a homogeneous "
-            "composition of this family"
-        )
     return result, trace
 
 
@@ -249,7 +249,17 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     """
     inner = list(inner)
     rows = witness_jacobian(inner, point).to_rows()
-    result, _ = _recover_traced(f, f.expand(), inner, degree, point, rows)
+    expanded = f.expand()
+    result, _ = _recover_traced(f, expanded, inner, degree, point, rows)
+    # the recovered coefficients are rationals stored in the witness's
+    # cyclotomic field; demoted, the composition runs over Q
+    recovered = result.expand().map_coefficients(demote)
+    if recovered.compose(inner) != expanded:
+        raise ReductionMismatch(
+            "composing the recovered polynomial with the inner family does "
+            "not reproduce the input; the input was not a homogeneous "
+            "composition of this family"
+        )
     return result
 
 
@@ -372,15 +382,42 @@ def schur_to_det_reduce(
     h-polynomials, which carry a root-of-unity witness.  Recovering the outer
     polynomial and relabeling its variables to the matrix layout yields the
     determinant formula.  Output variables are row-major: z_{i,j} is variable
-    (i-1)*l + (j-1).  `budget` bounds the term count of the pipeline's own
-    expansions (the input and the recovered polynomial), as in
-    `Formula.expand`.
+    (i-1)*l + (j-1).  `budget` bounds the term count of the pipeline's two
+    expansions, the input's and the output's, as in `Formula.expand`.  With
+    no input formula it is first held against the least term count of
+    s_lambda, so that an instance too large for it raises BudgetExceeded
+    before the formula is built.
+
+    Each identity is checked once.  The input must expand to
+    `schur_jt_h(lam, n)` (else ValueError) and the output to `det_poly(l)`
+    (else VerificationFailed).  Together they imply that the recovered
+    polynomial composed with the inner family reproduces the input, the
+    check `recover_outer_formula` makes:
+
+    * `schur_jt_h` is `det_poly_matrix` of (h_(lam_i - i + j)), that is
+      det_l composed with the labelled h's, and the witness's polynomial
+      m - 1 is h_m, so that is det_l relabelled, composed with `inner`;
+    * the relabelling is a bijection on the variables, so an output that
+      expands to det_l comes from a recovered polynomial that is det_l
+      relabelled, and its composition with `inner` is `schur_jt_h`, which
+      is the input's expansion.
     """
     if not reduction_hypothesis_holds(lam, n):
         raise NotReducible(f"lambda={lam} with n={n} fails the gap hypothesis")
     ell = lam.length
     labels = jacobi_trudi_labels(lam)
     if f is None:
+        # K_(lam,lam) = 1, so every rearrangement of lambda's exponents is a
+        # term of s_lambda; the gap condition makes the parts distinct, so
+        # there are n!/(n-l)! of them, and the expansion would trip the
+        # budget at the root gate at the latest
+        limit = DEFAULT_TERM_BUDGET if budget is None else budget
+        least = math.perm(n, ell)
+        if least > limit:
+            raise BudgetExceeded(
+                f"expansion exceeded {limit} terms before the build: "
+                f"s_{lam} on {n} variables has at least {least}"
+            )
         f = jacobi_trudi_formula(lam, n)
     expanded = f.expand(budget=budget)
     if expanded != schur_jt_h(lam, n):
@@ -392,7 +429,7 @@ def schur_to_det_reduce(
     inner = tuple(witness.polys[m - 1] for m in sorted_labels)
     rows = [witness.jacobian.row(m - 1) for m in sorted_labels]
     recovered, trace = _recover_traced(
-        f, expanded, inner, ell, witness.point, jacobian_rows=rows, budget=budget
+        f, expanded, inner, ell, witness.point, jacobian_rows=rows
     )
 
     k = ell * ell
@@ -419,6 +456,8 @@ def schur_to_det_reduce(
         raise VerificationFailed(
             f"output size {report.output_size} violates the recorded bound"
         )
+    if output.expand(budget=budget) != det_poly(ell):
+        raise VerificationFailed("output expansion does not equal the determinant")
     return output, report
 
 

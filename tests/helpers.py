@@ -1,4 +1,5 @@
-"""Input builders shared by the test files; the package itself needs neither."""
+"""Input builders and a call counter shared by the test files; the package
+itself needs none of them."""
 
 import itertools
 import random
@@ -30,3 +31,17 @@ def symmetrize(p: Poly) -> Poly:
     for perm in itertools.permutations(range(p.arity)):
         out = out + p.permute_vars(perm)
     return out
+
+
+def counted(monkeypatch, cls, name) -> list:
+    """Patch the method cls.name with a wrapper that appends each receiver
+    to the returned list, then calls the original."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls

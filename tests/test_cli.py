@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurkit import cli
-from schurkit.circuits import Formula, inp, prod_node
+from schurkit import cli, transforms
+from schurkit.circuits import Formula, const, inp, prod_node
 from schurkit.cli import main
 from schurkit.errors import (
     GridExhausted,
@@ -22,6 +22,9 @@ from schurkit.errors import (
     ReductionMismatch,
     VerificationFailed,
 )
+from schurkit.poly import Poly
+
+from helpers import counted
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,6 +165,56 @@ class TestReduceCommand:
         assert code == 4
         assert out == ""
         assert err.startswith("error:") and "100 terms" in err
+
+    def test_budget_trips_before_the_build(self, capsys, monkeypatch):
+        # s_(500,2) on 502 variables has at least 502 * 501 terms; building
+        # its input formula took seconds before the budget tripped
+        def build(lam, n):
+            raise AssertionError("input formula built")
+
+        monkeypatch.setattr(transforms, "jacobi_trudi_formula", build)
+        code, out, err = run(capsys, "reduce", "--lambda", "500,2", "--n", "502", "--budget", "1000")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeded 1000 terms" in err
+
+    def test_output_that_is_not_the_determinant_exits_3(self, capsys, monkeypatch, tmp_path):
+        out_file = tmp_path / "det.json"
+        monkeypatch.setattr(transforms, "det_poly", lambda ell: Poly.zero(ell * ell))
+        code, out, err = run(capsys, "reduce", "--lambda", "3,2", "--n", "5", "--out", str(out_file))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "determinant" in err
+        assert not out_file.exists()
+
+    def test_formula_file_that_is_not_schur_exits_1(self, capsys, tmp_path):
+        # one term, under the budget of 10, where s_(3,2) has at least 20:
+        # the input check, not the budget, rejects it
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(Formula(const(1), 5).to_json()))
+        code, out, err = run(
+            capsys,
+            "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path), "--budget", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Schur polynomial" in err
+
+    def test_input_and_output_are_expanded_once(self, capsys, monkeypatch, tmp_path):
+        expansions = counted(monkeypatch, Formula, "expand")
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "reduce", "--lambda", "3,2", "--n", "5",
+            "--out", str(tmp_path / "det.json"), "--report-out", str(report_file),
+        )
+        assert code == 0
+        # the input, on n = 5 variables, and the output, on l^2 = 4
+        assert [f.arity for f in expansions] == [5, 4]
+        assert json.loads(report_file.read_text())["verified_against_determinant"] is True
 
     @pytest.mark.parametrize(
         "text",

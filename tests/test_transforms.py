@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import sys
 
@@ -15,6 +16,7 @@ from schurkit.circuits import (
     sum_node,
 )
 from schurkit.errors import (
+    BudgetExceeded,
     InvalidWitness,
     NotDivisible,
     NotReducible,
@@ -22,10 +24,17 @@ from schurkit.errors import (
     VerificationFailed,
 )
 from schurkit.field import Rat
-from schurkit.independence import roots_of_unity_witness
+from schurkit.independence import h_family_witness, roots_of_unity_witness
 from schurkit.partitions import Partition, partitions_of, staircase
 from schurkit.poly import Poly
-from schurkit.symmetric import e_poly, generalized_vandermonde, schur_bialternant
+from schurkit.symmetric import (
+    e_poly,
+    generalized_vandermonde,
+    h_poly,
+    jacobi_trudi_labels,
+    schur_bialternant,
+    schur_jt_h,
+)
 from schurkit.transforms import (
     _recover_traced,
     det_poly,
@@ -38,7 +47,7 @@ from schurkit.transforms import (
     shift_formula,
 )
 
-from helpers import random_formula
+from helpers import counted, random_formula
 
 
 def one_plus_x_product():
@@ -315,6 +324,70 @@ class TestSchurToDet:
         assert blob["size_bound"]["satisfied"] is True
         assert len(blob["witness"]) == 5
         assert len(blob["passes"]) == 4
+
+
+class Sentinel(Exception):
+    """Raised by a patched function that the code under test must not reach."""
+
+
+class TestEachIdentityOnce:
+    """`schur_to_det_reduce` checks the input against s_lambda and the output
+    against det_l, and no composition: the premises of that argument, its
+    failure paths and the work it saves."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_witness_polys_are_the_h_polys(self, n):
+        polys = h_family_witness(n).polys
+        assert len(polys) == n - 1
+        for m in range(1, n):
+            assert polys[m - 1] == h_poly(m, n)
+
+    @pytest.mark.parametrize("parts, n", [((3, 2), 5), ((4, 2), 6)])
+    def test_schur_is_det_of_the_labelled_h(self, parts, n):
+        lam = Partition(parts)
+        labels = jacobi_trudi_labels(lam)
+        hs = [h_poly(m, n) for row in labels for m in row]
+        assert det_poly(lam.length).compose(hs) == schur_jt_h(lam, n)
+
+    def test_wrong_determinant_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(transforms, "det_poly", lambda ell: Poly.zero(ell * ell))
+        with pytest.raises(VerificationFailed, match="determinant"):
+            schur_to_det_reduce(Partition((3, 2)), 5)
+
+    def test_two_expansions_and_no_composition(self, monkeypatch):
+        expands = counted(monkeypatch, Formula, "expand")
+        composes = counted(monkeypatch, Poly, "compose")
+        out, _ = schur_to_det_reduce(Partition((3, 2)), 5)
+        assert (len(expands), len(composes)) == (2, 0)
+        assert out.expand() == det_poly(2)
+
+    @pytest.mark.parametrize(
+        "parts, n, least", [((3, 2), 5, 20), ((6, 3), 8, 56), ((500, 2), 502, 251_502)]
+    )
+    def test_budget_trips_before_the_build(self, monkeypatch, parts, n, least):
+        # s_lambda has at least n!/(n-l)! terms, its rearrangements of lambda
+        def build(lam, n):
+            raise Sentinel
+
+        monkeypatch.setattr(transforms, "jacobi_trudi_formula", build)
+        lam = Partition(parts)
+        with pytest.raises(BudgetExceeded, match=f"exceeded {least - 1} terms"):
+            schur_to_det_reduce(lam, n, budget=least - 1)
+        with pytest.raises(Sentinel):
+            schur_to_det_reduce(lam, n, budget=least)
+
+    def test_least_term_count_is_the_rearrangements(self):
+        for parts, n in [((3, 2), 5), ((4, 2), 6), ((2,), 3), ((5, 3), 7)]:
+            lam = Partition(parts)
+            exponents = sorted(parts + (0,) * (n - len(parts)))
+            terms = schur_jt_h(lam, n).terms
+            assert sum(sorted(e) == exponents for e in terms) == math.perm(n, lam.length)
+
+    def test_input_formula_is_checked_before_the_budget(self):
+        # the count of s_(3,2) is 20, over the budget; a wrong input of one
+        # term still fails as a wrong input
+        with pytest.raises(ValueError, match="Schur polynomial"):
+            schur_to_det_reduce(Partition((3, 2)), 5, Formula(const(1), 5), budget=10)
 
 
 def test_jacobi_trudi_formula_expands_to_schur():
