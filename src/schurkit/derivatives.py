@@ -14,6 +14,18 @@ the numerator.  The echelon form maps each pivot's leading key to its row
 divided by its content (the gcd of its entries), so no rational is ever
 formed and the entries stay short.
 
+The derivatives are taken breadth first, one order at a time, and each
+order's rows are reduced sparsest first (by entry count, in a stable sort):
+a dense row taken early becomes a pivot that every later row fills in
+against.  An order's rows lie in the span of the earlier orders' pivots plus
+the coordinate space of the monomials they touch (times the powers of w
+below deg over Q(w)), so once the pivots are as many as that sum's dimension
+bound they span it, every further row of the order would reduce to zero,
+and its reduction is skipped; its derivatives are still taken for the next
+order.  For a homogeneous polynomial of degree d the derivatives of order j
+are homogeneous of degree d - j, so no two orders share a monomial and an
+order's rows never reduce against an earlier order's pivots.
+
 Over Q(w), w a primitive n-th root of unity, the same integer routine runs
 on more rows.  Q(w) is a Q-space of dimension deg = deg Phi_n, and the
 Q(w)-span of the derivatives q, seen as a Q-space, is spanned by the rows
@@ -82,14 +94,17 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     finite; it is guarded by a budget on the number of derivative
     multi-indices (DEFAULT_DERIVATIVE_BUDGET when None).
 
-    Each derivative q, as packed integer entries, is reduced into one
-    integer echelon form (`_add_row`); over Q the dimension is its rank.
-    Over Q(w) the rows are w^i * q for i < deg, with one saving that keeps
-    the rank: after each derivative the rows span a Q(w)-space.  So a q
-    that reduces to zero has every w^i * q in the span and adds no row,
-    and a q that leaves a remainder r adds r and w^i * r for 0 < i < deg,
-    the same span as the w^i * q (r - q lies in it), each one a new pivot,
-    and each shorter to reduce than w^i * q.
+    Each derivative q, as packed integer entries, is reduced into an
+    integer echelon form (`_add_row`); over Q the dimension is the rank.
+    The derivatives of one order are reduced in order of increasing entry
+    count.  An order stops reducing once the pivots number those from the
+    earlier orders plus deg times the distinct monomials of its rows: they
+    then span every row the order has left.  Over Q(w) the rows are
+    w^i * q for i < deg, with one saving that keeps the rank: after each derivative the
+    rows span a Q(w)-space.  So a q that reduces to zero has every w^i * q
+    in the span and adds no row, and a q that leaves a remainder r adds r
+    and w^i * r for 0 < i < deg, the same span as the w^i * q (r - q lies
+    in it), each one a new pivot, and each shorter to reduce than w^i * q.
     """
     budget = DEFAULT_DERIVATIVE_BUDGET if budget is None else budget
     if p.is_zero():
@@ -115,12 +130,15 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     frontier = {(0,) * arity: entries}
     seen = set(frontier)
     while frontier:
+        rows = sorted(frontier.items(), key=lambda item: len(item[1]))
+        cap = len(pivots) + deg * len({k >> bits for _, q in rows for k, _ in q})
         next_frontier: dict[tuple, list] = {}
-        for multi, q in frontier.items():
-            row = _add_row(pivots, dict(q))
-            if row is not None:
-                for i in range(1, deg):
-                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+        for multi, q in rows:
+            if len(pivots) < cap:
+                row = _add_row(pivots, dict(q))
+                if row is not None:
+                    for i in range(1, deg):
+                        _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
             for i, shift in enumerate(shifts):
                 if multi[i] + 1 > var_degrees[i]:
                     continue
@@ -137,9 +155,8 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
                 if dq:
                     next_frontier[key] = dq
         frontier = next_frontier
-    rank = len(pivots)
-    assert rank % deg == 0, "a Q(w)-span has a Q-dimension divisible by deg"
-    return rank // deg
+    assert len(pivots) % deg == 0, "a Q(w)-span has a Q-dimension divisible by deg"
+    return len(pivots) // deg
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ Two coefficient domains are supported everywhere in the package:
   the n-th cyclotomic polynomial, so w behaves as a primitive n-th root of
   unity.
 
-Rationals are `fractions.Fraction` values, transparently replaced by gmpy2's
-`mpq` when gmpy2 is installed (identical semantics, much faster).  Mixing the
-two domains is an error except for the one legitimate coercion: embedding a
-rational into a cyclotomic field.
+Rationals are `fractions.Fraction` values (`Rat`).  Mixing the two domains
+is an error except for the one legitimate coercion: embedding a rational into
+a cyclotomic field.
 
 A cyclotomic scalar stores integer numerators over one positive common
 denominator, so its arithmetic is integer arithmetic plus one gcd per result
@@ -21,10 +20,7 @@ Phi_n (`_divmod_monic`), the routine that also builds Phi_n by dividing
 x^n - 1 by the lower cyclotomic factors.  A scalar's inverse stays in that
 arithmetic: the conjugates sigma_k(a) (w -> w^k, 1 < k < n, gcd(k, n) = 1)
 are index permutations of the numerators, their product times a is the
-rational norm of a, so the inverse is that product divided by the norm.  It
-reads rationals only through `numerator` and `denominator` and normalises
-with `math.gcd`, so it also runs with `mpq` as `Rat`; that combination is
-untested, as the test suite has only been run without gmpy2.
+rational norm of a, so the inverse is that product divided by the norm.
 
 This module is the one place that inverts a scalar or eliminates exactly:
 callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
@@ -58,13 +54,10 @@ from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, NotSquare, SingularMatrix
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    Rat = Fraction
+Rat = Fraction
 
 #: accepted wherever a rational scalar is expected
-RATIONAL_TYPES = (int, Fraction, Rat)
+RATIONAL_TYPES = (int, Fraction)
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -23,6 +23,7 @@ from schurkit.errors import (
     VerificationFailed,
 )
 from schurkit.poly import Poly
+from schurkit.symmetric import e_poly
 
 from helpers import counted
 
@@ -486,6 +487,18 @@ class TestPdcCommand:
         code, out, _ = run(capsys, "pdc", "--input", str(poly_file))
         assert code == 0
         assert json.loads(out)["dimension"] == 6
+
+    def test_elementary_product_input_file(self, capsys, tmp_path):
+        # e_1 * e_2 * e_3 * e_4 on 5 variables, homogeneous of degree 10:
+        # the elimination stops most derivative orders early
+        product = Poly.constant(5, 1)
+        for k in range(1, 5):
+            product = product * e_poly(k, 5)
+        poly_file = tmp_path / "e1234.json"
+        poly_file.write_text(json.dumps(product.to_json()))
+        code, out, _ = run(capsys, "pdc", "--input", str(poly_file))
+        assert code == 0
+        assert json.loads(out)["dimension"] == 367
 
     @pytest.mark.parametrize("name", PDC_DIGESTS)
     def test_outputs_are_pinned(self, capsys, tmp_path, monkeypatch, name):

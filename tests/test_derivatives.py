@@ -5,20 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import derivatives
 from schurkit.derivatives import (
+    _add_row,
     pdc_dimension,
     product_pdc_check,
     shifted_product_pdc_check,
 )
 from schurkit.errors import BudgetExceeded, InvalidWitness, ZeroPolynomial
-from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, omega
+from schurkit.field import (
+    ONE,
+    CyclotomicScalar,
+    Rat,
+    ScalarMatrix,
+    common_order,
+    fold_constants,
+    int_numerators,
+    omega,
+    power_bits,
+)
 from schurkit.independence import (
     is_independence_witness,
     roots_of_unity_point,
     roots_of_unity_witness,
 )
-from schurkit.poly import Poly, grlex_key
+from schurkit.poly import Poly, _pack, grlex_key, packed_product
 from schurkit.symmetric import e_poly
+
+from helpers import counted
 
 
 def variables(arity):
@@ -59,6 +73,65 @@ def naive_pdc_dimension(p: Poly) -> int:
     return len(rows)
 
 
+def bfs_pdc_dimension(p: Poly) -> int:
+    """The breadth-first integer elimination that `pdc_dimension` ran
+    before each order's rows were sorted and a full order stopped early:
+    every non-zero derivative in multi-index order, no early stop.  The
+    reference for the row order and the stop."""
+    arity = p.arity
+    var_degrees = [p.degree_in(i) for i in range(arity)]
+    order = common_order(p.terms.values())
+    bits = power_bits(order)
+    deg = 1 if order is None else fold_constants(order)[0]
+    width = p.total_degree().bit_length()
+    mask = (1 << width) - 1
+    total_unit = 1 << bits + width * arity
+    shifts = [bits + width * (arity - 1 - i) for i in range(arity)]
+    entries, _ = int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+    pivots: dict[int, dict] = {}
+    frontier = {(0,) * arity: entries}
+    seen = set(frontier)
+    while frontier:
+        next_frontier: dict[tuple, list] = {}
+        for multi, q in frontier.items():
+            row = _add_row(pivots, dict(q))
+            if row is not None:
+                for i in range(1, deg):
+                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+            for i, shift in enumerate(shifts):
+                if multi[i] + 1 > var_degrees[i]:
+                    continue
+                key = multi[:i] + (multi[i] + 1,) + multi[i + 1 :]
+                if key in seen:
+                    continue
+                seen.add(key)
+                step = (1 << shift) + total_unit
+                dq = []
+                for k, v in q:
+                    e = k >> shift & mask
+                    if e:
+                        dq.append((k - step, v * e))
+                if dq:
+                    next_frontier[key] = dq
+        frontier = next_frontier
+    rank = len(pivots)
+    assert rank % deg == 0
+    return rank // deg
+
+
+def nonzero_derivatives(p: Poly) -> int:
+    """The number of derivative multi-indices whose derivative of p is not
+    zero, order zero included."""
+    count = 0
+    for multi in itertools.product(*[range(p.degree_in(i) + 1) for i in range(p.arity)]):
+        q = p
+        for i, m in enumerate(multi):
+            for _ in range(m):
+                q = q.derivative(i)
+        count += not q.is_zero()
+    return count
+
+
 def rationals(max_den=6):
     """Non-zero, so every drawn term stays."""
     return st.builds(Rat, st.integers(-5, 5).filter(bool), st.integers(1, max_den))
@@ -74,6 +147,35 @@ def rational_polys(draw):
     return Poly(arity, terms)
 
 
+def cyclotomic_scalar(draw, order):
+    coeffs = draw(st.lists(rationals(3), min_size=1, max_size=4))
+    w = omega(order)
+    return sum((c * w**i for i, c in enumerate(coeffs)), CyclotomicScalar(order, ()))
+
+
+def cyclotomic_forms(draw, arity, order):
+    """`arity` linear forms in `arity` variables with coefficients in Q(w)."""
+    return [
+        sum(
+            (Poly.variable(arity, j) * cyclotomic_scalar(draw, order) for j in range(arity)),
+            Poly.zero(arity),
+        )
+        for _ in range(arity)
+    ]
+
+
+def homogeneous_rational(draw, arity, max_terms):
+    """A rational homogeneous polynomial of degree 1-4."""
+    degree = draw(st.integers(1, 4))
+    monomials = [
+        e for e in itertools.product(range(degree + 1), repeat=arity) if sum(e) == degree
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(monomials), min_size=1, max_size=max_terms, unique=True)
+    )
+    return Poly(arity, {e: draw(rationals()) for e in chosen})
+
+
 @st.composite
 def cyclotomic_polys(draw):
     """Orders 3, 4, 5, 8 and 12: a rational polynomial composed with
@@ -81,21 +183,40 @@ def cyclotomic_polys(draw):
     derivatives that are no Q-linear relations, plus a few further terms."""
     order = draw(st.sampled_from([3, 4, 5, 8, 12]))
     arity = draw(st.integers(1, 3))
-    w = omega(order)
-
-    def scalar():
-        coeffs = draw(st.lists(rationals(3), min_size=1, max_size=4))
-        return sum((c * w**i for i, c in enumerate(coeffs)), CyclotomicScalar(order, ()))
-
     exps = st.tuples(*[st.integers(0, 2)] * arity)
     base = Poly(arity, draw(st.dictionaries(exps, rationals(), min_size=1, max_size=4)))
-    forms = [
-        sum((Poly.variable(arity, j) * scalar() for j in range(arity)), Poly.zero(arity))
-        for _ in range(arity)
-    ]
+    forms = cyclotomic_forms(draw, arity, order)
     extra = draw(st.sets(exps, max_size=2))
-    p = base.compose(forms) + Poly(arity, {e: scalar() for e in extra})
-    return p if p else Poly.constant(arity, w)
+    p = base.compose(forms) + Poly(arity, {e: cyclotomic_scalar(draw, order) for e in extra})
+    return p if p else Poly.constant(arity, omega(order))
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """Homogeneous input, drawn three ways: a rational polynomial of degree
+    1-4 in 1-4 variables; a product of rational linear forms, some factors
+    repeated or proportional, so that some orders span less than their
+    monomials and never fill up; a rational homogeneous base composed with
+    linear forms over Q(w) for orders 3, 4, 5, 8 and 12."""
+    kind = draw(st.sampled_from(["rational", "linear forms", "cyclotomic"]))
+    if kind == "rational":
+        return homogeneous_rational(draw, draw(st.integers(1, 4)), 6)
+    if kind == "linear forms":
+        arity = draw(st.integers(1, 4))
+        coefficient = st.one_of(st.just(0), rationals())
+        coefficients = st.lists(coefficient, min_size=arity, max_size=arity)
+        forms = [
+            sum((Poly.variable(arity, j) * c for j, c in enumerate(cs)), Poly.zero(arity))
+            for cs in draw(st.lists(coefficients.filter(any), min_size=1, max_size=3))
+        ]
+        product = Poly.constant(arity, 1)
+        for _ in range(draw(st.integers(1, 5))):
+            product = product * draw(st.sampled_from(forms)) * draw(rationals())
+        return product
+    order = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    arity = draw(st.integers(1, 3))
+    p = homogeneous_rational(draw, arity, 4).compose(cyclotomic_forms(draw, arity, order))
+    return p if p else Poly.constant(arity, omega(order))
 
 
 class TestDimension:
@@ -165,6 +286,67 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_cyclotomic(self, p):
         assert pdc_dimension(p) == naive_pdc_dimension(p)
+
+    @given(homogeneous_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_homogeneous(self, p):
+        assert p.is_homogeneous()
+        dimension = pdc_dimension(p)
+        assert dimension == naive_pdc_dimension(p)
+        assert dimension == bfs_pdc_dimension(p)
+
+
+class TestEarlyStop:
+    """The rows of one derivative order lie in the span of the earlier
+    orders' pivots plus the coordinate space of the monomials they touch;
+    an order stops reducing once the pivots reach that span's dimension
+    bound.  Pinned by the number of `_add_row` calls, which is
+    deterministic."""
+
+    def test_full_orders_stop_early(self, monkeypatch):
+        # e_1 * e_2 * e_3 on 4 variables: 144 non-zero derivatives, of which
+        # 54 are reduced before every order fills up or runs out
+        p = e_poly(1, 4) * e_poly(2, 4) * e_poly(3, 4)
+        assert nonzero_derivatives(p) == 144
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        assert pdc_dimension(p) == 47
+        assert len(calls) == 54
+
+    def test_non_homogeneous_stops_at_full_orders(self, monkeypatch):
+        # (x1 + x2 + 1)^4: the j + 1 derivatives of order j are all
+        # proportional to (x1 + x2 + 1)^(4 - j), 15 in all.  Order 4 holds
+        # constants, a space the 4 earlier pivots and its first row fill,
+        # so its other 4 rows are skipped.
+        x1, x2 = variables(2)
+        p = (x1 + x2 + Poly.constant(2, 1)) ** 4
+        assert nonzero_derivatives(p) == 15
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        assert pdc_dimension(p) == 5
+        assert len(calls) == 11
+
+    def test_non_homogeneous_matches_the_single_echelon(self, monkeypatch):
+        p = Poly.constant(4, 1)
+        for k in (1, 2, 3):
+            p = p * (e_poly(k, 4) - Poly.constant(4, k))
+        assert not p.is_homogeneous()
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        assert pdc_dimension(p) == bfs_pdc_dimension(p) == 47
+        assert len(calls) <= nonzero_derivatives(p) == 144
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_non_homogeneous_cyclotomic_adds_the_powers_of_w(self, monkeypatch, order):
+        # at most one call per non-zero derivative, and deg - 1 more, the
+        # rows w^i * r, for each derivative that leaves a remainder r: as
+        # many as the dimension
+        w = omega(order)
+        x1, x2 = variables(2)
+        p = (x1 + x2 * w + Poly.constant(2, 1)) ** 2 * (x1 - x2)
+        assert not p.is_homogeneous()
+        deg = fold_constants(order)[0]
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        dimension = pdc_dimension(p)
+        assert dimension == naive_pdc_dimension(p) == bfs_pdc_dimension(p)
+        assert len(calls) <= nonzero_derivatives(p) + (deg - 1) * dimension
 
 
 class TestInvariance:
