@@ -23,7 +23,6 @@ with a sum gate per node and a product gate per edge.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, LengthMismatch
@@ -40,7 +39,7 @@ from .field import (
     scalar_from_json,
     scalar_to_json,
 )
-from .poly import Poly, _pack, _unpack, packed_product
+from .poly import Poly, _content_free, _pack, _unpack, packed_product, packed_sum
 
 DEFAULT_TERM_BUDGET = 500_000
 
@@ -100,17 +99,6 @@ def _postorder(root, children=lambda node: node.children) -> list:
             stack.append((item, True))
             stack.extend((c, False) for c in reversed(children(item)))
     return order
-
-
-def _content_free(acc: dict, den: int) -> tuple[dict, int]:
-    """Integer numerators over `den` with the gcd of `den` and all of them
-    divided out; zero is stored over 1."""
-    if den != 1:
-        g = math.gcd(den, *acc.values())
-        if g != 1:
-            acc = {k: v // g for k, v in acc.items()}
-            den //= g
-    return acc, den
 
 
 def _live_children(node: Node):
@@ -244,9 +232,9 @@ class Formula:
         runs `packed_product`, which multiplies each cyclotomic coefficient
         as one int at w = 2^S and reduces each result monomial once modulo
         Phi_n(2^S); a sum gate adds the weight-scaled numerators of all its
-        children over the lcm of their denominators.  Each gate's value has
-        its zeros dropped and one gcd divided out; only the root is decoded
-        into scalars.
+        children over the lcm of their denominators (`poly.packed_sum`).
+        Each gate's value has its zeros dropped and one gcd divided out;
+        only the root is decoded into scalars.
         """
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
@@ -285,14 +273,7 @@ class Formula:
                             parts.append((child, 1, den * wden))
                         else:
                             parts.append((child, w.numerator, den * w.denominator))
-                den = math.lcm(*(d for _, _, d in parts))
-                acc: dict[int, int] = {}
-                get = acc.get
-                for child, a, d in parts:
-                    m = a * (den // d)
-                    for k, v in child.items():
-                        acc[k] = get(k, 0) + v * m
-                value = _content_free({k: v for k, v in acc.items() if v}, den)
+                value = packed_sum(parts)
                 if over_budget(value[0]):
                     raise BudgetExceeded(
                         f"expansion exceeded {budget} terms at a sum gate"

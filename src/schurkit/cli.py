@@ -9,9 +9,10 @@ index type, or an input file nested too deeply for the stdlib JSON parser),
 2 when a partition fails the reduction hypothesis, 3 when a verification
 fails (`VerificationFailed`, `InvalidWitness`, `ReductionMismatch`,
 `GridExhausted`, `NoNonvanishingPoint`, `NotDivisible`), 4 when a term
-budget is exceeded.
-Every subcommand takes `--out`; only `witness` takes `--seed`, and only
-`reduce` and `pdc` take `--budget`.
+budget is exceeded (by `schur`, before any route runs, when an a-priori
+bound on the work exceeds it).
+Every subcommand takes `--out`; only `witness` takes `--seed`, and
+`schur`, `reduce` and `pdc` take `--budget`.
 
 Every JSON output is the text of `json.dumps(obj, indent=2, sort_keys=True)`
 plus a newline, streamed by `_json_pieces`: it does not recurse, and it
@@ -28,7 +29,7 @@ import tempfile
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .circuits import Formula, _postorder
+from .circuits import DEFAULT_TERM_BUDGET, Formula, _postorder
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -221,6 +222,32 @@ ROUTES = {
 }
 
 
+def _check_schur_budget(lam: Partition, weight: int, n: int, routes, budget: int):
+    """Raises BudgetExceeded, before any route runs, when an a-priori bound
+    on the work of `routes` exceeds `budget`: the C(weight + n - 1, n - 1)
+    monomials of that degree in n variables, which bound every route's
+    terms; the n! terms of the bialternant's dividend; the lambda_1 * (n + 1)
+    entries of the e-determinant that can be non-zero (e_m = 0 for m > n).
+    Each bound is a running product of integer steps a / b that never
+    decreases, so it stops once past `budget` (C(a, k) with k <= a - k at
+    least doubles per step), and a huge n or part costs nothing."""
+    k = min(n - 1, weight)
+    bounds = [(
+        f"C({weight + n - 1}, {n - 1}) terms of s_{lam} on {n} variables",
+        ((weight + n - 1 - k + i, i) for i in range(1, k + 1)),
+    )]
+    if "bialternant" in routes:
+        bounds.append((f"{n}! terms in the bialternant's dividend", ((i, 1) for i in range(2, n + 1))))
+    if "jt-e" in routes:
+        bounds.append((f"{lam.part(0)} * {n + 1} non-zero e-determinant entries", [(lam.part(0) * (n + 1), 1)]))
+    for what, steps in bounds:
+        value = 1
+        for a, b in steps:
+            value = value * a // b
+            if value > budget:
+                raise BudgetExceeded(f"term budget {budget} exceeded before the build: up to {what}")
+
+
 def _cmd_schur(args) -> int:
     lam, mu = _parse_partition(args.lam)
     if args.mu:
@@ -228,9 +255,11 @@ def _cmd_schur(args) -> int:
             raise ValueError("give the inner partition inline in --lambda or with --mu, not both")
         mu = Partition.parse(args.mu)
     n = args.n
+    budget = DEFAULT_TERM_BUDGET if args.budget is None else args.budget
     if mu is not None:
         if args.route is not None:
             raise ValueError("--route applies to straight shapes only; a skew shape uses its h-determinant")
+        _check_schur_budget(lam, lam.weight - mu.weight, n, (), budget)
         result = skew_schur_h(lam, mu, n)
         payload = {
             "lambda": str(lam),
@@ -245,9 +274,10 @@ def _cmd_schur(args) -> int:
         )
         return 0
     route = args.route or "all"
+    if route == "all" and args.format == "text":
+        raise ValueError("--route all prints JSON only; drop --format text")
+    _check_schur_budget(lam, lam.weight, n, ROUTES if route == "all" else (route,), budget)
     if route == "all":
-        if args.format == "text":
-            raise ValueError("--route all prints JSON only; drop --format text")
         results = {name: fn(lam, n) for name, fn in ROUTES.items()}
         reference = results["bialternant"]
         agree = all(p == reference for p in results.values())
@@ -419,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None, help="inner partition for a skew polynomial (not with an inline /mu)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default=None, help="default text (JSON for --route all)")
+    p.add_argument("--budget", type=_budget, default=None, help="bound on the terms and entries a route may build")
 
     p = command("reduce", "reduce a Schur formula to a determinant formula")
     p.add_argument("--lambda", dest="lam", required=True)

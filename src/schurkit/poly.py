@@ -11,11 +11,12 @@ becomes one int holding the total degree in the top field, then x1 .. xn,
 each field `width` bits wide, where `width` is the bit length of the largest
 total degree the operation can reach (deg a + deg b for a product, the
 dividend's degree for a division).  No field can carry, so
-key(a * b) == key(a) + key(b), and integer order is graded-lex order:
-`max` over keys finds the leading term without a key function.
+key(a * b) == key(a) + key(b), and integer order is graded-lex order: a
+heap of keys finds the leading term without a key function.
 
-A product is an integer kernel, `packed_product`, with two callers:
-`Poly.__mul__` and `Formula.expand`.  An operand is packed keys with
+A product is an integer kernel, `packed_product`, with four callers:
+`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix` and, over a
+cyclotomic field, `Poly.divide_exact`.  An operand is packed keys with
 integer numerators over one common denominator (`field.int_numerators`); a
 cyclotomic coefficient contributes one entry per non-zero power-basis
 numerator, with its power-basis index (below deg Phi_n) in an extra low
@@ -28,17 +29,20 @@ power-basis entries.  Each result monomial is then reduced once
 modulo Phi_n(2^S) and split into its base-2^S digits, the power-basis
 numerators, so a result can be the next product's operand.
 `Poly.__mul__` encodes its two operands and decodes the result
-(`field.from_int_numerators`); `Formula.expand` encodes each leaf once and
-decodes only the root.  Rational operands give rational coefficients; if
-either operand has a cyclotomic coefficient, every product coefficient lies
-in that one cyclotomic field, and two orders raise DomainMismatch.
+(`field.from_int_numerators`); `Formula.expand` and `det_poly_matrix`
+encode each leaf or entry once and decode only the root, and both add
+packed values with `packed_sum`.  Rational operands give rational
+coefficients; if either operand has a cyclotomic coefficient, every
+product coefficient lies in that one cyclotomic field, and two orders
+raise DomainMismatch.
 
 Exact division packs its operands the same way and runs one fraction-free
 loop over integer numerators for both domains: the divisor's leading
 coefficient, made rational first, is in general no unit, so each step
 multiplies the remainder by just the factor its leading term needs, and
-subtracts that term times the divisor with `packed_product`.  The quotient
-is decoded once, at the end.
+subtracts that term times the divisor from the remainder in place (a heap
+of pending keys, as in Monagan and Pearce 2007, gives each step's leading
+term).  The quotient is decoded once, at the end.
 
 `eval` is the one evaluation entry point.  At a point of powers of one
 root of unity, (w^p_1, ..., w^p_n), which `field.root_exponents` recognises,
@@ -55,6 +59,7 @@ products and powers.  All routes give the same value and type.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import re
 from operator import itemgetter, mul
@@ -215,6 +220,41 @@ def slot_bits(pa, pb, deg: int, reach: int) -> int:
     top += max(map(abs, map(_second, pb))).bit_length()
     headroom = min(len(pa), len(pb)) * deg * (2 * deg - 1) * reach
     return top + headroom.bit_length() + 2
+
+
+def packed_sum(parts) -> tuple[dict, int]:
+    """The sum of packed values, as `_content_free` (numerators, denominator).
+
+    Each part is (numerators, integer factor, denominator): a dict from
+    packed key to a non-zero integer numerator over that denominator, as
+    `packed_product` gives, and a non-zero integer it is multiplied by.  The
+    parts are added in order over the lcm of their denominators, and a key
+    is dropped as soon as its numerator sums to zero, so over Q the keys
+    come out in the order `Poly.__add__` and `Poly.__sub__` give.
+    """
+    den = math.lcm(*(d for _, _, d in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for nums, a, d in parts:
+        m = a * (den // d)
+        for k, v in nums.items():
+            v = get(k, 0) + v * m
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return _content_free(acc, den)
+
+
+def _content_free(acc: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators over `den` with the gcd of `den` and all of them
+    divided out; zero is stored over 1."""
+    if den != 1:
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            acc = {k: v // g for k, v in acc.items()}
+            den //= g
+    return acc, den
 
 
 class Poly:
@@ -400,11 +440,18 @@ class Poly:
         quotient is multiplied by c^-1 at the end.  So the divisor's leading
         coefficient is one integer numerator d, and every gcd is over Z.
 
-        Each step takes the leading monomial's numerators v and
-        g = gcd(d, v) with the sign of d.  If a = d / g is not 1, the
-        remainder, the quotient so far and `scale` are multiplied by a.  The
-        quotient term is then the integer vector v / g, and its product with
-        the divisor (`packed_product`) is subtracted.  As each step scales
+        The leading monomial comes from a max-heap of the remainder's keys
+        (Monagan and Pearce 2007), with lazy deletion: a key is pushed when
+        a subtraction creates it, a popped key no longer in the remainder
+        is skipped, and the heap is rebuilt from the remainder once it
+        holds more than about twice as many keys.  Each step takes the
+        leading monomial's numerators v and g = gcd(d, v) with the sign of
+        d.  If a = d / g is not 1, the remainder, the quotient so far and
+        `scale` are multiplied by a.  The quotient term is then the integer
+        vector v / g, and its product with the divisor is subtracted from
+        the remainder in place: over Q the term is one entry, so that is
+        one loop over the divisor; over a cyclotomic field the product goes
+        through `packed_product`, which folds it.  As each step scales
         by only the factor its own term needs, `scale` is the least s that
         makes every quotient coefficient so far, times s * da / db, an
         integer vector: it is bounded by the quotient's own denominators,
@@ -430,33 +477,54 @@ class Poly:
         lead_k = _pack(lead_e, width) << bits
         d = dict(pb)[lead_k]
         rem = dict(pa)
+        get = rem.get
+        # pending keys, negated for a max-heap; a key that left rem is stale
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
         out: dict[int, int] = {}
         scale = 1
         while rem:
-            k = max(rem) >> bits << bits
+            if len(heap) > 2 * len(rem) + 8:
+                heap = [-k for k in rem]
+                heapq.heapify(heap)
+            k = -heapq.heappop(heap) >> bits << bits
+            shift = k - lead_k
+            lead = [(shift + p, rem[k + p]) for p in powers if k + p in rem]
+            if not lead:
+                continue
             exps = _unpack(k >> bits, arity, width)
             if any(x < y for x, y in zip(exps, lead_e)):
                 raise NotDivisible(
                     f"remainder has leading monomial {exps} not divisible by {lead_e}"
                 )
-            shift = k - lead_k
-            lead = [(shift + p, rem[k + p]) for p in powers if k + p in rem]
             g = math.gcd(d, *map(_second, lead))
             if d < 0:
                 g = -g
             a = d // g
             if a != 1:
-                rem = {key: v * a for key, v in rem.items()}
+                for key in rem:
+                    rem[key] *= a
                 out = {key: v * a for key, v in out.items()}
                 scale *= a
             term = [(key, v // g) for key, v in lead]
             out.update(term)
-            for key, v in packed_product(term, pb, order).items():
-                v = rem.get(key, 0) - v
-                if v:
-                    rem[key] = v
-                else:
+            if order is None:
+                # one entry: its product with the divisor is one loop, here
+                ((shift, c),) = term
+                pairs = pb
+            else:
+                pairs, shift, c = packed_product(term, pb, order).items(), 0, 1
+            for kb, cb in pairs:
+                key = shift + kb
+                v = c * cb
+                old = get(key)
+                if old is None:
+                    rem[key] = -v
+                    heapq.heappush(heap, -key)
+                elif old == v:
                     del rem[key]
+                else:
+                    rem[key] = old - v
         out = from_int_numerators({k: v * db for k, v in out.items()}, order, da * scale)
         if inv is not None:
             out = {k: c * inv for k, c in out.items()}

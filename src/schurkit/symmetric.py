@@ -24,10 +24,18 @@ import itertools
 from typing import Sequence
 
 from .circuits import Formula, const, inp, prod_node, sum_node
-from .errors import LengthMismatch, NotContained, NotSymmetric
-from .field import ONE, Rat, interpolation_weights
+from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
+from .field import (
+    ONE,
+    Rat,
+    common_order,
+    from_int_numerators,
+    int_numerators,
+    interpolation_weights,
+    power_bits,
+)
 from .partitions import Partition, staircase
-from .poly import Poly
+from .poly import Poly, _pack, _unpack, packed_product, packed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +93,57 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     them, and a backward pass builds each one's minor from the next row's.
     That is O(2^m) polynomial multiplications instead of m!.  Rows must be
     non-empty.
+
+    The loops run on packed integers, as `Poly.__mul__` does: each distinct
+    entry is encoded once (`field.int_numerators`) at one key width, that
+    of the sum over rows of the largest entry degree, which bounds every
+    minor's degree.  A minor is (numerators, denominator), built with
+    `poly.packed_product` and `poly.packed_sum`; only the determinant is
+    decoded.  Entries of two arities raise ArityMismatch.  The coefficients
+    are all rational when every entry is, else all `CyclotomicScalar`s of
+    the entries' one order (two orders raise DomainMismatch, even where
+    they never meet in a product).  On a matrix mixing the two kinds, the
+    expansion in `Poly` arithmetic left rational any coefficient that no
+    cyclotomic product reached; the values are the same.
     """
     m = len(rows)
     if m == 0:
         raise ValueError("empty matrix needs an explicit arity; handle at call site")
-    zero = Poly.zero(rows[0][0].arity)
+    arity = rows[0][0].arity
+    entries = {id(p): p for row in rows for p in row}
+    if any(p.arity != arity for p in entries.values()):
+        raise ArityMismatch("matrix entries disagree on arity")
+    order = common_order(*(p.terms.values() for p in entries.values()))
+    bits = power_bits(order)
+    degree = {i: p.total_degree() for i, p in entries.items()}
+    width = sum(max(0, *(degree[id(p)] for p in row)) for row in rows).bit_length()
+    codes = {
+        i: int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+        for i, p in entries.items()
+    }
+    rows = [[codes[id(p)] for p in row] for row in rows]
     levels = [{(1 << m) - 1}]
     for row in rows[:-1]:
         levels.append(
-            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j]}
+            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j][0]}
         )
-    minors = {0: Poly.constant(zero.arity, 1)}
+    minors = {0: ({0: 1}, 1)}
     for row, level in zip(reversed(rows), reversed(levels)):
         above = {}
         for mask in level:
-            acc = zero
+            parts = []
             for pos, j in enumerate(j for j in range(m) if mask >> j & 1):
-                sub = minors[mask ^ 1 << j] if row[j] else zero
-                if sub:
-                    term = row[j] * sub
-                    acc = acc + term if pos % 2 == 0 else acc - term
-            above[mask] = acc
+                nums, den = row[j]
+                if nums:
+                    sub, sub_den = minors[mask ^ 1 << j]
+                    if sub:
+                        term = packed_product(nums, sub.items(), order)
+                        parts.append((term, -1 if pos & 1 else 1, den * sub_den))
+            above[mask] = packed_sum(parts)
         minors = above
-    return minors[(1 << m) - 1]
+    acc, den = minors[(1 << m) - 1]
+    out = from_int_numerators(acc, order, den)
+    return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,9 @@ def counted(monkeypatch, cls, name) -> list:
 
     monkeypatch.setattr(cls, name, wrapper)
     return calls
+
+
+def coefficient_kinds(terms: dict) -> dict:
+    """Each monomial's coefficient type, with its cyclotomic order (None
+    for a rational)."""
+    return {e: (type(c), getattr(c, "order", None)) for e, c in terms.items()}

@@ -114,6 +114,57 @@ class TestSchurCommand:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "1*x1^99999999999999999999"
 
+    def test_budget_is_read(self, capsys):
+        # once an unread flag (exit 1): s_(2) on 3 variables may have 6 terms
+        code, out, err = run(capsys, "schur", "--lambda", "2", "--n", "3", "--budget", "1")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("--lambda", "2", "--n", "3", "--route", "jt-h"), 6),  # C(4, 2) monomials
+            (("--lambda", "2,1", "--n", "4", "--route", "bialternant"), 24),  # 4! terms
+            (("--lambda", "3", "--n", "2", "--route", "jt-e"), 9),  # 3 * (2 + 1) labels
+        ],
+        ids=["terms", "bialternant", "jt-e"],
+    )
+    def test_budget_below_a_bound_exits_4_before_the_build(self, capsys, monkeypatch, argv, bound):
+        def unreachable(lam, n):
+            raise AssertionError("a route ran")
+
+        with monkeypatch.context() as patched:
+            for name in cli.ROUTES:
+                patched.setitem(cli.ROUTES, name, unreachable)
+            code, out, err = run(capsys, "schur", *argv, "--budget", str(bound - 1))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, _, err = run(capsys, "schur", *argv, "--budget", str(bound))
+        assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--lambda", "99999999999999999999", "--n", "1", "--route", "jt-e"),
+            ("--lambda", "12,8,4", "--n", "14", "--route", "bialternant"),
+        ],
+        ids=["huge-part-jt-e", "bialternant-14"],
+    )
+    def test_default_budget_stops_builds_without_end(self, argv):
+        # a subprocess, so that a build the budget misses fails by timeout
+        result = subprocess.run(
+            [sys.executable, "-m", "schurkit", "schur", *argv],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "500000" in result.stderr
+
     def test_non_monotone_partition_rejected(self, capsys):
         code, _, err = run(capsys, "schur", "--route", "ssyt", "--lambda", "1,2", "--n", "3")
         assert code == 1
@@ -605,7 +656,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("schur", "--lambda", "2", "--n", "3", "--budget", "1"),
+            ("reduce", "--lambda", "3,2", "--n", "5", "--seed", "1"),
             ("schur", "--lambda", "2", "--n", "3", "--seed", "1"),
             ("witness", "--family", "h", "--n", "4", "--budget", "1"),
             ("convert", "--e-to-h", "--k", "2", "--seed", "1"),
@@ -659,8 +710,9 @@ class TestUsageErrors:
         [
             ("reduce", "--lambda", "3,2", "--n", "5", "--budget", "0"),
             ("pdc", "--monomial", "3", "--budget", "0"),
+            ("schur", "--lambda", "2", "--n", "3", "--budget", "0"),
         ],
-        ids=["reduce", "pdc"],
+        ids=["reduce", "pdc", "schur"],
     )
     def test_zero_budget_is_exceeded(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import chain
 
@@ -22,7 +23,12 @@ from schurkit.field import (
     omega,
     root_exponents,
 )
+from schurkit import poly
 from schurkit.poly import Poly, grlex_key, poly_from_text, slot_bits
+from schurkit.partitions import Partition, staircase
+from schurkit.symmetric import generalized_vandermonde, schur_bialternant, schur_ssyt
+
+from helpers import coefficient_kinds
 
 
 def var(arity, i):
@@ -590,10 +596,6 @@ def division_cases(draw):
     return r, q * higher
 
 
-def coefficient_kinds(terms: dict) -> dict:
-    return {e: (type(c), getattr(c, "order", None)) for e, c in terms.items()}
-
-
 def content_six_case(lead, inexact=False):
     """A divisor with leading coefficient `lead` and content 6, so that the
     quotient's denominators outgrow the dividend's, and a multiple of it
@@ -624,6 +626,77 @@ class TestDivisionKernel:
         got = p.divide_exact(q).terms
         assert got == expected
         assert coefficient_kinds(got) == coefficient_kinds(expected)
+
+    def divide_recorded(self, monkeypatch, p, q) -> tuple[Poly, "HeapRecorder"]:
+        recorder = HeapRecorder()
+        monkeypatch.setattr(poly, "heapq", recorder)
+        quotient = p.divide_exact(q)
+        monkeypatch.undo()
+        assert quotient.terms == naive_divide(p, q)
+        return quotient, recorder
+
+    def test_cancelled_key_is_recreated(self, monkeypatch):
+        # the first step cancels x^2, the second creates it again, so x^2
+        # is pushed a second time while its first entry is still queued
+        x = var(1, 0)
+        q = x * x - x * 2 + 1
+        p = q * (x * x * -2 + x + 2)
+        quotient, recorder = self.divide_recorded(monkeypatch, p, q)
+        assert quotient == x * x * -2 + x + 2
+        assert recorder.repushed
+
+    def test_stale_entry_then_scaling(self, monkeypatch):
+        # the first step (a = 1) cancels x^2, whose queued entry is popped
+        # and skipped; the next lead, 1 against the divisor's 3, scales the
+        # remainder and the quotient by a = 3 with the heap in use
+        x = var(1, 0)
+        q = x * 3 + 3
+        p = x**3 * 3 + x**2 * 3 + x + 1
+        quotient, recorder = self.divide_recorded(monkeypatch, p, q)
+        assert quotient == x**2 + Rat(1, 3)
+        assert recorder.pops > len(quotient.terms)
+
+    def test_long_division_rebuilds_the_heap(self, monkeypatch):
+        # s_(2,1) on 4 variables as a ratio of alternants: stale entries
+        # outgrow twice the remainder, and the heap is rebuilt from it
+        n = 4
+        delta = staircase(n)
+        p = generalized_vandermonde(tuple(a + b for a, b in zip((2, 1, 0, 0), delta)), n)
+        q = generalized_vandermonde(delta, n)
+        quotient, recorder = self.divide_recorded(monkeypatch, p, q)
+        assert recorder.heapify_calls > 1
+        assert quotient == schur_ssyt(Partition((2, 1)), n)
+
+
+class HeapRecorder:
+    """Stands in for `heapq` in `schurkit.poly` and records what the
+    division kernel does with its heap of pending keys."""
+
+    def __init__(self):
+        self.heapify_calls = 0
+        self.pops = 0
+        self.repushed = False
+        self.seen = set()
+
+    def heapify(self, heap):
+        self.heapify_calls += 1
+        self.seen.update(heap)
+        heapq.heapify(heap)
+
+    def heappush(self, heap, key):
+        self.repushed |= key in self.seen
+        self.seen.add(key)
+        heapq.heappush(heap, key)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+@pytest.mark.parametrize("parts", [(3, 2, 1), (4, 1, 1), (2, 2, 1, 1), (5, 1), (1,) * 6])
+def test_bialternant_on_six_variables_matches_tableaux(parts):
+    lam = Partition(parts)
+    assert schur_bialternant(lam, 6) == schur_ssyt(lam, 6)
 
 
 class TestTextAndJson:

@@ -2,11 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurkit.errors import LengthMismatch, NotContained, NotSymmetric
-from schurkit.field import Rat, omega
+from schurkit.errors import (
+    ArityMismatch,
+    DomainMismatch,
+    LengthMismatch,
+    NotContained,
+    NotSymmetric,
+)
+from schurkit.field import CyclotomicScalar, Rat, common_order, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
@@ -33,7 +39,7 @@ from schurkit.symmetric import (
     skew_schur_h,
 )
 
-from helpers import symmetrize
+from helpers import coefficient_kinds, symmetrize
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
 
@@ -134,17 +140,45 @@ SMALL_POLYS = st.dictionaries(
 ).map(lambda terms: Poly(2, terms))
 
 
+def wide_polys(order):
+    """Entries over 2 variables whose coefficients are rationals of several
+    denominators, numerators near 2^200 and, for an order, cyclotomic
+    values of that order mixed with rationals."""
+    huge = st.builds(
+        lambda sign, low, den: Rat(sign * (2**200 + low), den),
+        st.sampled_from((-1, 1)),
+        st.integers(0, 2**64),
+        st.integers(1, 7),
+    )
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    scalars = [small, huge]
+    if order is not None:
+        scalars.append(
+            st.lists(small, min_size=1, max_size=order).map(
+                lambda cs: CyclotomicScalar(order, cs)
+            )
+        )
+    return st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.one_of(*scalars), max_size=3
+    ).map(lambda terms: Poly(2, terms))
+
+
 @st.composite
-def poly_matrices(draw):
+def poly_matrices(draw, wide=False):
     """Square matrices of up to 5 rows over 2 variables; about one entry in
     three is zero, and half of them have a row that is a multiple of
-    another, so every minor holding both rows cancels to zero."""
+    another, so every minor holding both rows cancels to zero.  Entries
+    have small integer coefficients, or with `wide` the coefficients of
+    `wide_polys` for one drawn order (None, 3, 5 or 8)."""
+    polys = SMALL_POLYS
+    if wide:
+        polys = wide_polys(draw(st.sampled_from([None, 3, 5, 8])))
     m = draw(st.integers(1, 5))
-    entry = st.one_of(st.just(Poly.zero(2)), SMALL_POLYS)
+    entry = st.one_of(st.just(Poly.zero(2)), polys)
     rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
     if m > 1 and draw(st.booleans()):
         a, b = draw(st.permutations(range(m)))[:2]
-        factor = draw(SMALL_POLYS)
+        factor = draw(polys)
         rows[b] = [factor * e for e in rows[a]]
     return rows
 
@@ -259,14 +293,68 @@ class TestTableauRoute:
         assert schur_ssyt(lam, n) == naive_ssyt(lam, n)
 
 
+def recreated_key_matrix():
+    """A 3 x 3 matrix whose cofactor sum along the first row starts with
+    -x*y^3 - x^2*y^3, cancels x*y^3 with its second term and makes it again
+    with its third, so x*y^3 comes last; a sum that drops zero keys only at
+    the end would keep it first."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    zero = Poly.zero(2)
+    return [[x * y, -x * y, x * y], [y, -y - x * y, zero], [zero, -y, y]]
+
+
 class TestDetPolyMatrix:
     @settings(max_examples=150, deadline=None)
     @given(poly_matrices())
+    @example(recreated_key_matrix())
     def test_matches_memoized_recursion(self, rows):
         # the same products, summed in the same order
         got = det_poly_matrix(rows)
         want = memo_det_poly_matrix(rows)
         assert list(got.terms.items()) == list(want.terms.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_matrices(wide=True))
+    def test_wide_entries_match_memoized_recursion(self, rows):
+        got = det_poly_matrix(rows)
+        assert got == memo_det_poly_matrix(rows)
+        # the kind rule: all rational, or all of the entries' one order
+        order = common_order(*(e.terms.values() for row in rows for e in row))
+        kind = (type(Rat(1)), None) if order is None else (CyclotomicScalar, order)
+        assert coefficient_kinds(got.terms) == dict.fromkeys(got.terms, kind)
+
+    def test_mixed_kinds_come_out_cyclotomic(self):
+        # the recursion in Poly arithmetic leaves x^2 rational here
+        w = omega(5)
+        x = Poly.variable(1, 0)
+        one, zero = Poly.constant(1, 1), Poly.zero(1)
+        rows = [[x * x, Poly.constant(1, w)], [zero, one]]
+        want = memo_det_poly_matrix(rows)
+        assert coefficient_kinds(want.terms) == {(2,): (type(Rat(1)), None)}
+        got = det_poly_matrix(rows)
+        assert got == want
+        assert coefficient_kinds(got.terms) == {(2,): (CyclotomicScalar, 5)}
+
+    def test_entries_of_two_arities(self):
+        rows = [[Poly.variable(2, 0), Poly.variable(2, 1)], [Poly.variable(3, 0), Poly.variable(3, 2)]]
+        with pytest.raises(ArityMismatch):
+            memo_det_poly_matrix(rows)
+        with pytest.raises(ArityMismatch):
+            det_poly_matrix(rows)
+
+    def test_entries_of_two_orders(self):
+        rows = [
+            [Poly.constant(1, omega(3)), Poly.constant(1, 1)],
+            [Poly.constant(1, 1), Poly.constant(1, omega(5))],
+        ]
+        with pytest.raises(DomainMismatch):
+            memo_det_poly_matrix(rows)
+        with pytest.raises(DomainMismatch):
+            det_poly_matrix(rows)
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError):
+            det_poly_matrix([])
 
 
 @pytest.mark.parametrize("ell", range(6))
