@@ -16,7 +16,6 @@ from .symmetric import (
     e_in_h_basis,
     e_in_p_basis,
     e_poly,
-    elementary_symmetric_formula,
     express_in_e_basis,
     generalized_vandermonde,
     h_poly,
@@ -70,7 +69,6 @@ __all__ = [
     "e_in_h_basis",
     "e_in_p_basis",
     "e_poly",
-    "elementary_symmetric_formula",
     "express_in_e_basis",
     "formula_from_poly",
     "generalized_vandermonde",

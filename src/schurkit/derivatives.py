@@ -20,11 +20,24 @@ a dense row taken early becomes a pivot that every later row fills in
 against.  An order's rows lie in the span of the earlier orders' pivots plus
 the coordinate space of the monomials they touch (times the powers of w
 below deg over Q(w)), so once the pivots are as many as that sum's dimension
-bound they span it, every further row of the order would reduce to zero,
-and its reduction is skipped; its derivatives are still taken for the next
-order.  For a homogeneous polynomial of degree d the derivatives of order j
-are homogeneous of degree d - j, so no two orders share a monomial and an
-order's rows never reduce against an earlier order's pivots.
+bound they span it, and every further row of the order would reduce to
+zero.  Such a row is skipped together with its derivatives: it is a
+combination of rows already reduced, of this order and the earlier ones, so
+its derivatives are combinations of theirs, which the next order holds or
+the span already has.
+
+For a homogeneous polynomial f of degree d the derivatives of order j are
+homogeneous of degree d - j, so no two orders share a monomial and an
+order's rows never reduce against an earlier order's pivots: each order's
+pivot count is the rank of its own span.  Those ranks are mirrored: the
+coefficient matrix of the order-j derivatives (rows by multi-index alpha,
+columns by monomial x^beta, entry c_(alpha+beta) (alpha+beta)! / beta!) and
+that of order d - j are transposes of one another up to the non-zero row
+and column scalings alpha! and 1 / beta!, the catalecticant symmetry of
+Macaulay's inverse systems (Iarrobino & Kanev, Power Sums, Gorenstein
+Algebras and Determinantal Loci, 1999).  So only orders 0 .. d // 2 are
+reduced, with no derivatives taken of the last, and each order below d / 2
+counts twice.
 
 Over Q(w), w a primitive n-th root of unity, the same integer routine runs
 on more rows.  Q(w) is a Q-space of dimension deg = deg Phi_n, and the
@@ -97,14 +110,19 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     Each derivative q, as packed integer entries, is reduced into an
     integer echelon form (`_add_row`); over Q the dimension is the rank.
     The derivatives of one order are reduced in order of increasing entry
-    count.  An order stops reducing once the pivots number those from the
-    earlier orders plus deg times the distinct monomials of its rows: they
-    then span every row the order has left.  Over Q(w) the rows are
-    w^i * q for i < deg, with one saving that keeps the rank: after each derivative the
-    rows span a Q(w)-space.  So a q that reduces to zero has every w^i * q
-    in the span and adds no row, and a q that leaves a remainder r adds r
-    and w^i * r for 0 < i < deg, the same span as the w^i * q (r - q lies
-    in it), each one a new pivot, and each shorter to reduce than w^i * q.
+    count.  An order stops, taking no further derivatives either, once the
+    pivots number those from the earlier orders plus deg times the distinct
+    monomials of its rows: they then span every row the order has left.
+    Homogeneous input of degree d reduces orders 0 .. d // 2 only, r_j
+    pivots at order j, and its rank is the sum of 2 * r_j over j < d / 2
+    plus r_(d/2) when d is even (the module docstring gives the mirror).
+
+    Over Q(w) the rows are w^i * q for i < deg, with one saving that keeps
+    the rank: after each derivative the rows span a Q(w)-space.  So a q
+    that reduces to zero has every w^i * q in the span and adds no row, and
+    a q that leaves a remainder r adds r and w^i * r for 0 < i < deg, the
+    same span as the w^i * q (r - q lies in it), each one a new pivot, and
+    each shorter to reduce than w^i * q.
     """
     budget = DEFAULT_DERIVATIVE_BUDGET if budget is None else budget
     if p.is_zero():
@@ -121,24 +139,35 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     order = common_order(p.terms.values())
     bits = power_bits(order)
     deg = 1 if order is None else fold_constants(order)[0]
-    width = p.total_degree().bit_length()
+    top = p.total_degree()
+    width = top.bit_length()
     mask = (1 << width) - 1
     total_unit = 1 << bits + width * arity
     shifts = [bits + width * (arity - 1 - i) for i in range(arity)]
     entries, _ = int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+    # orders 0 .. last are reduced, the last with no derivatives taken: a
+    # homogeneous input of degree top mirrors order j onto order top - j,
+    # and any other input has only constants at order top
+    homogeneous = p.is_homogeneous()
+    last = top // 2 if homogeneous else top
+    ranks: list[int] = []
     pivots: dict[int, dict] = {}
     frontier = {(0,) * arity: entries}
     seen = set(frontier)
     while frontier:
         rows = sorted(frontier.items(), key=lambda item: len(item[1]))
         cap = len(pivots) + deg * len({k >> bits for _, q in rows for k, _ in q})
+        start = len(pivots)
         next_frontier: dict[tuple, list] = {}
         for multi, q in rows:
-            if len(pivots) < cap:
-                row = _add_row(pivots, dict(q))
-                if row is not None:
-                    for i in range(1, deg):
-                        _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+            if len(pivots) >= cap:
+                break
+            row = _add_row(pivots, dict(q))
+            if row is not None:
+                for i in range(1, deg):
+                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+            if len(ranks) == last:
+                continue
             for i, shift in enumerate(shifts):
                 if multi[i] + 1 > var_degrees[i]:
                     continue
@@ -154,9 +183,14 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
                         dq.append((k - step, v * e))
                 if dq:
                     next_frontier[key] = dq
+        ranks.append(len(pivots) - start)
         frontier = next_frontier
-    assert len(pivots) % deg == 0, "a Q(w)-span has a Q-dimension divisible by deg"
-    return len(pivots) // deg
+    if homogeneous:
+        rank = sum(r if 2 * j == top else 2 * r for j, r in enumerate(ranks))
+    else:
+        rank = len(pivots)
+    assert rank % deg == 0, "a Q(w)-span has a Q-dimension divisible by deg"
+    return rank // deg
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ point of powers of w: `root_exponents` recognises such a point, coordinate
 by coordinate, in a cached table of w^0 .. w^(n-1), and `root_power_sum`
 drops each numerator into one of n buckets by its power of w modulo n and
 reduces the buckets once.  `Poly.eval` takes that route by itself whenever
-its point qualifies.  `grid_points` is the one seeded grid sampler.
+its point qualifies; `root_value_and_gradient` fills the buckets of the
+value and of each partial derivative in one pass over the terms, for the
+Jacobians of `independence`.  `grid_points` is the one seeded grid sampler.
 """
 
 from __future__ import annotations
@@ -456,6 +458,41 @@ def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
     for s, v in nums:
         buckets[s % order] += v
     return _canonical(order, _reduce_ints(order, buckets), den)
+
+
+def root_value_and_gradient(terms: dict, order: int, exponents: Sequence[int]):
+    """The value and the gradient, as n scalars, of the polynomial with
+    `terms` ({exponent tuple: scalar}) at (w^p_1, ..., w^p_n), p =
+    `exponents` and w a primitive order-n root of unity, in one pass over
+    the terms.
+
+    There c * x^e is c * w^(p . e) and its partial in x_j is
+    e_j * c * w^(p . e - p_j), so each numerator v of c (`int_numerators`),
+    at its power i of w, adds v to bucket (p . e + i) mod n of the value
+    and e_j * v to bucket (p . e + i - p_j) mod n of column j.  Each entry
+    is then one reduction modulo Phi_n and one gcd, as in `root_power_sum`;
+    no derivative is formed and no scalar multiplied.  A coefficient of
+    another order raises DomainMismatch.
+    """
+    found = common_order(terms.values())
+    if found not in (None, order):
+        raise DomainMismatch(f"cyclotomic orders differ: {order} vs {found}")
+    bits = power_bits(order)
+    mask = (1 << bits) - 1
+    keys = list(terms)
+    nums, den = int_numerators([(t << bits, c) for t, c in enumerate(terms.values())])
+    value = [0] * order
+    columns = [[0] * order for _ in exponents]
+    for k, v in nums:
+        e = keys[k >> bits]
+        s = sum(map(operator.mul, exponents, e)) + (k & mask)
+        value[s % order] += v
+        for e_j, p_j, column in zip(e, exponents, columns):
+            if e_j:
+                column[(s - p_j) % order] += e_j * v
+    return _canonical(order, _reduce_ints(order, value), den), [
+        _canonical(order, _reduce_ints(order, column), den) for column in columns
+    ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,12 +9,20 @@ transformation passes additionally need a *witness*: a point where every q_i
 vanishes while the Jacobian still attains its symbolic rank.  For the
 elementary, complete homogeneous and power-sum families the witness is the
 vector of n-th roots of unity, so the verification runs in an exact
-cyclotomic field (`Poly.eval` works there by exponent arithmetic).
-Witnesses are always checked by explicit re-evaluation, never trusted from
-their construction, and every witness check is `witness_jacobian`: each
-member vanishes and the Jacobian at the point has full row rank.  The
-root-of-unity families also check that their n-th member does not vanish
-there, and the h-family's Jacobian is checked against its closed form.
+cyclotomic field.  Witnesses are always checked by explicit re-evaluation,
+never trusted from their construction, and every witness check is
+`witness_jacobian`: each member vanishes and the Jacobian at the point has
+full row rank.  The root-of-unity families also check that their n-th
+member does not vanish there, and the h-family's Jacobian is checked
+against its closed form.
+
+At a point (w^p_1, ..., w^p_n) of powers of one root of unity, which
+`field.root_exponents` recognises, the members' values and their Jacobian
+come from one pass over each member's terms by exponent arithmetic
+(`field.root_value_and_gradient`): no derivative `Poly` is built and no
+scalar multiplied.  `witness_jacobian` and `is_independence_witness` take
+that route by themselves; at any other point they evaluate
+`jacobian_at(jacobian(polys), point)`, the entries one by one.
 """
 
 from __future__ import annotations
@@ -22,7 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, GridExhausted, InvalidWitness, VerificationFailed
-from .field import GRID_ATTEMPTS, ScalarMatrix, bareiss, grid_points, omega
+from .field import (
+    GRID_ATTEMPTS,
+    ScalarMatrix,
+    bareiss,
+    grid_points,
+    omega,
+    root_exponents,
+    root_value_and_gradient,
+)
 from .poly import Poly
 from .symmetric import e_poly, h_poly, p_poly
 
@@ -107,6 +123,37 @@ def _confirmed_rank(jac: list[list[Poly]], best: int) -> int:
     return exact
 
 
+def _jacobian_at_common_zero(polys: list, point) -> ScalarMatrix:
+    """The Jacobian of `polys` at `point`; raises InvalidWitness at the
+    first poly that does not vanish there, before any later poly is read.
+
+    At a point that `field.root_exponents` recognises, a poly of total
+    degree two or more gives its value and its row in one pass over its
+    terms (`field.root_value_and_gradient`); one of degree at most one
+    takes `Poly.eval` on itself and on its constant partials, so its row
+    keeps their types, and a point of the wrong length raises there.  Any
+    other point takes `jacobian_at(jacobian(polys), point)`.
+    """
+    roots = root_exponents(point) if polys and len(point) == polys[0].arity else None
+    rows = []
+    for i, q in enumerate(polys, start=1):
+        if roots is None:
+            value, gradient = q.eval(point), None
+        elif q.arity != len(point) or q.total_degree() <= 1:
+            value = q.eval(point)
+            gradient = [q.derivative(j).eval(point) for j in range(q.arity)]
+        else:
+            value, gradient = root_value_and_gradient(q.terms, *roots)
+        if value != 0:
+            raise InvalidWitness(
+                f"the point is not a common zero of the family: member {i} does not vanish"
+            )
+        rows.append(gradient)
+    if roots is None:
+        return jacobian_at(jacobian(polys), point)
+    return ScalarMatrix(len(rows), len(rows[0]), [x for row in rows for x in row])
+
+
 def is_independence_witness(polys, point, seed: int = 0) -> bool:
     """True iff every poly vanishes at the point and the Jacobian rank there
     equals its symbolic rank.
@@ -115,23 +162,19 @@ def is_independence_witness(polys, point, seed: int = 0) -> bool:
     only a rank-deficient point is compared with `symbolic_rank(jac, seed)`.
     """
     polys = list(polys)
-    if any(q.eval(point) != 0 for q in polys):
+    try:
+        jac = _jacobian_at_common_zero(polys, point)
+    except InvalidWitness:
         return False
-    jac = jacobian(polys)
-    rank = jacobian_at(jac, point).rank()
-    return rank == min(len(jac), len(jac[0])) or rank == symbolic_rank(jac, seed=seed)
+    rank = jac.rank()
+    return rank == min(jac.rows, jac.cols) or rank == symbolic_rank(jacobian(polys), seed=seed)
 
 
 def witness_jacobian(polys, point) -> ScalarMatrix:
     """The Jacobian of `polys` at `point`; raises InvalidWitness unless every
     poly vanishes there and that Jacobian has full row rank len(polys)."""
     polys = list(polys)
-    for i, q in enumerate(polys, start=1):
-        if q.eval(point) != 0:
-            raise InvalidWitness(
-                f"the point is not a common zero of the family: member {i} does not vanish"
-            )
-    jac = jacobian_at(jacobian(polys), point)
+    jac = _jacobian_at_common_zero(polys, point)
     if jac.rank() != len(polys):
         raise InvalidWitness("Jacobian rank at the point is below the family size")
     return jac

@@ -14,8 +14,7 @@ free columns, and the tableau route one loop per entry over shapes.
 Also here: skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
-basis by the leading-term reduction, and an interpolation-based small
-formula for the elementary polynomials.
+basis by the leading-term reduction.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .circuits import Formula, const, inp, prod_node, sum_node
 from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
 from .field import (
     ONE,
@@ -31,7 +29,6 @@ from .field import (
     common_order,
     from_int_numerators,
     int_numerators,
-    interpolation_weights,
     power_bits,
 )
 from .partitions import Partition, staircase
@@ -407,26 +404,3 @@ def express_in_e_basis(f: Poly) -> Poly:
         f = f - product
     return Poly(n, terms)
 
-
-# ---------------------------------------------------------------------------
-# interpolation formula for the elementary polynomials
-# ---------------------------------------------------------------------------
-
-def elementary_symmetric_formula(k: int, n: int) -> Formula:
-    """A depth-3-style formula for e_k(x_1..x_n) by interpolation.
-
-    Expands prod_i (1 + a*x_i) at a = 0..n and weights each copy by the a^k
-    coefficient of its Lagrange basis polynomial on those nodes, which
-    isolates the coefficient of a^k, that is e_k.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    nodes = [Rat(t) for t in range(n + 1)]
-    weights = interpolation_weights(n, (k,))
-    children = []
-    for a in nodes:
-        factors = [
-            sum_node([const(1), inp(i)], [ONE, a]) for i in range(n)
-        ]
-        children.append(prod_node(factors))
-    return Formula(sum_node(children, weights), n)

@@ -5,6 +5,7 @@ import itertools
 import random
 
 from schurkit.circuits import Formula, const, inp, prod_node, sum_node
+from schurkit.field import ONE, Rat, interpolation_weights
 from schurkit.poly import Poly
 
 
@@ -33,6 +34,15 @@ def symmetrize(p: Poly) -> Poly:
     return out
 
 
+def partial(p: Poly, multi) -> Poly:
+    """The derivative of p of multi-index `multi`, by repeated
+    `Poly.derivative`."""
+    for i, m in enumerate(multi):
+        for _ in range(m):
+            p = p.derivative(i)
+    return p
+
+
 def counted(monkeypatch, cls, name) -> list:
     """Patch the method cls.name with a wrapper that appends each receiver
     to the returned list, then calls the original."""
@@ -51,3 +61,20 @@ def coefficient_kinds(terms: dict) -> dict:
     """Each monomial's coefficient type, with its cyclotomic order (None
     for a rational)."""
     return {e: (type(c), getattr(c, "order", None)) for e, c in terms.items()}
+
+
+def elementary_symmetric_formula(k: int, n: int) -> Formula:
+    """A depth-3 formula for e_k(x_1..x_n) by interpolation.
+
+    Expands prod_i (1 + a*x_i) at a = 0..n and weights each copy by the a^k
+    coefficient of its Lagrange basis polynomial on those nodes, which
+    isolates the coefficient of a^k, that is e_k.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    weights = interpolation_weights(n, (k,))
+    children = [
+        prod_node([sum_node([const(1), inp(i)], [ONE, Rat(a)]) for i in range(n)])
+        for a in range(n + 1)
+    ]
+    return Formula(sum_node(children, weights), n)

@@ -32,7 +32,7 @@ from schurkit.independence import (
 from schurkit.poly import Poly, _pack, grlex_key, packed_product
 from schurkit.symmetric import e_poly
 
-from helpers import counted
+from helpers import counted, partial
 
 
 def variables(arity):
@@ -65,11 +65,7 @@ def naive_pdc_dimension(p: Poly) -> int:
 
     ranges = [range(p.degree_in(i) + 1) for i in range(p.arity)]
     for multi in itertools.product(*ranges):
-        q = p
-        for i, m in enumerate(multi):
-            for _ in range(m):
-                q = q.derivative(i)
-        add(q)
+        add(partial(p, multi))
     return len(rows)
 
 
@@ -124,11 +120,7 @@ def nonzero_derivatives(p: Poly) -> int:
     zero, order zero included."""
     count = 0
     for multi in itertools.product(*[range(p.degree_in(i) + 1) for i in range(p.arity)]):
-        q = p
-        for i, m in enumerate(multi):
-            for _ in range(m):
-                q = q.derivative(i)
-        count += not q.is_zero()
+        count += not partial(p, multi).is_zero()
     return count
 
 
@@ -296,6 +288,61 @@ class TestAgainstReference:
         assert dimension == bfs_pdc_dimension(p)
 
 
+def order_ranks(p: Poly) -> list[int]:
+    """The rank of each derivative order's span over the coefficient field,
+    orders 0 .. total degree: every derivative by repeated `Poly.derivative`,
+    one `ScalarMatrix` row per multi-index over the order's monomials."""
+    multis = list(itertools.product(*[range(p.degree_in(i) + 1) for i in range(p.arity)]))
+    ranks = []
+    for j in range(p.total_degree() + 1):
+        rows = [partial(p, multi) for multi in multis if sum(multi) == j]
+        monomials = sorted({e for q in rows for e in q.terms})
+        if not monomials:
+            ranks.append(0)
+            continue
+        entries = [q.terms.get(e, 0) for q in rows for e in monomials]
+        ranks.append(ScalarMatrix(len(rows), len(monomials), entries).rank())
+    return ranks
+
+
+class TestOrderMirror:
+    """Homogeneous input of degree d: order j and order d - j span spaces of
+    one dimension, so `pdc_dimension` reduces orders 0 .. d // 2 only."""
+
+    @given(homogeneous_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_ranks_mirror_and_the_dimension_agrees(self, p):
+        ranks = order_ranks(p)
+        assert ranks == ranks[::-1]
+        dimension = pdc_dimension(p)
+        assert dimension == sum(ranks) == bfs_pdc_dimension(p) == naive_pdc_dimension(p)
+
+    @pytest.mark.parametrize(
+        "p, ranks",
+        [
+            (Poly.constant(3, 5), [1]),
+            (Poly.constant(2, omega(8)), [1]),
+            (Poly(2, {(1, 0): 1, (0, 1): 2}), [1, 1]),
+            (e_poly(1, 3) * e_poly(2, 3), [1, 3, 3, 1]),
+            (Poly.monomial(2, (2, 2)), [1, 2, 3, 2, 1]),
+            (e_poly(1, 3) * e_poly(2, 3) * e_poly(3, 3) * omega(5), [1, 3, 6, 7, 6, 3, 1]),
+        ],
+        ids=["d=0", "d=0 over Q(w)", "d=1", "odd d", "even d", "even d over Q(w)"],
+    )
+    def test_degrees(self, p, ranks):
+        assert p.is_homogeneous()
+        assert order_ranks(p) == ranks
+        assert pdc_dimension(p) == sum(ranks) == naive_pdc_dimension(p)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_orders_above_the_middle_are_not_reduced(self, monkeypatch, degree):
+        # x1^degree on 1 variable: one derivative per order, so the calls
+        # count the orders reduced, 0 .. degree // 2
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        assert pdc_dimension(Poly.monomial(1, (degree,))) == degree + 1
+        assert len(calls) == degree // 2 + 1
+
+
 class TestEarlyStop:
     """The rows of one derivative order lie in the span of the earlier
     orders' pivots plus the coordinate space of the monomials they touch;
@@ -304,13 +351,15 @@ class TestEarlyStop:
     deterministic."""
 
     def test_full_orders_stop_early(self, monkeypatch):
-        # e_1 * e_2 * e_3 on 4 variables: 144 non-zero derivatives, of which
-        # 54 are reduced before every order fills up or runs out
+        # e_1 * e_2 * e_3 on 4 variables, degree 6: 144 non-zero
+        # derivatives.  Orders 4..6 mirror orders 2..0 and are not reduced;
+        # orders 0..3 hold 1, 4, 10 and 20 derivatives, every one reduced
+        # (rank 1 + 4 + 10 + 17, so 2 * 15 + 17 = 47)
         p = e_poly(1, 4) * e_poly(2, 4) * e_poly(3, 4)
         assert nonzero_derivatives(p) == 144
         calls = counted(monkeypatch, derivatives, "_add_row")
         assert pdc_dimension(p) == 47
-        assert len(calls) == 54
+        assert len(calls) == 35
 
     def test_non_homogeneous_stops_at_full_orders(self, monkeypatch):
         # (x1 + x2 + 1)^4: the j + 1 derivatives of order j are all
@@ -323,6 +372,19 @@ class TestEarlyStop:
         calls = counted(monkeypatch, derivatives, "_add_row")
         assert pdc_dimension(p) == 5
         assert len(calls) == 11
+
+    def test_a_full_order_takes_no_further_derivatives(self, monkeypatch):
+        # (x1 + x2 - 1) x2 (x1 + x2) (x1 - 2 x2 - 2), not homogeneous: order
+        # 3 has 4 rows over the monomials 1, x1, x2 and fills up at its
+        # third, so the fourth is skipped with its derivatives and order 4
+        # holds 2 rows, not 3: 1 + 2 + 3 + 3 + 2 calls
+        x1, x2 = variables(2)
+        one = Poly.constant(2, 1)
+        p = (x1 + x2 - one) * x2 * (x1 + x2) * (x1 - x2 * 2 - one * 2)
+        calls = counted(monkeypatch, derivatives, "_add_row")
+        assert pdc_dimension(p) == 9
+        assert len(calls) == 11
+        assert naive_pdc_dimension(p) == bfs_pdc_dimension(p) == 9
 
     def test_non_homogeneous_matches_the_single_echelon(self, monkeypatch):
         p = Poly.constant(4, 1)

@@ -3,10 +3,29 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit import independence
-from schurkit.errors import GridExhausted, InvalidWitness, VerificationFailed
-from schurkit.field import GRID_ATTEMPTS, Rat, ScalarMatrix, bareiss, scalar_to_text
+from schurkit.derivatives import product_pdc_check
+from schurkit.errors import (
+    ArityMismatch,
+    DomainMismatch,
+    GridExhausted,
+    InvalidWitness,
+    VerificationFailed,
+)
+from schurkit.field import (
+    GRID_ATTEMPTS,
+    CyclotomicScalar,
+    Rat,
+    ScalarMatrix,
+    bareiss,
+    omega,
+    root_exponents,
+    root_value_and_gradient,
+    scalar_to_text,
+)
 from schurkit.independence import (
     h_family_witness,
     is_independence_witness,
@@ -60,6 +79,19 @@ def naive_shifted_witness(polys, seed=0):
         if jacobian_at(jac, c).rank() == k:
             return tuple(q.eval(c) for q in polys), c
     raise GridExhausted("no non-singular point found in 128 samples")
+
+
+def counted_jacobian_at(monkeypatch) -> list:
+    """Patch `independence.jacobian_at` to record each point it is called at."""
+    points = []
+    evaluate = independence.jacobian_at
+
+    def counting(jac, point):
+        points.append(tuple(point))
+        return evaluate(jac, point)
+
+    monkeypatch.setattr(independence, "jacobian_at", counting)
+    return points
 
 
 def outcome(search, polys, seed):
@@ -289,21 +321,9 @@ class TestShiftedWitness:
 
 
 class TestOneGridWalk:
-    @staticmethod
-    def count_jacobian_points(monkeypatch):
-        points = []
-        evaluate = independence.jacobian_at
-
-        def counting(jac, point):
-            points.append(tuple(point))
-            return evaluate(jac, point)
-
-        monkeypatch.setattr(independence, "jacobian_at", counting)
-        return points
-
     def test_shifted_item_evaluates_draws_plus_one_points(self, monkeypatch):
         # the two-walk search and its check evaluate 10 points here
-        points = self.count_jacobian_points(monkeypatch)
+        points = counted_jacobian_at(monkeypatch)
         polys = [e_poly(k, 6) for k in range(1, 7)]
         shifts, c = shifted_witness(polys, seed=11)
         draws = len(points)
@@ -315,7 +335,7 @@ class TestOneGridWalk:
     def test_dependent_family_stops_after_rank_trials(self, monkeypatch):
         # decided at draw RANK_TRIALS from the walk's own best rank: the
         # points symbolic_rank would evaluate are not evaluated again
-        points = self.count_jacobian_points(monkeypatch)
+        points = counted_jacobian_at(monkeypatch)
         polys = [e_poly(k, 6) for k in range(1, 6)] + [e_poly(1, 6) ** 2]
         with pytest.raises(InvalidWitness):
             shifted_witness(polys, seed=11)
@@ -365,3 +385,173 @@ def test_jacobian_at_evaluates_entrywise():
     polys = [e_poly(1, 2), e_poly(2, 2)]
     m = jacobian_at(jacobian(polys), [Rat(2), Rat(5)])
     assert m.to_rows() == [[1, 1], [5, 2]]
+
+
+def rational_coefficients():
+    return st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def cyclotomic_coefficients(order):
+    return st.lists(rational_coefficients(), min_size=1, max_size=order).map(
+        lambda coeffs: CyclotomicScalar(order, coeffs)
+    )
+
+
+@st.composite
+def root_point_families(draw):
+    """1-4 polys in 1-4 variables at (w^p_1, ..., w^p_n), w = omega(n) for
+    n = 1..12: zero, constant, linear and general members (exponents up to
+    3, so often a variable is missing and its partial is zero), with
+    rational coefficients or rational and order-n ones."""
+    order = draw(st.integers(1, 12))
+    arity = draw(st.integers(1, 4))
+    rational = rational_coefficients()
+    mixed = st.one_of(rational, cyclotomic_coefficients(order))
+    coefficient = draw(st.sampled_from([rational, mixed]))
+    units = [tuple(int(i == j) for i in range(arity)) for j in range(arity)]
+    shapes = {
+        "zero": st.just({}),
+        "constant": coefficient.map(lambda c: {(0,) * arity: c}),
+        "linear": st.dictionaries(st.sampled_from([(0,) * arity] + units), coefficient),
+        "general": st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * arity), coefficient, min_size=1, max_size=6
+        ),
+    }
+    polys = [
+        Poly(arity, draw(shapes[draw(st.sampled_from(sorted(shapes)))]))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    w = omega(order)
+    exponents = draw(st.lists(st.integers(0, order - 1), min_size=arity, max_size=arity))
+    return polys, [w**p for p in exponents]
+
+
+def vanishing(polys, point):
+    """Each poly minus its value at the point."""
+    return [q - Poly.constant(q.arity, q.eval(point)) for q in polys]
+
+
+def kinds(matrix):
+    return [(type(x), getattr(x, "order", None)) for x in matrix.entries]
+
+
+class TestOnePassJacobian:
+    """At a root-of-unity point the values and the Jacobian come from one
+    pass over each poly's terms; `q.eval` and `jacobian_at(jacobian(polys),
+    point)` are the reference."""
+
+    @given(root_point_families())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_the_derivative_route(self, case):
+        polys, point = case
+        order, exponents = root_exponents(point)
+        for q in polys:
+            value, gradient = root_value_and_gradient(q.terms, order, exponents)
+            assert value == q.eval(point)
+            assert gradient == [q.derivative(j).eval(point) for j in range(q.arity)]
+
+    @given(root_point_families())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_matches_the_reference_in_value_and_kind(self, case):
+        polys, point = case
+        polys = vanishing(polys, point)
+        got = independence._jacobian_at_common_zero(polys, point)
+        expected = jacobian_at(jacobian(polys), point)
+        assert got == expected
+        assert got.order == expected.order
+        assert kinds(got) == kinds(expected)
+
+    def test_zero_partials_and_constant_members(self):
+        x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+        point = [omega(5) ** p for p in (0, 2, 4)]
+        polys = vanishing([x1 * x1 * x2, Poly.zero(3), x2 * x2 - x1 * x3, x1 + x2], point)
+        got = independence._jacobian_at_common_zero(polys, point)
+        assert got == jacobian_at(jacobian(polys), point)
+        assert kinds(got) == kinds(jacobian_at(jacobian(polys), point))
+        assert got.entry(0, 2) == 0 and list(got.row(1)) == [0, 0, 0]
+
+    def test_linear_members_keep_a_rational_matrix(self):
+        # every partial is a rational constant: the matrix stays over Q, as
+        # the derivative route gives it
+        polys = [e_poly(1, 2)]
+        jac = witness_jacobian(polys, roots_of_unity_witness(2).point)
+        assert jac.order is None
+        assert kinds(jac) == [(Rat, None), (Rat, None)]
+
+    def test_root_points_build_no_derivative_poly(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("derivative route taken")
+
+        monkeypatch.setattr(independence, "jacobian", unreachable)
+        monkeypatch.setattr(independence, "jacobian_at", unreachable)
+        for n in range(3, 7):
+            for builder in (roots_of_unity_witness, h_family_witness, p_family_witness):
+                assert builder(n).rank == n - 1
+        point = roots_of_unity_witness(4).point
+        assert is_independence_witness([e_poly(2, 4), e_poly(3, 4)], point)
+        report = product_pdc_check([e_poly(k, 4) for k in (1, 2, 3)], point)
+        assert report.dimension == 47
+
+    @pytest.mark.parametrize("other", ["rational", "all rational", "w+1", "w/2", "2w"])
+    def test_other_points_take_the_derivative_route(self, monkeypatch, other):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("one-pass route taken")
+
+        monkeypatch.setattr(independence, "root_value_and_gradient", unreachable)
+        calls = counted_jacobian_at(monkeypatch)
+        w = omega(6)
+        point = [w, w**2, w**3]
+        point[1] = {
+            "rational": Rat(1),
+            "all rational": Rat(1),
+            "w+1": w + 1,
+            "w/2": point[1] / 2,
+            "2w": w * 2,
+        }[other]
+        if other == "all rational":
+            point = [Rat(2), Rat(1), Rat(-3, 2)]
+        polys = vanishing([e_poly(2, 3), h_poly(2, 3), p_poly(3, 3)], point)
+        got = independence._jacobian_at_common_zero(polys, point)
+        assert calls == [tuple(point)]
+        assert got == jacobian_at(jacobian(polys), point)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_a_coefficient_of_another_order_raises(self, degree):
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        member = (x1 if degree == 1 else x1 * x2) * omega(3)
+        point = roots_of_unity_witness(2).point
+        with pytest.raises(DomainMismatch):
+            witness_jacobian([x1 + x2, member], point)
+        with pytest.raises(DomainMismatch):
+            is_independence_witness([x1 + x2, member], point)
+        with pytest.raises(DomainMismatch):
+            root_value_and_gradient((x1 * x2 * omega(3)).terms, 2, [0, 1])
+
+    def test_a_member_that_does_not_vanish_is_found_first(self):
+        # member 1 fails before member 2, whose coefficient is of another
+        # order, is read
+        point = roots_of_unity_witness(3).point
+        foreign = e_poly(2, 3) * omega(5)
+        with pytest.raises(InvalidWitness, match="member 1 does not vanish"):
+            witness_jacobian([e_poly(1, 3) + 1, foreign], point)
+        assert not is_independence_witness([e_poly(1, 3) + 1, foreign], point)
+
+    def test_invalid_witness_messages(self):
+        point = roots_of_unity_witness(4).point
+        with pytest.raises(InvalidWitness) as raised:
+            witness_jacobian([h_poly(1, 4), h_poly(2, 4) + 1], point)
+        assert str(raised.value) == (
+            "the point is not a common zero of the family: member 2 does not vanish"
+        )
+        with pytest.raises(InvalidWitness) as raised:
+            witness_jacobian([h_poly(2, 4), h_poly(2, 4) * 3], point)
+        assert str(raised.value) == "Jacobian rank at the point is below the family size"
+
+    def test_arity_is_checked_member_by_member(self):
+        point = roots_of_unity_witness(4).point
+        with pytest.raises(ArityMismatch):
+            witness_jacobian([h_poly(2, 3)], point)
+        with pytest.raises(ArityMismatch):
+            witness_jacobian([h_poly(2, 4), h_poly(2, 3)], point)
+        with pytest.raises(ValueError, match="at least one"):
+            witness_jacobian([], point)

@@ -22,7 +22,6 @@ from schurkit.symmetric import (
     e_in_h_basis,
     e_in_p_basis,
     e_poly,
-    elementary_symmetric_formula,
     express_in_e_basis,
     generalized_vandermonde,
     h_poly,
@@ -39,7 +38,7 @@ from schurkit.symmetric import (
     skew_schur_h,
 )
 
-from helpers import coefficient_kinds, symmetrize
+from helpers import coefficient_kinds, elementary_symmetric_formula, symmetrize
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
 
