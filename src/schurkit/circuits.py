@@ -9,11 +9,12 @@ i.e. treat the structure as a tree.
 Full symbolic expansion to a `Poly` is the brute-force oracle that every
 transformation pass in this package is checked against, so it is guarded by a
 term budget that counts monomials.  It runs in the packed integer form of
-the `Poly` product kernel: each leaf is encoded once, every product gate
-calls the kernel that `Poly.__mul__` calls (`poly.packed_product`, which
-multiplies cyclotomic coefficients as whole ints at w = 2^S and reduces
-each result monomial once modulo Phi_n(2^S)), sum gates add integer
-numerators, and only the root is decoded into a `Poly`.
+the `Poly` product kernel, which `poly` owns (`field` owns only its scalar
+side): each leaf is encoded once (`poly.packed_encode`), every product gate
+calls the kernel that `Poly.__mul__` calls (`poly.packed_product`), sum
+gates add integer numerators, and only the root is decoded into a `Poly`
+(`poly.packed_decode`).  This module names a key width and a field order,
+never the key layout.
 
 An ABP is a layered graph with one source and one sink whose edges carry
 affine labels; it computes the sum over source-to-sink paths of the product
@@ -32,14 +33,11 @@ from .field import (
     CyclotomicScalar,
     as_scalar,
     common_order,
-    from_int_numerators,
-    int_numerators,
     json_field,
-    power_bits,
     scalar_from_json,
     scalar_to_json,
 )
-from .poly import Poly, _content_free, _pack, _unpack, packed_product, packed_sum
+from .poly import Poly, content_free, packed_decode, packed_encode, packed_monomials, packed_product, packed_sum
 
 DEFAULT_TERM_BUDGET = 500_000
 
@@ -63,7 +61,7 @@ class Node:
         """A flat encoding, so that pickle and deepcopy do not recurse once
         per level: the distinct nodes in post-order, each naming its
         children by their index in that list."""
-        nodes = _postorder(self)
+        nodes = postorder(self)
         index = {id(node): i for i, node in enumerate(nodes)}
         flat = [
             (n.kind, n.var, n.value, tuple(index[id(c)] for c in n.children), n.weights)
@@ -80,7 +78,7 @@ def _node_from_flat(flat: list) -> Node:
     return nodes[-1]
 
 
-def _postorder(root, children=lambda node: node.children) -> list:
+def postorder(root, children=lambda node: node.children) -> list:
     """Every distinct object reachable from `root`, children before parents.
 
     Objects are told apart by identity, so a shared subtree appears once.
@@ -110,7 +108,7 @@ def _live_children(node: Node):
 
 def _degree_bound(nodes: list) -> int:
     """`Formula.degree` of the root of `nodes`, the live post-order
-    `_postorder(root, _live_children)`, whose last node is the root."""
+    `postorder(root, _live_children)`, whose last node is the root."""
     degrees: dict[int, int] = {}
     for node in nodes:
         below = [degrees[id(c)] for c in _live_children(node)]
@@ -167,14 +165,14 @@ class Formula:
     def size(self) -> int:
         """Total node count, leaves included; edge weights are free."""
         sizes: dict[int, int] = {}
-        for node in _postorder(self.root):
+        for node in postorder(self.root):
             sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
         return sizes[id(self.root)]
 
     def depth(self) -> int:
         """Longest root-to-leaf path counted in gate edges (a leaf has depth 0)."""
         depths: dict[int, int] = {}
-        for node in _postorder(self.root):
+        for node in postorder(self.root):
             depths[id(node)] = 1 + max(depths[id(c)] for c in node.children) if node.children else 0
         return depths[id(self.root)]
 
@@ -182,7 +180,7 @@ class Formula:
         """An upper bound on the total degree, read off the structure: an
         input counts 1 and a constant 0, a sum gate takes the max over its
         live children and a product gate the sum over its children."""
-        return _degree_bound(_postorder(self.root, _live_children))
+        return _degree_bound(postorder(self.root, _live_children))
 
     # -- semantics -----------------------------------------------------------
 
@@ -192,7 +190,7 @@ class Formula:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         point = [as_scalar(p) for p in point]
         values: dict[int, object] = {}
-        for node in _postorder(self.root, _live_children):
+        for node in postorder(self.root, _live_children):
             if node.kind == "input":
                 value = point[node.var]
             elif node.kind == "const":
@@ -227,48 +225,41 @@ class Formula:
         The DAG is walked once: the live node list gives both the degree
         bound of `degree()`, whose bit length is the one key width for every
         node (no live node's degree exceeds the root's bound), and the order
-        of evaluation.  A node's value is a dict from packed key plus power
-        of w to an integer numerator, over one denominator.  A product gate
-        runs `packed_product`, which multiplies each cyclotomic coefficient
-        as one int at w = 2^S and reduces each result monomial once modulo
-        Phi_n(2^S); a sum gate adds the weight-scaled numerators of all its
-        children over the lcm of their denominators (`poly.packed_sum`).
-        Each gate's value has its zeros dropped and one gcd divided out;
-        only the root is decoded into scalars.
+        of evaluation.  A node's value is a packed operand as a dict, over
+        one denominator.  A product gate runs `packed_product`; a sum gate
+        adds the weight-scaled numerators of all its children over the lcm
+        of their denominators (`poly.packed_sum`).  Each gate's value has
+        its zeros dropped and one gcd divided out; only the root is decoded
+        into scalars.
         """
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
-        nodes = _postorder(self.root, _live_children)
+        nodes = postorder(self.root, _live_children)
         width = max(1, _degree_bound(nodes)).bit_length()
         order = common_order(
             [n.value for n in nodes if n.kind == "const"],
             [w for n in nodes if n.kind == "sum" for w in n.weights if w],
         )
-        bits = power_bits(order)
-
-        def monomials(d: dict) -> int:
-            return len({k >> bits for k in d}) if bits else len(d)
 
         def over_budget(d: dict) -> bool:
             # entries bound monomials from above, so most gates skip the count
-            return len(d) > budget and monomials(d) > budget
+            return len(d) > budget and packed_monomials(d, order) > budget
 
         values: dict[int, tuple[dict, int]] = {}
         for node in nodes:
             if node.kind == "input":
-                unit = [0] * arity
-                unit[node.var] = 1
-                value = {_pack(unit, width) << bits: 1}, 1
+                nums, den = packed_encode(Poly.variable(arity, node.var), width, order)
+                value = dict(nums), den
             elif node.kind == "const":
-                nums, den = int_numerators([(0, node.value)])
-                value = {k: v for k, v in nums if v}, den
+                nums, den = packed_encode(Poly.constant(arity, node.value), width, order)
+                value = dict(nums), den
             elif node.kind == "sum":
                 parts = []  # (numerators, integer factor, denominator)
                 for w, c in zip(node.weights, node.children):
                     if w:
                         child, den = values[id(c)]
                         if isinstance(w, CyclotomicScalar):
-                            nums, wden = int_numerators([(0, w)])
+                            nums, wden = packed_encode(Poly.constant(arity, w), width, order)
                             child = packed_product(child.items(), nums, order)
                             parts.append((child, 1, den * wden))
                         else:
@@ -288,7 +279,7 @@ class Formula:
                     # smallest first; with two factors the order changes
                     # no intermediate, so the count is skipped
                     if len(factors) > 2:
-                        factors.sort(key=lambda f: monomials(f[0]))
+                        factors.sort(key=lambda f: packed_monomials(f[0], order))
                     acc, den = factors[0]
                     for d, fden in factors[1:]:
                         acc = packed_product(acc.items(), d.items(), order)
@@ -297,11 +288,10 @@ class Formula:
                             raise BudgetExceeded(
                                 f"expansion exceeded {budget} terms at a product gate"
                             )
-                    value = _content_free(acc, den)
+                    value = content_free(acc, den)
             values[id(node)] = value
         acc, den = values[id(self.root)]
-        out = from_int_numerators(acc, order, den)
-        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
+        return packed_decode(acc, den, arity, width, order)
 
     # -- structural passes ---------------------------------------------------
 
@@ -323,7 +313,7 @@ class Formula:
             raise ArityMismatch("explicit arity disagrees with replacements")
         roots = {var: f.root for var, f in mapping.items()}
         replaced: dict[int, Node] = {}
-        for node in _postorder(self.root):
+        for node in postorder(self.root):
             if node.kind == "input":
                 new = roots.get(node.var)
                 if new is None:
@@ -373,7 +363,7 @@ class Formula:
         round-trip through `from_json` at any depth.
         """
         encoded: dict[int, dict] = {}
-        for node in _postorder(self.root):
+        for node in postorder(self.root):
             if node.kind == "input":
                 out = {"kind": "input", "var": node.var}
             elif node.kind == "const":
@@ -400,7 +390,7 @@ class Formula:
             return ()
 
         decoded: dict[int, Node] = {}
-        for spec in _postorder(json_field(obj, "root", dict, "formula JSON"), child_specs):
+        for spec in postorder(json_field(obj, "root", dict, "formula JSON"), child_specs):
             kind = spec["kind"]
             if kind == "input":
                 var = json_field(spec, "var", int, "formula JSON")

@@ -29,7 +29,7 @@ import tempfile
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .circuits import DEFAULT_TERM_BUDGET, Formula, _postorder
+from .circuits import DEFAULT_TERM_BUDGET, Formula, postorder
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -123,7 +123,7 @@ def _json_pieces(obj) -> Iterator[str]:
     if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
         return
-    order = _postorder(obj, _json_children)
+    order = postorder(obj, _json_children)
     uses = Counter(id(c) for node in order for c in _json_children(node))
     if uses[id(obj)]:
         raise ValueError("Circular reference detected")

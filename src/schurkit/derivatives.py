@@ -5,14 +5,13 @@ product of k distinct variables must come out at exactly 2^k, one derivative
 per variable subset, and that count needs the full monomial and the constant.
 
 The span is found by fraction-free elimination over the integers, on the
-packed entries of the product kernel (`poly.packed_product`): a row maps
-(packed graded key << power_bits) + power of w to an integer numerator, the
-polynomial's common denominator dropped, since scaling a row does not change
-a rank.  A derivative is taken on those entries directly: the variable's
-unit and the total-degree unit come off the key and the exponent multiplies
-the numerator.  The echelon form maps each pivot's leading key to its row
-divided by its content (the gcd of its entries), so no rational is ever
-formed and the entries stay short.
+packed integer form that `poly` owns (`field` owns only its scalar side):
+a row maps packed keys, in graded-lex order, to integer numerators
+(`poly.packed_encode`), the polynomial's common denominator dropped, since
+scaling a row does not change a rank.  A derivative is taken on those
+entries directly (`poly.packed_partial`).  The echelon form maps each
+pivot's leading key to its row divided by its content (the gcd of its
+entries), so no rational is ever formed and the entries stay short.
 
 The derivatives are taken breadth first, one order at a time, and each
 order's rows are reduced sparsest first (by entry count, in a stable sort):
@@ -55,13 +54,14 @@ product of independent linear forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceeded, ZeroPolynomial
-from .field import common_order, fold_constants, int_numerators, power_bits
+from .field import common_order, fold_constants, omega, scalar_to_json
 from .independence import shifted_witness, witness_jacobian
-from .poly import Poly, _pack, packed_product
+from .poly import Poly, packed_encode, packed_monomials, packed_partial, packed_product
 
 DEFAULT_DERIVATIVE_BUDGET = 8192
 
@@ -104,8 +104,10 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     zero included.
 
     Derivatives beyond the per-variable degrees vanish, so the enumeration is
-    finite; it is guarded by a budget on the number of derivative
-    multi-indices (DEFAULT_DERIVATIVE_BUDGET when None).
+    finite; it is guarded by a budget (DEFAULT_DERIVATIVE_BUDGET when None)
+    on the number of derivative multi-indices it may reach, counted before
+    any work: every one within the per-variable degrees, and for
+    homogeneous input of degree d only those of order at most d // 2.
 
     Each derivative q, as packed integer entries, is reduced into an
     integer echelon form (`_add_row`); over Q the dimension is the rank.
@@ -129,34 +131,41 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
         raise ZeroPolynomial("the zero polynomial spans nothing")
     arity = p.arity
     var_degrees = [p.degree_in(i) for i in range(arity)]
-    count = 1
-    for d in var_degrees:
-        count *= d + 1
-        if count > budget:
-            raise BudgetExceeded(
-                f"would enumerate more than {budget} derivative multi-indices"
-            )
-    order = common_order(p.terms.values())
-    bits = power_bits(order)
-    deg = 1 if order is None else fold_constants(order)[0]
     top = p.total_degree()
-    width = top.bit_length()
-    mask = (1 << width) - 1
-    total_unit = 1 << bits + width * arity
-    shifts = [bits + width * (arity - 1 - i) for i in range(arity)]
-    entries, _ = int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
     # orders 0 .. last are reduced, the last with no derivatives taken: a
     # homogeneous input of degree top mirrors order j onto order top - j,
     # and any other input has only constants at order top
     homogeneous = p.is_homogeneous()
     last = top // 2 if homogeneous else top
+    # the multi-indices within the per-variable degrees by order, up to
+    # last if homogeneous; an order past the budget is dropped, as the
+    # orders below it then hold more than the budget
+    reach = min(last if homogeneous else sum(var_degrees), budget)
+    counts = [1] + [0] * reach
+    for d in filter(None, var_degrees):
+        if sum(counts) > budget:
+            break
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[j + 1] - prefix[max(0, j - d)] for j in range(reach + 1)]
+    if sum(counts) > budget:
+        what = f" of order at most {last}" if homogeneous else ""
+        raise BudgetExceeded(f"would enumerate more than {budget} derivative multi-indices{what}")
+    order = common_order(p.terms.values())
+    deg = 1 if order is None else fold_constants(order)[0]
+    width = top.bit_length()
+    entries, _ = packed_encode(p, width, order)
+    # the rows w^i * r of a new pivot r, 0 < i < deg, over Q(w)
+    powers = [
+        packed_encode(Poly.constant(arity, omega(order) ** i), width, order)[0]
+        for i in range(1, deg)
+    ]
     ranks: list[int] = []
     pivots: dict[int, dict] = {}
     frontier = {(0,) * arity: entries}
     seen = set(frontier)
     while frontier:
         rows = sorted(frontier.items(), key=lambda item: len(item[1]))
-        cap = len(pivots) + deg * len({k >> bits for _, q in rows for k, _ in q})
+        cap = len(pivots) + deg * packed_monomials((k for _, q in rows for k, _ in q), order)
         start = len(pivots)
         next_frontier: dict[tuple, list] = {}
         for multi, q in rows:
@@ -164,23 +173,18 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
                 break
             row = _add_row(pivots, dict(q))
             if row is not None:
-                for i in range(1, deg):
-                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
+                for power in powers:
+                    _add_row(pivots, packed_product(row.items(), power, order))
             if len(ranks) == last:
                 continue
-            for i, shift in enumerate(shifts):
+            for i in range(arity):
                 if multi[i] + 1 > var_degrees[i]:
                     continue
                 key = multi[:i] + (multi[i] + 1,) + multi[i + 1 :]
                 if key in seen:
                     continue
                 seen.add(key)
-                step = (1 << shift) + total_unit
-                dq = []
-                for k, v in q:
-                    e = k >> shift & mask
-                    if e:
-                        dq.append((k - step, v * e))
+                dq = packed_partial(q, i, arity, width, order)
                 if dq:
                     next_frontier[key] = dq
         ranks.append(len(pivots) - start)
@@ -202,8 +206,6 @@ class ProductBoundReport:
     shifts: tuple = ()
 
     def to_json(self) -> dict:
-        from .field import scalar_to_json
-
         return {
             "dimension": self.dimension,
             "bound": self.bound,

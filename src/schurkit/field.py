@@ -26,22 +26,21 @@ This module is the one place that inverts a scalar or eliminates exactly:
 callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
 determinant over any integral domain, `gauss_jordan` the reduced echelon
 form over a field, and `interpolation_weights` the Lagrange weights that
-read coefficients off a polynomial's values at 0, 1, 2, ....  It also owns
-the coefficient side of the `Poly` product kernel (`poly.packed_product`,
-called by `Poly.__mul__` and by `Formula.expand`): `common_order` finds the
-one field of the operands, `int_numerators` writes coefficients as integer
-numerators over a common denominator, and `from_int_numerators` turns
-numerators back into scalars.  The kernel packs each cyclotomic
-coefficient's numerators into one int at w = 2^S and reduces each product
-once modulo Phi_n(2^S); `fold_constants` gives the per-field constants its
-slot width S depends on.  The same numerators evaluate a polynomial at a
-point of powers of w: `root_exponents` recognises such a point, coordinate
-by coordinate, in a cached table of w^0 .. w^(n-1), and `root_power_sum`
-drops each numerator into one of n buckets by its power of w modulo n and
-reduces the buckets once.  `Poly.eval` takes that route by itself whenever
-its point qualifies; `root_value_and_gradient` fills the buckets of the
-value and of each partial derivative in one pass over the terms, for the
-Jacobians of `independence`.  `grid_points` is the one seeded grid sampler.
+read coefficients off a polynomial's values at 0, 1, 2, ....  It owns the
+scalar side of the packed integer form behind `poly` (which owns the keys,
+the product kernel and the codec): `common_order` finds the one field of
+some scalars, `int_numerators` writes scalars as integer numerators over a
+common denominator, `scalar_from_numerators` builds a scalar from its
+numerators, and `fold_constants` gives the per-field constants the
+kernel's slot width depends on.  The same numerators evaluate a polynomial
+at a point of powers of w: `root_exponents` recognises such a point,
+coordinate by coordinate, in a cached table of w^0 .. w^(n-1), and
+`root_power_sum` drops each numerator into one of n buckets by its power
+of w modulo n and reduces the buckets once.  `Poly.eval` takes that route
+by itself whenever its point qualifies; `root_value_and_gradient` fills
+the buckets of the value and of each partial derivative in one pass over
+the terms, for the Jacobians of `independence`.  `grid_points` is the one
+seeded grid sampler.
 """
 
 from __future__ import annotations
@@ -140,9 +139,10 @@ def _reduce_ints(n: int, vec: list) -> list:
 # cyclotomic scalars
 # ---------------------------------------------------------------------------
 
-def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
-    """The scalar nums/den (den > 0, nums reduced modulo Phi_n), with the
-    common factor of den and all numerators divided out: one gcd per value."""
+def scalar_from_numerators(order: int, nums: list, den: int) -> "CyclotomicScalar":
+    """The order-n scalar with power-basis numerators `nums` over `den`
+    (den > 0, nums reduced modulo Phi_n), in canonical form: the common
+    factor of den and all numerators divided out, one gcd per value."""
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
@@ -156,7 +156,7 @@ def _canonical(order: int, nums: list, den: int) -> "CyclotomicScalar":
 
 
 def _one(order: int, deg: int) -> "CyclotomicScalar":
-    return _canonical(order, [1] + [0] * (deg - 1), 1)
+    return scalar_from_numerators(order, [1] + [0] * (deg - 1), 1)
 
 
 class CyclotomicScalar:
@@ -176,10 +176,10 @@ class CyclotomicScalar:
     __slots__ = ("order", "nums", "den")
 
     def __new__(cls, order: int, coeffs: Iterable = ()):
-        vec = [c if type(c) is type(ONE) else Rat(c) for c in coeffs]
+        vec = [c if type(c) is Fraction else Rat(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec)) if vec else 1
         nums = [c.numerator * (den // c.denominator) for c in vec]
-        return _canonical(order, _reduce_ints(order, nums), den)
+        return scalar_from_numerators(order, _reduce_ints(order, nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicScalar is immutable")
@@ -220,7 +220,7 @@ class CyclotomicScalar:
         else:
             nums = [a * oden + sign * b * den for a, b in zip(self.nums, onums)]
             den *= oden
-        return _canonical(self.order, nums, den)
+        return scalar_from_numerators(self.order, nums, den)
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
@@ -249,7 +249,7 @@ class CyclotomicScalar:
             if not isinstance(other, RATIONAL_TYPES):
                 return NotImplemented
             num = other.numerator
-            return _canonical(
+            return scalar_from_numerators(
                 self.order, [c * num for c in self.nums], self.den * other.denominator
             )
         if other.order != self.order:
@@ -264,14 +264,14 @@ class CyclotomicScalar:
                 for j, cb in enumerate(b, i):
                     if cb:
                         acc[j] += ca * cb
-        return _canonical(
+        return scalar_from_numerators(
             self.order, _reduce_ints(self.order, acc), self.den * other.den
         )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _canonical(self.order, [-c for c in self.nums], self.den)
+        return scalar_from_numerators(self.order, [-c for c in self.nums], self.den)
 
     def __pos__(self):
         return self
@@ -282,7 +282,7 @@ class CyclotomicScalar:
         vec = [0] * n
         for j, c in enumerate(self.nums):
             vec[j * k % n] += c
-        return _canonical(n, _reduce_ints(n, vec), self.den)
+        return scalar_from_numerators(n, _reduce_ints(n, vec), self.den)
 
     def inverse(self) -> "CyclotomicScalar":
         """The product of the other conjugates sigma_k(self), 1 < k < n with
@@ -384,11 +384,11 @@ def as_scalar(x):
     """Normalize an input to a package scalar (Rat or CyclotomicScalar)."""
     if isinstance(x, CyclotomicScalar):
         return x
-    return x if type(x) is type(ONE) else Rat(x)
+    return x if type(x) is Fraction else Rat(x)
 
 
 # ---------------------------------------------------------------------------
-# integer numerators, for the polynomial product kernel
+# integer numerators, the scalar side of the packed form in `poly`
 # ---------------------------------------------------------------------------
 
 def common_order(*groups: Iterable) -> int | None:
@@ -457,7 +457,7 @@ def root_power_sum(pairs: list, order: int) -> CyclotomicScalar:
     buckets = [0] * order
     for s, v in nums:
         buckets[s % order] += v
-    return _canonical(order, _reduce_ints(order, buckets), den)
+    return scalar_from_numerators(order, _reduce_ints(order, buckets), den)
 
 
 def root_value_and_gradient(terms: dict, order: int, exponents: Sequence[int]):
@@ -490,8 +490,8 @@ def root_value_and_gradient(terms: dict, order: int, exponents: Sequence[int]):
         for e_j, p_j, column in zip(e, exponents, columns):
             if e_j:
                 column[(s - p_j) % order] += e_j * v
-    return _canonical(order, _reduce_ints(order, value), den), [
-        _canonical(order, _reduce_ints(order, column), den) for column in columns
+    return scalar_from_numerators(order, _reduce_ints(order, value), den), [
+        scalar_from_numerators(order, _reduce_ints(order, column), den) for column in columns
     ]
 
 
@@ -532,25 +532,6 @@ def fold_constants(n: int) -> tuple[int, int, int]:
         abs(c) for p in range(2 * deg - 1) for c in _reduce_ints(n, [0] * p + [1])
     )
     return deg, power_bits(n), reach
-
-
-def from_int_numerators(acc: dict, order: int | None, den: int) -> dict:
-    """Inverse of `int_numerators` on numerators in the form
-    `poly.packed_product` gives: `acc` maps (key << power_bits(order)) +
-    power of w to a non-zero integer numerator over `den`.  Returns
-    {key: scalar}, every scalar in the order-n field (rational when `order`
-    is None)."""
-    if order is None:
-        return {k: Rat(v, den) for k, v in acc.items()}
-    deg, bits, _ = fold_constants(order)
-    mask = (1 << bits) - 1
-    vecs: dict[int, list] = {}
-    for k, v in acc.items():
-        vec = vecs.get(k >> bits)
-        if vec is None:
-            vec = vecs[k >> bits] = [0] * deg
-        vec[k & mask] = v
-    return {k: _canonical(order, vec, den) for k, vec in vecs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +778,8 @@ class ScalarMatrix:
             return bareiss(rows)[0]
         int_rows = []
         for row in rows:
-            den = math.lcm(*(int(v.denominator) for v in row))
-            int_rows.append([int(v.numerator) * (den // int(v.denominator)) for v in row])
+            den = math.lcm(*(v.denominator for v in row))
+            int_rows.append([v.numerator * (den // v.denominator) for v in row])
         return bareiss(int_rows)[0]
 
     def det(self):

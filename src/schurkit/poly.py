@@ -6,43 +6,42 @@ elements from `schurkit.field`.  The canonical monomial order everywhere is
 graded lexicographic: higher total degree first, ties broken by the exponent
 tuple with x1 heaviest.
 
-Products and exact division work on packed graded keys: an exponent tuple
-becomes one int holding the total degree in the top field, then x1 .. xn,
-each field `width` bits wide, where `width` is the bit length of the largest
+This module owns the packed integer form that products, exact division,
+formula expansion, polynomial determinants and derivative spans run on;
+`field` owns only its scalar side.  An exponent tuple becomes one int, its
+graded key, holding the total degree in the top field, then x1 .. xn, each
+field `width` bits wide, where `width` is the bit length of the largest
 total degree the operation can reach (deg a + deg b for a product, the
 dividend's degree for a division).  No field can carry, so
 key(a * b) == key(a) + key(b), and integer order is graded-lex order: a
-heap of keys finds the leading term without a key function.
+heap of keys finds the leading term without a key function.  An operand
+is packed keys with integer numerators over one common denominator
+(`field.int_numerators`); a cyclotomic coefficient contributes one entry
+per non-zero power-basis numerator, with its power-basis index (below
+deg Phi_n) in an extra low field, `field.power_bits` wide.  Other modules
+name only a width and an order: `packed_encode` turns a polynomial into
+an operand, `packed_decode` turns kernel numerators back into one,
+`packed_partial` differentiates an operand and `packed_monomials` counts
+its monomials.
 
 A product is an integer kernel, `packed_product`, with four callers:
 `Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix` and, over a
-cyclotomic field, `Poly.divide_exact`.  An operand is packed keys with
-integer numerators over one common denominator (`field.int_numerators`); a
-cyclotomic coefficient contributes one entry per non-zero power-basis
-numerator, with its power-basis index (below deg Phi_n) in an extra low
-field, `field.power_bits` wide.  Over Q the inner loop adds keys and
-multiplies ints.  In the order-n field the kernel first packs each
-monomial's numerators into one int, the power basis evaluated at w = 2^S
-for a slot width S taken from the operands (Kronecker substitution), so
-the inner loop runs once per pair of monomials, not per pair of
-power-basis entries.  Each result monomial is then reduced once
-modulo Phi_n(2^S) and split into its base-2^S digits, the power-basis
-numerators, so a result can be the next product's operand.
-`Poly.__mul__` encodes its two operands and decodes the result
-(`field.from_int_numerators`); `Formula.expand` and `det_poly_matrix`
-encode each leaf or entry once and decode only the root, and both add
-packed values with `packed_sum`.  Rational operands give rational
-coefficients; if either operand has a cyclotomic coefficient, every
-product coefficient lies in that one cyclotomic field, and two orders
-raise DomainMismatch.
+cyclotomic field, `Poly.divide_exact`.  Over Q the inner loop adds keys
+and multiplies ints.  In the order-n field it multiplies each monomial's
+numerators as one int, the power basis evaluated at w = 2^S (Kronecker
+substitution), and reduces each result monomial once modulo Phi_n(2^S)
+back into power-basis numerators, so a result can be the next product's
+operand.  `Poly.__mul__` encodes its two operands and decodes the result;
+`Formula.expand` and `det_poly_matrix` encode each leaf or entry once and
+decode only the root, and both add packed values with `packed_sum`.
+Rational operands give rational coefficients; if either operand has a
+cyclotomic coefficient, every product coefficient lies in that one
+cyclotomic field, and two orders raise DomainMismatch.
 
-Exact division packs its operands the same way and runs one fraction-free
-loop over integer numerators for both domains: the divisor's leading
-coefficient, made rational first, is in general no unit, so each step
-multiplies the remainder by just the factor its leading term needs, and
-subtracts that term times the divisor from the remainder in place (a heap
-of pending keys, as in Monagan and Pearce 2007, gives each step's leading
-term).  The quotient is decoded once, at the end.
+Exact division (`Poly.divide_exact`) encodes its operands the same way,
+runs one fraction-free loop over integer numerators for both domains, with
+a heap of pending keys for each step's leading term, and decodes the
+quotient once, at the end.
 
 `eval` is the one evaluation entry point.  At a point of powers of one
 root of unity, (w^p_1, ..., w^p_n), which `field.root_exponents` recognises,
@@ -75,13 +74,13 @@ from .field import (
     common_order,
     cyclotomic_polynomial,
     fold_constants,
-    from_int_numerators,
     int_numerators,
     json_field,
     power_bits,
     root_exponents,
     root_power_sum,
     scalar_from_json,
+    scalar_from_numerators,
     scalar_to_json,
     scalar_to_text,
 )
@@ -110,6 +109,55 @@ def _unpack(key: int, arity: int, width: int) -> tuple[int, ...]:
         exps[i] = key & mask
         key >>= width
     return tuple(exps)
+
+
+def packed_encode(p: Poly, width: int, order: int | None) -> tuple[list, int]:
+    """The kernel operand of `p`: ((graded key << power_bits(order)) +
+    power of w, integer numerator) pairs, one per non-zero power-basis
+    numerator, over one positive common denominator.  `width` must hold
+    the largest total degree the operation reaches, and `order` is the one
+    cyclotomic order of every operand (None over Q)."""
+    bits = power_bits(order)
+    return int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+
+
+def packed_decode(acc: dict, den: int, arity: int, width: int, order: int | None) -> Poly:
+    """Inverse of `packed_encode`: the polynomial whose packed numerators
+    over `den` are `acc`, as `packed_product` gives them (no zero
+    numerator, every power of w below the field's degree).  Keys and
+    scalars are decoded in one pass; every coefficient is rational when
+    `order` is None, else in the order-n field."""
+    if order is None:
+        return Poly._raw(arity, {_unpack(k, arity, width): Rat(v, den) for k, v in acc.items()})
+    deg, bits, _ = fold_constants(order)
+    mask = (1 << bits) - 1
+    vecs: dict[int, list] = {}
+    for k, v in acc.items():
+        vec = vecs.get(k >> bits)
+        if vec is None:
+            vec = vecs[k >> bits] = [0] * deg
+        vec[k & mask] = v
+    return Poly._raw(arity, {
+        _unpack(k, arity, width): scalar_from_numerators(order, vec, den) for k, vec in vecs.items()
+    })
+
+
+def packed_partial(entries, var: int, arity: int, width: int, order: int | None) -> list:
+    """The partial derivative in variable `var` of the packed operand
+    `entries`, as `packed_encode` gives it: each entry with a non-zero
+    exponent e of x_var loses one from that field and one from the total
+    degree, and its numerator is multiplied by e."""
+    bits = power_bits(order)
+    shift = bits + width * (arity - 1 - var)
+    step = (1 << shift) + (1 << bits + width * arity)
+    mask = (1 << width) - 1
+    return [(k - step, v * e) for k, v in entries if (e := k >> shift & mask)]
+
+
+def packed_monomials(keys, order: int | None) -> int:
+    """The number of distinct monomials among the packed `keys`."""
+    bits = power_bits(order)
+    return len({k >> bits for k in keys})
 
 
 def packed_product(pa, pb, order: int | None) -> dict:
@@ -223,7 +271,7 @@ def slot_bits(pa, pb, deg: int, reach: int) -> int:
 
 
 def packed_sum(parts) -> tuple[dict, int]:
-    """The sum of packed values, as `_content_free` (numerators, denominator).
+    """The sum of packed values, as `content_free` (numerators, denominator).
 
     Each part is (numerators, integer factor, denominator): a dict from
     packed key to a non-zero integer numerator over that denominator, as
@@ -243,10 +291,10 @@ def packed_sum(parts) -> tuple[dict, int]:
                 acc[k] = v
             else:
                 del acc[k]
-    return _content_free(acc, den)
+    return content_free(acc, den)
 
 
-def _content_free(acc: dict, den: int) -> tuple[dict, int]:
+def content_free(acc: dict, den: int) -> tuple[dict, int]:
     """Integer numerators over `den` with the gcd of `den` and all of them
     divided out; zero is stored over 1."""
     if den != 1:
@@ -391,15 +439,11 @@ class Poly:
         self._check_arity(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.arity)
-        a, b = self.terms, other.terms
-        order = common_order(a.values(), b.values())
-        bits = power_bits(order)
+        order = common_order(self.terms.values(), other.terms.values())
         width = (self.total_degree() + other.total_degree()).bit_length()
-        pa, da = int_numerators([(_pack(e, width) << bits, c) for e, c in a.items()])
-        pb, db = int_numerators([(_pack(e, width) << bits, c) for e, c in b.items()])
-        out = from_int_numerators(packed_product(pa, pb, order), order, da * db)
-        arity = self.arity
-        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
+        pa, da = packed_encode(self, width, order)
+        pb, db = packed_encode(other, width, order)
+        return packed_decode(packed_product(pa, pb, order), da * db, self.arity, width, order)
 
     __rmul__ = __mul__
 
@@ -456,8 +500,8 @@ class Poly:
         makes every quotient coefficient so far, times s * da / db, an
         integer vector: it is bounded by the quotient's own denominators,
         not by the number of steps.  The quotient is decoded once, over
-        da * scale / db (`field.from_int_numerators`): rational when both
-        operands are, else every coefficient in their one cyclotomic field.
+        da * scale / db (`packed_decode`): rational when both operands
+        are, else every coefficient in their one cyclotomic field.
         """
         self._check_arity(divisor)
         if not divisor:
@@ -472,8 +516,8 @@ class Poly:
         bits = power_bits(order)
         powers = range(fold_constants(order)[0] if order else 1)
         width = self.total_degree().bit_length()
-        pa, da = int_numerators([(_pack(e, width) << bits, c) for e, c in self.terms.items()])
-        pb, db = int_numerators([(_pack(e, width) << bits, c) for e, c in divisor.terms.items()])
+        pa, da = packed_encode(self, width, order)
+        pb, db = packed_encode(divisor, width, order)
         lead_k = _pack(lead_e, width) << bits
         d = dict(pb)[lead_k]
         rem = dict(pa)
@@ -525,10 +569,8 @@ class Poly:
                     del rem[key]
                 else:
                     rem[key] = old - v
-        out = from_int_numerators({k: v * db for k, v in out.items()}, order, da * scale)
-        if inv is not None:
-            out = {k: c * inv for k, c in out.items()}
-        return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
+        quotient = packed_decode({k: v * db for k, v in out.items()}, da * scale, arity, width, order)
+        return quotient if inv is None else quotient * inv
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -571,20 +613,7 @@ class Poly:
             and common_order(self.terms.values()) is None
         ):
             return self._eval_rational(point)
-        powers: list[dict[int, object]] = [{0: ONE, 1: p} for p in point]
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    p = cache.get(e)
-                    if p is None:
-                        p = cache[1] ** e
-                        cache[e] = p
-                    value = value * p
-            total = total + value
-        return total
+        return _power_sum(self.terms.items(), point, ZERO)
 
     def _eval_rational(self, point: list):
         """The value at a rational point of a polynomial with rational
@@ -628,26 +657,12 @@ class Poly:
         """Substitute values[i] for variable i; all values share one arity."""
         if len(values) != self.arity:
             raise ArityMismatch(f"{len(values)} substitutions for arity {self.arity}")
-        if not values:
-            raise ValueError("empty substitution")
         arity = values[0].arity
         for v in values:
             if v.arity != arity:
                 raise ArityMismatch("substituted polynomials disagree on arity")
-        result = Poly.zero(arity)
-        power_cache: list[dict[int, Poly]] = [{} for _ in values]
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(arity, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    cache = power_cache[i]
-                    p = cache.get(e)
-                    if p is None:
-                        p = values[i] ** e
-                        cache[e] = p
-                    term = term * p
-            result = result + term
-        return result
+        terms = ((e, Poly.constant(arity, c)) for e, c in self.terms.items())
+        return _power_sum(terms, values, Poly.zero(arity))
 
     def permute_vars(self, perm: Sequence[int]) -> "Poly":
         """Relabel variables: new variable perm[i] receives old variable i."""
@@ -712,6 +727,24 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.arity}, {self.to_text()})"
+
+
+def _power_sum(terms, point: Sequence, total):
+    """`total` plus the sum of c * x^e over the (e, c) pairs `terms` at
+    x = `point`, whose coordinates may be scalars or polynomials: each
+    power x_i^e is computed once, and each term multiplies c by its powers
+    from the left."""
+    powers: list[dict[int, object]] = [{1: x} for x in point]
+    for exps, value in terms:
+        for i, e in enumerate(exps):
+            if e:
+                cache = powers[i]
+                p = cache.get(e)
+                if p is None:
+                    p = cache[e] = cache[1] ** e
+                value = value * p
+        total = total + value
+    return total
 
 
 _TERM_RE = re.compile(

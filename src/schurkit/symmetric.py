@@ -14,7 +14,9 @@ free columns, and the tableau route one loop per entry over shapes.
 Also here: skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
-basis by the leading-term reduction.
+basis by the leading-term reduction.  Polynomial determinants run on the
+packed integer form that `poly` owns (`field` owns only its scalar side),
+through its encoder, product kernel and decoder.
 """
 
 from __future__ import annotations
@@ -23,16 +25,9 @@ import itertools
 from typing import Sequence
 
 from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
-from .field import (
-    ONE,
-    Rat,
-    common_order,
-    from_int_numerators,
-    int_numerators,
-    power_bits,
-)
+from .field import ONE, Rat, common_order
 from .partitions import Partition, staircase
-from .poly import Poly, _pack, _unpack, packed_product, packed_sum
+from .poly import Poly, packed_decode, packed_encode, packed_product, packed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +86,13 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     That is O(2^m) polynomial multiplications instead of m!.  Rows must be
     non-empty.
 
-    The loops run on packed integers, as `Poly.__mul__` does: each distinct
-    entry is encoded once (`field.int_numerators`) at one key width, that
-    of the sum over rows of the largest entry degree, which bounds every
-    minor's degree.  A minor is (numerators, denominator), built with
-    `poly.packed_product` and `poly.packed_sum`; only the determinant is
-    decoded.  Entries of two arities raise ArityMismatch.  The coefficients
+    The loops run on the packed integer form that `poly` owns, as
+    `Poly.__mul__` does: each distinct entry is encoded once
+    (`poly.packed_encode`) at one key width, that of the sum over rows of
+    the largest entry degree, which bounds every minor's degree.  A minor
+    is (numerators, denominator), built with `poly.packed_product` and
+    `poly.packed_sum`; only the determinant is decoded
+    (`poly.packed_decode`).  Entries of two arities raise ArityMismatch.  The coefficients
     are all rational when every entry is, else all `CyclotomicScalar`s of
     the entries' one order (two orders raise DomainMismatch, even where
     they never meet in a product).  On a matrix mixing the two kinds, the
@@ -111,13 +107,9 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     if any(p.arity != arity for p in entries.values()):
         raise ArityMismatch("matrix entries disagree on arity")
     order = common_order(*(p.terms.values() for p in entries.values()))
-    bits = power_bits(order)
     degree = {i: p.total_degree() for i, p in entries.items()}
     width = sum(max(0, *(degree[id(p)] for p in row)) for row in rows).bit_length()
-    codes = {
-        i: int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
-        for i, p in entries.items()
-    }
+    codes = {i: packed_encode(p, width, order) for i, p in entries.items()}
     rows = [[codes[id(p)] for p in row] for row in rows]
     levels = [{(1 << m) - 1}]
     for row in rows[:-1]:
@@ -139,8 +131,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
             above[mask] = packed_sum(parts)
         minors = above
     acc, den = minors[(1 << m) - 1]
-    out = from_int_numerators(acc, order, den)
-    return Poly._raw(arity, {_unpack(k, arity, width): c for k, c in out.items()})
+    return packed_decode(acc, den, arity, width, order)
 
 
 # ---------------------------------------------------------------------------

@@ -446,8 +446,8 @@ def schur_to_det_reduce(
     report = ReductionReport(
         input_size=f.size(),
         input_depth=f.depth(),
-        output_size=output.size(),
-        output_depth=output.depth(),
+        output_size=passes[-1].size,
+        output_depth=passes[-1].depth,
         witness=witness.point,
         passes=passes,
         variables=n,

@@ -11,7 +11,7 @@ from schurkit.circuits import (
     ABP,
     Formula,
     _live_children,
-    _postorder,
+    postorder,
     const,
     constant_formula,
     det_abp,
@@ -46,7 +46,7 @@ def naive_expand(f: Formula) -> Poly:
     arity = f.arity
     zero = Poly.zero(arity)
     values: dict[int, Poly] = {}
-    for node in _postorder(f.root, _live_children):
+    for node in postorder(f.root, _live_children):
         if node.kind == "input":
             value = Poly.variable(arity, node.var)
         elif node.kind == "const":
@@ -268,9 +268,9 @@ class TestPackedExpansion:
 
         def counting(*args):
             walks.append(args)
-            return _postorder(*args)
+            return postorder(*args)
 
-        monkeypatch.setattr(circuits, "_postorder", counting)
+        monkeypatch.setattr(circuits, "postorder", counting)
         x = inp(0)
         shared = sum_node([x, const(omega(8))])
         Formula(prod_node([shared, shared, inp(1)]), 2).expand()

@@ -523,6 +523,12 @@ class TestPdcCommand:
         assert code == 4
         assert "8192" in err
 
+    def test_homogeneous_budget_counts_half_the_orders(self, capsys):
+        # orders 0..7 of x1*...*x14: 9,908 multi-indices, under the budget
+        code, out, _ = run(capsys, "pdc", "--monomial", "14", "--budget", "10000")
+        assert code == 0
+        assert json.loads(out)["dimension"] == 16384
+
     def test_input_file(self, capsys, tmp_path):
         poly_file = tmp_path / "p.txt"
         poly_file.write_text(PDC_INPUTS["p.txt"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -229,6 +230,37 @@ class TestDimension:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             pdc_dimension(Poly.monomial(5, (1,) * 5), budget=8)
+
+    def test_homogeneous_budget_counts_orders_up_to_half_the_degree(self):
+        # orders 0..7 of x1*...*x14 hold 9,908 of the 16,384 multi-indices
+        p = Poly.monomial(14, (1,) * 14)
+        assert pdc_dimension(p, budget=9908) == 16384
+        with pytest.raises(BudgetExceeded, match="9907 derivative multi-indices of order at most 7"):
+            pdc_dimension(p, budget=9907)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(20,): 1},
+            {(40, 0): 1, (0, 40): 3},
+            {(3, 1, 0): 1, (0, 2, 2): -2, (1, 1, 2): 5},
+            {(2, 0): 1, (0, 1): 1},
+            {(3, 3, 0): 1, (1, 0, 0): 2},
+        ],
+    )
+    def test_budget_is_the_count_of_reachable_multi_indices(self, terms):
+        """Homogeneous input counts the multi-indices within the per-variable
+        degrees of order at most d // 2, any other input every one within
+        them; a budget of that count passes and one less raises."""
+        p = Poly(len(next(iter(terms))), terms)
+        boxes = [range(p.degree_in(i) + 1) for i in range(p.arity)]
+        limit = p.total_degree() // 2 if p.is_homogeneous() else math.inf
+        count = sum(1 for m in itertools.product(*boxes) if sum(m) <= limit)
+        pdc_dimension(p, budget=count)
+        with pytest.raises(BudgetExceeded):
+            pdc_dimension(p, budget=count - 1)
+        with pytest.raises(BudgetExceeded):
+            pdc_dimension(p, budget=min(5, count - 1))
 
     def test_cyclotomic_coefficients(self):
         w = omega(8)

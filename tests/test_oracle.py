@@ -3,28 +3,135 @@ package's own routes share one product kernel and one elimination, so a
 fault there can agree with itself.  Skipped when sympy is not installed."""
 
 import itertools
+import random
 
 import pytest
 
 sympy = pytest.importorskip("sympy", reason="sympy is not installed: the oracle checks need it")
 
 from schurkit.derivatives import pdc_dimension
-from schurkit.field import ScalarMatrix
+from schurkit.field import CyclotomicScalar, Rat, ScalarMatrix, bareiss, fold_constants
 from schurkit.independence import h_family_witness, p_family_witness, roots_of_unity_witness
+from schurkit.poly import Poly
 from schurkit.symmetric import e_poly
 
 from helpers import partial
 
 
-def to_sympy(p, xs):
-    """A rational `Poly` as a sympy expression in the symbols `xs`."""
+def rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def scalar_in(c, z):
+    """A scalar as a sympy expression: a rational, or a cyclotomic scalar's
+    power-basis coefficients as a polynomial in `z`."""
+    if isinstance(c, CyclotomicScalar):
+        return sympy.Add(*(rational(a) * z**i for i, a in enumerate(c.coeffs)))
+    return rational(c)
+
+
+def to_sympy(p, xs, z=None):
+    """A `Poly` as a sympy expression in the symbols `xs`, its cyclotomic
+    coefficients as polynomials in `z`."""
     return sympy.Add(
-        *(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(x**k for x, k in zip(xs, e)))
-            for e, c in p.terms.items()
-        )
+        *(scalar_in(c, z) * sympy.Mul(*(x**k for x, k in zip(xs, e))) for e, c in p.terms.items())
     )
+
+
+def random_rational(rng):
+    return Rat(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def random_poly(rng, arity, degree, terms, scalar=random_rational):
+    out = {}
+    for _ in range(terms):
+        exps = [0] * arity
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(arity)] += 1
+        out[tuple(exps)] = scalar(rng)
+    return Poly(arity, out)
+
+
+def random_cyclotomic(order):
+    deg = fold_constants(order)[0]
+    return lambda rng: CyclotomicScalar(order, [random_rational(rng) for _ in range(deg)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ring_ops_over_q(seed):
+    """`*`, `divide_exact` of a product, `derivative` and `compose` against
+    `sympy.Poly` over QQ."""
+    rng = random.Random(seed)
+    arity = 1 + seed % 3
+    xs = sympy.symbols(f"x0:{arity}")
+
+    def oracle(p):
+        return sympy.Poly(to_sympy(p, xs), *xs, domain="QQ")
+
+    p = random_poly(rng, arity, 4, 6)
+    q = random_poly(rng, arity, 3, 4) + 1
+    product = p * q
+    assert oracle(product) == oracle(p) * oracle(q)
+    quotient, remainder = sympy.div(oracle(product), oracle(q))
+    assert remainder.is_zero
+    assert oracle(product.divide_exact(q)) == quotient == oracle(p)
+    for i, x in enumerate(xs):
+        assert oracle(p.derivative(i)) == oracle(p).diff(x)
+    values = [random_poly(rng, arity, 2, 3) for _ in range(arity)]
+    composed = oracle(p).as_expr().subs(
+        {x: to_sympy(v, xs) for x, v in zip(xs, values)}, simultaneous=True
+    )
+    assert oracle(p.compose(values)) == sympy.Poly(composed, *xs, domain="QQ")
+
+
+@pytest.mark.parametrize("order", [3, 5, 8, 12])
+def test_cyclotomic_product(order):
+    """`Poly.__mul__` with cyclotomic coefficients against the sympy product
+    reduced modulo the order-n cyclotomic polynomial."""
+    rng = random.Random(order)
+    xs = sympy.symbols("x0:2")
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, z), z)
+    p = random_poly(rng, 2, 3, 4, random_cyclotomic(order))
+    q = random_poly(rng, 2, 3, 4, random_cyclotomic(order)) + random_poly(rng, 2, 2, 2)
+    expected = sympy.Poly(to_sympy(p, xs, z) * to_sympy(q, xs, z), z).rem(phi)
+    got = sympy.Poly(to_sympy(p * q, xs, z), z)
+    assert (got - expected).is_zero
+    assert {type(c) for c in (p * q).terms.values()} == {CyclotomicScalar}
+
+
+def test_cyclotomic_scalar_product_and_inverse():
+    """`CyclotomicScalar` `*` and `inverse` against `rem` and `invert` modulo
+    the order-n cyclotomic polynomial, for seeded orders up to 40."""
+    rng = random.Random(40)
+    z = sympy.Symbol("z")
+    for order in sorted(rng.sample(range(1, 41), 12)) + [40]:
+        phi = sympy.Poly(sympy.cyclotomic_poly(order, z), z)
+        a, b = (random_cyclotomic(order)(rng) for _ in range(2))
+        if not a:
+            continue
+        za, zb = (sympy.Poly(scalar_in(c, z), z, domain="QQ") for c in (a, b))
+        assert sympy.Poly(scalar_in(a * b, z), z, domain="QQ") == (za * zb).rem(phi), order
+        inverse = sympy.Poly(sympy.invert(za.as_expr(), phi.as_expr(), z), z, domain="QQ")
+        assert sympy.Poly(scalar_in(a.inverse(), z), z, domain="QQ") == inverse.rem(phi), order
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bareiss_rank_and_determinant(seed):
+    """`bareiss` rank and determinant against `sympy.Matrix` over QQ, on
+    square and rectangular matrices of every rank up to full."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    rank = rng.randint(0, min(rows, cols))
+    left = [[random_rational(rng) for _ in range(rank)] for _ in range(rows)]
+    right = [[random_rational(rng) for _ in range(cols)] for _ in range(rank)]
+    m = [[sum((l[k] * right[k][j] for k in range(rank)), Rat(0)) for j in range(cols)] for l in left]
+    oracle = sympy.Matrix([[rational(v) for v in row] for row in m])
+    got_rank, got_det = bareiss(m)
+    assert got_rank == oracle.rank()
+    if rows == cols:
+        assert rational(got_det) == oracle.det()
+    assert ScalarMatrix(rows, cols, [v for row in m for v in row]).rank() == oracle.rank()
 
 
 def test_pdc_order_ranks_of_e1_e2_e3():

@@ -24,7 +24,15 @@ from schurkit.field import (
     root_exponents,
 )
 from schurkit import poly
-from schurkit.poly import Poly, grlex_key, poly_from_text, slot_bits
+from schurkit.poly import (
+    Poly,
+    grlex_key,
+    packed_decode,
+    packed_encode,
+    packed_partial,
+    poly_from_text,
+    slot_bits,
+)
 from schurkit.partitions import Partition, staircase
 from schurkit.symmetric import generalized_vandermonde, schur_bialternant, schur_ssyt
 
@@ -273,6 +281,56 @@ class TestDivision:
         if r.is_zero():
             return
         assert (p * r).divide_exact(r) == p
+
+
+@st.composite
+def codec_cases(draw):
+    """(p, order, width): p with every coefficient rational (order None) or
+    every one in the order-n field, n in 1..12, and a key width at least
+    the bit length of p's total degree."""
+    order = draw(st.sampled_from([None, *range(1, 13)]))
+    arity = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 6)) for _ in range(arity))
+        if order is None:
+            terms[exps] = draw(small_rationals())
+        else:
+            deg = fold_constants(order)[0]
+            coeffs = draw(st.lists(small_rationals(), min_size=1, max_size=deg))
+            terms[exps] = CyclotomicScalar(order, coeffs)
+    p = Poly(arity, terms)
+    return p, order, max(p.total_degree(), 0).bit_length() + draw(st.integers(0, 3))
+
+
+class TestCodec:
+    """`packed_encode`, `packed_decode` and `packed_partial`, the packed
+    form behind every product, against the `Poly` they encode."""
+
+    @given(codec_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_decode_inverts_encode(self, case):
+        p, order, width = case
+        nums, den = packed_encode(p, width, order)
+        q = packed_decode(dict(nums), den, p.arity, width, order)
+        assert q == p
+        assert coefficient_kinds(q.terms) == coefficient_kinds(p.terms)
+
+    @given(codec_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_partial_is_the_derivative(self, case, data):
+        p, order, width = case
+        var = data.draw(st.integers(0, p.arity - 1))
+        nums, den = packed_encode(p, width, order)
+        partial = packed_partial(nums, var, p.arity, width, order)
+        expected = p.derivative(var)
+        q = packed_decode(dict(partial), den, p.arity, width, order)
+        assert q == expected
+        assert coefficient_kinds(q.terms) == coefficient_kinds(expected.terms)
+        # the keys themselves, total-degree field included, are the
+        # derivative's own: the numerators agree once put over one denominator
+        enums, eden = packed_encode(expected, width, order)
+        assert {k: v * eden for k, v in partial} == {k: v * den for k, v in enums}
 
 
 def naive_product(p, q) -> dict:
