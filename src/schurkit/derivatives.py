@@ -106,8 +106,9 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     Derivatives beyond the per-variable degrees vanish, so the enumeration is
     finite; it is guarded by a budget (DEFAULT_DERIVATIVE_BUDGET when None)
     on the number of derivative multi-indices it may reach, counted before
-    any work: every one within the per-variable degrees, and for
-    homogeneous input of degree d only those of order at most d // 2.
+    any work: those within the per-variable degrees of order at most the
+    total degree d (every higher order vanishes), and for homogeneous input
+    only those of order at most d // 2.
 
     Each derivative q, as packed integer entries, is reduced into an
     integer echelon form (`_add_row`); over Q the dimension is the rank.
@@ -138,9 +139,9 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
     homogeneous = p.is_homogeneous()
     last = top // 2 if homogeneous else top
     # the multi-indices within the per-variable degrees by order, up to
-    # last if homogeneous; an order past the budget is dropped, as the
-    # orders below it then hold more than the budget
-    reach = min(last if homogeneous else sum(var_degrees), budget)
+    # last; an order past the budget is dropped, as the orders below it
+    # then hold more than the budget
+    reach = min(last, budget)
     counts = [1] + [0] * reach
     for d in filter(None, var_degrees):
         if sum(counts) > budget:
@@ -148,8 +149,9 @@ def pdc_dimension(p: Poly, budget: int | None = None) -> int:
         prefix = [0, *itertools.accumulate(counts)]
         counts = [prefix[j + 1] - prefix[max(0, j - d)] for j in range(reach + 1)]
     if sum(counts) > budget:
-        what = f" of order at most {last}" if homogeneous else ""
-        raise BudgetExceeded(f"would enumerate more than {budget} derivative multi-indices{what}")
+        raise BudgetExceeded(
+            f"would enumerate more than {budget} derivative multi-indices of order at most {last}"
+        )
     order = common_order(p.terms.values())
     deg = 1 if order is None else fold_constants(order)[0]
     width = top.bit_length()

@@ -2,15 +2,18 @@
 
 The Schur polynomial for a partition is constructed four independent ways:
 
-* bialternant: the ratio of two generalized Vandermonde determinants,
+* bialternant: the ratio of two generalized Vandermonde determinants
+  (alternants), divided exactly on the alternants' strictly decreasing
+  exponents, so neither n!-term alternant is expanded,
 * a determinant in the complete homogeneous basis (h),
 * a determinant in the elementary basis (e) over the conjugate partition,
 * the tableau generating function (column-strict fillings / Kostka counts),
   counted shape by shape by the branching rule.
 
 Exact equality of the four expansions is the package's core sanity battery.
-No route recurses: the determinants run one loop per row over bit masks of
-free columns, and the tableau route one loop per entry over shapes.
+No route recurses: the bialternant runs one loop over the leading alternant
+of its remainder, the determinants one loop per row over bit masks of free
+columns, and the tableau route one loop per entry over shapes.
 Also here: skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
@@ -22,6 +25,7 @@ through its encoder, product kernel and decoder.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence
 
 from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
@@ -173,21 +177,91 @@ def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
     return Poly._raw(n, dict(signed_permutations(exps)))
 
 
-def schur_bialternant(lam: Partition, n: int) -> Poly:
-    """Schur polynomial as the exact ratio of alternants.
+def _rearrangements(values: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each distinct rearrangement of `values` once, built value by value:
+    the positions of each distinct value are a combination of those still
+    free.  So there are n! / prod(multiplicity!) of them, and no
+    permutation of all n positions is ever formed."""
+    n = len(values)
+    layer = [((None,) * n, tuple(range(n)))]
+    for value, count in Counter(values).items():
+        grown = []
+        for arrangement, free in layer:
+            for chosen in itertools.combinations(free, count):
+                row = list(arrangement)
+                for i in chosen:
+                    row[i] = value
+                grown.append((tuple(row), tuple(i for i in free if i not in chosen)))
+        layer = grown
+    return [arrangement for arrangement, _ in layer]
 
-    The staircase determinant always divides the shifted one, so the division
-    below never fails on valid input.
+
+def schur_bialternant(lam: Partition, n: int) -> Poly:
+    """Schur polynomial as the exact ratio of alternants a_(lam+delta) /
+    a_delta, divided on the alternants' own coordinates.
+
+    Write a_gamma = det(x_i^(gamma_j)) = sum over permutations sigma of
+    sign(sigma) x^(sigma gamma) for any exponent vector gamma: it is zero
+    when gamma repeats an entry, and sign * a_(sort gamma) otherwise, sort
+    gamma the decreasing rearrangement and sign that of the sorting
+    permutation.  An antisymmetric polynomial is fixed by its coefficients
+    on strictly decreasing exponents, so it is the sum of those
+    coefficients times the a_nu; the ratio of two alternants is symmetric,
+    a sum of c_mu times the monomial symmetric m_mu over partitions mu.
+    Multiplying by a_delta, and reindexing the permutations,
+
+        m_mu * a_delta = sum over the distinct rearrangements beta of mu
+                         of a_(beta + delta).
+
+    For beta != mu, sort(beta + delta) is dominated by mu + delta and is
+    lex-smaller: the k largest entries of beta + delta sum to at most the k
+    largest of beta plus the k largest of delta, the first k of mu + delta;
+    and equal vectors would have equal sums of squares, so sum beta_i
+    delta_i = sum mu_i delta_i, which by the rearrangement inequality, as
+    delta strictly decreases, holds only at beta = mu.  So a_(mu+delta) has
+    coefficient 1 in m_mu * a_delta and none in any m_mu' * a_delta with
+    mu' + delta lex-smaller: the system a_(lam+delta) = sum c_mu m_mu
+    a_delta is unitriangular.
+
+    The remainder maps each strictly decreasing nu to the coefficient of
+    a_nu, from {lam + delta: 1}.  Its lex-largest nu (all have weight
+    |lam| + |delta|, so that is also the graded-lex leader) gives
+    c_(nu-delta), and m_(nu-delta) * a_delta is subtracted from it, one
+    sorted, signed a_(beta+delta) per rearrangement beta, the
+    repeated-entry ones skipped.  This is the leading-term reduction that
+    `Poly.divide_exact` runs on the n!-term alternants, taken on their
+    antisymmetric coordinates, and an exact quotient is unique, so the two
+    agree; the work is one step per term of s_lam, not one per pair of a
+    quotient term and one of the n! divisor terms.  The coefficients are
+    integers (they count tableaux) and come out as `Rat`s.
     """
     if lam.length > n:
         raise LengthMismatch(
             f"partition has {lam.length} parts but only {n} variables"
         )
     delta = staircase(n)
-    shifted = tuple(lam.part(j) + delta[j] for j in range(n))
-    numerator = generalized_vandermonde(shifted, n)
-    denominator = generalized_vandermonde(delta, n)
-    return numerator.divide_exact(denominator)
+    remainder = {tuple(lam.part(j) + delta[j] for j in range(n)): 1}
+    terms = {}
+    while remainder:
+        nu = max(remainder)
+        c = remainder.pop(nu)
+        mu = tuple(a - d for a, d in zip(nu, delta))
+        coeff = Rat(c)
+        for beta in _rearrangements(mu):
+            terms[beta] = coeff
+            if beta == mu:
+                continue
+            gamma = [b + d for b, d in zip(beta, delta)]
+            if len(set(gamma)) < n:
+                continue
+            inversions = sum(a < b for i, a in enumerate(gamma) for b in gamma[i + 1 :])
+            key = tuple(sorted(gamma, reverse=True))
+            left = remainder.get(key, 0) + (c if inversions & 1 else -c)
+            if left:
+                remainder[key] = left
+            else:
+                del remainder[key]
+    return Poly._raw(n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ import itertools
 import random
 
 from schurkit.circuits import Formula, const, inp, prod_node, sum_node
+from schurkit.errors import LengthMismatch
 from schurkit.field import ONE, Rat, interpolation_weights
+from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
+from schurkit.symmetric import generalized_vandermonde
 
 
 def random_formula(rng: random.Random, arity: int, max_depth: int = 4) -> Formula:
@@ -78,3 +81,15 @@ def elementary_symmetric_formula(k: int, n: int) -> Formula:
         for a in range(n + 1)
     ]
     return Formula(sum_node(children, weights), n)
+
+
+def divide_bialternant(lam: Partition, n: int) -> Poly:
+    """s_lam by the bialternant's definition: both alternants expanded by
+    Leibniz, n! terms each, and divided by `Poly.divide_exact`.  The
+    reference for `schur_bialternant`, which divides on the alternants'
+    strictly decreasing exponents only."""
+    if lam.length > n:
+        raise LengthMismatch(f"partition has {lam.length} parts but only {n} variables")
+    delta = staircase(n)
+    shifted = tuple(lam.part(j) + delta[j] for j in range(n))
+    return generalized_vandermonde(shifted, n).divide_exact(generalized_vandermonde(delta, n))

@@ -7,6 +7,7 @@ import schurkit
 
 PACKAGE = Path(schurkit.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))}
 
 
 def schurkit_imports(tree: ast.Module):
@@ -23,6 +24,27 @@ def schurkit_imports(tree: ast.Module):
             continue
         for alias in node.names:
             yield source, alias.name, node.lineno
+
+
+def private_uses(tree: ast.Module):
+    """(module, private name, line) for every private name of a schurkit
+    module that `tree` imports, or reads off a module it imported with
+    `from schurkit import ...`."""
+    modules = set()
+    for source, imported, line in schurkit_imports(tree):
+        if imported.startswith("_"):
+            yield source, imported, line
+        elif not source:
+            modules.add(imported)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            yield node.value.id, node.attr, node.lineno
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -45,5 +67,20 @@ def test_the_packed_form_is_behind_poly():
         if name not in ("poly", "field")
         for source, imported, line in schurkit_imports(tree)
         if source == "field" and imported in numerator_side
+    ]
+    assert not found, found
+
+
+def test_a_test_uses_private_names_of_its_own_module_only():
+    """Outside `tests/helpers.py`, a private name of module m appears only
+    in `tests/test_m.py`: a reference implementation in another test file
+    goes through the module's public names, so it breaks, not drifts,
+    when a private layout changes."""
+    found = [
+        f"tests/{name}.py:{line} uses {module}.{private}"
+        for name, tree in TESTS.items()
+        if name != "helpers"
+        for module, private, line in private_uses(tree)
+        if name != f"test_{module}"
     ]
     assert not found, found

@@ -22,8 +22,9 @@ from schurkit.errors import (
     ReductionMismatch,
     VerificationFailed,
 )
+from schurkit.partitions import Partition
 from schurkit.poly import Poly
-from schurkit.symmetric import e_poly
+from schurkit.symmetric import e_poly, schur_ssyt
 
 from helpers import counted
 
@@ -113,6 +114,32 @@ class TestSchurCommand:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "1*x1^99999999999999999999"
+
+    def test_bialternant_route_on_a_huge_part(self, capsys):
+        code, out, err = run(
+            capsys, "schur", "--route", "bialternant", "--lambda", "99999999999999999999", "--n", "1"
+        )
+        assert code == 0, err
+        assert out.strip() == "1*x1^99999999999999999999"
+
+    def test_bialternant_route_on_nine_variables_answers_in_seconds(self):
+        # once over 90 s and 2.9 GB: the route divided the two 9!-term
+        # alternants; a subprocess, so that such a route fails by timeout
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "schurkit",
+                "schur", "--route", "bialternant", "--lambda", "5,4,3,2,1", "--n", "9",
+            ],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert result.returncode == 0, result.stderr
+        # compared outside the assert, whose diff of two 8 MB texts would
+        # take minutes
+        same = result.stdout.strip() == schur_ssyt(Partition((5, 4, 3, 2, 1)), 9).to_text()
+        assert same, "stdout is not the tableau route's polynomial"
 
     def test_budget_is_read(self, capsys):
         # once an unread flag (exit 1): s_(2) on 3 variables may have 6 terms
@@ -528,6 +555,15 @@ class TestPdcCommand:
         code, out, _ = run(capsys, "pdc", "--monomial", "14", "--budget", "10000")
         assert code == 0
         assert json.loads(out)["dimension"] == 16384
+
+    def test_non_homogeneous_budget_counts_orders_up_to_the_degree(self, capsys, tmp_path):
+        # 11^5 multi-indices in the box, 3,003 of order at most 10: under
+        # the default budget
+        poly_file = tmp_path / "p.txt"
+        poly_file.write_text(" + ".join(f"1*x{i}^10" for i in range(1, 6)) + " + 1")
+        code, out, err = run(capsys, "pdc", "--input", str(poly_file))
+        assert code == 0, err
+        assert json.loads(out)["dimension"] == 47
 
     def test_input_file(self, capsys, tmp_path):
         poly_file = tmp_path / "p.txt"

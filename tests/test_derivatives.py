@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -21,16 +20,14 @@ from schurkit.field import (
     ScalarMatrix,
     common_order,
     fold_constants,
-    int_numerators,
     omega,
-    power_bits,
 )
 from schurkit.independence import (
     is_independence_witness,
     roots_of_unity_point,
     roots_of_unity_witness,
 )
-from schurkit.poly import Poly, _pack, grlex_key, packed_product
+from schurkit.poly import Poly, grlex_key, packed_encode, packed_partial, packed_product
 from schurkit.symmetric import e_poly
 
 from helpers import counted, partial
@@ -78,13 +75,9 @@ def bfs_pdc_dimension(p: Poly) -> int:
     arity = p.arity
     var_degrees = [p.degree_in(i) for i in range(arity)]
     order = common_order(p.terms.values())
-    bits = power_bits(order)
     deg = 1 if order is None else fold_constants(order)[0]
     width = p.total_degree().bit_length()
-    mask = (1 << width) - 1
-    total_unit = 1 << bits + width * arity
-    shifts = [bits + width * (arity - 1 - i) for i in range(arity)]
-    entries, _ = int_numerators([(_pack(e, width) << bits, c) for e, c in p.terms.items()])
+    entries, _ = packed_encode(p, width, order)
     pivots: dict[int, dict] = {}
     frontier = {(0,) * arity: entries}
     seen = set(frontier)
@@ -94,20 +87,16 @@ def bfs_pdc_dimension(p: Poly) -> int:
             row = _add_row(pivots, dict(q))
             if row is not None:
                 for i in range(1, deg):
-                    _add_row(pivots, packed_product(row.items(), [(i, 1)], order))
-            for i, shift in enumerate(shifts):
+                    power, _ = packed_encode(Poly.constant(arity, omega(order) ** i), width, order)
+                    _add_row(pivots, packed_product(row.items(), power, order))
+            for i in range(arity):
                 if multi[i] + 1 > var_degrees[i]:
                     continue
                 key = multi[:i] + (multi[i] + 1,) + multi[i + 1 :]
                 if key in seen:
                     continue
                 seen.add(key)
-                step = (1 << shift) + total_unit
-                dq = []
-                for k, v in q:
-                    e = k >> shift & mask
-                    if e:
-                        dq.append((k - step, v * e))
+                dq = packed_partial(q, i, arity, width, order)
                 if dq:
                     next_frontier[key] = dq
         frontier = next_frontier
@@ -249,18 +238,30 @@ class TestDimension:
         ],
     )
     def test_budget_is_the_count_of_reachable_multi_indices(self, terms):
-        """Homogeneous input counts the multi-indices within the per-variable
-        degrees of order at most d // 2, any other input every one within
-        them; a budget of that count passes and one less raises."""
+        """The multi-indices within the per-variable degrees are counted up
+        to order d // 2 for homogeneous input of degree d, and up to order
+        d for any other; a budget of that count passes and one less
+        raises."""
         p = Poly(len(next(iter(terms))), terms)
         boxes = [range(p.degree_in(i) + 1) for i in range(p.arity)]
-        limit = p.total_degree() // 2 if p.is_homogeneous() else math.inf
+        limit = p.total_degree() // 2 if p.is_homogeneous() else p.total_degree()
         count = sum(1 for m in itertools.product(*boxes) if sum(m) <= limit)
         pdc_dimension(p, budget=count)
         with pytest.raises(BudgetExceeded):
             pdc_dimension(p, budget=count - 1)
         with pytest.raises(BudgetExceeded):
             pdc_dimension(p, budget=min(5, count - 1))
+
+    def test_non_homogeneous_budget_counts_orders_up_to_the_degree(self):
+        # the box of x1^10 + ... + x5^10 + 1 holds 11^5 = 161,051
+        # multi-indices, over the default 8,192, but every derivative of
+        # order above 10 vanishes, and 3,003 of them are of order at most 10
+        p = Poly(5, {**{tuple(10 * (j == i) for j in range(5)): 1 for i in range(5)}, (0,) * 5: 1})
+        assert not p.is_homogeneous()
+        assert pdc_dimension(p) == bfs_pdc_dimension(p) == 47
+        assert pdc_dimension(p, budget=3003) == 47
+        with pytest.raises(BudgetExceeded, match="3002 derivative multi-indices of order at most 10"):
+            pdc_dimension(p, budget=3002)
 
     def test_cyclotomic_coefficients(self):
         w = omega(8)

@@ -12,8 +12,9 @@ sympy = pytest.importorskip("sympy", reason="sympy is not installed: the oracle 
 from schurkit.derivatives import pdc_dimension
 from schurkit.field import CyclotomicScalar, Rat, ScalarMatrix, bareiss, fold_constants
 from schurkit.independence import h_family_witness, p_family_witness, roots_of_unity_witness
+from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
-from schurkit.symmetric import e_poly
+from schurkit.symmetric import e_poly, schur_bialternant
 
 from helpers import partial
 
@@ -182,3 +183,24 @@ def test_root_of_unity_jacobian(builder, n):
             got = list(getattr(entry, "coeffs", (entry,)))
             got += [0] * (deg - len(got))
             assert got == expected, (m, j)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 1, 1), (4, 2, 1)])
+def test_bialternant_is_the_ratio_of_sympy_determinants(parts):
+    """`schur_bialternant` on 4 variables against `sympy.div` of the two
+    generalized Vandermonde determinants det(x_i^(lam_j + delta_j)) and
+    det(x_i^(delta_j)), each taken by sympy's Berkowitz expansion: the
+    remainder is zero and the quotient is the route's polynomial."""
+    n = 4
+    xs = sympy.symbols(f"x0:{n}")
+    lam = Partition(parts)
+    delta = staircase(n)
+
+    def alternant(exps):
+        det = sympy.Matrix(n, n, lambda i, j: xs[i] ** exps[j]).det(method="berkowitz")
+        return sympy.Poly(det, *xs, domain="QQ")
+
+    shifted = [lam.part(j) + delta[j] for j in range(n)]
+    quotient, remainder = sympy.div(alternant(shifted), alternant(delta))
+    assert remainder.is_zero
+    assert sympy.Poly(to_sympy(schur_bialternant(lam, n), xs), *xs, domain="QQ") == quotient

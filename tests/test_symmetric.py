@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from schurkit.field import CyclotomicScalar, Rat, common_order, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
+    _rearrangements,
     all_distinct,
     det_poly_matrix,
     distinct_label_family,
@@ -38,7 +42,7 @@ from schurkit.symmetric import (
     skew_schur_h,
 )
 
-from helpers import coefficient_kinds, elementary_symmetric_formula, symmetrize
+from helpers import coefficient_kinds, divide_bialternant, elementary_symmetric_formula, symmetrize
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
 
@@ -262,6 +266,48 @@ class TestSchurRoutes:
             perm = list(range(4))
             rng.shuffle(perm)
             assert s.permute_vars(perm) == s
+
+
+#: partitions of weight <= 10 with at most 6 parts, the empty one included
+SHORT_PARTITIONS = [Partition(())] + [lam for lam in partitions_up_to_weight(10) if lam.length <= 6]
+
+
+class TestBialternantOnOrbits:
+    """`schur_bialternant` divides on the alternants' strictly decreasing
+    exponents; `divide_bialternant` divides their Leibniz expansions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SHORT_PARTITIONS).flatmap(
+            lambda lam: st.tuples(st.just(lam), st.integers(max(1, lam.length), 6))
+        )
+    )
+    @example((Partition(()), 1))
+    @example((Partition(()), 6))
+    @example((Partition((4, 3, 2, 1)), 6))
+    def test_matches_the_leibniz_division(self, case):
+        lam, n = case
+        got, want = schur_bialternant(lam, n), divide_bialternant(lam, n)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert got.to_text() == want.to_text()
+
+    @pytest.mark.parametrize("route", [schur_bialternant, divide_bialternant])
+    @pytest.mark.parametrize("parts, n", [((1, 1, 1), 2), ((5, 4, 3, 2, 1, 1, 1), 6), ((1,), 0)])
+    def test_a_partition_longer_than_n_is_refused(self, route, parts, n):
+        with pytest.raises(LengthMismatch):
+            route(Partition(parts), n)
+
+    @pytest.mark.parametrize(
+        "values", [(), (0,), (2, 1, 0), (1, 1, 0, 0), (3, 1, 1, 0, 0, 0), (2, 2, 2), (0,) * 40]
+    )
+    def test_rearrangements_are_the_distinct_ones(self, values):
+        got = _rearrangements(values)
+        assert len(set(got)) == len(got)
+        assert all(sorted(beta) == sorted(values) for beta in got)
+        multiplicities = map(math.factorial, Counter(values).values())
+        assert len(got) == math.factorial(len(values)) // math.prod(multiplicities)
 
 
 class TestKostka:
