@@ -226,10 +226,11 @@ def _check_schur_budget(lam: Partition, weight: int, n: int, routes, budget: int
     """Raises BudgetExceeded, before any route runs, when an a-priori bound
     on the work of `routes` exceeds `budget`: the C(weight + n - 1, n - 1)
     monomials of that degree in n variables, which bound every route's
-    terms; the n! terms of the bialternant's dividend a_(lam+delta), still
-    held against the route though it no longer expands the alternants; the
-    lambda_1 * (n + 1) entries of the e-determinant that can be non-zero
-    (e_m = 0 for m > n).
+    terms; n! for the bialternant, the terms of a dividend a_(lam+delta) it
+    no longer builds, which still keeps it to n <= 9 at the default budget,
+    where its per-term cost grows with n, and refuses small shapes it
+    answers at once, such as (2,1)/10; the lambda_1 * (n + 1) entries of
+    the e-determinant that can be non-zero (e_m = 0 for m > n).
     Each bound is a running product of integer steps a / b that never
     decreases, so it stops once past `budget` (C(a, k) with k <= a - k at
     least doubles per step), and a huge n or part costs nothing."""

@@ -24,12 +24,13 @@ an operand, `packed_decode` turns kernel numerators back into one,
 `packed_partial` differentiates an operand and `packed_monomials` counts
 its monomials.
 
-A product is an integer kernel, `packed_product`, with four callers:
-`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix` and, over a
-cyclotomic field, `Poly.divide_exact`.  Over Q the inner loop adds keys
-and multiplies ints.  In the order-n field it multiplies each monomial's
-numerators as one int, the power basis evaluated at w = 2^S (Kronecker
-substitution), and reduces each result monomial once modulo Phi_n(2^S)
+A product is an integer kernel, `packed_product`, with five callers:
+`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix`,
+`derivatives.pdc_dimension` for its w^i rows and, over a cyclotomic field,
+`Poly.divide_exact`.  Over Q the inner loop adds keys and multiplies
+ints.  In the order-n field it multiplies each monomial's numerators as
+one int, the power basis evaluated at w = 2^S (Kronecker substitution),
+and reduces each result monomial once modulo Phi_n(2^S)
 back into power-basis numerators, so a result can be the next product's
 operand.  `Poly.__mul__` encodes its two operands and decodes the result;
 `Formula.expand` and `det_poly_matrix` encode each leaf or entry once and

@@ -99,9 +99,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     (`poly.packed_decode`).  Entries of two arities raise ArityMismatch.  The coefficients
     are all rational when every entry is, else all `CyclotomicScalar`s of
     the entries' one order (two orders raise DomainMismatch, even where
-    they never meet in a product).  On a matrix mixing the two kinds, the
-    expansion in `Poly` arithmetic left rational any coefficient that no
-    cyclotomic product reached; the values are the same.
+    they never meet in a product).
     """
     m = len(rows)
     if m == 0:

@@ -11,10 +11,10 @@ checkable by the brute-force expansion oracle:
   non-vanishing point of the divisor,
 * recovery of the outer polynomial from a formula computing a composition
   g(q_1, ..., q_k) with g homogeneous and the q_i an algebraically
-  independent family with a verified common-zero witness; the linear forms
-  are undone by one Gauss-Jordan elimination of the Jacobian augmented
-  with the identity; the result is checked by composing its expansion
-  with the family,
+  independent family, through a common-zero witness that the pass checks
+  itself (`witness_jacobian`); the linear forms are undone by one
+  Gauss-Jordan elimination of the Jacobian augmented with the identity;
+  the result is checked by composing its expansion with the family,
 * the end-to-end pipeline taking a formula for s_lambda to a formula for
   the l x l determinant, under one hypothesis: the l^2 Jacobi-Trudi labels
   are distinct members of h_1..h_(n-1) (`reduction_hypothesis_holds`).
@@ -25,7 +25,7 @@ checkable by the brute-force expansion oracle:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import (
     DEFAULT_TERM_BUDGET,
@@ -56,10 +56,10 @@ from .field import (
     interpolation_weights,
     scalar_to_json,
 )
-from .independence import h_family_witness, witness_jacobian
+from .independence import roots_of_unity_point, witness_jacobian
 from .partitions import Partition
 from .poly import Poly
-from .symmetric import all_distinct, det_poly_matrix, jacobi_trudi_labels, schur_jt_h, signed_permutations
+from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_labels, schur_jt_h, signed_permutations
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
@@ -168,21 +168,21 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(f, expanded, inner, degree, point, jacobian_rows):
-    """The passes of `recover_outer_formula` and their trace, unchecked:
-    returns (formula for g, [(pass name, formula)]); `expanded` is
-    f.expand().  Each caller checks the result against what it knows:
-    `recover_outer_formula` composes it with the inner family,
-    `schur_to_det_reduce` compares the relabelled output with det_l.
+def _recover_traced(f, expanded, inner, degree, point):
+    """The passes of `recover_outer_formula` and their trace: returns
+    (formula for g, [(pass name, formula)]); `expanded` is f.expand().
+
+    The witness is checked here, once, by `witness_jacobian`: every inner
+    polynomial vanishes at `point` and their Jacobian there has rank k
+    (else InvalidWitness).  The result itself is unchecked; each caller
+    checks it against what it knows: `recover_outer_formula` composes it
+    with the inner family, `schur_to_det_reduce` compares the relabelled
+    output with det_l.
 
     The degree extraction interpolates over t = 0..expanded.total_degree():
     shifting keeps the total degree, so that bound holds for the shifted
     formula, and a cancelling pair of high-degree terms, which inflates
     `f.degree()`, does not inflate it.
-
-    `jacobian_rows` are the inner family's Jacobian rows at `point`, a
-    common zero of the family (see `independence.witness_jacobian`); they
-    must have rank k.
     """
     inner = list(inner)
     k = len(inner)
@@ -190,6 +190,7 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows):
     for q in inner:
         if q.arity != arity:
             raise ArityMismatch("inner polynomials disagree with formula arity")
+    rows = witness_jacobian(inner, point).to_rows()
     trace = []
 
     shifted = shift_formula(f, point)
@@ -207,7 +208,7 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows):
     reduced, cols = gauss_jordan(
         [
             list(row) + [ONE if i == j else ZERO for j in range(k)]
-            for i, row in enumerate(jacobian_rows)
+            for i, row in enumerate(rows)
         ],
         arity,
     )
@@ -221,9 +222,8 @@ def _recover_traced(f, expanded, inner, degree, point, jacobian_rows):
         children = [inp(i) for i in range(k) if row[i]]
         weights = [w for w in row if w]
         mapping[c] = Formula(sum_node(children, weights), k)
-    # unselected inputs become zero, wrapped in a gate so that this pass adds
-    # the same depth on every leaf and the total depth increase stays one
-    # input-independent constant
+    # unselected inputs become zero, wrapped in a gate so that this pass
+    # deepens every variable leaf by one (see `ReductionReport` on depth)
     zero_form = Formula(sum_node([const(0)]), k)
     for j in range(arity):
         if j not in mapping:
@@ -245,12 +245,13 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
 
     The result is expanded and re-composed with the inner family; a mismatch
     (e.g. a non-homogeneous g) raises ReductionMismatch; a point that is not
-    a common zero with Jacobian rank k raises InvalidWitness.
+    a common zero with Jacobian rank k raises InvalidWitness.  The input is
+    expanded before the witness is checked, so an input over the term
+    budget raises BudgetExceeded first.
     """
     inner = list(inner)
-    rows = witness_jacobian(inner, point).to_rows()
     expanded = f.expand()
-    result, _ = _recover_traced(f, expanded, inner, degree, point, rows)
+    result, _ = _recover_traced(f, expanded, inner, degree, point)
     # the recovered coefficients are rationals stored in the witness's
     # cyclotomic field; demoted, the composition runs over Q
     recovered = result.expand().map_coefficients(demote)
@@ -296,24 +297,24 @@ class PassRecord:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Sizes, depths and the witness used, pass by pass."""
+    """Sizes, depths and the witness used, pass by pass.  The shift, the
+    scaling, the combining gate and the substitution each deepen a variable
+    leaf by one, a constant leaf gets the combining gate only: the depth
+    increase is at most 4, exactly 4 when a deepest input leaf is a variable."""
 
     input_size: int
     input_depth: int
     output_size: int
     output_depth: int
     witness: tuple
-    passes: tuple[PassRecord, ...] = field(default_factory=tuple)
-    variables: int = 0
+    passes: tuple[PassRecord, ...]
+    variables: int
 
     def depth_increase(self) -> int:
         return self.output_depth - self.input_depth
 
     def size_bound_ok(self) -> bool:
-        return (
-            self.output_size
-            <= REDUCTION_SIZE_CONSTANT * self.input_size**2 * max(self.variables, 1)
-        )
+        return self.output_size <= REDUCTION_SIZE_CONSTANT * self.input_size**2 * self.variables
 
     def to_json(self) -> dict:
         return {
@@ -379,14 +380,15 @@ def schur_to_det_reduce(
     The h-determinant entries of such a lambda are distinct h_m with
     1 <= m <= n-1, so s_lambda is a composition of the determinant (as the
     outer homogeneous polynomial, degree l) with a subfamily of the
-    h-polynomials, which carry a root-of-unity witness.  Recovering the outer
-    polynomial and relabeling its variables to the matrix layout yields the
-    determinant formula.  Output variables are row-major: z_{i,j} is variable
-    (i-1)*l + (j-1).  `budget` bounds the term count of the pipeline's two
-    expansions, the input's and the output's, as in `Formula.expand`.  With
-    no input formula it is first held against the least term count of
-    s_lambda, so that an instance too large for it raises BudgetExceeded
-    before the formula is built.
+    h-polynomials, whose common zero at the n-th roots of unity the recovery
+    pass checks.  Recovering the outer polynomial and relabeling its
+    variables to the matrix layout yields the determinant formula, at most 4
+    deeper than the input (see `ReductionReport`).  Output variables are
+    row-major: z_{i,j} is variable (i-1)*l + (j-1).  `budget` bounds the
+    term count of the pipeline's two expansions, the input's and the
+    output's, as in `Formula.expand`.  With no input formula it is first
+    held against the least term count of s_lambda, so that an instance too
+    large for it raises BudgetExceeded before the formula is built.
 
     Each identity is checked once.  The input must expand to
     `schur_jt_h(lam, n)` (else ValueError) and the output to `det_poly(l)`
@@ -395,8 +397,8 @@ def schur_to_det_reduce(
     check `recover_outer_formula` makes:
 
     * `schur_jt_h` is `det_poly_matrix` of (h_(lam_i - i + j)), that is
-      det_l composed with the labelled h's, and the witness's polynomial
-      m - 1 is h_m, so that is det_l relabelled, composed with `inner`;
+      det_l composed with the labelled h's, and `inner` is those h's in
+      sorted-label order, so that is det_l relabelled, composed with `inner`;
     * the relabelling is a bijection on the variables, so an output that
       expands to det_l comes from a recovered polynomial that is det_l
       relabelled, and its composition with `inner` is `schur_jt_h`, which
@@ -423,14 +425,10 @@ def schur_to_det_reduce(
     if expanded != schur_jt_h(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")
 
-    witness = h_family_witness(n)
+    point = roots_of_unity_point(n)
     sorted_labels = sorted(m for row in labels for m in row)
-    # h_m is the witness's polynomial m - 1 and row m - 1 of its Jacobian
-    inner = tuple(witness.polys[m - 1] for m in sorted_labels)
-    rows = [witness.jacobian.row(m - 1) for m in sorted_labels]
-    recovered, trace = _recover_traced(
-        f, expanded, inner, ell, witness.point, jacobian_rows=rows
-    )
+    inner = [h_poly(m, n) for m in sorted_labels]
+    recovered, trace = _recover_traced(f, expanded, inner, ell, point)
 
     k = ell * ell
     position = {labels[i][j]: i * ell + j for i in range(ell) for j in range(ell)}
@@ -448,7 +446,7 @@ def schur_to_det_reduce(
         input_depth=f.depth(),
         output_size=passes[-1].size,
         output_depth=passes[-1].depth,
-        witness=witness.point,
+        witness=point,
         passes=passes,
         variables=n,
     )

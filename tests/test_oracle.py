@@ -14,9 +14,9 @@ from schurkit.field import CyclotomicScalar, Rat, ScalarMatrix, bareiss, fold_co
 from schurkit.independence import h_family_witness, p_family_witness, roots_of_unity_witness
 from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
-from schurkit.symmetric import e_poly, schur_bialternant
+from schurkit.symmetric import e_poly, schur_bialternant, schur_jt_e, schur_jt_h, schur_ssyt
 
-from helpers import partial
+from helpers import partial, random_formula
 
 
 def rational(c):
@@ -204,3 +204,61 @@ def test_bialternant_is_the_ratio_of_sympy_determinants(parts):
     quotient, remainder = sympy.div(alternant(shifted), alternant(delta))
     assert remainder.is_zero
     assert sympy.Poly(to_sympy(schur_bialternant(lam, n), xs), *xs, domain="QQ") == quotient
+
+
+def complete(xs, k):
+    """h_k in the symbols `xs` as a sympy expression: 0 below degree 0."""
+    if k < 0:
+        return sympy.Integer(0)
+    return sympy.Add(*(sympy.Mul(*c) for c in itertools.combinations_with_replacement(xs, k)))
+
+
+def elementary(xs, k):
+    """e_k in the symbols `xs`: 0 below degree 0 and above len(xs)."""
+    if k < 0:
+        return sympy.Integer(0)
+    return sympy.Add(*(sympy.Mul(*c) for c in itertools.combinations(xs, k)))
+
+
+@pytest.mark.parametrize("parts, n", [((3, 1), 4), ((2, 2, 1), 4), ((4, 2), 3), ((3, 2, 1), 4)])
+def test_schur_routes_are_sympy_jacobi_trudi_determinants(parts, n):
+    """`schur_jt_h`, `schur_jt_e` and `schur_ssyt` against sympy's
+    determinants of (h_(lam_i - i + j)) and (e_(lam'_i - i + j)), with the
+    entries built in sympy from the symbols."""
+    xs = sympy.symbols(f"x0:{n}")
+    conjugate = [sum(p > j for p in parts) for j in range(parts[0])]
+
+    def jacobi_trudi(entry, shape):
+        size = len(shape)
+        det = sympy.Matrix(size, size, lambda i, j: entry(xs, shape[i] - i + j)).det(method="berkowitz")
+        return sympy.Poly(det, *xs, domain="QQ")
+
+    h_det = jacobi_trudi(complete, parts)
+    assert h_det == jacobi_trudi(elementary, conjugate)
+    lam = Partition(parts)
+    for route in (schur_jt_h, schur_jt_e, schur_ssyt):
+        assert sympy.Poly(to_sympy(route(lam, n), xs), *xs, domain="QQ") == h_det, route.__name__
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_formula_expand_against_sympy_expand(seed):
+    """`Formula.expand` of seeded random formulas against `sympy.expand` of
+    the same trees, their weights and constants as sympy rationals."""
+    rng = random.Random(seed)
+    arity = 1 + seed % 3
+    xs = sympy.symbols(f"x0:{arity}")
+
+    def tree(node):
+        if node.kind == "input":
+            return xs[node.var]
+        if node.kind == "const":
+            return rational(node.value)
+        children = [tree(c) for c in node.children]
+        if node.kind == "sum":
+            return sympy.Add(*(rational(w) * c for w, c in zip(node.weights, children)))
+        return sympy.Mul(*children)
+
+    for _ in range(4):
+        f = random_formula(rng, arity, max_depth=4)
+        expected = sympy.Poly(sympy.expand(tree(f.root)), *xs, domain="QQ")
+        assert sympy.Poly(to_sympy(f.expand(), xs), *xs, domain="QQ") == expected

@@ -89,3 +89,11 @@ def test_routes_benchmark_runs_correct():
     # the routes gate checks all four routes, schur_ssyt and det_poly_matrix
     # among them, against the digests recorded in perfbench/references.json
     run_benchmark_second("routes")
+
+
+def test_reduce_large_benchmark_runs_correct():
+    # the reduce-large gate expands the (6,3)/8 output against det_2; the
+    # reduction checks the witness of the four h's it recovers through, not
+    # the whole h-family
+    metrics = run_benchmark_second("reduce-large")["metrics"]
+    assert metrics["independence.h_family_witness.calls"]["value"] == 0

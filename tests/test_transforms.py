@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schurkit import transforms
+from schurkit import circuits, independence, transforms
 from schurkit.circuits import (
     Formula,
     const,
@@ -23,7 +23,7 @@ from schurkit.errors import (
     ReductionMismatch,
     VerificationFailed,
 )
-from schurkit.field import Rat
+from schurkit.field import Rat, ScalarMatrix
 from schurkit.independence import h_family_witness, roots_of_unity_witness
 from schurkit.partitions import Partition, partitions_of, staircase
 from schurkit.poly import Poly
@@ -223,21 +223,26 @@ class TestRecoverOuter:
         with pytest.raises(InvalidWitness):
             recover_outer_formula(formula_from_poly(e1 * e1), [e1, e1], 2, self.witness.point)
 
-    def test_rank_deficient_witness_rows_rejected(self):
-        # the pass takes the witness rows as given but still needs k
-        # independent ones
+    def test_rank_deficient_witness_rows_rejected(self, monkeypatch):
+        # the pass checks the witness itself, so rows of rank below k reach
+        # the elimination only past a faulty check, and still stop the pass
         f = self.compose(Formula(prod_node([inp(0), inp(1)]), 2))
-        rows = self.witness.jacobian.to_rows()
-        with pytest.raises(VerificationFailed):
-            _recover_traced(
-                f, f.expand(), self.inner, 2, self.witness.point,
-                jacobian_rows=[rows[0], rows[0]],
-            )
-        result, _ = _recover_traced(
-            f, f.expand(), self.inner, 2, self.witness.point,
-            jacobian_rows=rows,
-        )
+        result, _ = _recover_traced(f, f.expand(), self.inner, 2, self.witness.point)
         assert result.expand() == Poly.monomial(2, (1, 1))
+        row = self.witness.jacobian.to_rows()[0]
+        monkeypatch.setattr(
+            transforms, "witness_jacobian", lambda polys, point: ScalarMatrix(2, 3, row + row)
+        )
+        with pytest.raises(VerificationFailed, match="rank below 2"):
+            _recover_traced(f, f.expand(), self.inner, 2, self.witness.point)
+
+    def test_input_expanded_before_the_witness_check(self, monkeypatch):
+        # a bad witness and an input over the term budget: the budget trips
+        # first, since the recovery pass checks the witness after expansion
+        g = Formula(prod_node([inp(0), inp(1)]), 2)
+        monkeypatch.setattr(circuits, "DEFAULT_TERM_BUDGET", 2)
+        with pytest.raises(BudgetExceeded):
+            recover_outer_formula(self.compose(g), self.inner, 2, (Rat(0), Rat(0), Rat(0)))
 
     def test_non_homogeneous_detected(self):
         # e1 + e1*e2 is a composition with a non-homogeneous outer polynomial
@@ -354,6 +359,31 @@ class TestEachIdentityOnce:
         with pytest.raises(VerificationFailed, match="determinant"):
             schur_to_det_reduce(Partition((3, 2)), 5)
 
+    @pytest.mark.parametrize("parts, n", [((3, 2), 5), ((4, 2), 6)])
+    def test_one_witness_check_on_the_labelled_h(self, monkeypatch, parts, n):
+        # the recovery pass checks the l^2 h's it recovers through, in
+        # sorted-label order, and never the whole h-family
+        checked = []
+        check = transforms.witness_jacobian
+
+        def counted_check(polys, point):
+            checked.append((list(polys), point))
+            return check(polys, point)
+
+        families = []
+        monkeypatch.setattr(transforms, "witness_jacobian", counted_check)
+        monkeypatch.setattr(
+            independence, "h_family_witness", lambda n: families.append(n)
+        )
+        lam = Partition(parts)
+        out, report = schur_to_det_reduce(lam, n)
+        labels = sorted(m for row in jacobi_trudi_labels(lam) for m in row)
+        assert checked == [([h_poly(m, n) for m in labels], h_family_witness(n).point)]
+        assert report.witness == h_family_witness(n).point
+        assert families == []
+        assert not hasattr(transforms, "h_family_witness")
+        assert out.expand() == det_poly(lam.length)
+
     def test_two_expansions_and_no_composition(self, monkeypatch):
         expands = counted(monkeypatch, Formula, "expand")
         composes = counted(monkeypatch, Poly, "compose")
@@ -437,3 +467,21 @@ def test_extraction_bound_comes_from_the_expansion():
     assert out.expand() == det_poly(2)
     assert report.depth_increase() == 4
     assert report.output_size == 11317
+
+
+def test_depth_increase_is_at_most_four():
+    # the passes deepen a variable leaf by 4 and a constant leaf by 1 (the
+    # combining gate), so a deepest path ending in a constant leaf gives
+    # less: 40 single-child sum gates over 1, minus 1, still compute s_(3,2)
+    lam = Partition((3, 2))
+    chain = const(1)
+    for _ in range(40):
+        chain = sum_node([chain])
+    padded = Formula(
+        sum_node([jacobi_trudi_formula(lam, 5).root, chain, const(1)], [1, 1, -1]), 5
+    )
+    out, report = schur_to_det_reduce(lam, 5, padded)
+    assert out.expand() == det_poly(2)
+    assert (report.input_depth, report.output_depth) == (41, 42)
+    assert report.output_depth <= report.input_depth + 4
+    assert report.depth_increase() == 1
