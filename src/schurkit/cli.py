@@ -10,7 +10,8 @@ index type, or an input file nested too deeply for the stdlib JSON parser),
 fails (`VerificationFailed`, `InvalidWitness`, `ReductionMismatch`,
 `GridExhausted`, `NoNonvanishingPoint`, `NotDivisible`), 4 when a term
 budget is exceeded (by `schur`, before any route runs, when an a-priori
-bound on the work exceeds it).
+bound on the terms exceeds it, or a count of a route's work exceeds
+`WORK_PER_BUDGET_TERM` = 100 times it).
 Every subcommand takes `--out`; only `witness` takes `--seed`, and
 `schur`, `reduce` and `pdc` take `--budget`.
 
@@ -22,6 +23,7 @@ renders each shared container of the payload once, not once per occurrence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -222,33 +224,54 @@ ROUTES = {
 }
 
 
+#: the work counts of `_check_schur_budget` are held against this multiple
+#: of the budget: a count is terms times steps per term, not terms
+WORK_PER_BUDGET_TERM = 100
+
+#: each route's steps per term of s_lambda, as a power of n: the
+#: bialternant reduces and expands each orbit over n-long exponent vectors
+#: about n times, the tableau route extends every filling's exponent tuple
+#: at each of its n layers, and the determinant routes expand only the
+#: determinant, each term an n-long exponent vector once
+ROUTE_WORK_POWER = {"bialternant": 2, "ssyt": 2, "jt-h": 1, "jt-e": 1}
+
+
 def _check_schur_budget(lam: Partition, weight: int, n: int, routes, budget: int):
     """Raises BudgetExceeded, before any route runs, when an a-priori bound
-    on the work of `routes` exceeds `budget`: the C(weight + n - 1, n - 1)
+    on the work of `routes` exceeds its limit: the C(weight + n - 1, n - 1)
     monomials of that degree in n variables, which bound every route's
-    terms; n! for the bialternant, the terms of a dividend a_(lam+delta) it
-    no longer builds, which still keeps it to n <= 9 at the default budget,
-    where its per-term cost grows with n, and refuses small shapes it
-    answers at once, such as (2,1)/10; the lambda_1 * (n + 1) entries of
-    the e-determinant that can be non-zero (e_m = 0 for m > n).
+    terms, against `budget`; that count times n^p, p the route's
+    `ROUTE_WORK_POWER`, against `WORK_PER_BUDGET_TERM` * `budget`; and the
+    lambda_1 * (n + 1) entries of the e-determinant that can be non-zero
+    (e_m = 0 for m > n), against `budget`.
     Each bound is a running product of integer steps a / b that never
-    decreases, so it stops once past `budget` (C(a, k) with k <= a - k at
+    decreases, so it stops once past its limit (C(a, k) with k <= a - k at
     least doubles per step), and a huge n or part costs nothing."""
     k = min(n - 1, weight)
-    bounds = [(
-        f"C({weight + n - 1}, {n - 1}) terms of s_{lam} on {n} variables",
-        ((weight + n - 1 - k + i, i) for i in range(1, k + 1)),
-    )]
-    if "bialternant" in routes:
-        bounds.append((f"{n}! terms in the bialternant's dividend", ((i, 1) for i in range(2, n + 1))))
+    terms = f"C({weight + n - 1}, {n - 1}) terms of s_{lam} on {n} variables"
+
+    def count(*more):
+        return itertools.chain(((weight + n - 1 - k + i, i) for i in range(1, k + 1)), more)
+
+    bounds = [(budget, f"term budget {budget}", terms, count())]
+    if routes:
+        route = max(routes, key=ROUTE_WORK_POWER.__getitem__)
+        power = ROUTE_WORK_POWER[route]
+        bounds.append((
+            WORK_PER_BUDGET_TERM * budget,
+            f"work budget {WORK_PER_BUDGET_TERM} * {budget}",
+            f"{terms}, {n}^{power} steps each in route {route}",
+            count(*[(n, 1)] * power),
+        ))
     if "jt-e" in routes:
-        bounds.append((f"{lam.part(0)} * {n + 1} non-zero e-determinant entries", [(lam.part(0) * (n + 1), 1)]))
-    for what, steps in bounds:
+        entries = f"{lam.part(0)} * {n + 1} non-zero e-determinant entries"
+        bounds.append((budget, f"term budget {budget}", entries, [(lam.part(0) * (n + 1), 1)]))
+    for limit, name, what, steps in bounds:
         value = 1
         for a, b in steps:
             value = value * a // b
-            if value > budget:
-                raise BudgetExceeded(f"term budget {budget} exceeded before the build: up to {what}")
+            if value > limit:
+                raise BudgetExceeded(f"{name} exceeded before the build: up to {what}")
 
 
 def _cmd_schur(args) -> int:
@@ -262,7 +285,7 @@ def _cmd_schur(args) -> int:
     if mu is not None:
         if args.route is not None:
             raise ValueError("--route applies to straight shapes only; a skew shape uses its h-determinant")
-        _check_schur_budget(lam, lam.weight - mu.weight, n, (), budget)
+        _check_schur_budget(lam, lam.weight - mu.weight, n, ("jt-h",), budget)
         result = skew_schur_h(lam, mu, n)
         payload = {
             "lambda": str(lam),

@@ -25,7 +25,9 @@ an operand, `packed_decode` turns kernel numerators back into one,
 its monomials.
 
 A product is an integer kernel, `packed_product`, with five callers:
-`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix`,
+`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix` (general
+polynomial matrices, such as `transforms.det_poly`; the Schur determinant
+routes multiply on coefficients of partitions instead),
 `derivatives.pdc_dimension` for its w^i rows and, over a cyclotomic field,
 `Poly.divide_exact`.  Over Q the inner loop adds keys and multiplies
 ints.  In the order-n field it multiplies each monomial's numerators as

@@ -7,25 +7,37 @@ The Schur polynomial for a partition is constructed four independent ways:
   exponents, so neither n!-term alternant is expanded,
 * a determinant in the complete homogeneous basis (h),
 * a determinant in the elementary basis (e) over the conjugate partition,
+  both held, entry and minor alike, as coefficients on partitions (the
+  monomial-symmetric basis), each minor multiplied by h_a or e_a there,
 * the tableau generating function (column-strict fillings / Kostka counts),
   counted shape by shape by the branching rule.
 
 Exact equality of the four expansions is the package's core sanity battery.
+The bialternant and the two determinants end the same way: each partition
+with a non-zero coefficient is expanded into the distinct rearrangements
+of its exponents (`_rearrangements`).  The tableau route builds every
+exponent vector itself and assumes no symmetry, so a fault in that shared
+expansion shows as a disagreement with it.
 No route recurses: the bialternant runs one loop over the leading alternant
 of its remainder, the determinants one loop per row over bit masks of free
 columns, and the tableau route one loop per entry over shapes.
 Also here: skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
-basis by the leading-term reduction.  Polynomial determinants run on the
-packed integer form that `poly` owns (`field` owns only its scalar side),
-through its encoder, product kernel and decoder.
+basis by the leading-term reduction.  Determinants of general polynomial
+matrices (`det_poly_matrix`) run on the packed integer form that `poly`
+owns (`field` owns only its scalar side), through its encoder, product
+kernel and decoder; they share the mask loop (`_cofactor_expansion`) with
+the Schur determinants.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from collections import Counter
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
@@ -77,9 +89,9 @@ def p_poly(k: int, n: int) -> Poly:
 # determinant expansion over polynomial entries
 # ---------------------------------------------------------------------------
 
-def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials by cofactor expansion, each
-    row along the columns the rows above it leave free.
+def _cofactor_expansion(rows, one, combine):
+    """The determinant of `rows` by cofactor expansion, each row along the
+    columns the rows above it leave free; a zero entry is None.
 
     A set of free columns is a bit mask.  The minor of rows r..m-1 on mask
     M is the signed sum, over the j in M where row r is non-zero, of
@@ -87,8 +99,37 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     masks ever needed are those reached from all columns by deleting, row
     by row, a column where the row is non-zero: a forward pass collects
     them, and a backward pass builds each one's minor from the next row's.
-    That is O(2^m) polynomial multiplications instead of m!.  Rows must be
-    non-empty.
+    That is O(2^m) products instead of m!.  `one` is the minor of no rows,
+    and `combine` takes a mask's (entry, minor, sign) parts to the minor
+    sum of sign * entry * minor, or to None when that is zero; a zero
+    minor is never a part.  Returns None for a zero determinant.  Rows
+    must be non-empty.
+    """
+    m = len(rows)
+    full = (1 << m) - 1
+    levels = [{full}]
+    for row in rows[:-1]:
+        levels.append(
+            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j] is not None}
+        )
+    minors = {0: one}
+    for row, level in zip(reversed(rows), reversed(levels)):
+        above = {}
+        for mask in level:
+            parts = []
+            for pos, j in enumerate(j for j in range(m) if mask >> j & 1):
+                sub = minors.get(mask ^ 1 << j)
+                if row[j] is not None and sub is not None:
+                    parts.append((row[j], sub, -1 if pos & 1 else 1))
+            minor = combine(parts) if parts else None
+            if minor is not None:
+                above[mask] = minor
+        minors = above
+    return minors.get(full)
+
+
+def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a matrix of polynomials by `_cofactor_expansion`.
 
     The loops run on the packed integer form that `poly` owns, as
     `Poly.__mul__` does: each distinct entry is encoded once
@@ -96,10 +137,10 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     the largest entry degree, which bounds every minor's degree.  A minor
     is (numerators, denominator), built with `poly.packed_product` and
     `poly.packed_sum`; only the determinant is decoded
-    (`poly.packed_decode`).  Entries of two arities raise ArityMismatch.  The coefficients
-    are all rational when every entry is, else all `CyclotomicScalar`s of
-    the entries' one order (two orders raise DomainMismatch, even where
-    they never meet in a product).
+    (`poly.packed_decode`).  Entries of two arities raise ArityMismatch.
+    The coefficients are all rational when every entry is, else all
+    `CyclotomicScalar`s of the entries' one order (two orders raise
+    DomainMismatch, even where they never meet in a product).
     """
     m = len(rows)
     if m == 0:
@@ -112,28 +153,20 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
     degree = {i: p.total_degree() for i, p in entries.items()}
     width = sum(max(0, *(degree[id(p)] for p in row)) for row in rows).bit_length()
     codes = {i: packed_encode(p, width, order) for i, p in entries.items()}
-    rows = [[codes[id(p)] for p in row] for row in rows]
-    levels = [{(1 << m) - 1}]
-    for row in rows[:-1]:
-        levels.append(
-            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j][0]}
-        )
-    minors = {0: ({0: 1}, 1)}
-    for row, level in zip(reversed(rows), reversed(levels)):
-        above = {}
-        for mask in level:
-            parts = []
-            for pos, j in enumerate(j for j in range(m) if mask >> j & 1):
-                nums, den = row[j]
-                if nums:
-                    sub, sub_den = minors[mask ^ 1 << j]
-                    if sub:
-                        term = packed_product(nums, sub.items(), order)
-                        parts.append((term, -1 if pos & 1 else 1, den * sub_den))
-            above[mask] = packed_sum(parts)
-        minors = above
-    acc, den = minors[(1 << m) - 1]
-    return packed_decode(acc, den, arity, width, order)
+
+    def combine(parts):
+        acc, den = packed_sum([
+            (packed_product(nums, sub.items(), order), sign, entry_den * sub_den)
+            for (nums, entry_den), (sub, sub_den), sign in parts
+        ])
+        return (acc, den) if acc else None
+
+    det = _cofactor_expansion(
+        [[codes[id(p)] if p.terms else None for p in row] for row in rows], ({0: 1}, 1), combine
+    )
+    if det is None:
+        return Poly.zero(arity)
+    return packed_decode(*det, arity, width, order)
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +209,29 @@ def generalized_vandermonde(exps: Sequence[int], n: int) -> Poly:
 
 
 def _rearrangements(values: Sequence[int]) -> list[tuple[int, ...]]:
-    """Each distinct rearrangement of `values` once, built value by value:
-    the positions of each distinct value are a combination of those still
-    free.  So there are n! / prod(multiplicity!) of them, and no
-    permutation of all n positions is ever formed."""
-    n = len(values)
-    layer = [((None,) * n, tuple(range(n)))]
-    for value, count in Counter(values).items():
-        grown = []
-        for arrangement, free in layer:
-            for chosen in itertools.combinations(free, count):
-                row = list(arrangement)
-                for i in chosen:
-                    row[i] = value
-                grown.append((tuple(row), tuple(i for i in free if i not in chosen)))
-        layer = grown
-    return [arrangement for arrangement, _ in layer]
+    """Each distinct rearrangement of `values` once, built value by value,
+    the rarest first: with the rearrangements of the values placed so far,
+    each set of slots among the grown length that they take, in order,
+    leaves the others to the next value.  So there are n! /
+    prod(multiplicity!) of them, no permutation of all n positions is ever
+    formed, and each is made by one `itemgetter` call on an earlier one
+    with the next value appended."""
+    groups = sorted(Counter(values).items(), key=itemgetter(1))
+    if len(groups) < 2:
+        return [tuple(values)]
+    (value, count), *rest = groups
+    layer = [(value,) * count]
+    size = count
+    for value, count in rest:
+        size += count
+        getters = []
+        for slots in itertools.combinations(range(size), size - count):
+            index = [size - count] * size
+            for k, i in enumerate(slots):
+                index[i] = k
+            getters.append(itemgetter(*index))
+        layer = [get(row + (value,)) for row in layer for get in getters]
+    return layer
 
 
 def schur_bialternant(lam: Partition, n: int) -> Poly:
@@ -266,23 +306,142 @@ def schur_bialternant(lam: Partition, n: int) -> Poly:
 # determinant routes in the h and e bases
 # ---------------------------------------------------------------------------
 
-def _jacobi_trudi_det(labels: list[list[int]], n: int, basis) -> Poly:
-    """det(basis(labels[i][j], n)) in n variables; a negative label is a zero
-    entry, and each distinct label is built once."""
+def _h_images(nu: tuple[int, ...], a: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (mu, count) with count the coefficient of x^mu in m_nu * h_a, in
+    n variables: the x^beta * x^alpha with beta a rearrangement of nu and
+    |alpha| = a that give x^mu, one per beta <= mu (alpha = mu - beta).
+
+    So mu holds nu, a cells more, at most n rows.  The rows are grown one
+    at a time, each within its row above, and by at least what the rows
+    below it, each at most as long, cannot take of what is left; so the
+    last row takes the rest, and a huge a costs no more than a small one.
+    With mu sorted, the rows at least v long are a prefix, so the beta
+    come block by block of nu, largest value first: the m parts v go to m
+    of the rows at least v long that larger parts left free, which
+    multiplies count by a binomial."""
+    if a == 0:
+        return ((nu, 1),)
+    size = min(n, len(nu) + a)
+    nu += (0,) * (size - len(nu))
+    below = list(itertools.accumulate(reversed(nu), initial=0))[::-1]
+    grown = []
+    layer = [((), a)]
+    for i, v in enumerate(nu[:-1]):
+        rows_below = size - i - 1
+        nxt = []
+        for prefix, rem in layer:
+            if rem == 0:
+                grown.append(prefix + nu[i:])
+                continue
+            least = max(0, -(-(rem - rows_below * v + below[i + 1]) // (rows_below + 1)))
+            most = min(rem, prefix[-1] - v if prefix else rem)
+            nxt.extend((prefix + (v + t,), rem - t) for t in range(least, most + 1))
+        layer = nxt
+    grown.extend(prefix + (nu[-1] + rem,) for prefix, rem in layer)
+    blocks = []
+    placed = 0
+    for v, run in itertools.groupby(nu):
+        if v:
+            m = len(list(run))
+            blocks.append((v, m, placed))
+            placed += m
+    images = []
+    for mu in grown:
+        count = 1
+        for v, m, placed in blocks:
+            rows = placed + m
+            while rows < size and mu[rows] >= v:
+                rows += 1
+            count *= math.comb(rows - placed, m)
+        images.append((mu[: size - mu.count(0)], count))
+    return tuple(images)
+
+
+def _e_images(nu: tuple[int, ...], a: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (mu, count) with count the coefficient of x^mu in m_nu * e_a, in
+    n variables: mu is nu with one added to a parts, and count is the
+    number of a-subsets S with sort(mu - 1_S) = nu.
+
+    Of a block of m parts v of nu (zeros included), adding one to k of them
+    leaves the sorted order if they are the block's first k, so mu is
+    sorted as built.  Its k parts v + 1 join the m' - k' parts v + 1 the
+    block before left unraised, if that block's value is v + 1; a subset S
+    that gives back nu lowers, among those k + (m' - k') equal parts of mu,
+    exactly k, so count is the product of C(k + m' - k', k) over blocks.
+    Each block takes at least what the later blocks cannot, so the last
+    takes the rest."""
+    blocks = [(v, len(list(run))) for v, run in itertools.groupby(nu)]
+    if len(nu) < n:
+        blocks.append((0, n - len(nu)))
+    after = list(itertools.accumulate((m for _, m in reversed(blocks)), initial=0))[::-1]
+    layer = [((), a, 1, None, 0)]
+    for (v, m), later in zip(blocks, after[1:]):
+        layer = [
+            (
+                parts + (v + 1,) * k + (v,) * (m - k if v else 0),
+                rem - k,
+                count * math.comb(k + (left if prev == v + 1 else 0), k),
+                v,
+                m - k,
+            )
+            for parts, rem, count, prev, left in layer
+            for k in range(max(0, rem - later), min(rem, m) + 1)
+        ]
+    return tuple((parts, count) for parts, _, count, _, _ in layer)
+
+
+def _jacobi_trudi_det(labels: list[list[int]], n: int, elementary: bool = False) -> Poly:
+    """det(h_(labels[i][j])), or det(e_(labels[i][j])) when `elementary`,
+    in n variables; a negative label, or an e-label past n, is a zero
+    entry.
+
+    Every entry and every minor is symmetric, so it is held as its
+    coefficients on partitions, {mu: coefficient of x^mu} (mu's positive
+    parts, at most n of them), and `_cofactor_expansion` multiplies a
+    minor by h_a or e_a on those coefficients: each nu of the minor adds
+    its coefficient times count to each mu of `_h_images(nu, a, n)` or
+    `_e_images(nu, a, n)`.  Only the determinant is expanded, each orbit
+    once (`_rearrangements`).  The coefficients are integers.  A label
+    past sys.maxsize raises OverflowError, as `h_poly` and `e_poly` do for
+    such a degree.
+    """
     if not labels:
         return Poly.constant(n, 1)
-    entries = {m: basis(m, n) if m >= 0 else Poly.zero(n) for m in set().union(*labels)}
-    return det_poly_matrix([[entries[m] for m in row] for row in labels])
+    if n < 1:
+        raise ValueError("need n >= 1")
+    largest = max(map(max, labels))
+    if largest > sys.maxsize:
+        raise OverflowError(f"label {largest} is past sys.maxsize")
+    top = n if elementary else math.inf
+    images = _e_images if elementary else _h_images
+
+    def combine(parts):
+        acc = {}
+        get = acc.get
+        for a, minor, sign in parts:
+            for nu, c in minor.items():
+                c *= sign
+                for mu, count in images(nu, a, n):
+                    acc[mu] = get(mu, 0) + count * c
+        return {mu: c for mu, c in acc.items() if c} or None
+
+    det = _cofactor_expansion([[m if 0 <= m <= top else None for m in row] for row in labels], {(): 1}, combine)
+    terms = {}
+    for mu, c in (det or {}).items():
+        coeff = Rat(c)
+        for beta in _rearrangements(mu + (0,) * (n - len(mu))):
+            terms[beta] = coeff
+    return Poly._raw(n, terms)
 
 
 def schur_jt_h(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(h_{lam_i - i + j}) of size l(lam)."""
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam), n, h_poly)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam), n)
 
 
 def schur_jt_e(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(e_{lam'_i - i + j}) over the conjugate partition."""
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam.conjugate()), n, e_poly)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam.conjugate()), n, elementary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +505,7 @@ def skew_schur_h(lam: Partition, mu: Partition, n: int) -> Poly:
     """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) in n variables."""
     if not lam.contains(mu):
         raise NotContained(f"{mu} does not fit inside {lam}")
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam, mu), n, h_poly)
+    return _jacobi_trudi_det(jacobi_trudi_labels(lam, mu), n)
 
 
 def distinct_label_family(l: int, mu1: int) -> tuple[Partition, Partition]:

@@ -396,9 +396,10 @@ def schur_to_det_reduce(
     polynomial composed with the inner family reproduces the input, the
     check `recover_outer_formula` makes:
 
-    * `schur_jt_h` is `det_poly_matrix` of (h_(lam_i - i + j)), that is
-      det_l composed with the labelled h's, and `inner` is those h's in
-      sorted-label order, so that is det_l relabelled, composed with `inner`;
+    * `schur_jt_h` is the cofactor expansion of det(h_labels), carried out
+      on the coefficients of partitions, that is det_l composed with the
+      labelled h's, and `inner` is those h's in sorted-label order, so that
+      is det_l relabelled, composed with `inner`;
     * the relabelling is a bijection on the variables, so an output that
       expands to det_l comes from a recovered polynomial that is det_l
       relabelled, and its composition with `inner` is `schur_jt_h`, which

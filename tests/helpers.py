@@ -9,7 +9,7 @@ from schurkit.errors import LengthMismatch
 from schurkit.field import ONE, Rat, interpolation_weights
 from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
-from schurkit.symmetric import generalized_vandermonde
+from schurkit.symmetric import det_poly_matrix, e_poly, generalized_vandermonde, h_poly
 
 
 def random_formula(rng: random.Random, arity: int, max_depth: int = 4) -> Formula:
@@ -93,3 +93,13 @@ def divide_bialternant(lam: Partition, n: int) -> Poly:
     delta = staircase(n)
     shifted = tuple(lam.part(j) + delta[j] for j in range(n))
     return generalized_vandermonde(shifted, n).divide_exact(generalized_vandermonde(delta, n))
+
+
+def packed_jacobi_trudi(labels, n: int, basis=h_poly) -> Poly:
+    """det(basis(labels[i][j], n)) by `det_poly_matrix` over the full h or
+    e polynomials, a negative label a zero entry: the reference for the
+    determinant routes, which multiply on coefficients of partitions."""
+    if not labels:
+        return Poly.constant(n, 1)
+    entries = {m: basis(m, n) if m >= 0 else Poly.zero(n) for row in labels for m in row}
+    return det_poly_matrix([[entries[m] for m in row] for row in labels])

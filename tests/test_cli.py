@@ -141,6 +141,42 @@ class TestSchurCommand:
         same = result.stdout.strip() == schur_ssyt(Partition((5, 4, 3, 2, 1)), 9).to_text()
         assert same, "stdout is not the tableau route's polynomial"
 
+    @pytest.mark.parametrize("route", ["jt-h", "jt-e"])
+    def test_determinant_routes_on_nine_variables_answer_in_seconds(self, route):
+        # jt-h once took 57 s: it multiplied the full h polynomials pair by
+        # pair; a subprocess, so that such a route fails by timeout
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "schurkit",
+                "schur", "--route", route, "--lambda", "5,4,3,2,1", "--n", "9",
+            ],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert result.returncode == 0, result.stderr
+        # compared outside the assert, as in the bialternant's test
+        same = result.stdout.strip() == schur_ssyt(Partition((5, 4, 3, 2, 1)), 9).to_text()
+        assert same, "stdout is not the tableau route's polynomial"
+
+    @pytest.mark.parametrize("route", ["jt-h", "jt-e"])
+    def test_determinant_routes_on_two_long_rows(self, route):
+        # few variables, high degree: products of dense entries of degree
+        # 500, and for jt-e a 500 x 500 determinant
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "schurkit",
+                "schur", "--route", route, "--lambda", "500,500", "--n", "2",
+            ],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1*x1^500*x2^500"
+
     def test_budget_is_read(self, capsys):
         # once an unread flag (exit 1): s_(2) on 3 variables may have 6 terms
         code, out, err = run(capsys, "schur", "--lambda", "2", "--n", "3", "--budget", "1")
@@ -152,7 +188,8 @@ class TestSchurCommand:
         "argv, bound",
         [
             (("--lambda", "2", "--n", "3", "--route", "jt-h"), 6),  # C(4, 2) monomials
-            (("--lambda", "2,1", "--n", "4", "--route", "bialternant"), 24),  # 4! terms
+            # 11 terms, 11^2 steps each: 1,331 > 100 * 13
+            (("--lambda", "1", "--n", "11", "--route", "bialternant"), 14),
             (("--lambda", "3", "--n", "2", "--route", "jt-e"), 9),  # 3 * (2 + 1) labels
         ],
         ids=["terms", "bialternant", "jt-e"],
@@ -170,6 +207,36 @@ class TestSchurCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         code, _, err = run(capsys, "schur", *argv, "--budget", str(bound))
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--lambda", "1", "--n", "3000", "--route", "ssyt"),  # 3,000 terms, 3,000^2 steps each
+            ("--lambda", "1", "--n", "500000", "--route", "jt-h"),  # 500,000 terms, 500,000 steps each
+            ("--lambda", "1,1", "--n", "300", "--route", "bialternant"),  # 44,850 terms, 300^2 steps each
+            ("--lambda", "2/1", "--n", "8000"),  # the skew h-determinant: 8,000 terms, 8,000 steps each
+        ],
+        ids=["ssyt", "jt-h", "bialternant", "skew"],
+    )
+    def test_work_count_over_its_budget_exits_4_before_the_build(self, capsys, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("a route ran")
+
+        with monkeypatch.context() as patched:
+            for name in cli.ROUTES:
+                patched.setitem(cli.ROUTES, name, unreachable)
+            patched.setattr(cli, "skew_schur_h", unreachable)
+            code, out, err = run(capsys, "schur", *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"work budget {cli.WORK_PER_BUDGET_TERM} * 500000" in err
+
+    def test_bialternant_on_ten_variables_is_admitted(self, capsys):
+        # once refused by a 10! bound on a dividend the route does not build
+        code, out, err = run(capsys, "schur", "--route", "bialternant", "--lambda", "2,1", "--n", "10")
+        assert code == 0, err
+        assert out.strip() == schur_ssyt(Partition((2, 1)), 10).to_text()
 
     @pytest.mark.parametrize(
         "argv",

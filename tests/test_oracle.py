@@ -14,7 +14,15 @@ from schurkit.field import CyclotomicScalar, Rat, ScalarMatrix, bareiss, fold_co
 from schurkit.independence import h_family_witness, p_family_witness, roots_of_unity_witness
 from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
-from schurkit.symmetric import e_poly, schur_bialternant, schur_jt_e, schur_jt_h, schur_ssyt
+from schurkit.symmetric import (
+    e_poly,
+    jacobi_trudi_labels,
+    schur_bialternant,
+    schur_jt_e,
+    schur_jt_h,
+    schur_ssyt,
+    skew_schur_h,
+)
 
 from helpers import partial, random_formula
 
@@ -238,6 +246,21 @@ def test_schur_routes_are_sympy_jacobi_trudi_determinants(parts, n):
     lam = Partition(parts)
     for route in (schur_jt_h, schur_jt_e, schur_ssyt):
         assert sympy.Poly(to_sympy(route(lam, n), xs), *xs, domain="QQ") == h_det, route.__name__
+
+
+@pytest.mark.parametrize(
+    "outer, inner, n",
+    [((5, 3), (1,), 4), ((4, 3, 1), (2, 1), 4), ((3, 3, 2), (2,), 3), ((4, 2, 2), (2, 2), 4)],
+)
+def test_skew_schur_is_the_sympy_determinant_of_its_h_entries(outer, inner, n):
+    """`skew_schur_h` against sympy's determinant of (h_(lam_i - mu_j - i + j)),
+    the entries built in sympy from the symbols, 0 at a negative label."""
+    xs = sympy.symbols(f"x0:{n}")
+    labels = jacobi_trudi_labels(Partition(outer), Partition(inner))
+    size = len(labels)
+    det = sympy.Matrix(size, size, lambda i, j: complete(xs, labels[i][j])).det(method="berkowitz")
+    got = skew_schur_h(Partition(outer), Partition(inner), n)
+    assert sympy.Poly(to_sympy(got, xs), *xs, domain="QQ") == sympy.Poly(det, *xs, domain="QQ")
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -86,8 +86,9 @@ def test_reduce_cli_benchmark_runs_correct():
 
 
 def test_routes_benchmark_runs_correct():
-    # the routes gate checks all four routes, schur_ssyt and det_poly_matrix
-    # among them, against the digests recorded in perfbench/references.json
+    # the routes gate checks all four routes, schur_ssyt and the two
+    # determinants on coefficients of partitions among them, against the
+    # digests recorded in perfbench/references.json
     run_benchmark_second("routes")
 
 

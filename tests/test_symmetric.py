@@ -19,6 +19,8 @@ from schurkit.field import CyclotomicScalar, Rat, common_order, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
+    _e_images,
+    _h_images,
     _rearrangements,
     all_distinct,
     det_poly_matrix,
@@ -42,7 +44,13 @@ from schurkit.symmetric import (
     skew_schur_h,
 )
 
-from helpers import coefficient_kinds, divide_bialternant, elementary_symmetric_formula, symmetrize
+from helpers import (
+    coefficient_kinds,
+    divide_bialternant,
+    elementary_symmetric_formula,
+    packed_jacobi_trudi,
+    symmetrize,
+)
 
 ROUTES = (schur_bialternant, schur_jt_h, schur_jt_e, schur_ssyt)
 
@@ -308,6 +316,72 @@ class TestBialternantOnOrbits:
         assert all(sorted(beta) == sorted(values) for beta in got)
         multiplicities = map(math.factorial, Counter(values).values())
         assert len(got) == math.factorial(len(values)) // math.prod(multiplicities)
+
+
+#: partitions of weight <= 8, the empty one included
+PARTITIONS_TO_8 = [Partition(())] + list(partitions_up_to_weight(8))
+
+#: (lam, mu) with mu inside lam, |lam| <= 8
+SKEW_PAIRS_TO_8 = [(lam, mu) for lam in PARTITIONS_TO_8 for mu in PARTITIONS_TO_8 if lam.contains(mu)]
+
+
+def monomial_symmetric(nu, n):
+    """m_nu in n variables: one monomial per distinct rearrangement."""
+    exps = tuple(nu) + (0,) * (n - len(nu))
+    return Poly(n, {beta: 1 for beta in set(itertools.permutations(exps))})
+
+
+class TestDeterminantsOnPartitions:
+    """`schur_jt_h`, `schur_jt_e` and `skew_schur_h` multiply minors on
+    coefficients of partitions; `packed_jacobi_trudi` runs
+    `det_poly_matrix` over the full h and e polynomials."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PARTITIONS_TO_8), st.integers(1, 6))
+    @example(Partition(()), 1)
+    @example(Partition((8,)), 6)  # e-labels 1..8, past n
+    @example(Partition((1,) * 8), 6)  # h-labels down to -6, and past the length
+    @example(Partition((3, 3, 2)), 2)
+    def test_straight_shapes_equal_the_packed_determinant(self, lam, n):
+        got = schur_jt_h(lam, n)
+        assert got == packed_jacobi_trudi(jacobi_trudi_labels(lam), n)
+        assert schur_jt_e(lam, n) == packed_jacobi_trudi(jacobi_trudi_labels(lam.conjugate()), n, e_poly)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SKEW_PAIRS_TO_8), st.integers(1, 6))
+    @example((Partition((2, 2)), Partition((2,))), 3)  # label -1, a zero entry
+    @example((Partition((4, 3, 1)), Partition((2, 1))), 4)
+    @example((Partition((3, 3)), Partition((3, 3))), 2)  # labels 0 and below
+    def test_skew_shapes_equal_the_packed_determinant(self, pair, n):
+        lam, mu = pair
+        assert skew_schur_h(lam, mu, n) == packed_jacobi_trudi(jacobi_trudi_labels(lam, mu), n)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("a", range(4))
+    def test_images_are_the_monomial_coefficients_of_products(self, a, n):
+        for nu in [(), (1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (2, 2, 1, 1)]:
+            if len(nu) > n:
+                continue
+            m_nu = monomial_symmetric(nu, n)
+            for images, entry in ((_h_images, h_poly), (_e_images, e_poly)):
+                product = (m_nu * entry(a, n)).terms
+                want = {e: int(c) for e, c in product.items() if list(e) == sorted(e, reverse=True)}
+                got = {mu + (0,) * (n - len(mu)): count for mu, count in images(nu, a, n)}
+                assert got == want, (images.__name__, nu, a, n)
+
+    def test_a_huge_part_on_one_variable_is_one_image(self):
+        huge = 10**20
+        assert _h_images((), huge, 1) == (((huge,), 1),)
+        assert _h_images((3,), huge, 1) == (((huge + 3,), 1),)
+
+    def test_a_label_past_the_index_type_is_refused(self):
+        with pytest.raises(OverflowError):
+            schur_jt_h(Partition((10**20,)), 1)
+
+    def test_no_variables_is_refused(self):
+        with pytest.raises(ValueError):
+            schur_jt_h(Partition((1,)), 0)
 
 
 class TestKostka:
