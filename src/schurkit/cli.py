@@ -16,8 +16,10 @@ Every subcommand takes `--out`; only `witness` takes `--seed`, and
 `schur`, `reduce` and `pdc` take `--budget`.
 
 Every JSON output is the text of `json.dumps(obj, indent=2, sort_keys=True)`
-plus a newline, streamed by `_json_pieces`: it does not recurse, and it
-renders each shared container of the payload once, not once per occurrence.
+plus a newline, streamed by `_json_pieces`: it does not recurse, it builds
+each distinct container of the payload once, as a rope of level-0 text
+fragments, and it copies each byte of the output at most once before the
+write, as it re-indents the fragment that holds it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 import os
 import sys
 import tempfile
-from collections import Counter
 from typing import Iterable, Iterator
 
 from .circuits import DEFAULT_TERM_BUDGET, Formula, postorder
@@ -108,85 +109,74 @@ def _json_key(key) -> str:
     return json.dumps(key)
 
 
+#: the longest level-0 text, in characters, that a container is kept as
+#: one string for, and that its parents join into their own fragments; on
+#: the reduce outputs a shorter bound emits more pieces and a longer one
+#: copies more, and 2048..8192 wrote fastest
+_SHORT_TEXT = 4096
+
+
 def _json_pieces(obj) -> Iterator[str]:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, in pieces.
 
     A JSON string holds no raw newline, so a container's text at nesting
     level L is its level-0 text with each "\n" followed by 2L more spaces.
-    Containers (dicts, lists and tuples) are told apart by identity.  One
-    that occurs once in the tree, as the root and its unshared descendants
-    do, is walked and yielded piece by piece.  Every other one is rendered
-    once at level 0, children before parents, and each occurrence
-    re-indents that text with one `str.replace`; the text is dropped once
-    its last parent has used it.  So a formula that is small as a graph but
-    large as a tree costs a few passes over its text, not one per level of
-    sharing.  Nothing recurses, so depth is limited only by memory.
+    Containers (dicts, lists and tuples) are told apart by identity and
+    built once each, children before parents, however often they occur.
+    Each becomes a rope (Boehm, Atkinson and Plass 1995): the level-0
+    fragments of its own text, with the ropes of its children between
+    them.  A container whose text is one fragment of at most `_SHORT_TEXT`
+    characters is kept as that string instead, and its parents join it
+    into their fragments, so building copies a few short strings per edge
+    between distinct containers, however large the tree.  The pieces are
+    the fragments, each re-indented as an explicit stack of ropes emits
+    it: each byte of the output is copied at most once before the write,
+    and memory holds the distinct containers' fragments, not the output.
+    Nothing recurses, so depth is limited only by memory.
     """
     if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
         return
-    order = postorder(obj, _json_children)
-    uses = Counter(id(c) for node in order for c in _json_children(node))
-    if uses[id(obj)]:
-        raise ValueError("Circular reference detected")
-    walked = {id(obj)}
-    for node in reversed(order):
-        if id(node) in walked:
-            walked.update(id(c) for c in _json_children(node) if uses[id(c)] == 1)
-    texts: dict[int, str] = {}
-
-    def rendered(value, indent: str) -> str:
-        """A scalar, or the text of a rendered container at `indent` (a
-        newline and the spaces of its level)."""
-        if not isinstance(value, _CONTAINERS):
-            return json.dumps(value)
-        key = id(value)
-        if key not in texts:
-            raise ValueError("Circular reference detected")
-        text = texts[key]
-        uses[key] -= 1
-        if not uses[key]:
-            del texts[key]
-        return text.replace("\n", indent)
-
-    def container(node, indent: str):
-        """The pieces of `node` at `indent`; a walked child is yielded as
-        (child, its indent) for the caller to descend into."""
+    built: dict[int, str | list] = {}
+    for node in postorder(obj, _json_children):
         opening, closing = "{}" if isinstance(node, dict) else "[]"
-        if not node:
-            yield opening + closing
-            return
         if isinstance(node, dict):
             entries = [(_json_key(k) + ": ", v) for k, v in sorted(node.items())]
         else:
             entries = [("", v) for v in node]
-        inner = indent + "  "
-        separator = opening + inner
+        rope = []
+        fragment = [opening]
+        separator = "\n  "
         for prefix, value in entries:
-            yield separator + prefix
-            if isinstance(value, _CONTAINERS) and id(value) in walked:
-                yield value, inner
+            fragment.append(separator + prefix)
+            separator = ",\n  "
+            if not isinstance(value, _CONTAINERS):
+                fragment.append(json.dumps(value))
+                continue
+            # a child not built yet is its own ancestor: postorder met a cycle
+            part = built.get(id(value))
+            if part is None:
+                raise ValueError("Circular reference detected")
+            if isinstance(part, str):
+                fragment.append(part.replace("\n", "\n  "))
             else:
-                yield rendered(value, inner)
-            separator = "," + inner
-        yield indent + closing
-
-    def walk(top) -> Iterator[str]:
-        stack = [container(top, "\n")]
-        while stack:
-            for piece in stack[-1]:
-                if isinstance(piece, str):
-                    yield piece
-                else:
-                    stack.append(container(*piece))
-                    break
+                rope += ["".join(fragment), part]
+                fragment = []
+        fragment.append("\n" + closing if entries else closing)
+        text = "".join(fragment)
+        built[id(node)] = text if not rope and len(text) <= _SHORT_TEXT else rope + [text]
+    top = built[id(obj)]
+    stack = [(iter([top] if isinstance(top, str) else top), "\n")]
+    while stack:
+        items, indent = stack[-1]
+        for item in items:
+            if isinstance(item, str):
+                yield item.replace("\n", indent)
             else:
-                stack.pop()
-
-    for node in order:
-        if id(node) not in walked:
-            texts[id(node)] = "".join(walk(node))
-    yield from walk(obj)
+                stack.append((iter(item), indent + "  "))
+                break
+        else:
+            stack.pop()
 
 
 def _load_json(path: str):

@@ -577,11 +577,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            if self.arity != other.arity:
-                return False
-            if self.terms.keys() != other.terms.keys():
-                return False
-            return all(other.terms[e] == c for e, c in self.terms.items())
+            return self.arity == other.arity and self.terms == other.terms
         try:
             return self == Poly.constant(self.arity, other)
         except (TypeError, ValueError):

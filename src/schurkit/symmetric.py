@@ -90,8 +90,9 @@ def p_poly(k: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _cofactor_expansion(rows, one, combine):
-    """The determinant of `rows` by cofactor expansion, each row along the
-    columns the rows above it leave free; a zero entry is None.
+    """The determinant of the square matrix whose row i holds the non-zero
+    entries rows[i] = {column: entry}, columns ascending, by cofactor
+    expansion, each row along the columns the rows above it leave free.
 
     A set of free columns is a bit mask.  The minor of rows r..m-1 on mask
     M is the signed sum, over the j in M where row r is non-zero, of
@@ -99,28 +100,29 @@ def _cofactor_expansion(rows, one, combine):
     masks ever needed are those reached from all columns by deleting, row
     by row, a column where the row is non-zero: a forward pass collects
     them, and a backward pass builds each one's minor from the next row's.
-    That is O(2^m) products instead of m!.  `one` is the minor of no rows,
+    That is O(2^m) products instead of m!, and each mask visits only its
+    row's non-zero columns.  `one` is the minor of no rows,
     and `combine` takes a mask's (entry, minor, sign) parts to the minor
     sum of sign * entry * minor, or to None when that is zero; a zero
-    minor is never a part.  Returns None for a zero determinant.  Rows
-    must be non-empty.
+    minor is never a part.  Returns None for a zero determinant.  There
+    must be at least one row.
     """
     m = len(rows)
     full = (1 << m) - 1
     levels = [{full}]
     for row in rows[:-1]:
-        levels.append(
-            {mask ^ 1 << j for mask in levels[-1] for j in range(m) if mask >> j & 1 and row[j] is not None}
-        )
+        levels.append({mask ^ 1 << j for mask in levels[-1] for j in row if mask >> j & 1})
     minors = {0: one}
     for row, level in zip(reversed(rows), reversed(levels)):
         above = {}
         for mask in level:
             parts = []
-            for pos, j in enumerate(j for j in range(m) if mask >> j & 1):
-                sub = minors.get(mask ^ 1 << j)
-                if row[j] is not None and sub is not None:
-                    parts.append((row[j], sub, -1 if pos & 1 else 1))
+            for j, entry in row.items():
+                sub = minors.get(mask ^ 1 << j) if mask >> j & 1 else None
+                if sub is not None:
+                    # the sign of column j is that of its place among the free columns
+                    pos = (mask & (1 << j) - 1).bit_count()
+                    parts.append((entry, sub, -1 if pos & 1 else 1))
             minor = combine(parts) if parts else None
             if minor is not None:
                 above[mask] = minor
@@ -162,7 +164,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
         return (acc, den) if acc else None
 
     det = _cofactor_expansion(
-        [[codes[id(p)] if p.terms else None for p in row] for row in rows], ({0: 1}, 1), combine
+        [{j: codes[id(p)] for j, p in enumerate(row) if p.terms} for row in rows], ({0: 1}, 1), combine
     )
     if det is None:
         return Poly.zero(arity)
@@ -390,10 +392,11 @@ def _e_images(nu: tuple[int, ...], a: int, n: int) -> tuple[tuple[tuple[int, ...
     return tuple((parts, count) for parts, _, count, _, _ in layer)
 
 
-def _jacobi_trudi_det(labels: list[list[int]], n: int, elementary: bool = False) -> Poly:
+def _jacobi_trudi_det(rows: list[dict[int, int]], n: int, elementary: bool = False) -> Poly:
     """det(h_(labels[i][j])), or det(e_(labels[i][j])) when `elementary`,
-    in n variables; a negative label, or an e-label past n, is a zero
-    entry.
+    in n variables, where rows[i] = {j: labels[i][j]} holds only the
+    labels of row i that can give a non-zero entry: none negative, and
+    for e none past n.
 
     Every entry and every minor is symmetric, so it is held as its
     coefficients on partitions, {mu: coefficient of x^mu} (mu's positive
@@ -405,14 +408,13 @@ def _jacobi_trudi_det(labels: list[list[int]], n: int, elementary: bool = False)
     past sys.maxsize raises OverflowError, as `h_poly` and `e_poly` do for
     such a degree.
     """
-    if not labels:
+    if not rows:
         return Poly.constant(n, 1)
     if n < 1:
         raise ValueError("need n >= 1")
-    largest = max(map(max, labels))
+    largest = max((max(row.values()) for row in rows if row), default=0)
     if largest > sys.maxsize:
         raise OverflowError(f"label {largest} is past sys.maxsize")
-    top = n if elementary else math.inf
     images = _e_images if elementary else _h_images
 
     def combine(parts):
@@ -425,7 +427,7 @@ def _jacobi_trudi_det(labels: list[list[int]], n: int, elementary: bool = False)
                     acc[mu] = get(mu, 0) + count * c
         return {mu: c for mu, c in acc.items() if c} or None
 
-    det = _cofactor_expansion([[m if 0 <= m <= top else None for m in row] for row in labels], {(): 1}, combine)
+    det = _cofactor_expansion(rows, {(): 1}, combine)
     terms = {}
     for mu, c in (det or {}).items():
         coeff = Rat(c)
@@ -434,14 +436,26 @@ def _jacobi_trudi_det(labels: list[list[int]], n: int, elementary: bool = False)
     return Poly._raw(n, terms)
 
 
+def _band_labels(lam: Partition, top) -> list[dict[int, int]]:
+    """The labels lam_i - i + j of `jacobi_trudi_labels(lam)` in 0..top,
+    row by row as {j: label}: lam_i - i falls as i grows, so row i's lie in
+    the band of columns i - lam_i .. i - lam_i + top, and only those are
+    built."""
+    ell = lam.length
+    return [
+        {j: p - i + j for j in range(max(0, i - p), min(ell, i - p + top + 1))}
+        for i, p in enumerate(lam.parts)
+    ]
+
+
 def schur_jt_h(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(h_{lam_i - i + j}) of size l(lam)."""
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam), n)
+    return _jacobi_trudi_det(_band_labels(lam, math.inf), n)
 
 
 def schur_jt_e(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(e_{lam'_i - i + j}) over the conjugate partition."""
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam.conjugate()), n, elementary=True)
+    return _jacobi_trudi_det(_band_labels(lam.conjugate(), n), n, elementary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +519,8 @@ def skew_schur_h(lam: Partition, mu: Partition, n: int) -> Poly:
     """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) in n variables."""
     if not lam.contains(mu):
         raise NotContained(f"{mu} does not fit inside {lam}")
-    return _jacobi_trudi_det(jacobi_trudi_labels(lam, mu), n)
+    rows = [{j: m for j, m in enumerate(row) if m >= 0} for row in jacobi_trudi_labels(lam, mu)]
+    return _jacobi_trudi_det(rows, n)
 
 
 def distinct_label_family(l: int, mu1: int) -> tuple[Partition, Partition]:

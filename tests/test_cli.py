@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,16 @@ class TestSchurCommand:
         payload = json.loads(out)
         assert payload["agree"] is True
         assert payload["routes"]["ssyt"] == "1*x1^1000"
+
+    def test_jt_e_builds_only_the_band_of_a_long_conjugate(self, capsys, monkeypatch):
+        # the conjugate (1^1000) has a 1000 x 1000 label matrix, of which only
+        # the two diagonals of labels 0 and 1 are non-zero e's at n = 1;
+        # building the whole matrix took 2,000,002 Partition.part calls
+        calls = counted(monkeypatch, Partition, "part")
+        code, out, err = run(capsys, "schur", "--route", "jt-e", "--lambda", "1000", "--n", "1")
+        assert code == 0, err
+        assert out == "1*x1^1000\n"
+        assert len(calls) <= 10
 
     def test_tableau_route_on_long_rows(self, capsys):
         code, out, _ = run(capsys, "schur", "--route", "ssyt", "--lambda", "500,500", "--n", "2")
@@ -295,6 +306,16 @@ class TestReduceCommand:
         assert sha256(out_file) == README_DIGESTS["reduce-det-4,2/6"]
         assert sha256(report_file) == README_DIGESTS["reduce-report-4,2/6"]
 
+    def test_largest_instance_is_pinned(self):
+        # `reduce --lambda 6,3 --n 8 --out F` writes 416,719,239 bytes; they
+        # are hashed as the writer streams them, with no file
+        output, _ = transforms.schur_to_det_reduce(Partition((6, 3)), 8)
+        digest = hashlib.sha256()
+        for piece in cli._json_pieces(output.to_json()):
+            digest.update(piece.encode())
+        digest.update(b"\n")
+        assert digest.hexdigest() == REDUCE_6_3_8_DIGEST
+
     def test_skew_shape_is_bad_input(self, capsys, tmp_path):
         # the inner partition was once dropped, writing the s_(5,3) reduction
         out_file = tmp_path / "det.json"
@@ -433,6 +454,10 @@ README_DIGESTS = {
     "witness-h-6": "8b15693abb9bb66f832c8089b9e53578861333279cdb2e1ddc16126f18d026ae",
     "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
 }
+
+#: SHA-256 of `reduce --lambda 6,3 --n 8 --out`, recorded when the writer
+#: still re-indented each shared container's whole text
+REDUCE_6_3_8_DIGEST = "907439e6d038f6907194a293a4c76836c1ad3e52b9be6ccf2f0cc55b63c850dd"
 
 #: SHA-256 of `witness --family F --n N --out` for F = e, h, p and
 #: N = 2..8, recorded before root-of-unity evaluation moved to exponent
@@ -940,6 +965,18 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, obj):
         assert written(obj) == dumps(obj)
 
+    @settings(max_examples=300, deadline=None)
+    @given(shared_json(), st.sampled_from([0, 1, 40]))
+    def test_matches_json_dumps_as_ropes(self, obj, short):
+        # below `_SHORT_TEXT` a container is one string; a smaller bound keeps
+        # small containers as ropes, so the explicit stack emits them
+        saved = cli._SHORT_TEXT
+        cli._SHORT_TEXT = short
+        try:
+            assert written(obj) == dumps(obj)
+        finally:
+            cli._SHORT_TEXT = saved
+
     def test_shared_containers(self):
         leaf = {"kind": "input", "var": 1}
         mid = [leaf, leaf, {"x": leaf}]
@@ -975,6 +1012,20 @@ class TestJsonWriter:
                 dumps(obj)
             with pytest.raises(ValueError, match="Circular reference"):
                 written(obj)
+
+    def test_streaming_holds_a_fraction_of_the_text(self):
+        # the (4,2)/6 output is 18.4 MB of text from about 1,300 distinct
+        # containers; a writer that joins shared containers' texts peaks
+        # at about half the text
+        obj = transforms.schur_to_det_reduce(Partition((4, 2)), 6)[0].to_json()
+        tracemalloc.start()
+        try:
+            size = sum(len(piece) for piece in cli._json_pieces(obj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 18_424_607
+        assert peak < 3_000_000
 
     def test_product_chain_deeper_than_the_recursion_limit(self):
         # 1,500 product gates nest 3,002 JSON containers; the input x1 is one

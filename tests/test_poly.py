@@ -78,6 +78,16 @@ class TestRingOps:
         with pytest.raises(ArityMismatch):
             var(2, 0) + var(3, 0)
 
+    def test_rational_cyclotomic_coefficient_equals_fraction(self):
+        # equality compares the term dicts, so each coefficient pair is
+        # compared in one order; both orders must agree, with equal hashes
+        cyclo = Poly(2, {(1, 0): CyclotomicScalar(6, (Rat(1, 2),)), (0, 1): Rat(3)})
+        plain = Poly(2, {(1, 0): Rat(1, 2), (0, 1): Rat(3)})
+        assert isinstance(cyclo.terms[(1, 0)], CyclotomicScalar)
+        assert cyclo == plain and plain == cyclo
+        assert hash(cyclo) == hash(plain)
+        assert cyclo != Poly(2, {(1, 0): Rat(1, 2)})
+
     @given(polys(arity=2), polys(arity=2), points(2))
     @settings(max_examples=50, deadline=None)
     def test_eval_is_ring_homomorphism(self, p, q, point):

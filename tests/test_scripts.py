@@ -81,8 +81,10 @@ def test_independence_benchmark_runs_correct():
 
 def test_reduce_cli_benchmark_runs_correct():
     # the reduce gate checks each reduction's depth increase (+4), its size
-    # bound and the round trip of its --out file
-    run_benchmark_second("reduce-cli")
+    # bound and the round trip of its --out file; an op writes the (3,2)/5
+    # and (4,2)/6 --out files, 23,014,132 bytes in all
+    metrics = run_benchmark_second("reduce-cli")["metrics"]
+    assert metrics["cli.out_bytes"]["value"] == 23_014_132
 
 
 def test_routes_benchmark_runs_correct():
