@@ -24,7 +24,8 @@ with a sum gate per node and a product gate per edge.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import json
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, LengthMismatch
 from .field import (
@@ -40,6 +41,12 @@ from .field import (
 from .poly import Poly, content_free, packed_decode, packed_encode, packed_monomials, packed_product, packed_sum
 
 DEFAULT_TERM_BUDGET = 500_000
+
+#: the longest level-0 text, in characters, that a node is kept as one
+#: string for, and that its parents join into their own fragments; on the
+#: reduce outputs a shorter bound emits more pieces and a longer one copies
+#: more, and 2048..8192 wrote fastest
+_SHORT_TEXT = 4096
 
 
 class Node:
@@ -119,6 +126,19 @@ def _degree_bound(nodes: list) -> int:
         else:  # a product, or a constant with no children
             degrees[id(node)] = sum(below)
     return degrees[id(nodes[-1])]
+
+
+def _json_fields(node: Node) -> dict:
+    """A node's fields in the JSON format of `Formula.to_json`, all but
+    the "children" of a gate."""
+    if node.kind == "input":
+        return {"kind": "input", "var": node.var}
+    if node.kind == "const":
+        return {"kind": "const", "value": scalar_to_json(node.value)}
+    out = {"kind": node.kind}
+    if node.kind == "sum":
+        out["weights"] = [scalar_to_json(w) for w in node.weights]
+    return out
 
 
 def inp(var: int) -> Node:
@@ -355,25 +375,75 @@ class Formula:
         """The formula as nested dicts, for a JSON writer.
 
         A shared subtree becomes one shared dict, so the result is as small as
-        the node graph; the JSON text still spells out the whole tree.  The
-        CLI's writer does not recurse and renders each shared dict once, so
-        it writes the text at any depth.  Only the stdlib parser limits
-        depth: it cannot read back text a few hundred levels deep, and the
-        CLI reports such a file as bad input.  The dicts themselves
-        round-trip through `from_json` at any depth.
+        the node graph; the JSON text still spells out the whole tree.
+        `json_pieces` writes that text from the nodes, at any depth.  Only
+        the stdlib parser limits depth: it cannot read back text a few
+        hundred levels deep, and the CLI reports such a file as bad input.
+        The dicts themselves round-trip through `from_json` at any depth.
         """
         encoded: dict[int, dict] = {}
         for node in postorder(self.root):
-            if node.kind == "input":
-                out = {"kind": "input", "var": node.var}
-            elif node.kind == "const":
-                out = {"kind": "const", "value": scalar_to_json(node.value)}
-            else:
-                out = {"kind": node.kind, "children": [encoded[id(c)] for c in node.children]}
-                if node.kind == "sum":
-                    out["weights"] = [scalar_to_json(w) for w in node.weights]
+            out = _json_fields(node)
+            if node.kind not in ("input", "const"):
+                out["children"] = [encoded[id(c)] for c in node.children]
             encoded[id(node)] = out
         return {"arity": self.arity, "root": encoded[id(self.root)]}
+
+    def json_pieces(self) -> Iterator[str]:
+        """The text of `json.dumps(self.to_json(), indent=2, sort_keys=True)`,
+        in pieces, written from the nodes.
+
+        A JSON string holds no raw newline, so a node's text at nesting
+        level L is its level-0 text with each "\n" followed by 2L more
+        spaces.  Each distinct node is built once, children before parents,
+        as a rope (Boehm, Atkinson and Plass 1995): the level-0 fragments of
+        its own text, with the ropes of its children between them.  A node
+        whose text is one fragment of at most `_SHORT_TEXT` characters is
+        kept as that string instead, and its parents join it into their
+        fragments, so building copies a few short strings per edge between
+        distinct nodes, however large the tree.  The pieces are the
+        fragments, each re-indented as an explicit stack of ropes emits it:
+        a child sits two levels below its gate, inside "children", and the
+        root one level below the document.  So each byte of the output is
+        copied at most once before the write, memory holds the distinct
+        nodes' fragments, not the output, and nothing recurses.
+        """
+        built: dict[int, str | list] = {}
+        for node in postorder(self.root):
+            fields = json.dumps(_json_fields(node), indent=2, sort_keys=True)
+            if node.kind in ("input", "const"):
+                built[id(node)] = fields
+                continue
+            # "children" sorts before the other keys, so it opens the text
+            rope = []
+            fragment = ['{\n  "children": [']
+            separator = "\n    "
+            for c in node.children:
+                fragment.append(separator)
+                separator = ",\n    "
+                part = built[id(c)]
+                if isinstance(part, str):
+                    fragment.append(part.replace("\n", "\n    "))
+                else:
+                    rope += ["".join(fragment), part]
+                    fragment = []
+            fragment.append(("\n  ]," if node.children else "],") + fields[1:])
+            text = "".join(fragment)
+            built[id(node)] = text if not rope and len(text) <= _SHORT_TEXT else rope + [text]
+        yield '{\n  "arity": ' + json.dumps(self.arity) + ',\n  "root": '
+        top = built[id(self.root)]
+        stack = [(iter([top] if isinstance(top, str) else top), "\n  ")]
+        while stack:
+            items, indent = stack[-1]
+            for item in items:
+                if isinstance(item, str):
+                    yield item.replace("\n", indent)
+                else:
+                    stack.append((iter(item), indent + "    "))
+                    break
+            else:
+                stack.pop()
+        yield "\n}"
 
     @classmethod
     def from_json(cls, obj: dict) -> "Formula":

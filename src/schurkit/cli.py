@@ -16,10 +16,9 @@ Every subcommand takes `--out`; only `witness` takes `--seed`, and
 `schur`, `reduce` and `pdc` take `--budget`.
 
 Every JSON output is the text of `json.dumps(obj, indent=2, sort_keys=True)`
-plus a newline, streamed by `_json_pieces`: it does not recurse, it builds
-each distinct container of the payload once, as a rope of level-0 text
-fragments, and it copies each byte of the output at most once before the
-write, as it re-indents the fragment that holds it.
+plus a newline, streamed by `_json_pieces`: a formula writes its own text
+(`Formula.json_pieces`, which holds its distinct nodes, not the whole tree),
+and every other payload goes through the stdlib encoder's `iterencode`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import sys
 import tempfile
 from typing import Iterable, Iterator
 
-from .circuits import DEFAULT_TERM_BUDGET, Formula, postorder
+from .circuits import DEFAULT_TERM_BUDGET, Formula
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -90,93 +89,12 @@ def _write_output(path: str | None, pieces: Iterable[str]):
         raise
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _json_children(value) -> list:
-    """The containers directly inside a JSON container."""
-    items = value.values() if isinstance(value, dict) else value
-    return [v for v in items if isinstance(v, _CONTAINERS)]
-
-
-def _json_key(key) -> str:
-    """A dict key as `json.dumps` writes it: a str, int, float, bool or None
-    key becomes a JSON string."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
-
-
-#: the longest level-0 text, in characters, that a container is kept as
-#: one string for, and that its parents join into their own fragments; on
-#: the reduce outputs a shorter bound emits more pieces and a longer one
-#: copies more, and 2048..8192 wrote fastest
-_SHORT_TEXT = 4096
-
-
 def _json_pieces(obj) -> Iterator[str]:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, in pieces.
-
-    A JSON string holds no raw newline, so a container's text at nesting
-    level L is its level-0 text with each "\n" followed by 2L more spaces.
-    Containers (dicts, lists and tuples) are told apart by identity and
-    built once each, children before parents, however often they occur.
-    Each becomes a rope (Boehm, Atkinson and Plass 1995): the level-0
-    fragments of its own text, with the ropes of its children between
-    them.  A container whose text is one fragment of at most `_SHORT_TEXT`
-    characters is kept as that string instead, and its parents join it
-    into their fragments, so building copies a few short strings per edge
-    between distinct containers, however large the tree.  The pieces are
-    the fragments, each re-indented as an explicit stack of ropes emits
-    it: each byte of the output is copied at most once before the write,
-    and memory holds the distinct containers' fragments, not the output.
-    Nothing recurses, so depth is limited only by memory.
-    """
-    if not isinstance(obj, _CONTAINERS):
-        yield json.dumps(obj)
-        return
-    built: dict[int, str | list] = {}
-    for node in postorder(obj, _json_children):
-        opening, closing = "{}" if isinstance(node, dict) else "[]"
-        if isinstance(node, dict):
-            entries = [(_json_key(k) + ": ", v) for k, v in sorted(node.items())]
-        else:
-            entries = [("", v) for v in node]
-        rope = []
-        fragment = [opening]
-        separator = "\n  "
-        for prefix, value in entries:
-            fragment.append(separator + prefix)
-            separator = ",\n  "
-            if not isinstance(value, _CONTAINERS):
-                fragment.append(json.dumps(value))
-                continue
-            # a child not built yet is its own ancestor: postorder met a cycle
-            part = built.get(id(value))
-            if part is None:
-                raise ValueError("Circular reference detected")
-            if isinstance(part, str):
-                fragment.append(part.replace("\n", "\n  "))
-            else:
-                rope += ["".join(fragment), part]
-                fragment = []
-        fragment.append("\n" + closing if entries else closing)
-        text = "".join(fragment)
-        built[id(node)] = text if not rope and len(text) <= _SHORT_TEXT else rope + [text]
-    top = built[id(obj)]
-    stack = [(iter([top] if isinstance(top, str) else top), "\n")]
-    while stack:
-        items, indent = stack[-1]
-        for item in items:
-            if isinstance(item, str):
-                yield item.replace("\n", indent)
-            else:
-                stack.append((iter(item), indent + "  "))
-                break
-        else:
-            stack.pop()
+    A `Formula` stands for its `to_json` dicts."""
+    if isinstance(obj, Formula):
+        return obj.json_pieces()
+    return json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
 
 
 def _load_json(path: str):
@@ -330,7 +248,7 @@ def _cmd_reduce(args) -> int:
     # raises VerificationFailed unless the output expands to det_l
     output, report = schur_to_det_reduce(lam, n, f, budget=args.budget)
     ell = lam.length
-    _write_output(args.out, _json_pieces(output.to_json()))
+    _write_output(args.out, _json_pieces(output))
     report_json = report.to_json()
     report_json["verified_against_determinant"] = True
     report_json["lambda"] = str(lam)

@@ -404,7 +404,7 @@ def schur_to_det_reduce(
     held against the least term count of s_lambda, so that an instance too
     large for it raises BudgetExceeded before the formula is built.
 
-    Each identity is checked once.  The input must expand to
+    Each identity is checked once.  The input must have arity n and expand to
     `schur_jt_h(lam, n)` (else ValueError) and the output to `det_poly(l)`
     (else VerificationFailed).  Together they imply that the recovered
     polynomial composed with the inner family reproduces the input, the
@@ -436,6 +436,9 @@ def schur_to_det_reduce(
                 f"s_{lam} on {n} variables has at least {least}"
             )
         f = jacobi_trudi_formula(lam, n)
+    elif f.arity != n:
+        # checked before the expansion, which builds arity-long exponent vectors
+        raise ValueError(f"input formula has arity {f.arity}; s_{lam} has {n} variables")
     expanded = f.expand(budget=budget)
     if expanded != schur_jt_h(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")

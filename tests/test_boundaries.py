@@ -71,6 +71,20 @@ def test_the_packed_form_is_behind_poly():
     assert not found, found
 
 
+def test_the_formula_format_is_behind_circuits():
+    """Only `circuits` spells the keys of a gate in formula JSON: the other
+    modules write and read formulas through `Formula.to_json`,
+    `Formula.json_pieces` and `Formula.from_json`."""
+    found = [
+        f"{name}.py:{node.lineno} holds {node.value!r}"
+        for name, tree in MODULES.items()
+        if name != "circuits"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("children", "weights")
+    ]
+    assert not found, found
+
+
 def test_a_test_uses_private_names_of_its_own_module_only():
     """Outside `tests/helpers.py`, a private name of module m appears only
     in `tests/test_m.py`: a reference implementation in another test file

@@ -3,10 +3,14 @@ import json
 import pickle
 import random
 import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from schurkit import circuits
 from schurkit.circuits import (
     ABP,
     Formula,
@@ -23,7 +27,9 @@ from schurkit.circuits import (
 )
 from schurkit.errors import ArityMismatch, BudgetExceeded, DomainMismatch, LengthMismatch
 from schurkit.field import ONE, CyclotomicScalar, Rat, ScalarMatrix, ZERO, omega
+from schurkit.partitions import Partition
 from schurkit.poly import Poly
+from schurkit.transforms import schur_to_det_reduce
 
 from helpers import random_formula
 
@@ -408,6 +414,94 @@ class TestSerialization:
         f = Formula(sum_node([inp(0), const(omega(5))], [Rat(1, 2), 1]), 1)
         g = Formula.from_json(f.to_json())
         assert g.expand() == f.expand()
+
+
+def dumps(f: Formula) -> str:
+    return json.dumps(f.to_json(), indent=2, sort_keys=True)
+
+
+def written(f: Formula) -> str:
+    return "".join(f.json_pieces())
+
+
+SCALARS = st.one_of(
+    st.builds(Rat, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(lambda k, c: omega(8) ** k * c, st.integers(0, 7), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def shared_formulas(draw):
+    """Formulas over 3 inputs whose gates may take one node as several
+    children, with rational and cyclotomic constants and weights, zero
+    among them, and empty sum and product gates."""
+    pool = [inp(i) for i in range(3)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["const", "sum", "product"]))
+        if kind == "const":
+            pool.append(const(draw(SCALARS)))
+            continue
+        children = draw(st.lists(st.sampled_from(pool), max_size=4))
+        if kind == "sum":
+            pool.append(sum_node(children, [draw(SCALARS) for _ in children]))
+        else:
+            pool.append(prod_node(children))
+    return Formula(pool[-1], 3)
+
+
+class TestJsonPieces:
+    """`Formula.json_pieces` writes the text of `json.dumps(f.to_json(),
+    indent=2, sort_keys=True)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_formulas(), st.sampled_from([0, 1, 40, 4096]))
+    @example(Formula(sum_node([]), 1), 0)
+    @example(Formula(sum_node([prod_node([]), const(omega(8))], [0, omega(8)]), 1), 0)
+    def test_matches_json_dumps(self, f, short):
+        # below `_SHORT_TEXT` a node is one string; a smaller bound keeps
+        # small nodes as ropes, so the explicit stack emits them
+        saved = circuits._SHORT_TEXT
+        circuits._SHORT_TEXT = short
+        try:
+            assert written(f) == dumps(f)
+        finally:
+            circuits._SHORT_TEXT = saved
+
+    def test_streaming_holds_a_fraction_of_the_text(self):
+        # the (4,2)/6 output is 18.4 MB of text from about 1,300 distinct
+        # nodes; a writer that joins shared nodes' texts peaks at about
+        # half the text
+        f = schur_to_det_reduce(Partition((4, 2)), 6)[0]
+        tracemalloc.start()
+        try:
+            size = sum(len(piece) for piece in f.json_pieces())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 18_424_607
+        assert peak < 3_000_000
+
+    def test_product_chain_deeper_than_the_recursion_limit(self):
+        # 1,500 product gates nest 3,002 JSON containers; the input x1 is one
+        # node shared at every level
+        x1 = inp(1)
+        node = inp(0)
+        for level in range(1500):
+            node = prod_node([node, x1])
+            if level == 59:
+                inner = Formula(node, 2)
+        f = Formula(node, 2)
+        assert sys.getrecursionlimit() < 3000
+        text = written(f)
+        assert text.count("[") == 1500
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert json.loads(text) == f.to_json()
+        finally:
+            sys.setrecursionlimit(limit)
+        # the text of the 60-gate chain inside it is exactly what json.dumps writes
+        assert written(inner) == dumps(inner)
 
 
 class TestNodeImmutability:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurkit import cli, transforms
-from schurkit.circuits import Formula, const, inp, prod_node
+from schurkit.circuits import Formula, const
 from schurkit.cli import main
 from schurkit.errors import (
     GridExhausted,
@@ -311,7 +311,7 @@ class TestReduceCommand:
         # are hashed as the writer streams them, with no file
         output, _ = transforms.schur_to_det_reduce(Partition((6, 3)), 8)
         digest = hashlib.sha256()
-        for piece in cli._json_pieces(output.to_json()):
+        for piece in output.json_pieces():
             digest.update(piece.encode())
         digest.update(b"\n")
         assert digest.hexdigest() == REDUCE_6_3_8_DIGEST
@@ -369,6 +369,27 @@ class TestReduceCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Schur polynomial" in err
+
+    def test_formula_file_of_another_arity_exits_1_at_once(self, tmp_path):
+        # expanding an input of arity 10^8 builds 10^8-long exponent vectors:
+        # the arity is refused first; a subprocess, so that an expansion fails
+        # by timeout
+        path = tmp_path / "wide.json"
+        path.write_text('{"arity": 100000000, "root": {"kind": "input", "var": 0}}')
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "schurkit",
+                "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path),
+            ],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "arity 100000000" in result.stderr
 
     def test_input_and_output_are_expanded_once(self, capsys, monkeypatch, tmp_path):
         expansions = counted(monkeypatch, Formula, "expand")
@@ -955,7 +976,7 @@ def shared_json(draw):
 
 class TestJsonWriter:
     """`cli._json_pieces` writes the text of `json.dumps(obj, indent=2,
-    sort_keys=True)`."""
+    sort_keys=True)`; `tests/test_circuits.py` checks the formula writer."""
 
     @settings(max_examples=300, deadline=None)
     @given(shared_json())
@@ -964,18 +985,6 @@ class TestJsonWriter:
     @example({"b\"\n\u00e9": ['q"uo\nte', "\u2603", 1.5, -0.0, math.inf, None, True, False, 10**30]})
     def test_matches_json_dumps(self, obj):
         assert written(obj) == dumps(obj)
-
-    @settings(max_examples=300, deadline=None)
-    @given(shared_json(), st.sampled_from([0, 1, 40]))
-    def test_matches_json_dumps_as_ropes(self, obj, short):
-        # below `_SHORT_TEXT` a container is one string; a smaller bound keeps
-        # small containers as ropes, so the explicit stack emits them
-        saved = cli._SHORT_TEXT
-        cli._SHORT_TEXT = short
-        try:
-            assert written(obj) == dumps(obj)
-        finally:
-            cli._SHORT_TEXT = saved
 
     def test_shared_containers(self):
         leaf = {"kind": "input", "var": 1}
@@ -1013,39 +1022,19 @@ class TestJsonWriter:
             with pytest.raises(ValueError, match="Circular reference"):
                 written(obj)
 
-    def test_streaming_holds_a_fraction_of_the_text(self):
-        # the (4,2)/6 output is 18.4 MB of text from about 1,300 distinct
-        # containers; a writer that joins shared containers' texts peaks
-        # at about half the text
-        obj = transforms.schur_to_det_reduce(Partition((4, 2)), 6)[0].to_json()
+    def test_schur_payload_streams(self, monkeypatch):
+        # the jt-h payload of (4,3,2,1)/6 holds 1,296 terms; a writer that
+        # builds each container's text before its parent's peaks at several
+        # times the text
+        written_pieces = []
+        monkeypatch.setattr(cli, "_write_output", lambda path, pieces: written_pieces.append(pieces))
+        assert main(["schur", "--route", "jt-h", "--lambda", "4,3,2,1", "--n", "6", "--format", "json"]) == 0
+        (pieces,) = written_pieces
         tracemalloc.start()
         try:
-            size = sum(len(piece) for piece in cli._json_pieces(obj))
+            size = sum(len(piece) for piece in pieces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size == 18_424_607
-        assert peak < 3_000_000
-
-    def test_product_chain_deeper_than_the_recursion_limit(self):
-        # 1,500 product gates nest 3,002 JSON containers; the input x1 is one
-        # dict shared at every level
-        x1 = inp(1)
-        node = inp(0)
-        for _ in range(1500):
-            node = prod_node([node, x1])
-        obj = Formula(node, 2).to_json()
-        assert sys.getrecursionlimit() < 3000
-        text = written(obj)
-        assert text.count("[") == 1500
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(10_000)
-        try:
-            assert json.loads(text) == obj
-        finally:
-            sys.setrecursionlimit(limit)
-        # the text of the 60-gate chain inside it is exactly what json.dumps writes
-        inner = obj["root"]
-        for _ in range(1500 - 60):
-            inner = inner["children"][0]
-        assert written(inner) == dumps(inner)
+        assert size == 189_946
+        assert peak < size

@@ -322,6 +322,15 @@ class TestSchurToDet:
         with pytest.raises(ValueError):
             schur_to_det_reduce(Partition((3, 2)), 5, Formula(const(1), 5))
 
+    def test_rejects_input_of_another_arity_before_expanding_it(self, monkeypatch):
+        def expand(self, budget=None):
+            raise Sentinel("the input was expanded")
+
+        monkeypatch.setattr(Formula, "expand", expand)
+        for arity in (3, 100_000_000):
+            with pytest.raises(ValueError, match=f"arity {arity}"):
+                schur_to_det_reduce(Partition((3, 2)), 5, Formula(inp(0), arity))
+
     def test_report_json_shape(self):
         _, report = schur_to_det_reduce(Partition((3, 2)), 5)
         blob = report.to_json()
