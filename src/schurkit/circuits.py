@@ -6,6 +6,12 @@ may be physically shared between trees; sharing is purely an implementation
 economy, the semantics (and the size/depth metrics) always count occurrences,
 i.e. treat the structure as a tree.
 
+Every metric, evaluation, rewrite and serialization of a formula is one
+`fold` over its distinct nodes in `postorder`: a visit function computes a
+node's value from its children's, once per distinct node, without
+recursion.  Degree, evaluation and expansion walk the live children only
+(`_live_children`: zero-weight edges are skipped); the others walk all.
+
 Full symbolic expansion to a `Poly` is the brute-force oracle that every
 transformation pass in this package is checked against, so it is guarded by a
 term budget that counts monomials.  It runs in the packed integer form of
@@ -25,6 +31,7 @@ with a sum gate per node and a product gate per edge.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, LengthMismatch
@@ -68,12 +75,13 @@ class Node:
         """A flat encoding, so that pickle and deepcopy do not recurse once
         per level: the distinct nodes in post-order, each naming its
         children by their index in that list."""
-        nodes = postorder(self)
-        index = {id(node): i for i, node in enumerate(nodes)}
-        flat = [
-            (n.kind, n.var, n.value, tuple(index[id(c)] for c in n.children), n.weights)
-            for n in nodes
-        ]
+        flat = []
+
+        def visit(n, below):
+            flat.append((n.kind, n.var, n.value, tuple(below), n.weights))
+            return len(flat) - 1
+
+        fold(postorder(self), visit)
         return _node_from_flat, (flat,)
 
 
@@ -93,39 +101,60 @@ def postorder(root, children=lambda node: node.children) -> list:
     than by the interpreter's recursion limit.
     """
     order = []
-    seen = set()
-    stack = [(root, False)]
+    seen = {id(root)}
+    stack = [(root, iter(children(root)))]
     while stack:
-        item, done = stack.pop()
-        if done:
+        item, pending = stack[-1]
+        for c in pending:
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append((c, iter(children(c))))
+                break
+        else:
+            stack.pop()
             order.append(item)
-        elif id(item) not in seen:
-            seen.add(id(item))
-            stack.append((item, True))
-            stack.extend((c, False) for c in reversed(children(item)))
     return order
+
+
+def fold(nodes: list, visit, children=lambda node: node.children):
+    """The value of the root of `nodes`, a list `postorder(root, children)`
+    (whose last node is the root).
+
+    `visit(node, below)` gives a node's value from `below`, the list of
+    the values of `children(node)`, in order.  It is called once per
+    distinct node, children first, so a shared subtree is computed once
+    however often it occurs.
+    """
+    values = {}
+    for node in nodes:
+        values[id(node)] = visit(node, [values[id(c)] for c in children(node)])
+    return values[id(nodes[-1])]
 
 
 def _live_children(node: Node):
     """The children that can affect the value: zero-weight edges are skipped."""
     if node.kind == "sum":
-        return [c for w, c in zip(node.weights, node.children) if w]
+        return list(compress(node.children, node.weights))
     return node.children
 
 
-def _degree_bound(nodes: list) -> int:
-    """`Formula.degree` of the root of `nodes`, the live post-order
-    `postorder(root, _live_children)`, whose last node is the root."""
-    degrees: dict[int, int] = {}
-    for node in nodes:
-        below = [degrees[id(c)] for c in _live_children(node)]
-        if node.kind == "input":
-            degrees[id(node)] = 1
-        elif node.kind == "sum":
-            degrees[id(node)] = max(below, default=0)
-        else:  # a product, or a constant with no children
-            degrees[id(node)] = sum(below)
-    return degrees[id(nodes[-1])]
+def size_depth(node: Node, below: list) -> tuple[int, int]:
+    """The `fold` visit giving `Formula.size` and `Formula.depth` of a
+    node from the (size, depth) pairs of all its children."""
+    size, depth = 1, -1
+    for child_size, child_depth in below:
+        size += child_size
+        depth = max(depth, child_depth)
+    return size, depth + 1
+
+
+def _degree(node: Node, below: list) -> int:
+    """The `fold` visit of `Formula.degree`, over the live children."""
+    if node.kind == "input":
+        return 1
+    if node.kind == "sum":
+        return max(below, default=0)
+    return sum(below)  # a product, or a constant with no children
 
 
 def _json_fields(node: Node) -> dict:
@@ -184,48 +213,43 @@ class Formula:
 
     def size(self) -> int:
         """Total node count, leaves included; edge weights are free."""
-        sizes: dict[int, int] = {}
-        for node in postorder(self.root):
-            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
-        return sizes[id(self.root)]
+        return fold(postorder(self.root), lambda node, sizes: 1 + sum(sizes))
 
     def depth(self) -> int:
         """Longest root-to-leaf path counted in gate edges (a leaf has depth 0)."""
-        depths: dict[int, int] = {}
-        for node in postorder(self.root):
-            depths[id(node)] = 1 + max(depths[id(c)] for c in node.children) if node.children else 0
-        return depths[id(self.root)]
+        return fold(postorder(self.root), lambda node, depths: 1 + max(depths, default=-1))
 
     def degree(self) -> int:
         """An upper bound on the total degree, read off the structure: an
-        input counts 1 and a constant 0, a sum gate takes the max over its
-        live children and a product gate the sum over its children."""
-        return _degree_bound(postorder(self.root, _live_children))
+        input has degree 1 and a constant 0, a sum gate the largest degree
+        of its live children and a product gate the sum of its children's."""
+        return fold(postorder(self.root, _live_children), _degree, _live_children)
 
     # -- semantics -----------------------------------------------------------
 
     def eval(self, point: Sequence):
-        """Exact evaluation, one step per distinct node."""
+        """Exact evaluation at `point`, in the domain of its coordinates and
+        the formula's scalars."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         point = [as_scalar(p) for p in point]
-        values: dict[int, object] = {}
-        for node in postorder(self.root, _live_children):
+
+        def visit(node, below):
             if node.kind == "input":
-                value = point[node.var]
-            elif node.kind == "const":
-                value = node.value
-            elif node.kind == "sum":
+                return point[node.var]
+            if node.kind == "const":
+                return node.value
+            if node.kind == "sum":
                 value = ZERO
-                for w, c in zip(node.weights, node.children):
-                    if w:
-                        value = value + w * values[id(c)]
-            else:
-                value = ONE
-                for c in node.children:
-                    value = value * values[id(c)]
-            values[id(node)] = value
-        return values[id(self.root)]
+                for w, v in zip(filter(None, node.weights), below):
+                    value = value + w * v
+                return value
+            value = ONE
+            for v in below:
+                value = value * v
+            return value
+
+        return fold(postorder(self.root, _live_children), visit, _live_children)
 
     def expand(self, budget: int | None = None) -> Poly:
         """Full symbolic expansion (the brute-force oracle).
@@ -242,20 +266,20 @@ class Formula:
         order, as in `Poly.__mul__`, and two live orders raise
         DomainMismatch.
 
-        The DAG is walked once: the live node list gives both the degree
-        bound of `degree()`, whose bit length is the one key width for every
-        node (no live node's degree exceeds the root's bound), and the order
-        of evaluation.  A node's value is a packed operand as a dict, over
-        one denominator.  A product gate runs `packed_product`; a sum gate
-        adds the weight-scaled numerators of all its children over the lcm
-        of their denominators (`poly.packed_sum`).  Each gate's value has
-        its zeros dropped and one gcd divided out; only the root is decoded
-        into scalars.
+        The DAG is walked once: two folds over the one live node list give
+        the degree bound of `degree()`, whose bit length is the one key
+        width for every node (no live node's degree exceeds the root's
+        bound), and the values.  A node's value is a packed operand as a
+        dict, over one denominator.  A product gate runs `packed_product`;
+        a sum gate adds the weight-scaled numerators of all its children
+        over the lcm of their denominators (`poly.packed_sum`).  Each gate's
+        value has its zeros dropped and one gcd divided out; only the root
+        is decoded into scalars.
         """
         budget = DEFAULT_TERM_BUDGET if budget is None else budget
         arity = self.arity
         nodes = postorder(self.root, _live_children)
-        width = max(1, _degree_bound(nodes)).bit_length()
+        width = max(1, fold(nodes, _degree, _live_children)).bit_length()
         order = common_order(
             [n.value for n in nodes if n.kind == "const"],
             [w for n in nodes if n.kind == "sum" for w in n.weights if w],
@@ -265,52 +289,47 @@ class Formula:
             # entries bound monomials from above, so most gates skip the count
             return len(d) > budget and packed_monomials(d, order) > budget
 
-        values: dict[int, tuple[dict, int]] = {}
-        for node in nodes:
+        def visit(node, below):
             if node.kind == "input":
                 nums, den = packed_encode(Poly.variable(arity, node.var), width, order)
-                value = dict(nums), den
-            elif node.kind == "const":
+                return dict(nums), den
+            if node.kind == "const":
                 nums, den = packed_encode(Poly.constant(arity, node.value), width, order)
-                value = dict(nums), den
-            elif node.kind == "sum":
+                return dict(nums), den
+            if node.kind == "sum":
                 parts = []  # (numerators, integer factor, denominator)
-                for w, c in zip(node.weights, node.children):
-                    if w:
-                        child, den = values[id(c)]
-                        if isinstance(w, CyclotomicScalar):
-                            nums, wden = packed_encode(Poly.constant(arity, w), width, order)
-                            child = packed_product(child.items(), nums, order)
-                            parts.append((child, 1, den * wden))
-                        else:
-                            parts.append((child, w.numerator, den * w.denominator))
+                for w, (child, den) in zip(filter(None, node.weights), below):
+                    if isinstance(w, CyclotomicScalar):
+                        nums, wden = packed_encode(Poly.constant(arity, w), width, order)
+                        child = packed_product(child.items(), nums, order)
+                        parts.append((child, 1, den * wden))
+                    else:
+                        parts.append((child, w.numerator, den * w.denominator))
                 value = packed_sum(parts)
                 if over_budget(value[0]):
                     raise BudgetExceeded(
                         f"expansion exceeded {budget} terms at a sum gate"
                     )
-            else:
-                factors = [values[id(c)] for c in node.children]
-                if not factors:
-                    value = {0: 1}, 1
-                elif not all(d for d, _ in factors):
-                    value = {}, 1
-                else:
-                    # smallest first; with two factors the order changes
-                    # no intermediate, so the count is skipped
-                    if len(factors) > 2:
-                        factors.sort(key=lambda f: packed_monomials(f[0], order))
-                    acc, den = factors[0]
-                    for d, fden in factors[1:]:
-                        acc = packed_product(acc.items(), d.items(), order)
-                        den *= fden
-                        if over_budget(acc):
-                            raise BudgetExceeded(
-                                f"expansion exceeded {budget} terms at a product gate"
-                            )
-                    value = content_free(acc, den)
-            values[id(node)] = value
-        acc, den = values[id(self.root)]
+                return value
+            if not below:
+                return {0: 1}, 1
+            if not all(d for d, _ in below):
+                return {}, 1
+            # smallest first; with two factors the order changes no
+            # intermediate, so the count is skipped
+            if len(below) > 2:
+                below.sort(key=lambda f: packed_monomials(f[0], order))
+            acc, den = below[0]
+            for d, fden in below[1:]:
+                acc = packed_product(acc.items(), d.items(), order)
+                den *= fden
+                if over_budget(acc):
+                    raise BudgetExceeded(
+                        f"expansion exceeded {budget} terms at a product gate"
+                    )
+            return content_free(acc, den)
+
+        acc, den = fold(nodes, visit, _live_children)
         return packed_decode(acc, den, arity, width, order)
 
     # -- structural passes ---------------------------------------------------
@@ -332,26 +351,19 @@ class Formula:
         elif arities and arities != {arity}:
             raise ArityMismatch("explicit arity disagrees with replacements")
         roots = {var: f.root for var, f in mapping.items()}
-        replaced: dict[int, Node] = {}
-        for node in postorder(self.root):
-            if node.kind == "input":
-                new = roots.get(node.var)
-                if new is None:
-                    if node.var >= arity:
-                        raise ArityMismatch(
-                            f"unmapped input x{node.var + 1} exceeds target arity {arity}"
-                        )
-                    new = node
-            elif node.kind in ("sum", "product"):
-                new = Node(
-                    node.kind,
-                    children=[replaced[id(c)] for c in node.children],
-                    weights=node.weights,
+
+        def visit(node, below):
+            if node.kind in ("sum", "product"):
+                return Node(node.kind, children=below, weights=node.weights)
+            if node.kind == "input" and node.var in roots:
+                return roots[node.var]
+            if node.kind == "input" and node.var >= arity:
+                raise ArityMismatch(
+                    f"unmapped input x{node.var + 1} exceeds target arity {arity}"
                 )
-            else:
-                new = node
-            replaced[id(node)] = new
-        return Formula(replaced[id(self.root)], arity)
+            return node
+
+        return Formula(fold(postorder(self.root), visit), arity)
 
     @staticmethod
     def combine(formulas: Sequence["Formula"], weights: Sequence) -> "Formula":
@@ -381,13 +393,14 @@ class Formula:
         hundred levels deep, and the CLI reports such a file as bad input.
         The dicts themselves round-trip through `from_json` at any depth.
         """
-        encoded: dict[int, dict] = {}
-        for node in postorder(self.root):
+
+        def visit(node, below):
             out = _json_fields(node)
-            if node.kind not in ("input", "const"):
-                out["children"] = [encoded[id(c)] for c in node.children]
-            encoded[id(node)] = out
-        return {"arity": self.arity, "root": encoded[id(self.root)]}
+            if node.kind in ("sum", "product"):
+                out["children"] = below
+            return out
+
+        return {"arity": self.arity, "root": fold(postorder(self.root), visit)}
 
     def json_pieces(self) -> Iterator[str]:
         """The text of `json.dumps(self.to_json(), indent=2, sort_keys=True)`,
@@ -408,30 +421,29 @@ class Formula:
         copied at most once before the write, memory holds the distinct
         nodes' fragments, not the output, and nothing recurses.
         """
-        built: dict[int, str | list] = {}
-        for node in postorder(self.root):
+
+        def visit(node, below):
             fields = json.dumps(_json_fields(node), indent=2, sort_keys=True)
             if node.kind in ("input", "const"):
-                built[id(node)] = fields
-                continue
+                return fields
             # "children" sorts before the other keys, so it opens the text
             rope = []
             fragment = ['{\n  "children": [']
             separator = "\n    "
-            for c in node.children:
+            for part in below:
                 fragment.append(separator)
                 separator = ",\n    "
-                part = built[id(c)]
                 if isinstance(part, str):
                     fragment.append(part.replace("\n", "\n    "))
                 else:
                     rope += ["".join(fragment), part]
                     fragment = []
-            fragment.append(("\n  ]," if node.children else "],") + fields[1:])
+            fragment.append(("\n  ]," if below else "],") + fields[1:])
             text = "".join(fragment)
-            built[id(node)] = text if not rope and len(text) <= _SHORT_TEXT else rope + [text]
+            return text if not rope and len(text) <= _SHORT_TEXT else rope + [text]
+
+        top = fold(postorder(self.root), visit)
         yield '{\n  "arity": ' + json.dumps(self.arity) + ',\n  "root": '
-        top = built[id(self.root)]
         stack = [(iter([top] if isinstance(top, str) else top), "\n  ")]
         while stack:
             items, indent = stack[-1]
@@ -459,33 +471,28 @@ class Formula:
                 return json_field(spec, "children", list, "formula JSON")
             return ()
 
-        decoded: dict[int, Node] = {}
-        for spec in postorder(json_field(obj, "root", dict, "formula JSON"), child_specs):
+        def visit(spec, below):
             kind = spec["kind"]
             if kind == "input":
                 var = json_field(spec, "var", int, "formula JSON")
                 if not 0 <= var < arity:
                     raise ValueError(f"formula JSON: input x{var + 1} outside arity {arity}")
-                node = inp(var)
-            elif kind == "const":
-                node = const(scalar_from_json(spec.get("value")))
-            elif kind == "sum":
-                node = sum_node(
-                    [decoded[id(c)] for c in spec["children"]],
-                    [
-                        scalar_from_json(w)
-                        for w in json_field(spec, "weights", list, "formula JSON")
-                    ],
-                )
-            elif kind == "product":
-                node = prod_node([decoded[id(c)] for c in spec["children"]])
-            else:
-                raise ValueError(f"unknown node kind {kind!r}")
-            decoded[id(spec)] = node
-        return cls(decoded[id(obj["root"])], arity)
+                return inp(var)
+            if kind == "const":
+                return const(scalar_from_json(spec.get("value")))
+            if kind == "sum":
+                weights = json_field(spec, "weights", list, "formula JSON")
+                return sum_node(below, [scalar_from_json(w) for w in weights])
+            if kind == "product":
+                return prod_node(below)
+            raise ValueError(f"unknown node kind {kind!r}")
+
+        root = json_field(obj, "root", dict, "formula JSON")
+        return cls(fold(postorder(root, child_specs), visit, child_specs), arity)
 
     def __repr__(self):
-        return f"Formula(arity={self.arity}, size={self.size()}, depth={self.depth()})"
+        size, depth = fold(postorder(self.root), size_depth)
+        return f"Formula(arity={self.arity}, size={size}, depth={depth})"
 
 
 def constant_formula(arity: int, value) -> Formula:

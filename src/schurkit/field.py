@@ -560,7 +560,18 @@ def scalar_to_text(s) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def rat_from_text(text: str):
+    """The rational "p" or "p/q"; ValueError naming it for a zero q."""
+    try:
+        return Rat(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
+    """Parse the text of `scalar_to_text` as an order-n scalar.  Exponents
+    are taken modulo n (w^n = 1), so the power-basis vector has at most n
+    entries whatever exponent the text names."""
     vec: list = []
     for raw in text.replace("- ", "+ -").split("+"):
         part = raw.strip()
@@ -569,11 +580,8 @@ def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
         m = _CYCLO_TERM.match(part)
         if not m or (m.group("coeff") is None and "w" not in part):
             raise ValueError(f"cannot parse cyclotomic term {part!r}")
-        coeff = Rat(m.group("coeff")) if m.group("coeff") else ONE
-        if "w" in part:
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
+        coeff = rat_from_text(m.group("coeff")) if m.group("coeff") else ONE
+        exp = int(m.group("exp") or 1) % order if "w" in part else 0
         vec += [ZERO] * (exp + 1 - len(vec))
         vec[exp] += coeff
     return CyclotomicScalar(order, vec)
@@ -603,7 +611,7 @@ def scalar_from_json(obj):
         if type(order) is int and order >= 1 and isinstance(value, str):
             return cyclotomic_from_text(order, value)
     elif isinstance(obj, (str, int)) and not isinstance(obj, bool):
-        return Rat(str(obj))
+        return rat_from_text(str(obj))
     raise ValueError(f"cannot parse scalar from {obj!r}")
 
 

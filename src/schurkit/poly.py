@@ -80,6 +80,7 @@ from .field import (
     int_numerators,
     json_field,
     power_bits,
+    rat_from_text,
     root_exponents,
     root_power_sum,
     scalar_from_json,
@@ -764,7 +765,7 @@ def poly_from_text(text: str, arity: int | None = None) -> Poly:
         m = _TERM_RE.match(part)
         if not m:
             raise ValueError(f"cannot parse polynomial term {part!r}")
-        coeff = Rat(m.group("coeff")) if m.group("coeff") else ONE
+        coeff = rat_from_text(m.group("coeff")) if m.group("coeff") else ONE
         exps: dict[int, int] = {}
         for name, idx, e in _VAR_RE.findall(m.group("vars") or ""):
             if name != "x":

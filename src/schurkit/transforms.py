@@ -32,9 +32,11 @@ from .circuits import (
     Formula,
     const,
     constant_formula,
+    fold,
     inp,
     postorder,
     prod_node,
+    size_depth,
     sum_node,
     variable_formula,
 )
@@ -289,19 +291,6 @@ def reduction_hypothesis_holds(lam: Partition, n: int) -> bool:
     return all_distinct(labels) and all(1 <= m <= n - 1 for row in labels for m in row)
 
 
-def _size_depth(f: Formula) -> tuple[int, int]:
-    """`f.size()` and `f.depth()` from one walk of its distinct nodes."""
-    walked: dict[int, tuple[int, int]] = {}
-    for node in postorder(f.root):
-        size, depth = 1, -1
-        for child in node.children:
-            child_size, child_depth = walked[id(child)]
-            size += child_size
-            depth = max(depth, child_depth)
-        walked[id(node)] = size, depth + 1
-    return walked[id(f.root)]
-
-
 @dataclass(frozen=True)
 class PassRecord:
     name: str
@@ -456,8 +445,8 @@ def schur_to_det_reduce(
     output = recovered.substitute(mapping, arity=k)
     trace.append(("relabel-to-matrix-layout", output))
 
-    passes = tuple(PassRecord(name, *_size_depth(g)) for name, g in trace)
-    input_size, input_depth = _size_depth(f)
+    passes = tuple(PassRecord(name, *fold(postorder(g.root), size_depth)) for name, g in trace)
+    input_size, input_depth = fold(postorder(f.root), size_depth)
     report = ReductionReport(
         input_size=input_size,
         input_depth=input_depth,

@@ -29,6 +29,28 @@ def random_formula(rng: random.Random, arity: int, max_depth: int = 4) -> Formul
     return Formula(build(max_depth), arity)
 
 
+def tree_metrics(node, point) -> tuple:
+    """(size, depth, degree, value at `point`) of the formula below `node`,
+    by plain recursion over the unfolded tree: the reference for the
+    metrics and evaluation of `Formula`.  Size and depth count every child;
+    degree and value skip the children of zero-weight edges."""
+    below = [tree_metrics(c, point) for c in node.children]
+    size = 1 + sum(m[0] for m in below)
+    depth = 1 + max(m[1] for m in below) if below else 0
+    if node.kind == "input":
+        return size, depth, 1, point[node.var]
+    if node.kind == "const":
+        return size, depth, 0, node.value
+    if node.kind == "sum":
+        live = [(w, m) for w, m in zip(node.weights, below) if w != 0]
+        value = sum((w * m[3] for w, m in live), Rat(0))
+        return size, depth, max((m[2] for _, m in live), default=0), value
+    value = Rat(1)
+    for m in below:
+        value = value * m[3]
+    return size, depth, sum(m[2] for m in below), value
+
+
 def symmetrize(p: Poly) -> Poly:
     """Sum of p over all variable permutations."""
     out = Poly.zero(p.arity)

@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import json
 import pickle
 import random
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurkit import circuits
+from schurkit import circuits, transforms
 from schurkit.circuits import (
     ABP,
     Formula,
@@ -31,7 +33,7 @@ from schurkit.partitions import Partition
 from schurkit.poly import Poly
 from schurkit.transforms import schur_to_det_reduce
 
-from helpers import random_formula
+from helpers import random_formula, tree_metrics
 
 
 def schoolbook_product(p: Poly, q: Poly) -> Poly:
@@ -353,6 +355,25 @@ class TestMetrics:
         assert f.expand() == Poly.monomial(1, (4,))
 
 
+@pytest.mark.parametrize("module", [circuits, transforms], ids=lambda m: m.__name__)
+def test_only_postorder_and_fold_key_tables_by_identity(module):
+    # every walk of the formula DAG is a visit function for `fold`, so no
+    # other function keeps a table keyed by `id`
+    tree = ast.parse(inspect.getsource(module))
+    allowed = {
+        id(inner)
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name in ("postorder", "fold")
+        for inner in ast.walk(func)
+    }
+    uses = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "id"
+    ]
+    assert [node.lineno for node in uses if id(node) not in allowed] == []
+    # the two allowed functions are found: circuits calls `id` in them
+    assert bool(uses) == (module is circuits)
+
+
 class TestSubstitute:
     def test_square_of_sum(self):
         f = Formula(prod_node([inp(0), inp(0)]), 1)
@@ -447,6 +468,16 @@ def shared_formulas(draw):
         else:
             pool.append(prod_node(children))
     return Formula(pool[-1], 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_formulas(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+@example(Formula(sum_node([inp(0), prod_node([inp(0), inp(1)])], [ONE, ZERO]), 3), [2, 3, 5])
+def test_metrics_match_the_unfolded_tree(f, point):
+    size, depth, degree, value = tree_metrics(f.root, [Rat(x) for x in point])
+    assert (f.size(), f.depth(), f.degree()) == (size, depth, degree)
+    assert f.eval(point) == value
+    assert repr(f) == f"Formula(arity=3, size={size}, depth={depth})"
 
 
 class TestJsonPieces:

@@ -765,6 +765,82 @@ def test_too_deep_polynomial_json_is_bad_input(capsys, tmp_path, command):
     assert "nested too deeply" in err
 
 
+def run_subprocess(*argv, timeout=20):
+    """The CLI in a fresh interpreter, so that an uncaught exception shows
+    as a traceback on stderr and a runaway allocation fails by timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "schurkit", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def scalar_inputs(scalar) -> dict:
+    """Input files of each command that read `scalar` as a JSON scalar: a
+    formula constant and a sum weight for `reduce`, a polynomial
+    coefficient for `pdc` and `convert`."""
+    poly = json.dumps({"arity": 1, "terms": [{"exps": [1], "coeff": scalar}]})
+    return {
+        "reduce-const": ("reduce", json.dumps({"arity": 5, "root": {"kind": "const", "value": scalar}})),
+        "reduce-weight": ("reduce", json.dumps({"arity": 5, "root": {
+            "kind": "sum", "children": [{"kind": "input", "var": 0}], "weights": [scalar],
+        }})),
+        "pdc-coeff": ("pdc", poly),
+        "convert-coeff": ("convert", poly),
+    }
+
+
+COMMAND_ARGS = {
+    "reduce": ("reduce", "--lambda", "3,2", "--n", "5", "--formula-in"),
+    "pdc": ("pdc", "--input"),
+    "convert": ("convert", "--to-e-basis", "--input"),
+}
+
+#: a zero denominator as a rational, in an order-8 value, and in the text
+#: form of a polynomial
+ZERO_DENOMINATOR_INPUTS = {
+    **scalar_inputs("1/0"),
+    **{
+        f"{name}-order-8": case
+        for name, case in scalar_inputs({"order": 8, "value": "1 + 1/0*w"}).items()
+    },
+    "pdc-text": ("pdc", "1/0*x1 + x2"),
+    "convert-text": ("convert", "1/0*x1 + x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DENOMINATOR_INPUTS))
+def test_zero_denominator_is_bad_input(tmp_path, name):
+    command, text = ZERO_DENOMINATOR_INPUTS[name]
+    path = tmp_path / "input"
+    path.write_text(text)
+    result = run_subprocess(*COMMAND_ARGS[command], str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: zero denominator in scalar '1/0'\n"
+
+
+#: the exit code with w^99999999999 = w^7 in place of w^7: the reduce
+#: input is no Schur formula (1), the others are valid input (0)
+HUGE_EXPONENT_EXITS = {"reduce-const": 1, "reduce-weight": 1, "pdc-coeff": 0, "convert-coeff": 0}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_EXPONENT_EXITS))
+def test_huge_cyclotomic_exponent_is_read_modulo_the_order(tmp_path, name):
+    outputs = []
+    for exponent in (7, 99999999999):
+        command, text = scalar_inputs({"order": 8, "value": f"w^{exponent}"})[name]
+        path = tmp_path / "input"
+        path.write_text(text)
+        result = run_subprocess(*COMMAND_ARGS[command], str(path), timeout=10)
+        assert result.returncode == HUGE_EXPONENT_EXITS[name]
+        assert "Traceback" not in result.stderr
+        outputs.append((result.stdout.replace(str(path), "input"), result.stderr))
+    assert outputs[0] == outputs[1]
+
+
 class TestConvertCommand:
     def test_e_to_h(self, capsys):
         code, out, _ = run(capsys, "convert", "--e-to-h", "--k", "2")

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schurkit import field
@@ -114,6 +114,30 @@ class TestScalarArithmetic:
     def test_json_round_trip(self):
         for s in (Rat(-7, 3), Rat(5), omega(5) + Rat(1, 2), embed(Rat(0), 6)):
             assert scalar_from_json(scalar_to_json(s)) == s
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 1000),
+        st.integers(0, 11),
+        st.fractions(max_denominator=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(8, 10**30, 7, Fraction(-1, 2))
+    def test_exponents_are_taken_modulo_the_order(self, n, k, r, c):
+        # w^n = 1, so no exponent allocates more than n coefficients; k is
+        # small, or too large for any allocation to start
+        r %= n
+        expected = CyclotomicScalar(n, [Rat(0)] * r + [Rat(c)])
+        assert cyclotomic_from_text(n, f"{c}*w^{k * n + r}") == expected
+        assert scalar_from_json({"order": n, "value": f"{c}*w^{k * n + r}"}) == expected
+
+    @pytest.mark.parametrize(
+        "obj",
+        ["1/0", "-3/0", {"order": 8, "value": "1/0*w"}, {"order": 8, "value": "1 + 2/0"}],
+    )
+    def test_zero_denominator_is_a_value_error(self, obj):
+        with pytest.raises(ValueError, match="zero denominator in scalar '-?[0-9]+/0'"):
+            scalar_from_json(obj)
 
     @given(st.fractions(max_denominator=10**6))
     @settings(max_examples=60, deadline=None)
