@@ -252,85 +252,10 @@ class Formula:
         return fold(postorder(self.root, _live_children), visit, _live_children)
 
     def expand(self, budget: int | None = None) -> Poly:
-        """Full symbolic expansion (the brute-force oracle).
-
-        Guarded by a term budget: the value of every sum gate and every
-        partial product of a product gate may have at most `budget`
-        monomials.  Nothing is cached: each call expands afresh under its
-        own budget.
-
-        The coefficient domain is fixed by the live scalars, the constants
-        and non-zero edge weights reachable from the root through non-zero
-        edges.  With no live cyclotomic scalar every coefficient is a `Rat`;
-        otherwise every coefficient is a `CyclotomicScalar` of that one
-        order, as in `Poly.__mul__`, and two live orders raise
-        DomainMismatch.
-
-        The DAG is walked once: two folds over the one live node list give
-        the degree bound of `degree()`, whose bit length is the one key
-        width for every node (no live node's degree exceeds the root's
-        bound), and the values.  A node's value is a packed operand as a
-        dict, over one denominator.  A product gate runs `packed_product`;
-        a sum gate adds the weight-scaled numerators of all its children
-        over the lcm of their denominators (`poly.packed_sum`).  Each gate's
-        value has its zeros dropped and one gcd divided out; only the root
-        is decoded into scalars.
-        """
-        budget = DEFAULT_TERM_BUDGET if budget is None else budget
-        arity = self.arity
-        nodes = postorder(self.root, _live_children)
-        width = max(1, fold(nodes, _degree, _live_children)).bit_length()
-        order = common_order(
-            [n.value for n in nodes if n.kind == "const"],
-            [w for n in nodes if n.kind == "sum" for w in n.weights if w],
-        )
-
-        def over_budget(d: dict) -> bool:
-            # entries bound monomials from above, so most gates skip the count
-            return len(d) > budget and packed_monomials(d, order) > budget
-
-        def visit(node, below):
-            if node.kind == "input":
-                nums, den = packed_encode(Poly.variable(arity, node.var), width, order)
-                return dict(nums), den
-            if node.kind == "const":
-                nums, den = packed_encode(Poly.constant(arity, node.value), width, order)
-                return dict(nums), den
-            if node.kind == "sum":
-                parts = []  # (numerators, integer factor, denominator)
-                for w, (child, den) in zip(filter(None, node.weights), below):
-                    if isinstance(w, CyclotomicScalar):
-                        nums, wden = packed_encode(Poly.constant(arity, w), width, order)
-                        child = packed_product(child.items(), nums, order)
-                        parts.append((child, 1, den * wden))
-                    else:
-                        parts.append((child, w.numerator, den * w.denominator))
-                value = packed_sum(parts)
-                if over_budget(value[0]):
-                    raise BudgetExceeded(
-                        f"expansion exceeded {budget} terms at a sum gate"
-                    )
-                return value
-            if not below:
-                return {0: 1}, 1
-            if not all(d for d, _ in below):
-                return {}, 1
-            # smallest first; with two factors the order changes no
-            # intermediate, so the count is skipped
-            if len(below) > 2:
-                below.sort(key=lambda f: packed_monomials(f[0], order))
-            acc, den = below[0]
-            for d, fden in below[1:]:
-                acc = packed_product(acc.items(), d.items(), order)
-                den *= fden
-                if over_budget(acc):
-                    raise BudgetExceeded(
-                        f"expansion exceeded {budget} terms at a product gate"
-                    )
-            return content_free(acc, den)
-
-        acc, den = fold(nodes, visit, _live_children)
-        return packed_decode(acc, den, arity, width, order)
+        """Full symbolic expansion (the brute-force oracle): `expand_nodes`
+        on the root.  Nothing is cached: each call expands afresh under its
+        own budget."""
+        return expand_nodes([self.root], self.arity, budget)[0]
 
     # -- structural passes ---------------------------------------------------
 
@@ -458,12 +383,12 @@ class Formula:
         yield "\n}"
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Formula":
+    def from_json(cls, obj: dict, max_order: int | None = None) -> "Formula":
         """Inverse of `to_json`, at any depth; a shared dict decodes to one
         shared node.  Text parsed by the stdlib `json` module is limited to a
         few hundred levels by its parser (see `to_json`).  Raises ValueError
-        when a key is missing or has the wrong type, or an input index is
-        out of range."""
+        when a key is missing or has the wrong type, an input index is out
+        of range, or a scalar's cyclotomic order is above `max_order`."""
         arity = json_field(obj, "arity", int, "formula JSON")
 
         def child_specs(spec):
@@ -479,10 +404,10 @@ class Formula:
                     raise ValueError(f"formula JSON: input x{var + 1} outside arity {arity}")
                 return inp(var)
             if kind == "const":
-                return const(scalar_from_json(spec.get("value")))
+                return const(scalar_from_json(spec.get("value"), max_order))
             if kind == "sum":
                 weights = json_field(spec, "weights", list, "formula JSON")
-                return sum_node(below, [scalar_from_json(w) for w in weights])
+                return sum_node(below, [scalar_from_json(w, max_order) for w in weights])
             if kind == "product":
                 return prod_node(below)
             raise ValueError(f"unknown node kind {kind!r}")
@@ -493,6 +418,88 @@ class Formula:
     def __repr__(self):
         size, depth = fold(postorder(self.root), size_depth)
         return f"Formula(arity={self.arity}, size={size}, depth={depth})"
+
+
+def expand_nodes(roots: Sequence[Node], arity: int, budget: int | None = None) -> list[Poly]:
+    """The expansions of the nodes `roots`, in one walk of their distinct
+    descendants, so a subtree they share is expanded once.
+
+    Guarded by a term budget: the value of every sum gate and every
+    partial product of a product gate may have at most `budget` monomials.
+
+    The coefficient domain is fixed by the live scalars, the constants and
+    non-zero edge weights reachable from the roots through non-zero edges.
+    With no live cyclotomic scalar every coefficient is a `Rat`; otherwise
+    every coefficient is a `CyclotomicScalar` of that one order, as in
+    `Poly.__mul__`, and two live orders raise DomainMismatch.
+
+    The roots are the children of one top product gate, whose value is
+    the list of theirs.  Two folds over its live node list give the degree
+    bound of `Formula.degree`, whose bit length is the one key width for
+    every node (no live node's degree exceeds the top's bound), and the
+    values.  A node's value is a packed operand as a dict, over one
+    denominator.  A product gate runs `packed_product`; a sum gate adds
+    the weight-scaled numerators of all its children over the lcm of their
+    denominators (`poly.packed_sum`).  Each gate's value has its zeros
+    dropped and one gcd divided out; only the roots are decoded into
+    scalars.
+    """
+    budget = DEFAULT_TERM_BUDGET if budget is None else budget
+    top = prod_node(roots)
+    nodes = postorder(top, _live_children)
+    width = max(1, fold(nodes, _degree, _live_children)).bit_length()
+    order = common_order(
+        [n.value for n in nodes if n.kind == "const"],
+        [w for n in nodes if n.kind == "sum" for w in n.weights if w],
+    )
+
+    def over_budget(d: dict) -> bool:
+        # entries bound monomials from above, so most gates skip the count
+        return len(d) > budget and packed_monomials(d, order) > budget
+
+    def visit(node, below):
+        if node is top:
+            return below
+        if node.kind == "input":
+            nums, den = packed_encode(Poly.variable(arity, node.var), width, order)
+            return dict(nums), den
+        if node.kind == "const":
+            nums, den = packed_encode(Poly.constant(arity, node.value), width, order)
+            return dict(nums), den
+        if node.kind == "sum":
+            parts = []  # (numerators, integer factor, denominator)
+            for w, (child, den) in zip(filter(None, node.weights), below):
+                if isinstance(w, CyclotomicScalar):
+                    nums, wden = packed_encode(Poly.constant(arity, w), width, order)
+                    child = packed_product(child.items(), nums, order)
+                    parts.append((child, 1, den * wden))
+                else:
+                    parts.append((child, w.numerator, den * w.denominator))
+            value = packed_sum(parts)
+            if over_budget(value[0]):
+                raise BudgetExceeded(
+                    f"expansion exceeded {budget} terms at a sum gate"
+                )
+            return value
+        if not below:
+            return {0: 1}, 1
+        if not all(d for d, _ in below):
+            return {}, 1
+        # smallest first; with two factors the order changes no
+        # intermediate, so the count is skipped
+        if len(below) > 2:
+            below.sort(key=lambda f: packed_monomials(f[0], order))
+        acc, den = below[0]
+        for d, fden in below[1:]:
+            acc = packed_product(acc.items(), d.items(), order)
+            den *= fden
+            if over_budget(acc):
+                raise BudgetExceeded(
+                    f"expansion exceeded {budget} terms at a product gate"
+                )
+        return content_free(acc, den)
+
+    return [packed_decode(acc, den, arity, width, order) for acc, den in fold(nodes, visit, _live_children)]
 
 
 def constant_formula(arity: int, value) -> Formula:

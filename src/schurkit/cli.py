@@ -15,6 +15,15 @@ bound on the terms exceeds it, or a count of a route's work exceeds
 Every subcommand takes `--out`; only `witness` takes `--seed`, and
 `schur`, `reduce` and `pdc` take `--budget`.
 
+Input files are held to what the command can use, or to its budget, before
+anything is built from them: building the order-k cyclotomic field takes
+seconds for k in the ten thousands.  `reduce --formula-in` reads
+cyclotomic orders up to n, the order of its witness, which every other
+order meets in a DomainMismatch.  `pdc --input` reads orders, and
+variables of the text form, up to its `--budget` (default
+`DEFAULT_DERIVATIVE_BUDGET` = 8192); `convert --input`, which takes no
+budget, up to that default.  Anything past them is bad input (exit 1).
+
 Every JSON output is the text of `json.dumps(obj, indent=2, sort_keys=True)`
 plus a newline, streamed by `_json_pieces`: a formula writes its own text
 (`Formula.json_pieces`, which holds its distinct nodes, not the whole tree),
@@ -51,7 +60,7 @@ from .independence import (
     shifted_witness,
     witness_jacobian,
 )
-from .derivatives import pdc_dimension
+from .derivatives import DEFAULT_DERIVATIVE_BUDGET, pdc_dimension
 from .partitions import Partition
 from .poly import Poly, poly_from_text
 from .symmetric import (
@@ -108,12 +117,13 @@ def _load_json(path: str):
         raise ValueError(f"{path}: nested too deeply for the JSON parser") from None
 
 
-def _read_poly(path: str) -> Poly:
-    """A polynomial file, in the JSON shape of `Poly.to_json` or as text."""
+def _read_poly(path: str, limit: int) -> Poly:
+    """A polynomial file, in the JSON shape of `Poly.to_json` or as text;
+    a cyclotomic order or a text-form variable past `limit` is refused."""
     try:
-        return Poly.from_json(_load_json(path))
+        return Poly.from_json(_load_json(path), max_order=limit)
     except json.JSONDecodeError as exc:
-        return poly_from_text(exc.doc)
+        return poly_from_text(exc.doc, max_arity=limit)
 
 
 def _parse_partition(text: str) -> tuple[Partition, Partition | None]:
@@ -244,7 +254,7 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"reduce takes a straight shape; {args.lam} is skew")
     n = args.n
     # with no input file the pipeline builds its own, after the hypothesis check
-    f = Formula.from_json(_load_json(args.formula_in)) if args.formula_in else None
+    f = Formula.from_json(_load_json(args.formula_in), max_order=n) if args.formula_in else None
     # raises VerificationFailed unless the output expands to det_l
     output, report = schur_to_det_reduce(lam, n, f, budget=args.budget)
     ell = lam.length
@@ -305,7 +315,7 @@ def _cmd_pdc(args) -> int:
         source = Poly.monomial(k, (1,) * k)
         label = f"x1*...*x{k}"
     else:
-        source = _read_poly(args.input)
+        source = _read_poly(args.input, DEFAULT_DERIVATIVE_BUDGET if args.budget is None else args.budget)
         label = args.input
     dim = pdc_dimension(source, budget=args.budget)
     payload = {
@@ -324,7 +334,7 @@ def _cmd_convert(args) -> int:
             raise ValueError("--to-e-basis needs --input")
         if args.k is not None:
             raise ValueError("--k applies to --e-to-h and --e-to-p only")
-        result = express_in_e_basis(_read_poly(args.input))
+        result = express_in_e_basis(_read_poly(args.input, DEFAULT_DERIVATIVE_BUDGET))
         prefix = "e"
     else:
         k = args.k

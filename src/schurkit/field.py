@@ -568,11 +568,12 @@ def rat_from_text(text: str):
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
-def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
+def cyclotomic_from_text(order: int, text: str, max_order: int | None = None) -> CyclotomicScalar:
     """Parse the text of `scalar_to_text` as an order-n scalar.  Exponents
     are taken modulo n (w^n = 1), so the power-basis vector has at most n
-    entries whatever exponent the text names."""
-    vec: list = []
+    entries whatever exponent the text names.  An order above `max_order`
+    raises ValueError once the terms are read, before the field is built."""
+    terms = []
     for raw in text.replace("- ", "+ -").split("+"):
         part = raw.strip()
         if not part:
@@ -581,7 +582,12 @@ def cyclotomic_from_text(order: int, text: str) -> CyclotomicScalar:
         if not m or (m.group("coeff") is None and "w" not in part):
             raise ValueError(f"cannot parse cyclotomic term {part!r}")
         coeff = rat_from_text(m.group("coeff")) if m.group("coeff") else ONE
-        exp = int(m.group("exp") or 1) % order if "w" in part else 0
+        terms.append((int(m.group("exp") or 1) if "w" in part else 0, coeff))
+    if max_order is not None and order > max_order:
+        raise ValueError(f"cyclotomic order {order} is above {max_order}, the largest read here")
+    vec: list = []
+    for exp, coeff in terms:
+        exp %= order
         vec += [ZERO] * (exp + 1 - len(vec))
         vec[exp] += coeff
     return CyclotomicScalar(order, vec)
@@ -605,11 +611,14 @@ def json_field(spec, key: str, kind: type, what: str):
     return value
 
 
-def scalar_from_json(obj):
+def scalar_from_json(obj, max_order: int | None = None):
+    """A `Rat` from a string or int, or a `CyclotomicScalar` from
+    {"order": n, "value": text}; an order above `max_order` raises
+    ValueError (`cyclotomic_from_text`)."""
     if isinstance(obj, dict):
         order, value = obj.get("order"), obj.get("value")
         if type(order) is int and order >= 1 and isinstance(value, str):
-            return cyclotomic_from_text(order, value)
+            return cyclotomic_from_text(order, value, max_order)
     elif isinstance(obj, (str, int)) and not isinstance(obj, bool):
         return rat_from_text(str(obj))
     raise ValueError(f"cannot parse scalar from {obj!r}")

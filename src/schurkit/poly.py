@@ -711,9 +711,10 @@ class Poly:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Poly":
+    def from_json(cls, obj: dict, max_order: int | None = None) -> "Poly":
         """Inverse of `to_json`.  Raises ValueError when a key is missing or
-        ill-typed, or an exponent vector does not fit the arity."""
+        ill-typed, an exponent vector does not fit the arity, or a
+        coefficient's cyclotomic order is above `max_order`."""
         arity = json_field(obj, "arity", int, "polynomial JSON")
         terms = {}
         for t in json_field(obj, "terms", list, "polynomial JSON"):
@@ -722,7 +723,7 @@ class Poly:
                 raise ValueError(
                     f"polynomial JSON: exponent vector {exps} does not fit arity {arity}"
                 )
-            terms[tuple(exps)] = scalar_from_json(t.get("coeff"))
+            terms[tuple(exps)] = scalar_from_json(t.get("coeff"), max_order)
         return cls(arity, terms)
 
     def __repr__(self):
@@ -753,8 +754,12 @@ _TERM_RE = re.compile(
 _VAR_RE = re.compile(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?")
 
 
-def poly_from_text(text: str, arity: int | None = None) -> Poly:
-    """Parse the canonical text form (sum of coeff*x1^e1*... terms)."""
+def poly_from_text(text: str, arity: int | None = None, max_arity: int | None = None) -> Poly:
+    """Parse the canonical text form (sum of coeff*x1^e1*... terms).
+
+    The text names only the variables a term uses, so, unlike the JSON
+    form, its length does not bound the exponent vectors: a variable past
+    `max_arity` raises ValueError before any vector is built."""
     text = text.strip()
     raw_terms = []
     max_var = 0
@@ -774,6 +779,8 @@ def poly_from_text(text: str, arity: int | None = None) -> Poly:
             max_var = max(max_var, i)
             exps[i - 1] = exps.get(i - 1, 0) + (int(e) if e else 1)
         raw_terms.append((exps, coeff))
+    if max_arity is not None and max_var > max_arity:
+        raise ValueError(f"variable x{max_var} is past x{max_arity}, the largest read here")
     if arity is None:
         arity = max(max_var, 1)
     terms: dict[tuple, object] = {}

@@ -21,7 +21,8 @@ expansion shows as a disagreement with it.
 No route recurses: the bialternant runs one loop over the leading alternant
 of its remainder, the determinants one loop per row over bit masks of free
 columns, and the tableau route one loop per entry over shapes.
-Also here: skew determinants, the closed form for the scaled-staircase
+Also here: s_lambda on the coefficients of partitions and its exact term
+count, skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
 basis by the leading-term reduction.  Determinants of general polynomial
@@ -392,44 +393,52 @@ def _e_images(nu: tuple[int, ...], a: int, n: int) -> tuple[tuple[tuple[int, ...
     return tuple((parts, count) for parts, _, count, _, _ in layer)
 
 
-def _jacobi_trudi_det(rows: list[dict[int, int]], n: int, elementary: bool = False) -> Poly:
-    """det(h_(labels[i][j])), or det(e_(labels[i][j])) when `elementary`,
-    in n variables, where rows[i] = {j: labels[i][j]} holds only the
-    labels of row i that can give a non-zero entry: none negative, and
-    for e none past n.
+def _images_sum(parts, n: int, images) -> dict | None:
+    """The sum of sign * f_a * minor over the `parts` (a, minor, sign), with
+    f_a = h_a or e_a as `images` is `_h_images` or `_e_images`, in n
+    variables; each minor and the result are held as their coefficients on
+    partitions, and each nu of a minor adds its coefficient times count to
+    each mu of `images(nu, a, n)`.  None when the sum is zero."""
+    acc = {}
+    get = acc.get
+    for a, minor, sign in parts:
+        for nu, c in minor.items():
+            c *= sign
+            for mu, count in images(nu, a, n):
+                acc[mu] = get(mu, 0) + count * c
+    return {mu: c for mu, c in acc.items() if c} or None
 
-    Every entry and every minor is symmetric, so it is held as its
-    coefficients on partitions, {mu: coefficient of x^mu} (mu's positive
-    parts, at most n of them), and `_cofactor_expansion` multiplies a
-    minor by h_a or e_a on those coefficients: each nu of the minor adds
-    its coefficient times count to each mu of `_h_images(nu, a, n)` or
-    `_e_images(nu, a, n)`.  Only the determinant is expanded, each orbit
-    once (`_rearrangements`).  The coefficients are integers.  A label
-    past sys.maxsize raises OverflowError, as `h_poly` and `e_poly` do for
-    such a degree.
+
+def _jacobi_trudi_partitions(rows: list[dict[int, int]], n: int, elementary: bool = False) -> dict:
+    """det(h_(labels[i][j])), or det(e_(labels[i][j])) when `elementary`,
+    in n variables, as its coefficients on partitions, {mu: coefficient of
+    x^mu} (mu's positive parts, at most n of them; {} for zero).
+    rows[i] = {j: labels[i][j]} holds only the labels of row i that can
+    give a non-zero entry: none negative, and for e none past n.  There
+    must be at least one row.
+
+    Every entry and every minor is symmetric, so it is held on partitions
+    too, and `_cofactor_expansion` multiplies a minor by h_a or e_a there
+    (`_images_sum`).  The coefficients are integers.  A label past
+    sys.maxsize raises OverflowError, as `h_poly` and `e_poly` do for such
+    a degree.
     """
-    if not rows:
-        return Poly.constant(n, 1)
     if n < 1:
         raise ValueError("need n >= 1")
     largest = max((max(row.values()) for row in rows if row), default=0)
     if largest > sys.maxsize:
         raise OverflowError(f"label {largest} is past sys.maxsize")
     images = _e_images if elementary else _h_images
+    return _cofactor_expansion(rows, {(): 1}, lambda parts: _images_sum(parts, n, images)) or {}
 
-    def combine(parts):
-        acc = {}
-        get = acc.get
-        for a, minor, sign in parts:
-            for nu, c in minor.items():
-                c *= sign
-                for mu, count in images(nu, a, n):
-                    acc[mu] = get(mu, 0) + count * c
-        return {mu: c for mu, c in acc.items() if c} or None
 
-    det = _cofactor_expansion(rows, {(): 1}, combine)
+def _jacobi_trudi_det(rows: list[dict[int, int]], n: int, elementary: bool = False) -> Poly:
+    """The determinant of `_jacobi_trudi_partitions` as a polynomial: each
+    orbit is expanded once (`_rearrangements`)."""
+    if not rows:
+        return Poly.constant(n, 1)
     terms = {}
-    for mu, c in (det or {}).items():
+    for mu, c in _jacobi_trudi_partitions(rows, n, elementary).items():
         coeff = Rat(c)
         for beta in _rearrangements(mu + (0,) * (n - len(mu))):
             terms[beta] = coeff
@@ -456,6 +465,68 @@ def schur_jt_h(lam: Partition, n: int) -> Poly:
 def schur_jt_e(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(e_{lam'_i - i + j}) over the conjugate partition."""
     return _jacobi_trudi_det(_band_labels(lam.conjugate(), n), n, elementary=True)
+
+
+def schur_partition_form(lam: Partition, n: int) -> dict:
+    """s_lambda in n variables (l(lam) >= 1) as its coefficients on
+    partitions, {mu: coefficient of x^mu}: `schur_jt_e` before its
+    expansion.  A symmetric polynomial in n variables is the sum of its
+    coefficients times the monomial symmetric m_mu, so two are equal
+    exactly when these coefficients are."""
+    return _jacobi_trudi_partitions(_band_labels(lam.conjugate(), n), n, elementary=True)
+
+
+def h_product_sum(products, n: int) -> dict:
+    """The sum of w * h_(a_1) * ... * h_(a_k) over the (w, (a_1, ..., a_k))
+    in `products`, in n variables, as its coefficients on partitions: each
+    product is grown factor by factor by `_h_images`, the empty product
+    being h_0 = 1."""
+    parts = []
+    for w, labels in products:
+        first, *rest = labels or (0,)
+        minor = {(): 1}
+        for a in rest:
+            minor = _images_sum([(a, minor, 1)], n, _h_images) or {}
+        parts.append((first, minor, w))
+    return _images_sum(parts, n, _h_images) or {}
+
+
+def schur_term_count(lam: Partition, n: int, limit: int) -> int:
+    """The number of terms of s_lambda in n variables, or, should it pass
+    `limit`, the first partial count that does.
+
+    s_lambda is the sum of K_(lam,mu) m_mu over partitions mu, and the
+    Kostka number K_(lam,mu) is positive exactly when mu is dominated by
+    lambda (Macdonald, Symmetric Functions and Hall Polynomials, I.6;
+    Stanley, EC2, 7.10).  So the terms are the rearrangements of the mu of
+    weight |lam| and at most n parts with mu_1 + ... + mu_k <= lam_1 + ... +
+    lam_k for every k, n! / ((n - l(mu))! prod_i m_i(mu)!) of each.  The mu
+    are grown part by part, each part within the one before, within that
+    bound, and large enough that the parts left can hold the rest, and the
+    largest part is tried first: lambda itself, with its n!/(n - l)!
+    rearrangements, is the first mu counted.
+    """
+    weight = lam.weight
+    bounds = list(itertools.accumulate(lam.parts))
+    total = 0
+    stack = [((), 0)]
+    while stack:
+        mu, size = stack.pop()
+        k = len(mu)
+        rest = weight - size
+        if not rest:
+            orbit = math.perm(n, k)
+            for m in Counter(mu).values():
+                orbit //= math.factorial(m)
+            total += orbit
+            if total > limit:
+                break
+            continue
+        # n - k > 0: each part leaves the n - k - 1 after it room for the rest
+        most = min(mu[-1] if mu else rest, rest, (bounds[k] if k < len(bounds) else weight) - size)
+        least = -(-rest // (n - k))
+        stack.extend((mu + (v,), size + v) for v in range(least, most + 1))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,16 @@ checkable by the brute-force expansion oracle:
 * the end-to-end pipeline taking a formula for s_lambda to a formula for
   the l x l determinant, under one hypothesis: the l^2 Jacobi-Trudi labels
   are distinct members of h_1..h_(n-1) (`reduction_hypothesis_holds`).
-  It expands twice, the input against s_lambda and the output against
-  det_l, and needs no composition: those two imply it.
+  It checks the input against s_lambda and expands the output against
+  det_l, and needs no composition: those two imply it.  An input formula
+  given to it is expanded; the one it builds itself, the Leibniz
+  expansion of det(h_(lam_i - i + j)), never is: its leaves are expanded
+  and compared with the h's, and the signed sum of their products is
+  taken on the coefficients of partitions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .circuits import (
@@ -32,6 +35,7 @@ from .circuits import (
     Formula,
     const,
     constant_formula,
+    expand_nodes,
     fold,
     inp,
     postorder,
@@ -62,7 +66,17 @@ from .field import (
 from .independence import roots_of_unity_point, witness_jacobian
 from .partitions import Partition
 from .poly import Poly
-from .symmetric import all_distinct, det_poly_matrix, h_poly, jacobi_trudi_labels, schur_jt_h, signed_permutations
+from .symmetric import (
+    all_distinct,
+    det_poly_matrix,
+    h_poly,
+    h_product_sum,
+    jacobi_trudi_labels,
+    schur_jt_h,
+    schur_partition_form,
+    schur_term_count,
+    signed_permutations,
+)
 
 #: asserted bound: output size <= this constant * input_size^2 * n
 REDUCTION_SIZE_CONSTANT = 8
@@ -171,9 +185,10 @@ def divide_formula(
 # recovering the outer polynomial of a composition
 # ---------------------------------------------------------------------------
 
-def _recover_traced(f, expanded, inner, degree, point):
+def _recover_traced(f, bound, inner, degree, point):
     """The passes of `recover_outer_formula` and their trace: returns
-    (formula for g, [(pass name, formula)]); `expanded` is f.expand().
+    (formula for g, [(pass name, formula)]); `bound` is the total degree
+    of f's expansion.
 
     The witness is checked here, once, by `witness_jacobian`: every inner
     polynomial vanishes at `point` and their Jacobian there has rank k
@@ -182,10 +197,10 @@ def _recover_traced(f, expanded, inner, degree, point):
     with the inner family, `schur_to_det_reduce` compares the relabelled
     output with det_l.
 
-    The degree extraction interpolates over t = 0..expanded.total_degree():
-    shifting keeps the total degree, so that bound holds for the shifted
-    formula, and a cancelling pair of high-degree terms, which inflates
-    `f.degree()`, does not inflate it.
+    The degree extraction interpolates over t = 0..bound: shifting keeps
+    the total degree, so that bound holds for the shifted formula, and a
+    cancelling pair of high-degree terms, which inflates `f.degree()`, does
+    not inflate it.
     """
     inner = list(inner)
     k = len(inner)
@@ -199,7 +214,6 @@ def _recover_traced(f, expanded, inner, degree, point):
     shifted = shift_formula(f, point)
     trace.append(("shift-to-witness", shifted))
 
-    bound = expanded.total_degree()
     if degree > bound:
         extracted = constant_formula(arity, 0)
     else:
@@ -254,7 +268,7 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     """
     inner = list(inner)
     expanded = f.expand()
-    result, _ = _recover_traced(f, expanded, inner, degree, point)
+    result, _ = _recover_traced(f, expanded.total_degree(), inner, degree, point)
     # the recovered coefficients are rationals stored in the witness's
     # cyclotomic field; demoted, the composition runs over Q
     recovered = result.expand().map_coefficients(demote)
@@ -375,6 +389,35 @@ def jacobi_trudi_formula(lam: Partition, n: int) -> Formula:
     return Formula(sum_node(children, weights), n)
 
 
+def _check_leibniz_input(f: Formula, lam: Partition, n: int, hs: dict, budget: int | None):
+    """Raises ValueError unless f computes s_lambda in n variables, checked
+    without expanding anything above its leaves.
+
+    f is read as a signed sum of products of leaves, as
+    `jacobi_trudi_formula` builds it: a root that is no sum gate is one
+    term of weight 1, and a term that is no product gate is its one factor.
+    Each distinct leaf is expanded once, all in one walk held to `budget`
+    (`expand_nodes`), and must be h_m, m its total degree (`hs` holds some
+    h_m already built).  The signed sum of the products of those h_m is
+    then taken on the coefficients of partitions (`h_product_sum`) and
+    compared with those of s_lambda from the e-determinant
+    (`schur_partition_form`), whose kernel shares no code with the h side.
+    """
+    root = f.root
+    terms = zip(root.weights, root.children) if root.kind == "sum" else [(ONE, root)]
+    terms = [(w, c.children if c.kind == "product" else (c,)) for w, c in terms if w]
+    # a Node hashes by identity, so a shared leaf is one key
+    labels = dict.fromkeys(leaf for _, factors in terms for leaf in factors)
+    for leaf, p in zip(list(labels), expand_nodes(list(labels), n, budget)):
+        m = p.total_degree()
+        if m < 0 or p != (hs[m] if m in hs else h_poly(m, n)):
+            raise ValueError("input formula does not compute the Schur polynomial: a leaf is no h_m")
+        labels[leaf] = m
+    products = [(w, [labels[leaf] for leaf in factors]) for w, factors in terms]
+    if h_product_sum(products, n) != schur_partition_form(lam, n):
+        raise ValueError("input formula does not compute the Schur polynomial")
+
+
 def schur_to_det_reduce(
     lam: Partition, n: int, f: Formula | None = None, budget: int | None = None
 ) -> tuple[Formula, ReductionReport]:
@@ -388,54 +431,68 @@ def schur_to_det_reduce(
     variables to the matrix layout yields the determinant formula, at most 4
     deeper than the input (see `ReductionReport`).  Output variables are
     row-major: z_{i,j} is variable (i-1)*l + (j-1).  `budget` bounds the
-    term count of the pipeline's two expansions, the input's and the
-    output's, as in `Formula.expand`.  With no input formula it is first
-    held against the least term count of s_lambda, so that an instance too
-    large for it raises BudgetExceeded before the formula is built.
+    term count of the pipeline's expansions, as in `Formula.expand`: of a
+    given input formula and of the output.  With no input formula it is
+    first held against the exact term count of s_lambda
+    (`schur_term_count`), so that an instance whose s_lambda is over it
+    raises BudgetExceeded before the formula is built, and then bounds the
+    expansion of the built formula's leaves.
 
-    Each identity is checked once.  The input must have arity n and expand to
-    `schur_jt_h(lam, n)` (else ValueError) and the output to `det_poly(l)`
-    (else VerificationFailed).  Together they imply that the recovered
-    polynomial composed with the inner family reproduces the input, the
-    check `recover_outer_formula` makes:
+    Each identity is checked once.  The input must have arity n and
+    compute s_lambda (else ValueError), and the output must expand to
+    `det_poly(l)` (else VerificationFailed).  A given input formula is
+    expanded and compared with `schur_jt_h(lam, n)`.  The input the
+    pipeline builds, the Leibniz expansion of det(h_(lam_i - i + j)), is
+    checked without expanding it (`_check_leibniz_input`):
 
-    * `schur_jt_h` is the cofactor expansion of det(h_labels), carried out
-      on the coefficients of partitions, that is det_l composed with the
-      labelled h's, and `inner` is those h's in sorted-label order, so that
-      is det_l relabelled, composed with `inner`;
+    * each distinct leaf expands to h_m, m its degree, so the formula
+      computes the signed sum of the products of those h_m;
+    * that sum is symmetric, and so is s_lambda, and a symmetric
+      polynomial in n variables is fixed by its coefficients on
+      partitions; so the two are equal when the sum, taken on partitions,
+      equals det(e_(lam'_i - i + j)) there, which is det(h_(lam_i - i +
+      j)) = s_lambda (the dual Jacobi-Trudi identity, Macdonald I.3).
+
+    So s_lambda is the input's polynomial, and its degree |lam| bounds the
+    degree extraction.  The input and output checks together imply that
+    the recovered polynomial composed with the inner family reproduces the
+    input, the check `recover_outer_formula` makes:
+
+    * s_lambda is det(h_labels), that is det_l composed with the labelled
+      h's, and `inner` is those h's in sorted-label order, so s_lambda is
+      det_l relabelled, composed with `inner`;
     * the relabelling is a bijection on the variables, so an output that
       expands to det_l comes from a recovered polynomial that is det_l
-      relabelled, and its composition with `inner` is `schur_jt_h`, which
-      is the input's expansion.
+      relabelled, and its composition with `inner` is s_lambda, the
+      input's polynomial.
     """
     if not reduction_hypothesis_holds(lam, n):
         raise NotReducible(f"lambda={lam} with n={n} fails the gap hypothesis")
     ell = lam.length
     labels = jacobi_trudi_labels(lam)
-    if f is None:
-        # K_(lam,lam) = 1, so every rearrangement of lambda's exponents is a
-        # term of s_lambda; the gap condition makes the parts distinct, so
-        # there are n!/(n-l)! of them, and the expansion would trip the
-        # budget at the root gate at the latest
+    built = f is None
+    if built:
         limit = DEFAULT_TERM_BUDGET if budget is None else budget
-        least = math.perm(n, ell)
-        if least > limit:
+        count = schur_term_count(lam, n, limit)
+        if count > limit:
             raise BudgetExceeded(
                 f"expansion exceeded {limit} terms before the build: "
-                f"s_{lam} on {n} variables has at least {least}"
+                f"s_{lam} on {n} variables has at least {count}"
             )
         f = jacobi_trudi_formula(lam, n)
     elif f.arity != n:
         # checked before the expansion, which builds arity-long exponent vectors
         raise ValueError(f"input formula has arity {f.arity}; s_{lam} has {n} variables")
-    expanded = f.expand(budget=budget)
-    if expanded != schur_jt_h(lam, n):
+    elif f.expand(budget=budget) != schur_jt_h(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")
 
-    point = roots_of_unity_point(n)
     sorted_labels = sorted(m for row in labels for m in row)
     inner = [h_poly(m, n) for m in sorted_labels]
-    recovered, trace = _recover_traced(f, expanded, inner, ell, point)
+    if built:
+        _check_leibniz_input(f, lam, n, dict(zip(sorted_labels, inner)), budget)
+    # s_lambda is homogeneous of degree |lambda|, non-zero as l <= n
+    point = roots_of_unity_point(n)
+    recovered, trace = _recover_traced(f, lam.weight, inner, ell, point)
 
     k = ell * ell
     position = {labels[i][j]: i * ell + j for i in range(ell) for j in range(ell)}

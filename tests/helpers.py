@@ -4,12 +4,14 @@ itself needs none of them."""
 import itertools
 import random
 
+from schurkit import circuits, transforms
 from schurkit.circuits import Formula, const, inp, prod_node, sum_node
 from schurkit.errors import LengthMismatch
 from schurkit.field import ONE, Rat, interpolation_weights
 from schurkit.partitions import Partition, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import det_poly_matrix, e_poly, generalized_vandermonde, h_poly
+from schurkit.transforms import jacobi_trudi_formula
 
 
 def random_formula(rng: random.Random, arity: int, max_depth: int = 4) -> Formula:
@@ -82,6 +84,22 @@ def counted(monkeypatch, cls, name) -> list:
     return calls
 
 
+def counted_walks(monkeypatch) -> list:
+    """Patch `expand_nodes`, in `circuits` (where `Formula.expand` calls
+    it) and in `transforms`, with a wrapper that appends each call's
+    (roots, arity) to the returned list, then calls the original."""
+    calls = []
+    original = circuits.expand_nodes
+
+    def wrapper(roots, arity, budget=None):
+        calls.append((list(roots), arity))
+        return original(roots, arity, budget)
+
+    for module in (circuits, transforms):
+        monkeypatch.setattr(module, "expand_nodes", wrapper)
+    return calls
+
+
 def coefficient_kinds(terms: dict) -> dict:
     """Each monomial's coefficient type, with its cyclotomic order (None
     for a rational)."""
@@ -125,3 +143,29 @@ def packed_jacobi_trudi(labels, n: int, basis=h_poly) -> Poly:
         return Poly.constant(n, 1)
     entries = {m: basis(m, n) if m >= 0 else Poly.zero(n) for row in labels for m in row}
     return det_poly_matrix([[entries[m] for m in row] for row in labels])
+
+
+def leibniz_mutants(lam: Partition, n: int) -> dict:
+    """`jacobi_trudi_formula(lam, n)` ("built") and mutants of it, by name:
+    its first leaf h_m swapped for h_(m+1), its first sign flipped, the
+    first factor of its first product moved to the second product (with
+    two products or more), and its first leaf missing the term x1^m."""
+    f = jacobi_trudi_formula(lam, n)
+    weights = list(f.root.weights)
+    products = [list(c.children) for c in f.root.children]
+    leaf, *others = products[0]
+    m = Formula(leaf, n).degree()
+
+    def rebuilt(first, rest=products[1:], weights=weights):
+        return Formula(sum_node([prod_node(p) for p in [first, *rest]], weights), n)
+
+    next_h = jacobi_trudi_formula(Partition((m + 1,)), n).root.children[0].children[0]
+    mutants = {
+        "built": f,
+        "leaf-to-next-h": rebuilt([next_h, *others]),
+        "flipped-sign": rebuilt(products[0], weights=[-weights[0], *weights[1:]]),
+        "leaf-missing-a-term": rebuilt([sum_node([leaf, prod_node([inp(0)] * m)], [1, -1]), *others]),
+    }
+    if len(products) > 1:
+        mutants["moved-factor"] = rebuilt(others, [products[1] + [leaf], *products[2:]])
+    return mutants

@@ -27,7 +27,7 @@ from schurkit.partitions import Partition
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly, schur_ssyt
 
-from helpers import counted
+from helpers import counted, counted_walks, leibniz_mutants
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,8 +391,33 @@ class TestReduceCommand:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "arity 100000000" in result.stderr
 
+    def test_exact_term_count_refuses_at_once(self):
+        # s_(9,5) on 11 variables has 1,950,245 terms; the count passes the
+        # default budget of 500,000 in milliseconds, where the expansion
+        # tripped it after two minutes
+        result = run_subprocess("reduce", "--lambda", "9,5", "--n", "11", timeout=10)
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "exceeded 500000 terms before the build" in result.stderr
+
+    @pytest.mark.parametrize(
+        "name", ["leaf-to-next-h", "flipped-sign", "moved-factor", "leaf-missing-a-term"]
+    )
+    def test_mutant_input_formula_exits_1(self, capsys, monkeypatch, tmp_path, name):
+        mutant = leibniz_mutants(Partition((3, 2)), 5)[name]
+        monkeypatch.setattr(transforms, "jacobi_trudi_formula", lambda lam, n: mutant)
+        out_file = tmp_path / "det.json"
+        code, out, err = run(capsys, "reduce", "--lambda", "3,2", "--n", "5", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Schur polynomial" in err
+        assert not out_file.exists()
+
     def test_input_and_output_are_expanded_once(self, capsys, monkeypatch, tmp_path):
         expansions = counted(monkeypatch, Formula, "expand")
+        walks = counted_walks(monkeypatch)
         report_file = tmp_path / "report.json"
         code, _, _ = run(
             capsys,
@@ -400,8 +425,11 @@ class TestReduceCommand:
             "--out", str(tmp_path / "det.json"), "--report-out", str(report_file),
         )
         assert code == 0
-        # the input, on n = 5 variables, and the output, on l^2 = 4
-        assert [f.arity for f in expansions] == [5, 4]
+        # one walk over the input's leaves h_1..h_4 on n = 5 variables, the
+        # whole input never, and one expansion of the output, on l^2 = 4
+        assert [f.arity for f in expansions] == [4]
+        assert [(arity, len(roots)) for roots, arity in walks] == [(5, 4), (4, 1)]
+        assert sorted(Formula(root, 5).degree() for root in walks[0][0]) == [1, 2, 3, 4]
         assert json.loads(report_file.read_text())["verified_against_determinant"] is True
 
     @pytest.mark.parametrize(
@@ -839,6 +867,46 @@ def test_huge_cyclotomic_exponent_is_read_modulo_the_order(tmp_path, name):
         assert "Traceback" not in result.stderr
         outputs.append((result.stdout.replace(str(path), "input"), result.stderr))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("order", [10**6, 10**8])
+@pytest.mark.parametrize("name", sorted(HUGE_EXPONENT_EXITS))
+def test_huge_cyclotomic_order_is_bad_input(tmp_path, name, order):
+    # building the field of order 10^6 ran past 20 s, and of order 10^8
+    # ended in a MemoryError traceback
+    command, text = scalar_inputs({"order": order, "value": "w^3"})[name]
+    path = tmp_path / "input"
+    path.write_text(text)
+    result = run_subprocess(*COMMAND_ARGS[command], str(path), timeout=10)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cyclotomic order {order} is above ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pdc", "convert"])
+def test_huge_text_variable_is_bad_input(tmp_path, command):
+    # x99999999999 made a 10^11-long exponent vector
+    path = tmp_path / "input"
+    path.write_text("x99999999999")
+    result = run_subprocess(*COMMAND_ARGS[command], str(path), timeout=10)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: variable x99999999999 is past x8192, the largest read here\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x9", json.dumps({"arity": 1, "terms": [{"exps": [1], "coeff": {"order": 9, "value": "w"}}]})],
+)
+def test_pdc_reads_up_to_its_budget(capsys, tmp_path, text):
+    # the variable x9, or order 9: read under --budget 9, refused under 8
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(capsys, "pdc", "--input", str(path), "--budget", "9")[0] == 0
+    code, out, err = run(capsys, "pdc", "--input", str(path), "--budget", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith("8, the largest read here\n")
 
 
 class TestConvertCommand:

@@ -139,6 +139,16 @@ class TestScalarArithmetic:
         with pytest.raises(ValueError, match="zero denominator in scalar '-?[0-9]+/0'"):
             scalar_from_json(obj)
 
+    @pytest.mark.parametrize("order", [9, 10**6, 10**8])
+    def test_order_above_the_limit_is_a_value_error(self, order):
+        # refused before the order-10^8 field is built
+        assert scalar_from_json({"order": 8, "value": "w^3"}, max_order=8) == omega(8) ** 3
+        with pytest.raises(ValueError, match=f"cyclotomic order {order} is above 8"):
+            scalar_from_json({"order": order, "value": "w^3"}, max_order=8)
+        # the terms are read first: a bad term is reported as such
+        with pytest.raises(ValueError, match="zero denominator"):
+            cyclotomic_from_text(order, "1/0*w", max_order=8)
+
     @given(st.fractions(max_denominator=10**6))
     @settings(max_examples=60, deadline=None)
     def test_rational_parse_print_parse_identity(self, q):

@@ -768,6 +768,13 @@ def test_bialternant_on_six_variables_matches_tableaux(parts):
 
 
 class TestTextAndJson:
+    def test_text_variable_past_the_limit_is_refused(self):
+        # x99999999999 made a 10^11-long exponent vector
+        assert poly_from_text("x9", max_arity=9).arity == 9
+        for text in ("x9", "x1 + 2*x3*x99999999999"):
+            with pytest.raises(ValueError, match="is past x8, the largest read here"):
+                poly_from_text(text, max_arity=8)
+
     def test_text_round_trip(self):
         p = Poly(3, {(2, 1, 0): Rat(3, 2), (0, 0, 1): -1, (0, 0, 0): 7})
         assert poly_from_text(p.to_text(), arity=3) == p

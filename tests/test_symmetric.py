@@ -19,8 +19,10 @@ from schurkit.field import CyclotomicScalar, Rat, common_order, omega
 from schurkit.partitions import Partition, partitions_up_to_weight, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
+    _band_labels,
     _e_images,
     _h_images,
+    _jacobi_trudi_partitions,
     _rearrangements,
     all_distinct,
     det_poly_matrix,
@@ -31,6 +33,7 @@ from schurkit.symmetric import (
     express_in_e_basis,
     generalized_vandermonde,
     h_poly,
+    h_product_sum,
     is_symmetric,
     jacobi_trudi_labels,
     p_poly,
@@ -39,7 +42,9 @@ from schurkit.symmetric import (
     schur_bialternant,
     schur_jt_e,
     schur_jt_h,
+    schur_partition_form,
     schur_ssyt,
+    schur_term_count,
     signed_permutations,
     skew_schur_h,
 )
@@ -598,3 +603,35 @@ def test_route_agreement_weight_four():
                 continue
             values = [route(lam, n) for route in ROUTES]
             assert all(v == values[0] for v in values), (lam.parts, n)
+
+
+class TestPartitionForms:
+    """s_lambda on the coefficients of partitions, and its term count."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_term_count_is_exact(self, n):
+        for lam in partitions_up_to_weight(7):
+            terms = len(schur_jt_h(lam, n).terms)
+            assert schur_term_count(lam, n, terms) == terms
+            # past the limit the count stops, above it
+            assert terms == 0 or schur_term_count(lam, n, terms - 1) > terms - 1
+
+    def test_term_count_stops_past_the_limit(self):
+        # s_(500,2) on 502 variables: lambda's own 502 * 501
+        # rearrangements come first
+        assert schur_term_count(Partition((500, 2)), 502, 1000) == 502 * 501
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_e_and_h_forms_agree(self, n):
+        for lam in partitions_up_to_weight(7):
+            if lam.length:
+                h_form = _jacobi_trudi_partitions(_band_labels(lam, math.inf), n)
+                assert schur_partition_form(lam, n) == h_form
+
+    def test_h_product_sum(self):
+        # s_(2,1) = h_2 h_1 - h_3, and the empty product is 1
+        n = 3
+        form = h_product_sum([(1, [2, 1]), (-1, [3])], n)
+        assert form == schur_partition_form(Partition((2, 1)), n)
+        assert h_product_sum([(Rat(5), [])], n) == {(): 5}
+        assert h_product_sum([(1, [1]), (-1, [1])], n) == {}

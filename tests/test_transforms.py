@@ -34,8 +34,10 @@ from schurkit.symmetric import (
     jacobi_trudi_labels,
     schur_bialternant,
     schur_jt_h,
+    schur_term_count,
 )
 from schurkit.transforms import (
+    _check_leibniz_input,
     _recover_traced,
     det_poly,
     divide_formula,
@@ -47,7 +49,7 @@ from schurkit.transforms import (
     shift_formula,
 )
 
-from helpers import counted, random_formula
+from helpers import counted, counted_walks, leibniz_mutants, random_formula
 
 
 def one_plus_x_product():
@@ -227,14 +229,14 @@ class TestRecoverOuter:
         # the pass checks the witness itself, so rows of rank below k reach
         # the elimination only past a faulty check, and still stop the pass
         f = self.compose(Formula(prod_node([inp(0), inp(1)]), 2))
-        result, _ = _recover_traced(f, f.expand(), self.inner, 2, self.witness.point)
+        result, _ = _recover_traced(f, f.expand().total_degree(), self.inner, 2, self.witness.point)
         assert result.expand() == Poly.monomial(2, (1, 1))
         row = self.witness.jacobian.to_rows()[0]
         monkeypatch.setattr(
             transforms, "witness_jacobian", lambda polys, point: ScalarMatrix(2, 3, row + row)
         )
         with pytest.raises(VerificationFailed, match="rank below 2"):
-            _recover_traced(f, f.expand(), self.inner, 2, self.witness.point)
+            _recover_traced(f, f.expand().total_degree(), self.inner, 2, self.witness.point)
 
     def test_input_expanded_before_the_witness_check(self, monkeypatch):
         # a bad witness and an input over the term budget: the budget trips
@@ -394,26 +396,56 @@ class TestEachIdentityOnce:
         assert out.expand() == det_poly(lam.length)
 
     def test_two_expansions_and_no_composition(self, monkeypatch):
+        # the input's distinct leaves are expanded in one walk, the whole
+        # input never, and the output once; nothing is composed
+        walks = counted_walks(monkeypatch)
+        built = []
+        build = transforms.jacobi_trudi_formula
+        monkeypatch.setattr(
+            transforms, "jacobi_trudi_formula", lambda lam, n: built.append(build(lam, n)) or built[-1]
+        )
         expands = counted(monkeypatch, Formula, "expand")
         composes = counted(monkeypatch, Poly, "compose")
         out, _ = schur_to_det_reduce(Partition((3, 2)), 5)
-        assert (len(expands), len(composes)) == (2, 0)
+        (f,) = built
+        leaves = {id(leaf) for c in f.root.children for leaf in c.children}
+        assert [(arity, {id(r) for r in roots}) for roots, arity in walks] == [
+            (5, leaves),
+            (4, {id(out.root)}),
+        ]
+        assert len(leaves) == 4 and id(f.root) not in leaves
+        assert (expands, len(composes)) == ([out], 0)
         assert out.expand() == det_poly(2)
+
+    def test_given_input_is_expanded_in_full(self, monkeypatch):
+        lam = Partition((3, 2))
+        f = jacobi_trudi_formula(lam, 5)
+        walks = counted_walks(monkeypatch)
+        expands = counted(monkeypatch, Formula, "expand")
+        out, _ = schur_to_det_reduce(lam, 5, f)
+        assert expands == [f, out]
+        assert [[id(r) for r in roots] for roots, _ in walks] == [[id(f.root)], [id(out.root)]]
 
     @pytest.mark.parametrize(
         "parts, n, least", [((3, 2), 5, 20), ((6, 3), 8, 56), ((500, 2), 502, 251_502)]
     )
     def test_budget_trips_before_the_build(self, monkeypatch, parts, n, least):
-        # s_lambda has at least n!/(n-l)! terms, its rearrangements of lambda
+        # s_lambda's exact term count is held against the budget; it counts
+        # lambda's own n!/(n-l)! rearrangements first, so a budget below
+        # those is refused at once, and so is one below the count: 101 for
+        # (3,2)/5, 11,152 for (6,3)/8, past 251,502 for (500,2)/502
         def build(lam, n):
             raise Sentinel
 
         monkeypatch.setattr(transforms, "jacobi_trudi_formula", build)
         lam = Partition(parts)
-        with pytest.raises(BudgetExceeded, match=f"exceeded {least - 1} terms"):
-            schur_to_det_reduce(lam, n, budget=least - 1)
-        with pytest.raises(Sentinel):
-            schur_to_det_reduce(lam, n, budget=least)
+        terms = {20: 101, 56: 11_152}.get(least)
+        for budget in (least - 1, least if terms is None else terms - 1):
+            with pytest.raises(BudgetExceeded, match=f"exceeded {budget} terms"):
+                schur_to_det_reduce(lam, n, budget=budget)
+        if terms is not None:
+            with pytest.raises(Sentinel):
+                schur_to_det_reduce(lam, n, budget=terms)
 
     def test_least_term_count_is_the_rearrangements(self):
         for parts, n in [((3, 2), 5), ((4, 2), 6), ((2,), 3), ((5, 3), 7)]:
@@ -427,6 +459,70 @@ class TestEachIdentityOnce:
         # term still fails as a wrong input
         with pytest.raises(ValueError, match="Schur polynomial"):
             schur_to_det_reduce(Partition((3, 2)), 5, Formula(const(1), 5), budget=10)
+
+
+#: every (lambda, n) with n <= 8 that meets the reduction hypothesis
+QUALIFYING = [
+    (parts, n)
+    for n in range(2, 9)
+    for weight in range(1, 2 * n)
+    for parts in partitions_of(weight)
+    if reduction_hypothesis_holds(Partition(parts), n)
+]
+
+
+class TestLeibnizInputCheck:
+    """The pipeline checks the input it builds without expanding it: its
+    leaves against the h's, and the signed sum of their products against
+    s_lambda on the coefficients of partitions."""
+
+    def test_qualifying_pairs(self):
+        assert len(QUALIFYING) == 48
+        assert ((6, 3), 8) in QUALIFYING and ((6, 5), 8) in QUALIFYING
+
+    @pytest.mark.parametrize("parts, n", QUALIFYING)
+    def test_term_count_is_exact(self, parts, n):
+        lam = Partition(parts)
+        terms = len(schur_jt_h(lam, n).terms)
+        assert schur_term_count(lam, n, terms) == terms
+        assert schur_term_count(lam, n, terms - 1) > terms - 1
+        with pytest.raises(BudgetExceeded, match=f"exceeded {terms - 1} terms"):
+            schur_to_det_reduce(lam, n, budget=terms - 1)
+
+    @pytest.mark.parametrize("parts, n", QUALIFYING)
+    def test_agrees_with_full_expansion(self, parts, n):
+        # each mutant is refused; expanding them all takes a minute at
+        # n = 8, so the expansions confirm them up to n = 6
+        lam = Partition(parts)
+        schur = schur_jt_h(lam, n)
+        for name, f in leibniz_mutants(lam, n).items():
+            try:
+                _check_leibniz_input(f, lam, n, {}, None)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (name == "built")
+            if n <= 6 or accepted:
+                assert (f.expand() == schur) == accepted
+
+    @pytest.mark.parametrize(
+        "name",
+        ["leaf-to-next-h", "flipped-sign", "moved-factor", "leaf-missing-a-term"],
+    )
+    def test_mutant_input_is_refused(self, monkeypatch, name):
+        lam = Partition((3, 2))
+        mutant = leibniz_mutants(lam, 5)[name]
+        monkeypatch.setattr(transforms, "jacobi_trudi_formula", lambda lam, n: mutant)
+        with pytest.raises(ValueError, match="Schur polynomial"):
+            schur_to_det_reduce(lam, 5)
+
+    def test_leaves_are_held_to_the_budget(self):
+        # h_4 on 5 variables has 70 terms, under the 101 of s_(3,2)
+        lam = Partition((3, 2))
+        f = jacobi_trudi_formula(lam, 5)
+        _check_leibniz_input(f, lam, 5, {}, 70)
+        with pytest.raises(BudgetExceeded):
+            _check_leibniz_input(f, lam, 5, {}, 69)
 
 
 def test_jacobi_trudi_formula_expands_to_schur():
