@@ -16,11 +16,12 @@ denominator, so its arithmetic is integer arithmetic plus one gcd per result
 rather than rational arithmetic per coefficient.  Every reduction modulo
 Phi_n, of a product, a conjugate or a sum of powers of w, folds exponents
 modulo n (w^n = 1) and then takes the remainder of one long division by
-Phi_n (`_divmod_monic`), the routine that also builds Phi_n by dividing
-x^n - 1 by the lower cyclotomic factors.  A scalar's inverse stays in that
-arithmetic: the conjugates sigma_k(a) (w -> w^k, 1 < k < n, gcd(k, n) = 1)
-are index permutations of the numerators, their product times a is the
-rational norm of a, so the inverse is that product divided by the norm.
+Phi_n (`_divmod_monic`); Phi_n itself is a Moebius product of sparse
+binomials x^d - 1 (`cyclotomic_polynomial`).  A scalar's inverse stays in
+that arithmetic: the conjugates sigma_k(a) (w -> w^k, 1 < k < n,
+gcd(k, n) = 1) are index permutations of the numerators, their product
+times a is the rational norm of a, so the inverse is that product divided
+by the norm.
 
 This module is the one place that inverts a scalar or eliminates exactly:
 callers divide by any scalar with `ONE / c`, `bareiss` gives the rank and
@@ -46,6 +47,7 @@ seeded grid sampler.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -100,25 +102,53 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> list:
     return work
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients (little-endian) of the n-th cyclotomic polynomial.
 
-    Computed by exact division: Phi_n = (x^n - 1) / prod of Phi_d over proper
-    divisors d of n.  No factorization machinery is needed.
+    Phi_n(x) = Phi_r(x^(n/r)) for r = rad(n), the product of the primes
+    dividing n.  For a squarefree r > 1, Phi_r(x) is the product over
+    d | r of (1 - x^d)^mu(r/d): the Moebius product of x^d - 1, whose signs
+    cancel as the mu(r/d) sum to 0.  It is taken as a power series cut
+    above phi(r), the degree of Phi_r, so each factor is one linear pass:
+    multiplying by 1 - x^d subtracts the series shifted up by d, dividing
+    by it adds the shifted series back, running upward.
     """
     if n < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {n}")
     if n == 1:
         return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            deg = len(cyclotomic_polynomial(d)) - 1
-            work = _divmod_monic(poly, cyclotomic_polynomial(d))
-            assert not any(work[:deg]), "division of cyclotomic factors must be exact"
-            poly = work[deg:]
+    primes = _prime_factors(n)
+    r = math.prod(primes)
+    deg = math.prod(p - 1 for p in primes)
+    series = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            d = r // math.prod(chosen)
+            if k % 2:
+                for i in range(d, deg + 1):
+                    series[i] += series[i - d]
+            else:
+                for i in range(deg, d - 1, -1):
+                    series[i] -= series[i - d]
+    stride = n // r
+    poly = [0] * (deg * stride + 1)
+    poly[::stride] = series
     return tuple(poly)
 
 

@@ -10,11 +10,15 @@ checkable by the brute-force expansion oracle:
 * division elimination through a truncated geometric series around a
   non-vanishing point of the divisor,
 * recovery of the outer polynomial from a formula computing a composition
-  g(q_1, ..., q_k) with g homogeneous and the q_i an algebraically
-  independent family, through a common-zero witness that the pass checks
-  itself (`witness_jacobian`); the linear forms are undone by one
-  Gauss-Jordan elimination of the Jacobian augmented with the identity;
-  the result is checked by composing its expansion with the family,
+  g(q_1, ..., q_k) with g homogeneous of degree d and the q_i an
+  algebraically independent family, through a common-zero witness that
+  the pass checks itself (`witness_jacobian`).  At the witness the shifted
+  formula has no component below d, so the degree-d one comes from the
+  D - d + 1 scaled copies at t = 1..D - d + 1 (D the total degree), not
+  the D + 1 at t = 0..D: the copy at 0 and the low degrees drop out.
+  The linear forms are undone by one Gauss-Jordan elimination of the
+  Jacobian augmented with the identity; the result is checked to be
+  homogeneous of degree d and by composing its expansion with the family,
 * the end-to-end pipeline taking a formula for s_lambda to a formula for
   the l x l determinant, under one hypothesis: the l^2 Jacobi-Trudi labels
   are distinct members of h_1..h_(n-1) (`reduction_hypothesis_holds`).
@@ -28,6 +32,7 @@ checkable by the brute-force expansion oracle:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circuits import (
@@ -82,16 +87,37 @@ from .symmetric import (
 REDUCTION_SIZE_CONSTANT = 8
 
 
-def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
-    """sum_t w_t * f(t*x) over t = 0..bound, with the Lagrange weights that
-    keep the components of f of the given degrees."""
+def _scaled_combination(f: Formula, scales, weights) -> Formula:
+    """sum of w * f(t*x) over the paired scales t and weights w, one sum
+    gate over the scaled copies."""
     copies = [
         f.substitute(
             {i: Formula(sum_node([inp(i)], [Rat(t)]), f.arity) for i in range(f.arity)}
         )
-        for t in range(bound + 1)
+        for t in scales
     ]
-    return Formula.combine(copies, interpolation_weights(bound, degrees))
+    return Formula.combine(copies, weights)
+
+
+def _interpolated_combination(f: Formula, bound: int, degrees) -> Formula:
+    """sum_t w_t * f(t*x) over t = 0..bound, with the Lagrange weights that
+    keep the components of f of the given degrees."""
+    return _scaled_combination(f, range(bound + 1), interpolation_weights(bound, degrees))
+
+
+def _lowest_component(f: Formula, bound: int, degree: int) -> Formula:
+    """The degree-d component of f, for an f with no component below d.
+
+    f(t*x) = sum_(e=d..D) t^e f_e(x), D = bound, so f(t*x) / t^d is a
+    polynomial in t of degree m - 1, m = D - d + 1, whose value at t = 0
+    is f_d.  The m copies at t = 1..m recover it with the Lagrange weights
+    for the value at 0 on those nodes, (-1)^(t-1) * C(m, t), each divided
+    by t^d.  A component of f below d would leak into the result.
+    """
+    m = bound - degree + 1
+    scales = range(1, m + 1)
+    weights = [Rat((-1) ** (t - 1) * math.comb(m, t), t**degree) for t in scales]
+    return _scaled_combination(f, scales, weights)
 
 
 def homogeneous_component_formula(f: Formula, degree: int) -> Formula:
@@ -197,10 +223,17 @@ def _recover_traced(f, bound, inner, degree, point):
     with the inner family, `schur_to_det_reduce` compares the relabelled
     output with det_l.
 
-    The degree extraction interpolates over t = 0..bound: shifting keeps
-    the total degree, so that bound holds for the shifted formula, and a
+    The degree extraction takes bound - degree + 1 scaled copies at
+    t = 1..bound - degree + 1 (`_lowest_component`): shifting keeps the
+    total degree, so that bound holds for the shifted formula, and a
     cancelling pair of high-degree terms, which inflates `f.degree()`, does
-    not inflate it.
+    not inflate it.  No copy at t = 0 and none for the degrees below
+    `degree` is needed because f is taken to be g(q_1..q_k) with g
+    homogeneous of that degree: the q_i vanish at the witness, so each
+    q_i(point + x) has no constant term and the shifted formula no
+    component below `degree`.  Soundness rests on that precondition; an
+    input that breaks it yields a wrong result, which the caller's check
+    refuses.
     """
     inner = list(inner)
     k = len(inner)
@@ -217,7 +250,7 @@ def _recover_traced(f, bound, inner, degree, point):
     if degree > bound:
         extracted = constant_formula(arity, 0)
     else:
-        extracted = _interpolated_combination(shifted, bound, (degree,))
+        extracted = _lowest_component(shifted, bound, degree)
     trace.append((f"extract-degree-{degree}", extracted))
 
     # one elimination of [J | I_k] gives [R | E] with E*J = R and
@@ -259,10 +292,17 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     `schurkit.independence`).  The pipeline shifts to the witness, extracts
     the degree-d component (which equals g applied to the Jacobian's linear
     forms), and undoes those linear forms through an exact matrix inverse.
+    The extraction interpolates over t = 1..D - d + 1 only, D the input's
+    total degree, which is sound only for such a composition: only then
+    does the shifted input have no component below d.
 
-    The result is expanded and re-composed with the inner family; a mismatch
-    (e.g. a non-homogeneous g) raises ReductionMismatch; a point that is not
-    a common zero with Jacobian rank k raises InvalidWitness.  The input is
+    The result is expanded, must be homogeneous of the stated degree, and
+    is re-composed with the inner family; a failure of either (e.g. a
+    non-homogeneous g, or an input that is no composition) raises
+    ReductionMismatch.  These checks are what guard the precondition:
+    passing both, the result composed with the family is the input, with
+    an outer polynomial homogeneous of that degree.  A point that is not a
+    common zero with Jacobian rank k raises InvalidWitness.  The input is
     expanded before the witness is checked, so an input over the term
     budget raises BudgetExceeded first.
     """
@@ -272,6 +312,11 @@ def recover_outer_formula(f: Formula, inner, degree: int, point) -> Formula:
     # the recovered coefficients are rationals stored in the witness's
     # cyclotomic field; demoted, the composition runs over Q
     recovered = result.expand().map_coefficients(demote)
+    if not (recovered.is_homogeneous() and recovered.total_degree() in (degree, -1)):
+        raise ReductionMismatch(
+            f"the recovered polynomial is not homogeneous of degree {degree}; "
+            "the input was not a homogeneous composition of this family"
+        )
     if recovered.compose(inner) != expanded:
         raise ReductionMismatch(
             "composing the recovered polynomial with the inner family does "
@@ -454,9 +499,12 @@ def schur_to_det_reduce(
       j)) = s_lambda (the dual Jacobi-Trudi identity, Macdonald I.3).
 
     So s_lambda is the input's polynomial, and its degree |lam| bounds the
-    degree extraction.  The input and output checks together imply that
-    the recovered polynomial composed with the inner family reproduces the
-    input, the check `recover_outer_formula` makes:
+    degree extraction.  It is det_l of h's that vanish at the witness, the
+    precondition of the extraction's t = 1..|lam| - l + 1 lattice, so the
+    input check also makes that extraction sound.  The input and output
+    checks together imply that the recovered polynomial composed with the
+    inner family reproduces the input, the check `recover_outer_formula`
+    makes:
 
     * s_lambda is det(h_labels), that is det_l composed with the labelled
       h's, and `inner` is those h's in sorted-label order, so s_lambda is

@@ -84,6 +84,16 @@ def counted(monkeypatch, cls, name) -> list:
     return calls
 
 
+def full_lattice_extraction(monkeypatch):
+    """Put back the reduction's earlier degree extraction, the D + 1 scaled
+    copies at t = 0..D, in place of the D - l + 1 at t = 1..D - l + 1."""
+    monkeypatch.setattr(
+        transforms,
+        "_lowest_component",
+        lambda f, bound, degree: transforms._interpolated_combination(f, bound, (degree,)),
+    )
+
+
 def counted_walks(monkeypatch) -> list:
     """Patch `expand_nodes`, in `circuits` (where `Formula.expand` calls
     it) and in `transforms`, with a wrapper that appends each call's

@@ -499,9 +499,8 @@ class TestJsonPieces:
             circuits._SHORT_TEXT = saved
 
     def test_streaming_holds_a_fraction_of_the_text(self):
-        # the (4,2)/6 output is 18.4 MB of text from about 1,300 distinct
-        # nodes; a writer that joins shared nodes' texts peaks at about
-        # half the text
+        # the (4,2)/6 output is 13.2 MB of text from 363 distinct nodes; a
+        # writer that joins shared nodes' texts peaks at about half the text
         f = schur_to_det_reduce(Partition((4, 2)), 6)[0]
         tracemalloc.start()
         try:
@@ -509,7 +508,7 @@ class TestJsonPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size == 18_424_607
+        assert size == 13_160_451
         assert peak < 3_000_000
 
     def test_product_chain_deeper_than_the_recursion_limit(self):

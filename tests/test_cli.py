@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurkit import cli, transforms
-from schurkit.circuits import Formula, const
+from schurkit.circuits import Formula, const, inp, sum_node
 from schurkit.cli import main
 from schurkit.errors import (
     GridExhausted,
@@ -27,7 +27,7 @@ from schurkit.partitions import Partition
 from schurkit.poly import Poly
 from schurkit.symmetric import e_poly, schur_ssyt
 
-from helpers import counted, counted_walks, leibniz_mutants
+from helpers import counted, counted_walks, full_lattice_extraction, leibniz_mutants
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -307,14 +307,34 @@ class TestReduceCommand:
         assert sha256(report_file) == README_DIGESTS["reduce-report-4,2/6"]
 
     def test_largest_instance_is_pinned(self):
-        # `reduce --lambda 6,3 --n 8 --out F` writes 416,719,239 bytes; they
-        # are hashed as the writer streams them, with no file
+        # `reduce --lambda 6,3 --n 8 --out F` writes 333,375,377 bytes, from
+        # the 4 scaled copies at t = 1..4; they are hashed as the writer
+        # streams them, with no file
         output, _ = transforms.schur_to_det_reduce(Partition((6, 3)), 8)
         digest = hashlib.sha256()
         for piece in output.json_pieces():
             digest.update(piece.encode())
         digest.update(b"\n")
         assert digest.hexdigest() == REDUCE_6_3_8_DIGEST
+
+    @pytest.mark.parametrize("lam, n, suffix", [("3,2", 5, ""), ("4,2", 6, "-4,2/6")])
+    def test_full_lattice_extraction_gives_the_earlier_bytes(
+        self, capsys, monkeypatch, tmp_path, lam, n, suffix
+    ):
+        # the extraction on the full lattice t = 0..D, put back in place of
+        # the one on t = 1..D - l + 1, writes the files pinned before the
+        # lattice shrank: no other byte of the pipeline moved
+        full_lattice_extraction(monkeypatch)
+        out_file = tmp_path / "det.json"
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "reduce", "--lambda", lam, "--n", str(n),
+            "--out", str(out_file), "--report-out", str(report_file),
+        )
+        assert code == 0
+        assert sha256(out_file) == FULL_LATTICE_DIGESTS["reduce-det" + suffix]
+        assert sha256(report_file) == FULL_LATTICE_DIGESTS["reduce-report" + suffix]
 
     def test_skew_shape_is_bad_input(self, capsys, tmp_path):
         # the inner partition was once dropped, writing the s_(5,3) reduction
@@ -369,6 +389,27 @@ class TestReduceCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Schur polynomial" in err
+
+    @pytest.mark.parametrize("extra", [inp(0), const(1)])
+    def test_formula_file_that_is_no_composition_exits_1(self, capsys, tmp_path, extra):
+        # s_(3,2) + x1 and s_(3,2) + 1 are no composition of det_2 with the
+        # h's (the second does not vanish at the witness); the input check
+        # refuses both before the extraction, which assumes one
+        lam = Partition((3, 2))
+        source = transforms.jacobi_trudi_formula(lam, 5)
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps(Formula(sum_node([source.root, extra]), 5).to_json()))
+        out_file = tmp_path / "det.json"
+        code, out, err = run(
+            capsys,
+            "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Schur polynomial" in err
+        assert not out_file.exists()
 
     def test_formula_file_of_another_arity_exits_1_at_once(self, tmp_path):
         # expanding an input of arity 10^8 builds 10^8-long exponent vectors:
@@ -491,22 +532,34 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-#: SHA-256 of the README commands' --out files, recorded before the scalar
-#: representation changed, and of the (4,2)/6 reduction, recorded before the
-#: JSON writer stopped calling `json.dumps` on the whole payload; the outputs
-#: must stay byte-identical
+#: SHA-256 of the README commands' --out files and of the (4,2)/6
+#: reduction, recorded when the degree extraction moved to the scaled copies
+#: at t = 1..D - l + 1; the witness outputs were recorded before the scalar
+#: representation changed.  All must stay byte-identical
 README_DIGESTS = {
-    "reduce-det": "432ca6f014d2612f3b873dcebe509a0c3bce8641690c53944012d47f252ac600",
-    "reduce-report": "fe3914b00ab354cb31d1b617d08c6d502ba487c61c564beca05a89bb70a149b8",
-    "reduce-det-4,2/6": "bc9837bf0dafbfa56fa51d221323a6f5da1e89f816136f143df1a3b1b5b053bd",
-    "reduce-report-4,2/6": "abcc932d77ec2e87a8de93f2ceebf90f159adfc3d1485c3d210ed9e6ec095e97",
+    "reduce-det": "4f788a988619569d67506fc44897d8d865cc7d64b7e8b12990e569fc8ac93df8",
+    "reduce-report": "c410eb0cfc98bca34d041bab92781e7b1fcd9dea6468d3f694bd2cb6486401ac",
+    "reduce-det-4,2/6": "912dc0b835c5575068637764b58c98f47411380d085016f3fa37dea6bfccca9e",
+    "reduce-report-4,2/6": "8734a01a6b246110274e68576811f1bc4f67034e5b17d0a788206b1962d80db3",
     "witness-h-6": "8b15693abb9bb66f832c8089b9e53578861333279cdb2e1ddc16126f18d026ae",
     "witness-shifted-4": "728e5da5d13a707cd27fe74ded000b352c7b3c2ea4e1f198776efebc16763693",
 }
 
-#: SHA-256 of `reduce --lambda 6,3 --n 8 --out`, recorded when the writer
-#: still re-indented each shared container's whole text
-REDUCE_6_3_8_DIGEST = "907439e6d038f6907194a293a4c76836c1ad3e52b9be6ccf2f0cc55b63c850dd"
+#: the reduce digests of `README_DIGESTS` while the degree extraction took
+#: the D + 1 scaled copies at t = 0..D, recorded before the scalar
+#: representation changed and, for (4,2)/6, before the JSON writer stopped
+#: calling `json.dumps` on the whole payload; that extraction, put back
+#: in place, must still reproduce them
+FULL_LATTICE_DIGESTS = {
+    "reduce-det": "432ca6f014d2612f3b873dcebe509a0c3bce8641690c53944012d47f252ac600",
+    "reduce-report": "fe3914b00ab354cb31d1b617d08c6d502ba487c61c564beca05a89bb70a149b8",
+    "reduce-det-4,2/6": "bc9837bf0dafbfa56fa51d221323a6f5da1e89f816136f143df1a3b1b5b053bd",
+    "reduce-report-4,2/6": "abcc932d77ec2e87a8de93f2ceebf90f159adfc3d1485c3d210ed9e6ec095e97",
+}
+
+#: SHA-256 of `reduce --lambda 6,3 --n 8 --out`, recorded when the degree
+#: extraction moved to the scaled copies at t = 1..D - l + 1
+REDUCE_6_3_8_DIGEST = "0daffef34bef792aeda6826ac2ba6606a7c15cc1931b4a3c5e561ec5c91e0f85"
 
 #: SHA-256 of `witness --family F --n N --out` for F = e, h, p and
 #: N = 2..8, recorded before root-of-unity evaluation moved to exponent

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +32,9 @@ from schurkit.field import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -44,7 +51,7 @@ class TestCyclotomicPolynomials:
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 301))
     def test_product_over_divisors_is_x_n_minus_1(self, n):
         # independent oracle: multiply the factors back together
         product = [1]
@@ -54,6 +61,23 @@ class TestCyclotomicPolynomials:
         expected = [0] * (n + 1)
         expected[0], expected[n] = -1, 1
         assert product == expected
+
+    def test_large_orders_finish(self):
+        # 55440 = 2^4 * 3^2 * 5 * 7 * 11: one pass per squarefree divisor of
+        # 2310 over 481 coefficients; a subprocess, so that a slow build
+        # fails by timeout
+        code = (
+            "from schurkit.field import cyclotomic_polynomial as phi\n"
+            "assert len(phi(55440)) == 11521 and len(phi(27720)) == 5761\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_omega_is_primitive(self, n):

@@ -3,12 +3,14 @@ package's own routes share one product kernel and one elimination, so a
 fault there can agree with itself.  Skipped when sympy is not installed."""
 
 import itertools
+import json
 import random
 
 import pytest
 
 sympy = pytest.importorskip("sympy", reason="sympy is not installed: the oracle checks need it")
 
+from schurkit.cli import main
 from schurkit.derivatives import pdc_dimension
 from schurkit.field import CyclotomicScalar, Rat, ScalarMatrix, bareiss, fold_constants
 from schurkit.independence import h_family_witness, p_family_witness, roots_of_unity_witness
@@ -285,3 +287,59 @@ def test_formula_expand_against_sympy_expand(seed):
         f = random_formula(rng, arity, max_depth=4)
         expected = sympy.Poly(sympy.expand(tree(f.root)), *xs, domain="QQ")
         assert sympy.Poly(to_sympy(f.expand(), xs), *xs, domain="QQ") == expected
+
+
+def test_reduce_out_file_is_the_determinant(tmp_path):
+    """The (3,2)/5 `--out` file, read by the stdlib parser and expanded by
+    sympy alone in QQ[w, z0..z3] modulo Phi_5(w): the one check of the
+    reduction's output that goes through no schurkit code past the CLI."""
+    out_file = tmp_path / "det.json"
+    assert main(["reduce", "--lambda", "3,2", "--n", "5", "--out", str(out_file)]) == 0
+    # the hook sees each object after its members, so a node's children are
+    # already interned; a node becomes its index among the distinct ones
+    keys = {}
+
+    def intern(pairs):
+        key = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in pairs)
+        return keys.setdefault(key, len(keys))
+
+    top = json.loads(out_file.read_text(), object_pairs_hook=intern)
+    objects = [dict(key) for key in keys]
+    nodes = [obj for obj in objects if "kind" in obj]
+    assert len(nodes) == 209
+    document = objects[top]
+    assert document["arity"] == 4
+
+    w = sympy.Symbol("w")
+    zs = sympy.symbols("z0:4")
+    gens = (w, *zs)
+    phi = sympy.Poly(sympy.cyclotomic_poly(5, w), *gens, domain="QQ")
+
+    def scalar(value):
+        if isinstance(value, int):  # an interned {"order": 5, "value": text}
+            spec = objects[value]
+            assert spec["order"] == 5
+            return sympy.sympify(spec["value"].replace("^", "**"), locals={"w": w})
+        return sympy.Rational(value)
+
+    values = {}
+    for index, obj in enumerate(objects):
+        kind = obj.get("kind")
+        if kind == "input":
+            value = zs[obj["var"]]
+        elif kind == "const":
+            value = scalar(obj["value"])
+        elif kind == "sum":
+            value = sum(
+                (scalar(c) * values[child] for c, child in zip(obj["weights"], obj["children"])),
+                sympy.Poly(0, *gens, domain="QQ"),
+            )
+        elif kind == "product":
+            value = sympy.Poly(1, *gens, domain="QQ")
+            for child in obj["children"]:
+                value = (value * values[child]).rem(phi)
+        else:
+            continue
+        values[index] = sympy.Poly(value, *gens, domain="QQ").rem(phi)
+    z0, z1, z2, z3 = zs
+    assert values[document["root"]] == sympy.Poly(z0 * z3 - z1 * z2, *gens, domain="QQ")

@@ -82,9 +82,9 @@ def test_independence_benchmark_runs_correct():
 def test_reduce_cli_benchmark_runs_correct():
     # the reduce gate checks each reduction's depth increase (+4), its size
     # bound and the round trip of its --out file; an op writes the (3,2)/5
-    # and (4,2)/6 --out files, 23,014,132 bytes in all
+    # and (4,2)/6 --out files, 16,220,160 bytes in all
     metrics = run_benchmark_second("reduce-cli")["metrics"]
-    assert metrics["cli.out_bytes"]["value"] == 23_014_132
+    assert metrics["cli.out_bytes"]["value"] == 16_220_160
 
 
 def test_routes_benchmark_runs_correct():

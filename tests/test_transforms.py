@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit import circuits, independence, transforms
 from schurkit.circuits import (
@@ -38,6 +40,7 @@ from schurkit.symmetric import (
 )
 from schurkit.transforms import (
     _check_leibniz_input,
+    _lowest_component,
     _recover_traced,
     det_poly,
     divide_formula,
@@ -254,6 +257,45 @@ class TestRecoverOuter:
         )
         with pytest.raises(ReductionMismatch):
             recover_outer_formula(self.compose(g), self.inner, 2, self.witness.point)
+
+    @pytest.mark.parametrize("extra", [inp(0), const(1)])
+    def test_input_that_is_no_composition_refused(self, extra):
+        # e1*e2 + x1 is no composition of the family, and e1*e2 + 1 does
+        # not vanish at the witness: the shifted input has components below
+        # degree 2, which leak into the extraction on t = 1..D - 1
+        f = self.compose(Formula(prod_node([inp(0), inp(1)]), 2))
+        g = Formula(sum_node([f.root, extra]), 3)
+        with pytest.raises(ReductionMismatch):
+            recover_outer_formula(g, self.inner, 2, self.witness.point)
+
+    def test_constant_offset_on_one_copy_refused(self):
+        # e1 + 1 with degree 1: D - d + 1 = 1 copy, at t = 1, which is the
+        # shifted input itself, so the result computes z + 1, and (z + 1)(e1)
+        # is the input; only the homogeneity check refuses it
+        f = Formula(sum_node([formula_from_poly(self.inner[0]).root, const(1)]), 3)
+        with pytest.raises(ReductionMismatch, match="not homogeneous of degree 1"):
+            recover_outer_formula(f, [self.inner[0]], 1, self.witness.point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda ell: st.tuples(
+            st.just(ell),
+            st.lists(st.integers(-50, 50), min_size=1, max_size=11),
+        )
+    )
+)
+def test_lowest_component_weights(case):
+    # for P(t) = sum_(d=l..D) a_d t^d the copies at t = 1..D - l + 1 of
+    # P(t*x) sum, weighted, to a_l x^l: at x = 1, sum_t w_t P(t) = a_l
+    ell, coeffs = case
+    bound = ell + len(coeffs) - 1
+    p = Poly(1, {(ell + i,): Rat(a) for i, a in enumerate(coeffs)})
+    out = _lowest_component(formula_from_poly(p), bound, ell)
+    assert len(out.root.children) == bound - ell + 1
+    assert out.eval((Rat(1),)) == coeffs[0]
+    assert out.expand() == Poly(1, {(ell,): Rat(coeffs[0])})
 
 
 def naive_reduction_hypothesis(lam, n):
@@ -561,7 +603,7 @@ def test_det_poly_matches_the_determinant_abp(ell):
 def test_extraction_bound_comes_from_the_expansion():
     # +x1^10 - x1^10 under a root sum lifts the structural degree to 10,
     # but the input still expands to s_(3,2), of degree 5: the extraction
-    # interpolates over t = 0..5, 6 scaled copies instead of 11
+    # of degree 2 takes the scaled copies at t = 1..4, 4 instead of 9
     lam = Partition((3, 2))
     power = prod_node([inp(0)] * 10)
     padded = Formula(
@@ -571,7 +613,7 @@ def test_extraction_bound_comes_from_the_expansion():
     out, report = schur_to_det_reduce(lam, 5, padded)
     assert out.expand() == det_poly(2)
     assert report.depth_increase() == 4
-    assert report.output_size == 11317
+    assert report.output_size == 7545
 
 
 def test_depth_increase_is_at_most_four():
