@@ -7,8 +7,8 @@ graded lexicographic: higher total degree first, ties broken by the exponent
 tuple with x1 heaviest.
 
 This module owns the packed integer form that products, exact division,
-formula expansion, polynomial determinants and derivative spans run on;
-`field` owns only its scalar side.  An exponent tuple becomes one int, its
+formula expansion and derivative spans run on; `field` owns only its
+scalar side.  An exponent tuple becomes one int, its
 graded key, holding the total degree in the top field, then x1 .. xn, each
 field `width` bits wide, where `width` is the bit length of the largest
 total degree the operation can reach (deg a + deg b for a product, the
@@ -24,19 +24,17 @@ an operand, `packed_decode` turns kernel numerators back into one,
 `packed_partial` differentiates an operand and `packed_monomials` counts
 its monomials.
 
-A product is an integer kernel, `packed_product`, with five callers:
-`Poly.__mul__`, `Formula.expand`, `symmetric.det_poly_matrix` (general
-polynomial matrices, such as `transforms.det_poly`; the Schur determinant
-routes multiply on coefficients of partitions instead),
-`derivatives.pdc_dimension` for its w^i rows and, over a cyclotomic field,
-`Poly.divide_exact`.  Over Q the inner loop adds keys and multiplies
-ints.  In the order-n field it multiplies each monomial's numerators as
+A product is an integer kernel, `packed_product`, with four callers:
+`Poly.__mul__`, `Formula.expand`, `derivatives.pdc_dimension` for its w^i
+rows and, over a cyclotomic field, `Poly.divide_exact`.  Over Q the inner
+loop adds keys and multiplies ints.  In the order-n field it multiplies
+each monomial's numerators as
 one int, the power basis evaluated at w = 2^S (Kronecker substitution),
 and reduces each result monomial once modulo Phi_n(2^S)
 back into power-basis numerators, so a result can be the next product's
 operand.  `Poly.__mul__` encodes its two operands and decodes the result;
-`Formula.expand` and `det_poly_matrix` encode each leaf or entry once and
-decode only the root, and both add packed values with `packed_sum`.
+`Formula.expand` encodes each leaf once, decodes only the root, and adds
+packed values with `packed_sum`.
 Rational operands give rational coefficients; if either operand has a
 cyclotomic coefficient, every product coefficient lies in that one
 cyclotomic field, and two orders raise DomainMismatch.
@@ -663,18 +661,6 @@ class Poly:
                 raise ArityMismatch("substituted polynomials disagree on arity")
         terms = ((e, Poly.constant(arity, c)) for e, c in self.terms.items())
         return _power_sum(terms, values, Poly.zero(arity))
-
-    def permute_vars(self, perm: Sequence[int]) -> "Poly":
-        """Relabel variables: new variable perm[i] receives old variable i."""
-        if sorted(perm) != list(range(self.arity)):
-            raise ValueError(f"not a permutation of 0..{self.arity - 1}: {perm}")
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * self.arity
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            out[tuple(new)] = coeff
-        return Poly._raw(self.arity, out)
 
     def map_coefficients(self, fn: Callable) -> "Poly":
         return Poly(self.arity, {e: fn(c) for e, c in self.terms.items()})

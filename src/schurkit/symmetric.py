@@ -13,10 +13,12 @@ The Schur polynomial for a partition is constructed four independent ways:
   counted shape by shape by the branching rule.
 
 Exact equality of the four expansions is the package's core sanity battery.
-The bialternant and the two determinants end the same way: each partition
-with a non-zero coefficient is expanded into the distinct rearrangements
-of its exponents (`_rearrangements`).  The tableau route builds every
-exponent vector itself and assumes no symmetry, so a fault in that shared
+Symmetric polynomials are tested, rewritten and compared only on their
+coefficients on partitions (`partition_form`).  `expand_orbits` expands
+each into the distinct rearrangements of its exponents (`_rearrangements`);
+the two determinants end there, and the bialternant inline, as its
+subtraction walks the same rearrangements.  The tableau route builds every
+exponent vector itself and assumes no symmetry, so a fault in that
 expansion shows as a disagreement with it.
 No route recurses: the bialternant runs one loop over the leading alternant
 of its remainder, the determinants one loop per row over bit masks of free
@@ -26,10 +28,8 @@ count, skew determinants, the closed form for the scaled-staircase
 family, e_k over the h and p bases by the classical recurrences (E(t) H(-t)
 = 1 and Newton's identities), any symmetric polynomial over the elementary
 basis by the leading-term reduction.  Determinants of general polynomial
-matrices (`det_poly_matrix`) run on the packed integer form that `poly`
-owns (`field` owns only its scalar side), through its encoder, product
-kernel and decoder; they share the mask loop (`_cofactor_expansion`) with
-the Schur determinants.
+matrices (`det_poly_matrix`) run the Schur determinants' mask loop
+(`_cofactor_expansion`) in `Poly` arithmetic.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArityMismatch, LengthMismatch, NotContained, NotSymmetric
-from .field import ONE, Rat, common_order
+from .field import ONE, Rat, common_order, embed
 from .partitions import Partition, staircase
-from .poly import Poly, packed_decode, packed_encode, packed_product, packed_sum
+from .poly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,8 @@ def _cofactor_expansion(rows, one, combine):
     row's non-zero columns.  `one` is the minor of no rows,
     and `combine` takes a mask's (entry, minor, sign) parts to the minor
     sum of sign * entry * minor, or to None when that is zero; a zero
-    minor is never a part.  Returns None for a zero determinant.  There
-    must be at least one row.
+    minor is never a part.  Returns None for a zero determinant, and `one`
+    for no rows.
     """
     m = len(rows)
     full = (1 << m) - 1
@@ -132,44 +132,29 @@ def _cofactor_expansion(rows, one, combine):
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials by `_cofactor_expansion`.
-
-    The loops run on the packed integer form that `poly` owns, as
-    `Poly.__mul__` does: each distinct entry is encoded once
-    (`poly.packed_encode`) at one key width, that of the sum over rows of
-    the largest entry degree, which bounds every minor's degree.  A minor
-    is (numerators, denominator), built with `poly.packed_product` and
-    `poly.packed_sum`; only the determinant is decoded
-    (`poly.packed_decode`).  Entries of two arities raise ArityMismatch.
-    The coefficients are all rational when every entry is, else all
+    """Determinant of a matrix of polynomials by `_cofactor_expansion`, in
+    `Poly` arithmetic.  Entries of two arities raise ArityMismatch.  The
+    coefficients are all rational when every entry is, else all
     `CyclotomicScalar`s of the entries' one order (two orders raise
     DomainMismatch, even where they never meet in a product).
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("empty matrix needs an explicit arity; handle at call site")
     arity = rows[0][0].arity
-    entries = {id(p): p for row in rows for p in row}
-    if any(p.arity != arity for p in entries.values()):
+    if any(p.arity != arity for row in rows for p in row):
         raise ArityMismatch("matrix entries disagree on arity")
-    order = common_order(*(p.terms.values() for p in entries.values()))
-    degree = {i: p.total_degree() for i, p in entries.items()}
-    width = sum(max(0, *(degree[id(p)] for p in row)) for row in rows).bit_length()
-    codes = {i: packed_encode(p, width, order) for i, p in entries.items()}
+    order = common_order(*(p.terms.values() for row in rows for p in row))
+    # a cyclotomic minor of no rows makes every product, so every minor, cyclotomic
+    one = Poly.constant(arity, ONE if order is None else embed(ONE, order))
 
     def combine(parts):
-        acc, den = packed_sum([
-            (packed_product(nums, sub.items(), order), sign, entry_den * sub_den)
-            for (nums, entry_den), (sub, sub_den), sign in parts
-        ])
-        return (acc, den) if acc else None
+        acc = Poly.zero(arity)
+        for entry, sub, sign in parts:
+            acc = acc + entry * sub if sign > 0 else acc - entry * sub
+        return acc or None
 
-    det = _cofactor_expansion(
-        [{j: codes[id(p)] for j, p in enumerate(row) if p.terms} for row in rows], ({0: 1}, 1), combine
-    )
-    if det is None:
-        return Poly.zero(arity)
-    return packed_decode(*det, arity, width, order)
+    det = _cofactor_expansion([{j: p for j, p in enumerate(row) if p.terms} for row in rows], one, combine)
+    return Poly.zero(arity) if det is None else det
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +399,8 @@ def _jacobi_trudi_partitions(rows: list[dict[int, int]], n: int, elementary: boo
     in n variables, as its coefficients on partitions, {mu: coefficient of
     x^mu} (mu's positive parts, at most n of them; {} for zero).
     rows[i] = {j: labels[i][j]} holds only the labels of row i that can
-    give a non-zero entry: none negative, and for e none past n.  There
-    must be at least one row.
+    give a non-zero entry: none negative, and for e none past n.  No rows
+    give {(): 1}.
 
     Every entry and every minor is symmetric, so it is held on partitions
     too, and `_cofactor_expansion` multiplies a minor by h_a or e_a there
@@ -432,13 +417,11 @@ def _jacobi_trudi_partitions(rows: list[dict[int, int]], n: int, elementary: boo
     return _cofactor_expansion(rows, {(): 1}, lambda parts: _images_sum(parts, n, images)) or {}
 
 
-def _jacobi_trudi_det(rows: list[dict[int, int]], n: int, elementary: bool = False) -> Poly:
-    """The determinant of `_jacobi_trudi_partitions` as a polynomial: each
-    orbit is expanded once (`_rearrangements`)."""
-    if not rows:
-        return Poly.constant(n, 1)
+def expand_orbits(form: dict, n: int) -> Poly:
+    """The polynomial in n variables with rational coefficients {mu: c} on
+    partitions: c on each distinct rearrangement of mu's n exponents."""
     terms = {}
-    for mu, c in _jacobi_trudi_partitions(rows, n, elementary).items():
+    for mu, c in form.items():
         coeff = Rat(c)
         for beta in _rearrangements(mu + (0,) * (n - len(mu))):
             terms[beta] = coeff
@@ -459,36 +442,50 @@ def _band_labels(lam: Partition, top) -> list[dict[int, int]]:
 
 def schur_jt_h(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(h_{lam_i - i + j}) of size l(lam)."""
-    return _jacobi_trudi_det(_band_labels(lam, math.inf), n)
+    return expand_orbits(_jacobi_trudi_partitions(_band_labels(lam, math.inf), n), n)
 
 
 def schur_jt_e(lam: Partition, n: int) -> Poly:
     """Schur polynomial as det(e_{lam'_i - i + j}) over the conjugate partition."""
-    return _jacobi_trudi_det(_band_labels(lam.conjugate(), n), n, elementary=True)
+    return expand_orbits(schur_partition_form(lam, n), n)
 
 
 def schur_partition_form(lam: Partition, n: int) -> dict:
-    """s_lambda in n variables (l(lam) >= 1) as its coefficients on
-    partitions, {mu: coefficient of x^mu}: `schur_jt_e` before its
-    expansion.  A symmetric polynomial in n variables is the sum of its
+    """s_lambda in n variables as its coefficients on partitions, {mu:
+    coefficient of x^mu}: `schur_jt_e` before its expansion.  A symmetric
+    polynomial in n variables is the sum of its
     coefficients times the monomial symmetric m_mu, so two are equal
     exactly when these coefficients are."""
     return _jacobi_trudi_partitions(_band_labels(lam.conjugate(), n), n, elementary=True)
 
 
-def h_product_sum(products, n: int) -> dict:
-    """The sum of w * h_(a_1) * ... * h_(a_k) over the (w, (a_1, ..., a_k))
-    in `products`, in n variables, as its coefficients on partitions: each
-    product is grown factor by factor by `_h_images`, the empty product
-    being h_0 = 1."""
+def _product_sum(products, n: int, images) -> dict:
+    """The sum of w * f_(a_1) * ... * f_(a_k) over the (w, (a_1, ..., a_k))
+    in `products`, in n variables, with f_a = h_a or e_a as `images` is
+    `_h_images` or `_e_images`, as its coefficients on partitions: each
+    product is grown factor by factor, the empty product being f_0 = 1."""
     parts = []
     for w, labels in products:
         first, *rest = labels or (0,)
         minor = {(): 1}
         for a in rest:
-            minor = _images_sum([(a, minor, 1)], n, _h_images) or {}
+            minor = _images_sum([(a, minor, 1)], n, images) or {}
         parts.append((first, minor, w))
-    return _images_sum(parts, n, _h_images) or {}
+    return _images_sum(parts, n, images) or {}
+
+
+def h_product_sum(products, n: int) -> dict:
+    """`_product_sum` of products of h's."""
+    return _product_sum(products, n, _h_images)
+
+
+def _orbit_size(mu: tuple[int, ...], n: int) -> int:
+    """The number of distinct rearrangements of the partition mu padded to
+    n entries: n! / ((n - l(mu))! prod_i m_i(mu)!), m_i the parts i."""
+    orbit = math.perm(n, len(mu))
+    for m in Counter(mu).values():
+        orbit //= math.factorial(m)
+    return orbit
 
 
 def schur_term_count(lam: Partition, n: int, limit: int) -> int:
@@ -500,7 +497,7 @@ def schur_term_count(lam: Partition, n: int, limit: int) -> int:
     lambda (Macdonald, Symmetric Functions and Hall Polynomials, I.6;
     Stanley, EC2, 7.10).  So the terms are the rearrangements of the mu of
     weight |lam| and at most n parts with mu_1 + ... + mu_k <= lam_1 + ... +
-    lam_k for every k, n! / ((n - l(mu))! prod_i m_i(mu)!) of each.  The mu
+    lam_k for every k, `_orbit_size(mu, n)` of each.  The mu
     are grown part by part, each part within the one before, within that
     bound, and large enough that the parts left can hold the rest, and the
     largest part is tried first: lambda itself, with its n!/(n - l)!
@@ -515,10 +512,7 @@ def schur_term_count(lam: Partition, n: int, limit: int) -> int:
         k = len(mu)
         rest = weight - size
         if not rest:
-            orbit = math.perm(n, k)
-            for m in Counter(mu).values():
-                orbit //= math.factorial(m)
-            total += orbit
+            total += _orbit_size(mu, n)
             if total > limit:
                 break
             continue
@@ -591,7 +585,7 @@ def skew_schur_h(lam: Partition, mu: Partition, n: int) -> Poly:
     if not lam.contains(mu):
         raise NotContained(f"{mu} does not fit inside {lam}")
     rows = [{j: m for j, m in enumerate(row) if m >= 0} for row in jacobi_trudi_labels(lam, mu)]
-    return _jacobi_trudi_det(rows, n)
+    return expand_orbits(_jacobi_trudi_partitions(rows, n), n)
 
 
 def distinct_label_family(l: int, mu1: int) -> tuple[Partition, Partition]:
@@ -677,38 +671,52 @@ def e_in_p_basis(k: int, n: int) -> Poly:
     return _e_by_recurrence(k, n, newton=True)
 
 
+def partition_form(p: Poly) -> dict | None:
+    """p's coefficients {mu: coefficient of x^mu} on partitions, in one pass
+    over the terms, or None when p is not symmetric: when the terms of one
+    sorted exponent mu hold two coefficients or fewer than _orbit_size(mu,
+    n) exponents.  No orbit is expanded (x1 * x2^2 * ... * x20^20 has 20!).
+    Each mu keeps the coefficient of x^mu itself, whose kind can differ
+    from equal ones (a rational and a cyclotomic scalar of that value)."""
+    form, counts = {}, Counter()
+    for exps, c in p.terms.items():
+        mu = tuple(sorted(filter(None, exps), reverse=True))
+        if form.setdefault(mu, c) != c:
+            return None
+        counts[mu] += 1
+        if exps[: len(mu)] == mu:
+            form[mu] = c
+    return form if all(m == _orbit_size(mu, p.arity) for mu, m in counts.items()) else None
+
+
 def is_symmetric(p: Poly) -> bool:
-    """Invariance under adjacent transpositions (which generate all of S_n)."""
-    n = p.arity
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if p.permute_vars(perm) != p:
-            return False
-    return True
+    """Invariance under every permutation of the variables (`partition_form`)."""
+    return partition_form(p) is not None
 
 
 def express_in_e_basis(f: Poly) -> Poly:
     """The unique polynomial g with g(e_1, ..., e_n) = f, for symmetric f,
     over formal variables e_1..e_n.
 
-    The fundamental theorem's leading-term reduction: the graded-lex leading
-    term c * x^a of a symmetric f has a non-increasing, and it is also the
-    leading term of c * e_1^(a1-a2) ... e_(n-1)^(a(n-1)-an) * e_n^an.
+    The fundamental theorem's leading-term reduction, on partitions: the
+    graded-lex leading term c * x^a of a symmetric f has a non-increasing,
+    and it is also the leading term of c * e_1^(a1-a2) ... e_n^an, the
+    product of the e_k over the parts k of a's conjugate.
     """
     n = f.arity
-    if not is_symmetric(f):
+    form = partition_form(f)
+    if form is None:
         raise NotSymmetric("input is not invariant under variable permutations")
-    es = [e_poly(j, n) for j in range(1, n + 1)]
     terms = {}
-    while f:
-        a, c = f._lead()
-        exps = tuple(a[j] - a[j + 1] for j in range(n - 1)) + (a[-1],)
-        terms[exps] = c
-        product = Poly.constant(n, c)
-        for e, b in zip(es, exps):
-            if b:
-                product = product * e**b
-        f = f - product
+    while form:
+        a = max(form, key=lambda mu: (sum(mu), mu))
+        c = form[a]
+        labels = Partition(a).conjugate().parts
+        terms[tuple(map(labels.count, range(1, n + 1)))] = c
+        for mu, v in _product_sum([(c, labels)], n, _e_images).items():
+            left = form.get(mu, 0) - v
+            if left:
+                form[mu] = left
+            else:
+                del form[mu]
     return Poly(n, terms)
-

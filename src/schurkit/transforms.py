@@ -26,8 +26,8 @@ checkable by the brute-force expansion oracle:
   det_l, and needs no composition: those two imply it.  An input formula
   given to it is expanded; the one it builds itself, the Leibniz
   expansion of det(h_(lam_i - i + j)), never is: its leaves are expanded
-  and compared with the h's, and the signed sum of their products is
-  taken on the coefficients of partitions.
+  and compared with the h's.  Either is compared with s_lambda on the
+  coefficients of partitions.
 """
 
 from __future__ import annotations
@@ -73,11 +73,10 @@ from .partitions import Partition
 from .poly import Poly
 from .symmetric import (
     all_distinct,
-    det_poly_matrix,
     h_poly,
     h_product_sum,
     jacobi_trudi_labels,
-    schur_jt_h,
+    partition_form,
     schur_partition_form,
     schur_term_count,
     signed_permutations,
@@ -485,10 +484,11 @@ def schur_to_det_reduce(
 
     Each identity is checked once.  The input must have arity n and
     compute s_lambda (else ValueError), and the output must expand to
-    `det_poly(l)` (else VerificationFailed).  A given input formula is
-    expanded and compared with `schur_jt_h(lam, n)`.  The input the
-    pipeline builds, the Leibniz expansion of det(h_(lam_i - i + j)), is
-    checked without expanding it (`_check_leibniz_input`):
+    `det_poly(l)` (else VerificationFailed).  Either input is compared
+    with det(e_(lam'_i - i + j)) on the coefficients of partitions
+    (`schur_partition_form`): a given formula expanded, and read by
+    `partition_form`; the Leibniz expansion of det(h_(lam_i - i + j)) the
+    pipeline builds without expanding it (`_check_leibniz_input`):
 
     * each distinct leaf expands to h_m, m its degree, so the formula
       computes the signed sum of the products of those h_m;
@@ -531,7 +531,7 @@ def schur_to_det_reduce(
     elif f.arity != n:
         # checked before the expansion, which builds arity-long exponent vectors
         raise ValueError(f"input formula has arity {f.arity}; s_{lam} has {n} variables")
-    elif f.expand(budget=budget) != schur_jt_h(lam, n):
+    elif partition_form(f.expand(budget=budget)) != schur_partition_form(lam, n):
         raise ValueError("input formula does not compute the Schur polynomial")
 
     sorted_labels = sorted(m for row in labels for m in row)
@@ -571,8 +571,11 @@ def schur_to_det_reduce(
 
 
 def det_poly(ell: int) -> Poly:
-    """The l x l determinant on row-major variables, as a polynomial."""
-    arity = ell * ell
-    return det_poly_matrix(
-        [[Poly.variable(arity, i * ell + j) for j in range(ell)] for i in range(ell)]
-    )
+    """The l x l determinant on row-major variables, as a polynomial, by
+    Leibniz: one signed 0/1 exponent vector per permutation, no product."""
+    if ell < 1:
+        raise ValueError("need l >= 1")
+    return Poly._raw(ell * ell, {
+        tuple(int(perm[k // ell] == k % ell) for k in range(ell * ell)): sign
+        for perm, sign in signed_permutations(range(ell))
+    })

@@ -53,12 +53,38 @@ def tree_metrics(node, point) -> tuple:
     return size, depth, sum(m[2] for m in below), value
 
 
+def permute_vars(p: Poly, perm) -> Poly:
+    """p with its variables relabelled: new variable perm[i] receives old
+    variable i."""
+    if sorted(perm) != list(range(p.arity)):
+        raise ValueError(f"not a permutation of 0..{p.arity - 1}: {perm}")
+    out = {}
+    for exps, coeff in p.terms.items():
+        new = [0] * p.arity
+        for i, e in enumerate(exps):
+            new[perm[i]] = e
+        out[tuple(new)] = coeff
+    return Poly(p.arity, out)
+
+
 def symmetrize(p: Poly) -> Poly:
     """Sum of p over all variable permutations."""
     out = Poly.zero(p.arity)
     for perm in itertools.permutations(range(p.arity)):
-        out = out + p.permute_vars(perm)
+        out = out + permute_vars(p, perm)
     return out
+
+
+def invariant_under_transpositions(p: Poly) -> bool:
+    """Whether p is fixed by each adjacent transposition of its variables,
+    which generate all of S_n: the reference for `is_symmetric`, which
+    compares coefficients on partitions."""
+    for i in range(p.arity - 1):
+        perm = list(range(p.arity))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if permute_vars(p, perm) != p:
+            return False
+    return True
 
 
 def partial(p: Poly, multi) -> Poly:

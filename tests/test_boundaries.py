@@ -98,3 +98,43 @@ def test_a_test_uses_private_names_of_its_own_module_only():
         if name != f"test_{module}"
     ]
     assert not found, found
+
+
+def test_only_the_expanders_use_the_packed_kernel():
+    """Only `poly` itself, `circuits` (formula expansion) and `derivatives`
+    (derivative spans) run on packed operands; the rest multiply `Poly`s or
+    work on coefficients of partitions."""
+    found = [
+        f"{name}.py:{line} imports {imported}"
+        for name, tree in MODULES.items()
+        if name not in ("poly", "circuits", "derivatives")
+        for source, imported, line in schurkit_imports(tree)
+        if source == "poly" and (imported.startswith("packed_") or imported == "content_free")
+    ]
+    assert not found, found
+
+
+def test_no_module_permutes_variables():
+    """Symmetry is read off coefficients on partitions; relabelling the
+    variables is only the tests' reference (`tests/helpers.py`)."""
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "permute_vars")
+        or (isinstance(node, ast.Name) and node.id == "permute_vars")
+        or (isinstance(node, ast.FunctionDef) and node.name == "permute_vars")
+    ]
+    assert not found, found
+
+
+def test_the_reduction_checks_on_partitions():
+    """`transforms` compares s_lambda on coefficients of partitions, so it
+    imports none of the monomial Schur routes."""
+    routes = {"schur_bialternant", "schur_jt_h", "schur_jt_e", "schur_ssyt", "skew_schur_h"}
+    found = [
+        f"transforms.py:{line} imports {imported}"
+        for source, imported, line in schurkit_imports(MODULES["transforms"])
+        if imported in routes
+    ]
+    assert not found, found

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -410,6 +411,16 @@ class TestReduceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Schur polynomial" in err
         assert not out_file.exists()
+
+    def test_twice_the_schur_formula_exits_1(self, capsys, tmp_path):
+        # symmetric, so its coefficients on partitions exist, each twice
+        # those of s_(3,2)
+        source = transforms.jacobi_trudi_formula(Partition((3, 2)), 5)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(Formula(sum_node([source.root], [2]), 5).to_json()))
+        code, out, err = run(capsys, "reduce", "--lambda", "3,2", "--n", "5", "--formula-in", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: input formula does not compute the Schur polynomial\n"
 
     def test_formula_file_of_another_arity_exits_1_at_once(self, tmp_path):
         # expanding an input of arity 10^8 builds 10^8-long exponent vectors:
@@ -960,6 +971,38 @@ def test_pdc_reads_up_to_its_budget(capsys, tmp_path, text):
     code, out, err = run(capsys, "pdc", "--input", str(path), "--budget", "8")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith("8, the largest read here\n")
+
+
+def cap_address_space():
+    """Hold the calling process to 1 GB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "text, code, out",
+    [(" + ".join(f"x{i}" for i in range(1, 31)), 0, "1*e1\n"), ("x8000", 1, "")],
+    ids=["x1-to-x30", "x8000"],
+)
+def test_wide_input_to_e_basis(tmp_path, text, code, out):
+    # x1 + ... + x24 once ended in a MemoryError traceback (e_12 on 24
+    # variables alone has 2,704,156 terms), and x8000 took 7 s to be found
+    # not symmetric; the address space is capped so that such a run fails
+    # fast instead of exhausting the machine
+    path = tmp_path / "input"
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "schurkit", "convert", "--to-e-basis", "--input", str(path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap_address_space,
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    if code:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""
 
 
 class TestConvertCommand:

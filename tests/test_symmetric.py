@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schurkit import symmetric
 from schurkit.errors import (
     ArityMismatch,
     DomainMismatch,
@@ -30,6 +31,7 @@ from schurkit.symmetric import (
     e_in_h_basis,
     e_in_p_basis,
     e_poly,
+    expand_orbits,
     express_in_e_basis,
     generalized_vandermonde,
     h_poly,
@@ -37,6 +39,7 @@ from schurkit.symmetric import (
     is_symmetric,
     jacobi_trudi_labels,
     p_poly,
+    partition_form,
     scaled_staircase_partition,
     scaled_staircase_schur,
     schur_bialternant,
@@ -53,7 +56,9 @@ from helpers import (
     coefficient_kinds,
     divide_bialternant,
     elementary_symmetric_formula,
+    invariant_under_transpositions,
     packed_jacobi_trudi,
+    permute_vars,
     symmetrize,
 )
 
@@ -278,7 +283,7 @@ class TestSchurRoutes:
         for _ in range(5):
             perm = list(range(4))
             rng.shuffle(perm)
-            assert s.permute_vars(perm) == s
+            assert permute_vars(s, perm) == s
 
 
 #: partitions of weight <= 10 with at most 6 parts, the empty one included
@@ -605,8 +610,31 @@ def test_route_agreement_weight_four():
             assert all(v == values[0] for v in values), (lam.parts, n)
 
 
+@st.composite
+def symmetric_sums(draw, min_n=1, orders=(None, 5, 8)):
+    """(n, {mu: c}, the sum of c * m_mu) for up to four partitions mu of
+    weight <= 5 with at most n <= 4 parts, the empty one included, and
+    non-zero c: rationals, and for a drawn order 5 or 8 also cyclotomic
+    scalars of that order."""
+    n = draw(st.integers(min_n, 4))
+    shapes = [()] + [lam.parts for lam in partitions_up_to_weight(5) if lam.length <= n]
+    order = draw(st.sampled_from(orders))
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    if order is not None:
+        cyclotomic = st.lists(scalars, min_size=2, max_size=order).map(lambda cs: CyclotomicScalar(order, cs))
+        scalars = st.one_of(scalars, cyclotomic.filter(bool))
+    form = draw(st.dictionaries(st.sampled_from(shapes), scalars, max_size=4))
+    p = Poly.zero(n)
+    for mu, c in form.items():
+        p = p + monomial_symmetric(mu, n) * c
+    return n, form, p
+
+
 class TestPartitionForms:
-    """s_lambda on the coefficients of partitions, and its term count."""
+    """s_lambda on the coefficients of partitions and its term count;
+    `partition_form` reads a polynomial's coefficients on partitions in one
+    pass, `expand_orbits` writes them back, and the symmetry test and the
+    e-basis rewrite work on them alone."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_term_count_is_exact(self, n):
@@ -635,3 +663,59 @@ class TestPartitionForms:
         assert form == schur_partition_form(Partition((2, 1)), n)
         assert h_product_sum([(Rat(5), [])], n) == {(): 5}
         assert h_product_sum([(1, [1]), (-1, [1])], n) == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_sums())
+    def test_reads_back_the_coefficients(self, case):
+        n, form, p = case
+        got = partition_form(p)
+        assert got == form
+        assert coefficient_kinds(got) == coefficient_kinds(form)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_sums(orders=(None,)))
+    def test_orbit_expansion_inverts_it(self, case):
+        n, _, p = case
+        assert expand_orbits(partition_form(p), n) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_sums(min_n=2), st.data())
+    def test_mutants_are_not_symmetric(self, case, data):
+        # one coefficient changed, one orbit member dropped, one stray term
+        n, _, p = case
+        assert is_symmetric(p) and invariant_under_transpositions(p)
+        terms = p.terms
+        mutants = []
+        movable = sorted(e for e in terms if len(set(e)) > 1)
+        if movable:
+            exps = data.draw(st.sampled_from(movable))
+            mutants.append({**terms, exps: terms[exps] + 1})
+            mutants.append({e: c for e, c in terms.items() if e != exps})
+        mutants.append({**terms, (max(p.total_degree(), 0) + 1,) + (0,) * (n - 1): 1})
+        for mutant_terms in mutants:
+            mutant = Poly(n, mutant_terms)
+            assert partition_form(mutant) is None
+            assert is_symmetric(mutant) is invariant_under_transpositions(mutant) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_sums())
+    def test_e_basis_round_trip(self, case):
+        # no e_j, no Poly product and no variable permutation on the way
+        n, _, p = case
+
+        def refuse(*args):
+            raise AssertionError("a monomial-level path ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetric, "e_poly", refuse)
+            patch.setattr(Poly, "__mul__", refuse)
+            patch.setattr(Poly, "__rmul__", refuse)
+            patch.setattr(Poly, "permute_vars", refuse, raising=False)
+            assert is_symmetric(p)
+            g = express_in_e_basis(p)
+        assert g.compose([e_poly(j, n) for j in range(1, n + 1)]) == p
+
+    def test_one_wide_term_is_not_expanded(self):
+        # x1 * x2^2 * ... * x20^20 has 20! rearrangements
+        assert partition_form(Poly.monomial(20, range(1, 21))) is None
+        assert partition_form(Poly.monomial(20, (1,) * 20)) == {(1,) * 20: 1}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import circuits, independence, transforms
+from schurkit import circuits, independence, poly, transforms
 from schurkit.circuits import (
     Formula,
     const,
@@ -30,6 +30,7 @@ from schurkit.independence import h_family_witness, roots_of_unity_witness
 from schurkit.partitions import Partition, partitions_of, staircase
 from schurkit.poly import Poly
 from schurkit.symmetric import (
+    det_poly_matrix,
     e_poly,
     generalized_vandermonde,
     h_poly,
@@ -598,6 +599,26 @@ def test_jacobi_trudi_formula_does_not_recurse():
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_det_poly_matches_the_determinant_abp(ell):
     assert det_poly(ell) == det_abp(ell).expand()
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_det_poly_forms_no_product(monkeypatch, ell):
+    # the reduction's output check compares the output's expansion with a
+    # determinant that shares no kernel with that expansion
+    arity = ell * ell
+    want = det_poly_matrix([[Poly.variable(arity, i * ell + j) for j in range(ell)] for i in range(ell)])
+
+    def refuse(*args):
+        raise AssertionError("det_poly formed a product")
+
+    monkeypatch.setattr(poly, "packed_product", refuse)
+    assert det_poly(ell) == want
+
+
+@pytest.mark.parametrize("ell", [0, -1])
+def test_det_poly_needs_a_row(ell):
+    with pytest.raises(ValueError):
+        det_poly(ell)
 
 
 def test_extraction_bound_comes_from_the_expansion():
